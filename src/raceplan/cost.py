@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _flatjet, gates, spline as spline_mod
 from .gates import DecisionVector, GateSequence
-from .model import QuadParams
+from .model import LIMIT_COLUMNS, QuadParams, limit_residuals
 from .spline import BoundaryCondition, SplineConfig, TrajectorySpline
 
 
@@ -75,39 +75,15 @@ def _sample_grid(durations: np.ndarray, scfg: SamplingConfig):
     return seg_ids, j, local, weights, kappa
 
 
-def _normalized_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
-    """Stack the 14 normalized residual values and Jacobians (N,14[,12])."""
-    n = len(out.rotor)
-    f_range = params.f_max - params.f_min
-    res = np.empty((n, 14))
-    res[:, 0:8:2] = (params.f_min - out.rotor) / f_range
-    res[:, 1:8:2] = (out.rotor - params.f_max) / f_range
-    res[:, 8:14:2] = (out.omega - params.omega_max) / params.omega_max
-    res[:, 9:14:2] = (-out.omega - params.omega_max) / params.omega_max
-    grad = None
-    if out.rotor_grad is not None:
-        grad = np.empty((n, 14, _flatjet.NDIR))
-        grad[:, 0:8:2] = -out.rotor_grad / f_range
-        grad[:, 1:8:2] = out.rotor_grad / f_range
-        grad[:, 8:14:2] = out.omega_grad / params.omega_max[None, :, None]
-        grad[:, 9:14:2] = -out.omega_grad / params.omega_max[None, :, None]
-    return res, grad
-
-
-def _residual_weights(w: PenaltyWeights) -> np.ndarray:
-    c = np.empty(14)
-    c[:8] = w.thrust_weight
-    c[8:] = w.body_rate_weight
-    return c
-
-
 def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
             w: PenaltyWeights):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
-    Returns (value, dJ_dC (L+1, 2s, 4), dJ_dT_direct (L+1,)); value is +inf
-    when a sample hits the flatness singularity.
+    Returns (value, dJ_dC (L+1, 2s, 4), dJ_dT_direct (L+1,), violations);
+    value is +inf when a sample hits the flatness singularity.  The
+    violations are the worst raw limit residuals over the grid (negative
+    values are headroom), with the thrust and body-rate extremes.
     """
     durations = traj.durations
     num_seg = len(durations)
@@ -117,10 +93,20 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     derivs = traj.eval_local(seg_ids, local, max_order=5)
     out = _flatjet.flat_outputs(derivs, params, want_grad=True)
     if out.singular.any():
-        return math.inf, np.zeros((num_seg, ncoef, 4)), np.zeros(num_seg)
+        return (math.inf, np.zeros((num_seg, ncoef, 4)), np.zeros(num_seg),
+                {"singular": True})
 
-    res, res_grad = _normalized_residuals(out, params)
-    c = _residual_weights(w)
+    raw, res_grad, scale = limit_residuals(out, params)
+    violations = {
+        "singular": False,
+        **{name: float(np.max(raw[:, cols])) for name, cols in LIMIT_COLUMNS.items()},
+        "min_thrust": float(np.min(out.rotor)),
+        "max_thrust": float(np.max(out.rotor)),
+        "max_body_rate": float(np.max(np.abs(out.omega))),
+    }
+    res = raw / scale
+    res_grad /= scale[:, None]
+    c = np.repeat([w.thrust_weight, w.body_rate_weight], [8, 6])
     hinge = np.maximum(res, 0.0)
     rho = np.einsum("k,nk->n", c, hinge**3)
     value = float(weights @ rho)
@@ -140,14 +126,13 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     )
     rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
 
-    # Scatter input gradients onto coefficient blocks.
+    # Scatter input gradients onto coefficient blocks: position orders 2..4
+    # and yaw orders 0..2.
+    basis = spline_mod._basis(local, 4, ncoef)
     contrib = np.zeros((len(local), ncoef, 4))
-    for o_idx, order in enumerate((2, 3, 4)):
-        basis = spline_mod._basis(local, order, ncoef)
-        contrib[:, :, :3] += basis[:, :, None] * g_inputs[:, None, 3 * o_idx:3 * o_idx + 3]
-    for o_idx, order in enumerate((0, 1, 2)):
-        basis = spline_mod._basis(local, order, ncoef)
-        contrib[:, :, 3] += basis * g_inputs[:, 9 + o_idx][:, None]
+    for o in range(3):
+        contrib[:, :, :3] += basis[:, 2 + o, :, None] * g_inputs[:, None, 3 * o:3 * o + 3]
+        contrib[:, :, 3] += basis[:, o] * g_inputs[:, 9 + o][:, None]
     contrib *= weights[:, None, None]
     dJ_dC = np.zeros((num_seg, ncoef, 4))
     np.add.at(dJ_dC, seg_ids, contrib)
@@ -158,35 +143,14 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     t_contrib += weights * rho_dot * j / kappa[seg_ids]
     dJ_dT_direct = np.bincount(seg_ids, weights=t_contrib, minlength=num_seg)
 
-    return value, dJ_dC, dJ_dT_direct
-
-
-def sampled_violations(traj: TrajectorySpline, params: QuadParams,
-                       scfg: SamplingConfig) -> dict:
-    """Worst-case raw constraint violations over the sample grid (meters of
-    headroom are negative)."""
-    seg_ids, _, local, _, _ = _sample_grid(traj.durations, scfg)
-    derivs = traj.eval_local(seg_ids, local, max_order=5)
-    out = _flatjet.flat_outputs(derivs, params)
-    if out.singular.any():
-        return {"singular": True}
-    return {
-        "singular": False,
-        "thrust_low": float(np.max(params.f_min - out.rotor)),
-        "thrust_high": float(np.max(out.rotor - params.f_max)),
-        "body_rate": float(np.max(np.abs(out.omega) - params.omega_max[None, :])),
-        "min_thrust": float(np.min(out.rotor)),
-        "max_thrust": float(np.max(out.rotor)),
-        "max_body_rate": float(np.max(np.abs(out.omega))),
-    }
+    return value, dJ_dC, dJ_dT_direct, violations
 
 
 def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
               bc0: BoundaryCondition, bcf: BoundaryCondition,
               spline_cfg: SplineConfig = SplineConfig(),
               sampling: SamplingConfig = SamplingConfig(),
-              weights: PenaltyWeights = PenaltyWeights(),
-              with_violations: bool = False) -> CostReport:
+              weights: PenaltyWeights = PenaltyWeights()) -> CostReport:
     """Full objective: decode -> construct -> penalty, with the assembled
     analytic gradient in decision-variable coordinates."""
     waypoints, durations, jac_blocks, dt_dk = gates.decode(seq, dec)
@@ -198,7 +162,7 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
             penalty_term=math.inf, max_violation=None, gradient=None,
         )
     traj = spline_mod.construct(waypoints, durations, bc0, bcf, spline_cfg)
-    pen, dJ_dC, dJ_dT_direct = penalty(traj, params, sampling, weights)
+    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, sampling, weights)
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):
@@ -212,10 +176,6 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
     grad_d = np.empty_like(dec.D)
     for i, (lo, hi) in enumerate(dec.offsets):
         grad_d[lo:hi] = jac_blocks[i].T @ dJ_dP4[i, :3]
-
-    violations = None
-    if with_violations:
-        violations = sampled_violations(traj, params, sampling)
 
     return CostReport(
         total=time_term + pen,

@@ -138,17 +138,12 @@ Gate = BallGate | PolytopeGate
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Ordered gates; consecutive indices in a tunnel group form one
-    physical tunnel (entrance first)."""
+    """Ordered gates, traversed in index order."""
 
     gates: tuple
-    tunnel_groups: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "tunnel_groups", tuple(
-            tuple(g) for g in self.tunnel_groups
-        ))
         if not self.gates:
             raise ValidationError("gate sequence must be nonempty")
 

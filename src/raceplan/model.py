@@ -231,18 +231,37 @@ def flat_to_control(sample: FlatSample, params: QuadParams) -> RotorThrusts:
     return RotorThrusts(out.rotor[0])
 
 
-def constraint_residuals(sample: FlatSample, params: QuadParams) -> np.ndarray:
-    """14 residuals, all <= 0 iff thrust and body-rate limits are met.
+#: Columns of each limit in the residual layout of :func:`limit_residuals`.
+LIMIT_COLUMNS = {"thrust_low": slice(0, 8, 2), "thrust_high": slice(1, 8, 2),
+                 "body_rate": slice(8, 14)}
+
+
+def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
+    """The 14 raw limit residuals per sample, all <= 0 iff thrust and
+    body-rate limits are met, with their Jacobians w.r.t. the 12 flat inputs
+    (None unless ``out`` carries them) and the per-column scale.
 
     Layout: [f_min - f_i, f_i - f_max] for each rotor, then
-    [w_j - w_max_j, -w_j - w_max_j] per axis.
+    [w_j - w_max_j, -w_j - w_max_j] per axis.  Returns (N, 14), (N, 14, 12)
+    or None, and (14,).
     """
-    out = _single_outputs(sample, params)
-    f = out.rotor[0]
-    w = out.omega[0]
-    res = np.empty(14)
-    res[0:8:2] = params.f_min - f
-    res[1:8:2] = f - params.f_max
-    res[8:14:2] = w - params.omega_max
-    res[9:14:2] = -w - params.omega_max
-    return res
+    # Column c is sign_c * x_c + offset_c, where x lists each rotor thrust
+    # and each body rate twice; scale_c is that limit's range.
+    sign = np.concatenate([np.tile([-1.0, 1.0], 4), np.tile([1.0, -1.0], 3)])
+    offset = np.concatenate([np.tile([params.f_min, -params.f_max], 4),
+                             np.repeat(-params.omega_max, 2)])
+    scale = np.concatenate([np.full(8, params.f_max - params.f_min),
+                            np.repeat(params.omega_max, 2)])
+    res = np.repeat(np.hstack([out.rotor, out.omega]), 2, axis=1)
+    res *= sign
+    res += offset
+    grad = None
+    if out.rotor_grad is not None:
+        grad = np.repeat(np.hstack([out.rotor_grad, out.omega_grad]), 2, axis=1)
+        grad *= sign[:, None]
+    return res, grad, scale
+
+
+def constraint_residuals(sample: FlatSample, params: QuadParams) -> np.ndarray:
+    """The 14 limit residuals of one sample; see :func:`limit_residuals`."""
+    return limit_residuals(_single_outputs(sample, params), params)[0][0]

@@ -16,6 +16,7 @@ import numpy as np
 from . import cost as cost_mod
 from . import gates as gates_mod
 from .cost import PenaltyWeights, SamplingConfig
+from .errors import RaceplanError
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams, rotation_to_quat
 from . import _flatjet
@@ -192,7 +193,7 @@ def _minimize(fg, x0, cfg: OptimizerConfig):
     f, g = fg(x)
     evals = 1
     if not np.isfinite(f):
-        raise ValueError("objective is not finite at the initial point")
+        raise RaceplanError("objective is not finite at the initial point")
     trace = [f]
     s_list, y_list = [], []
     best_x, best_f = x.copy(), f
@@ -342,14 +343,12 @@ def solve(seq: GateSequence, params: QuadParams,
             traj = cost_mod.spline_mod.construct(
                 waypoints, durations, bc0, bcf, spline_cfg
             )
-            value, _, _ = cost_mod.penalty(traj, params, fine, weights)
-            return value
+            return cost_mod.penalty(traj, params, fine, weights)[0]
 
         dec = _restore_feasibility(dec, penalty_of, opt_cfg)
 
     report = cost_mod.objective(
         dec, seq, params, bc0, bcf, spline_cfg, sampling, weights,
-        with_violations=True,
     )
     traj = report.spline
     times, states, controls = _sample_trajectory(traj, params, sample_dt)

@@ -24,8 +24,7 @@ MAX_SEGMENT_DURATION = 60.0
 
 @dataclass(frozen=True)
 class SplineConfig:
-    s: int = 3          # smoothness order; piece degree is 2s-1
-    flat_dims: int = 4  # x, y, z, yaw
+    s: int = 3  # smoothness order; piece degree is 2s-1
 
     def __post_init__(self):
         if self.s < 2:
@@ -58,13 +57,18 @@ class BoundaryCondition:
         return cls(d)
 
 
-def _basis(t: np.ndarray, order: int, ncoef: int) -> np.ndarray:
-    """Rows of d^order/dt^order [1, t, t^2, ...] for a batch of times."""
+def _basis(t, max_order: int, ncoef: int) -> np.ndarray:
+    """Rows of d^k/dt^k [1, t, t^2, ...] for k = 0..max_order at a batch of
+    times; (N, max_order+1, ncoef).  Entry (k, m) is m!/(m-k)! t^(m-k)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros((len(t), ncoef))
-    for m in range(order, ncoef):
-        out[:, m] = (math.factorial(m) // math.factorial(m - order)) * t ** (m - order)
-    return out
+    order = np.arange(max_order + 1)[:, None]
+    power = np.arange(ncoef)[None, :] - order
+    falling = np.array([[math.perm(m, k) for m in range(ncoef)]
+                        for k in range(max_order + 1)], dtype=float)
+    powers = np.stack([t ** p for p in range(ncoef)], axis=-1)
+    # Stored order-major so that each order's (N, ncoef) slice is contiguous.
+    table = falling[:, None] * powers[:, np.maximum(power, 0)].swapaxes(0, 1)
+    return np.ascontiguousarray(table).swapaxes(0, 1)
 
 
 @dataclass
@@ -99,16 +103,11 @@ class TrajectorySpline:
 
     def eval_local(self, seg_idx, local, max_order: int) -> np.ndarray:
         """Evaluate on given segments at local times; (N, max_order+1, 4)."""
-        ncoef = self.config.ncoef
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 4)
-        local = np.asarray(local, dtype=float)
-        out = np.empty((len(local), max_order + 1, 4))
+        basis = _basis(local, max_order, self.config.ncoef)
+        out = np.empty((len(basis), max_order + 1, 4))
         for order in range(max_order + 1):
-            if order >= ncoef:
-                out[:, order] = 0.0
-            else:
-                basis = _basis(local, order, ncoef)
-                out[:, order] = np.einsum("nm,nmd->nd", basis, coeffs)
+            out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
         return out
 
     def eval_batch(self, ts, max_order: int) -> np.ndarray:
@@ -148,36 +147,29 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition,
     kl = ku = 3 * s - 1
     ab = np.zeros((2 * kl + ku + 1, n))
     rhs = np.zeros((n, 4))
+    rhs[:s] = bc0.derivatives
+    rhs[s:n - s:ncoef] = P
+    rhs[n - s:] = bcf.derivatives
 
-    def put(row, col, val):
-        ab[kl + ku + row - col, col] = val
-
-    for k in range(s):  # start boundary
-        put(k, k, math.factorial(k))
-        rhs[k] = bc0.derivatives[k]
-
-    for i in range(1, num_seg):  # junction i between segments i-1 and i
-        r0 = s + (i - 1) * ncoef
-        c_a = (i - 1) * ncoef
-        c_b = i * ncoef
-        beta0 = _basis([T[i - 1]], 0, ncoef)[0]
-        for m in range(ncoef):
-            put(r0, c_a + m, beta0[m])
-        rhs[r0] = P[i - 1]
-        for k in range(ncoef - 1):  # continuity orders 0..2s-2
-            beta = _basis([T[i - 1]], k, ncoef)[0]
-            for m in range(ncoef):
-                if beta[m] != 0.0:
-                    put(r0 + 1 + k, c_a + m, beta[m])
-            put(r0 + 1 + k, c_b + k, -math.factorial(k))
-
-    for k in range(s):  # end boundary
-        r = n - s + k
-        beta = _basis([T[-1]], k, ncoef)[0]
-        for m in range(ncoef):
-            if beta[m] != 0.0:
-                put(r, (num_seg - 1) * ncoef + m, beta[m])
-        rhs[r] = bcf.derivatives[k]
+    # Rows: the start boundary (orders 0..s-1 of segment 0 at t = 0); per
+    # junction j between segments j and j+1, position interpolation then
+    # continuity of orders 0..2s-2 (segment j at T_j minus segment j+1 at 0);
+    # the end boundary (orders 0..s-1 of the last segment at its T).
+    k = np.arange(ncoef - 1)  # derivative orders
+    m = np.arange(ncoef)      # coefficient index within a segment
+    j = np.arange(num_seg - 1)[:, None]
+    r0 = s + ncoef * j
+    at0 = np.diagonal(_basis(0.0, ncoef - 2, ncoef)[0])  # only t^k is left: k!
+    at_end = _basis(T, ncoef - 2, ncoef)
+    blocks = (  # (rows, columns, values), broadcast against each other
+        (k[:s], k[:s], at0[:s]),
+        (r0[..., None] + m[:, None], ncoef * j[..., None] + m, at_end[:-1, np.r_[0, k]]),
+        (r0 + 1 + k, ncoef * (j + 1) + k, -at0),
+        (n - s + k[:s, None], n - ncoef + m, at_end[-1, :s]),
+    )
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
+    ab[kl + ku + rows - cols, cols] = vals
 
     lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
     if info != 0:
@@ -216,29 +208,24 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     if info != 0:
         raise SingularSystem("adjoint banded solve failed")
 
-    dJ_dP = np.empty((num_seg - 1, 4))
-    dJ_dT = dJ_dT_direct.copy()
+    # d/dT of every T-dependent row bumps its derivative order by one on the
+    # segment that ends there: junction rows (position, then continuity
+    # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
+    # lam's rows are passed as views of the solve's output, in the layout a
+    # row-by-row dot product sees: BLAS rounds a dot product of contiguous
+    # vectors differently from one of strided vectors.
+    at_end = _basis(spline.durations, ncoef - 1, ncoef)
+    junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 4),
+                         at_end[:-1, np.r_[1, 1:ncoef]], spline.coefficients[:-1])
+    end = _row_sums(lam[None, n - s:], at_end[-1:, 1:s + 1],
+                    spline.coefficients[-1:])
+    dJ_dT = dJ_dT_direct - np.concatenate([junction, end])
+    return lam[s:n - s:ncoef].copy(), dJ_dT
 
-    for i in range(1, num_seg):
-        r0 = s + (i - 1) * ncoef
-        dJ_dP[i - 1] = lam[r0]
-        # d/dT of every T-dependent entry in junction rows bumps the
-        # derivative order by one on segment i-1.
-        coeff = spline.coefficients[i - 1]  # (2s, 4)
-        t_loc = spline.durations[i - 1]
-        contrib = 0.0
-        for k in range(ncoef):  # row orders: 0 (position), then 0..2s-2
-            order = 1 if k == 0 else k
-            beta = _basis([t_loc], order, ncoef)[0]
-            contrib += float(lam[r0 + k] @ (beta @ coeff))
-        dJ_dT[i - 1] -= contrib
 
-    coeff = spline.coefficients[-1]
-    t_loc = spline.durations[-1]
-    contrib = 0.0
-    for k in range(s):
-        beta = _basis([t_loc], k + 1, ncoef)[0]
-        contrib += float(lam[n - s + k] @ (beta @ coeff))
-    dJ_dT[-1] -= contrib
-
-    return dJ_dP, dJ_dT
+def _row_sums(lam, basis, coeffs):
+    """Per segment, the sum over rows k of lam_k . (basis_k @ coeffs), added
+    in row order; lam (S, R, 4), basis (S, R, 2s), coeffs (S, 2s, 4)."""
+    values = np.matmul(basis[:, :, None, :], coeffs[:, None])  # (S, R, 1, 4)
+    terms = np.matmul(values, lam[..., None])[..., 0, 0]
+    return np.cumsum(terms, axis=1)[:, -1]

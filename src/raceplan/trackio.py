@@ -234,34 +234,11 @@ def to_waypoint_mode(track: TrackFile) -> TrackFile:
     return replace(track, gates=new_gates)
 
 
-def _tunnel_groups(labels) -> tuple:
-    groups = []
-    current = []
-    current_label = None
-    for i, label in enumerate(labels):
-        if label is not None and label == current_label:
-            current.append(i)
-        else:
-            if len(current) > 1:
-                groups.append(tuple(current))
-            current = [i] if label is not None else []
-            current_label = label
-    if len(current) > 1:
-        groups.append(tuple(current))
-    return tuple(groups)
-
-
 def concatenate_laps(track: TrackFile, laps: int) -> GateSequence:
     """Repeat the gate list verbatim for a multi-lap problem."""
     if laps < 1:
         raise ValidationError("laps must be >= 1")
-    gates = track.gates * laps
-    labels = []
-    for lap in range(laps):
-        labels.extend(
-            None if t is None else f"{t}#{lap}" for t in track.tunnel_labels
-        )
-    return GateSequence(gates=gates, tunnel_groups=_tunnel_groups(labels))
+    return GateSequence(gates=track.gates * laps)
 
 
 def build_sequence(track: TrackFile, mode: str | None = None,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from raceplan.cli import (
-    CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main,
+    CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
+    main,
 )
 
 TRACK = """
@@ -88,6 +89,20 @@ class TestPlan:
 
     def test_missing_track_exits_validation(self, tmp_path):
         assert main(["plan", str(tmp_path / "absent.yaml")]) == EXIT_VALIDATION
+
+    def test_unplannable_track_exits_solver(self, tmp_path, capsys):
+        """A first segment longer than the spline's 60 s duration guard makes
+        the objective infinite at the initial point."""
+        far = tmp_path / "far.yaml"
+        far.write_text(
+            "schema_version: 1\nquad: quad_a\nstart: [0, 0, 1.5]\n"
+            "finish: [200, 0, 1.5]\n"
+            "gates:\n  - type: ball\n    center: [1, 0, 1.5]\n    radius: 0.5\n"
+        )
+        assert main(["plan", str(far), "--out-dir", str(tmp_path / "out")]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ")
+        assert "Traceback" not in err
 
 
 class TestCheck:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import hover_pair, mixed_sequence
+from raceplan import _flatjet
 from raceplan.cost import (
-    PenaltyWeights, SamplingConfig, objective, penalty, sampled_violations,
+    PenaltyWeights, SamplingConfig, _sample_grid, objective, penalty,
 )
 from raceplan.gates import DecisionVector, time_map
 from raceplan.spline import BoundaryCondition, construct
@@ -52,7 +53,7 @@ class TestConfigs:
 
 class TestPenalty:
     def test_feasible_spline_zero_value_zero_gradient(self, quad_a):
-        value, dJ_dC, dJ_dT = penalty(
+        value, dJ_dC, dJ_dT, _ = penalty(
             slow_spline(), quad_a, SamplingConfig(), PenaltyWeights()
         )
         assert value == 0.0
@@ -60,20 +61,37 @@ class TestPenalty:
         assert np.allclose(dJ_dT, 0.0)
 
     def test_infeasible_spline_positive(self, quad_a):
-        value, _, _ = penalty(
+        value = penalty(
             aggressive_spline(), quad_a, SamplingConfig(), PenaltyWeights()
-        )
+        )[0]
         assert value > 0
 
     def test_value_zero_iff_samples_feasible(self, quad_a):
         scfg = SamplingConfig()
         for traj in (slow_spline(), aggressive_spline()):
-            value, _, _ = penalty(traj, quad_a, scfg, PenaltyWeights())
-            worst = sampled_violations(traj, quad_a, scfg)
+            value, _, _, worst = penalty(traj, quad_a, scfg, PenaltyWeights())
             feasible = (worst["thrust_low"] <= 0 and worst["thrust_high"] <= 0
                         and worst["body_rate"] <= 0)
             assert (value == 0.0) == feasible
             assert value >= 0.0
+
+    def test_violations_match_value_only_pass(self, quad_a):
+        """The worst-case violations equal those of a separate value-only
+        flatness pass over the same grid, bit for bit."""
+        scfg = SamplingConfig()
+        for traj in (slow_spline(), aggressive_spline()):
+            worst = penalty(traj, quad_a, scfg, PenaltyWeights())[3]
+            seg_ids, _, local, _, _ = _sample_grid(traj.durations, scfg)
+            out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 5), quad_a)
+            assert worst == {
+                "singular": False,
+                "thrust_low": float(np.max(quad_a.f_min - out.rotor)),
+                "thrust_high": float(np.max(out.rotor - quad_a.f_max)),
+                "body_rate": float(np.max(np.abs(out.omega) - quad_a.omega_max)),
+                "min_thrust": float(np.min(out.rotor)),
+                "max_thrust": float(np.max(out.rotor)),
+                "max_body_rate": float(np.max(np.abs(out.omega))),
+            }
 
     def test_gradient_matches_finite_differences(self, quad_a):
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
@@ -82,7 +100,7 @@ class TestPenalty:
         traj = construct(P, ACTIVE_T, bc0, bcf)
         scfg = SamplingConfig()
         w = PenaltyWeights()
-        value, dJ_dC, dJ_dT = penalty(traj, quad_a, scfg, w)
+        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a, scfg, w)
         assert value > 0  # the oracle only means something on an active penalty
 
         step = 1e-6
@@ -159,6 +177,14 @@ class TestObjective:
         assert report.total == pytest.approx(float(np.sum(durations)))
         assert np.allclose(report.gradient.K, dt_dk)
         assert np.allclose(report.gradient.D, 0.0)
+
+    def test_report_carries_violations(self, quad_a):
+        seq = mixed_sequence(3)
+        bc0, bcf = hover_pair(3)
+        report = objective(DecisionVector.for_sequence(seq), seq, quad_a, bc0, bcf)
+        worst = penalty(report.spline, quad_a, SamplingConfig(), PenaltyWeights())[3]
+        assert report.max_violation == worst
+        assert report.max_violation["singular"] is False
 
     def test_total_is_time_plus_penalty(self, quad_a):
         seq = mixed_sequence(3)

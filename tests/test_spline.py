@@ -5,11 +5,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import lapack, null_space
 
 from raceplan.errors import DimensionMismatch, OutOfDomain
 from raceplan.spline import (
-    BoundaryCondition, construct, propagate_gradients,
+    BoundaryCondition, _basis, construct, propagate_gradients,
 )
 
 
@@ -48,6 +48,95 @@ def dense_oracle(P, T, bc0, bcf, s=3):
         row += 1
     sol = np.linalg.solve(mat, rhs)
     return mat, rhs, sol.reshape(num_seg, ncoef, 4)
+
+
+def per_order_basis(t, order: int, ncoef: int) -> np.ndarray:
+    """One derivative order of the power basis per call, one column at a
+    time: the building block of the exact references below."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((len(t), ncoef))
+    for m in range(order, ncoef):
+        out[:, m] = (math.factorial(m) // math.factorial(m - order)) * t ** (m - order)
+    return out
+
+
+def reference_eval_local(traj, seg_idx, local, max_order):
+    """Evaluation with one basis call per derivative order."""
+    ncoef = traj.config.ncoef
+    coeffs = traj.coefficients[np.asarray(seg_idx)]
+    out = np.empty((len(local), max_order + 1, 4))
+    for order in range(max_order + 1):
+        if order >= ncoef:
+            out[:, order] = 0.0
+        else:
+            out[:, order] = np.einsum(
+                "nm,nmd->nd", per_order_basis(local, order, ncoef), coeffs)
+    return out
+
+
+def reference_construct(P, T, bc0, bcf, s=3):
+    """Banded assembly one entry at a time, junction by junction, then the
+    same banded LU solve as the library."""
+    P = np.hstack([P, np.zeros((len(P), 1))]) if P.shape[1] == 3 else P
+    ncoef = 2 * s
+    num_seg = len(T)
+    n = ncoef * num_seg
+    kl = ku = 3 * s - 1
+    ab = np.zeros((2 * kl + ku + 1, n))
+    rhs = np.zeros((n, 4))
+
+    def put(row, col, val):
+        ab[kl + ku + row - col, col] = val
+
+    for k in range(s):
+        put(k, k, math.factorial(k))
+        rhs[k] = bc0.derivatives[k]
+    for i in range(1, num_seg):
+        r0, c_a, c_b = s + (i - 1) * ncoef, (i - 1) * ncoef, i * ncoef
+        beta0 = per_order_basis([T[i - 1]], 0, ncoef)[0]
+        for m in range(ncoef):
+            put(r0, c_a + m, beta0[m])
+        rhs[r0] = P[i - 1]
+        for k in range(ncoef - 1):
+            beta = per_order_basis([T[i - 1]], k, ncoef)[0]
+            for m in range(ncoef):
+                if beta[m] != 0.0:
+                    put(r0 + 1 + k, c_a + m, beta[m])
+            put(r0 + 1 + k, c_b + k, -math.factorial(k))
+    for k in range(s):
+        beta = per_order_basis([T[-1]], k, ncoef)[0]
+        for m in range(ncoef):
+            if beta[m] != 0.0:
+                put(n - s + k, (num_seg - 1) * ncoef + m, beta[m])
+        rhs[n - s + k] = bcf.derivatives[k]
+    lu, ipiv, _ = lapack.dgbtrf(ab, kl, ku)
+    sol, _ = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)
+    return sol.reshape(num_seg, ncoef, 4)
+
+
+def reference_propagate(traj, dJ_dC, dJ_dT_direct):
+    """Adjoint with the duration terms summed junction by junction."""
+    lu, ipiv, kl, ku = traj._factor
+    s, ncoef = traj.config.s, traj.config.ncoef
+    num_seg = len(traj.durations)
+    n = ncoef * num_seg
+    lam, _ = lapack.dgbtrs(lu, kl, ku, dJ_dC.reshape(n, 4), ipiv, trans=1)
+    dJ_dP = np.empty((num_seg - 1, 4))
+    dJ_dT = dJ_dT_direct.copy()
+    for i in range(1, num_seg):
+        r0 = s + (i - 1) * ncoef
+        dJ_dP[i - 1] = lam[r0]
+        contrib = 0.0
+        for k in range(ncoef):
+            beta = per_order_basis([traj.durations[i - 1]], max(k, 1), ncoef)[0]
+            contrib += float(lam[r0 + k] @ (beta @ traj.coefficients[i - 1]))
+        dJ_dT[i - 1] -= contrib
+    contrib = 0.0
+    for k in range(s):
+        beta = per_order_basis([traj.durations[-1]], k + 1, ncoef)[0]
+        contrib += float(lam[n - s + k] @ (beta @ traj.coefficients[-1]))
+    dJ_dT[-1] -= contrib
+    return dJ_dP, dJ_dT
 
 
 def random_problem(rng, num_wp, dim4=True):
@@ -126,6 +215,39 @@ class TestConstruct:
                 best = min(best, time.perf_counter() - tic)
             timings[num_seg] = best
         assert timings[128] / timings[64] < 2.5
+
+
+class TestExactReference:
+    """The basis table, the one-write band assembly and the adjoint's
+    all-junction duration terms equal per-order and per-junction
+    references bit for bit."""
+
+    def test_basis_table_matches_per_order_rows(self):
+        t = np.random.default_rng(20).uniform(0.0, 60.0, 500)
+        table = _basis(t, 7, 6)
+        assert table.shape == (500, 8, 6)
+        for order in range(8):
+            assert np.array_equal(table[:, order], per_order_basis(t, order, 6))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spline_matches_references(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        for num_wp in (0, 1, 4, 9):
+            P, T, bc0, bcf = random_problem(rng, num_wp, dim4=bool(seed % 2))
+            T = T * rng.choice([0.05, 1.0, 20.0])
+            traj = construct(P, T, bc0, bcf)
+            assert np.array_equal(traj.coefficients,
+                                  reference_construct(P, T, bc0, bcf))
+            seg, local = traj.locate(rng.uniform(0.0, traj.total_time, 300))
+            for max_order in (0, 4, 5, 7):
+                assert np.array_equal(traj.eval_local(seg, local, max_order),
+                                      reference_eval_local(traj, seg, local, max_order))
+            dJ_dC = rng.normal(size=traj.coefficients.shape)
+            dJ_dT = rng.normal(size=len(T))
+            got = propagate_gradients(traj, dJ_dC, dJ_dT)
+            want = reference_propagate(traj, dJ_dC, dJ_dT)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 class TestEval:
