@@ -1,6 +1,6 @@
 """Time-optimal quadrotor trajectory planning through spatial racing gates."""
 
-from .cost import CostReport, PenaltyWeights, SamplingConfig, objective, penalty
+from .cost import CostReport, SamplingConfig, objective, penalty
 from .errors import (
     DimensionMismatch, EmptyAfterShrink, OutOfDomain, ParseError,
     RaceplanError, SingularFlatness, SingularSystem, ValidationError,
@@ -16,8 +16,7 @@ from .model import (
 )
 from .optimizer import OptimizerConfig, PlanResult, SolveDiagnostics, initialize, solve
 from .spline import (
-    BoundaryCondition, SplineConfig, TrajectorySpline, construct,
-    propagate_gradients,
+    BoundaryCondition, TrajectorySpline, construct, propagate_gradients,
 )
 from .trackio import (
     TrackFile, TrackOptions, build_sequence, concatenate_laps, parse, serialize,

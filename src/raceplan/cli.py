@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from . import trackio
-from .cost import PenaltyWeights, SamplingConfig
 from .errors import ParseError, RaceplanError, ValidationError
 from .gates import BallGate, contains
 from .optimizer import OptimizerConfig, solve
@@ -28,6 +27,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
+
+#: Hermite sub-steps per sample interval when `check` measures ball gates.
+HERMITE_STEPS = 64
 
 
 def _write_csv(path: Path, times, states, controls):
@@ -62,6 +64,10 @@ def _gate_outline(gate) -> dict:
 
 
 def cmd_plan(args) -> int:
+    if not (args.dt > 0 and np.isfinite(args.dt)):
+        print(f"error: --dt must be a finite number above 0, got {args.dt}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         track = trackio.parse(args.track, strict=args.strict)
         seq = trackio.build_sequence(
@@ -76,9 +82,7 @@ def cmd_plan(args) -> int:
     opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     try:
         result = solve(
-            seq, track.quad, bc0, bcf, opt_cfg=opt_cfg,
-            sampling=SamplingConfig(), weights=PenaltyWeights(),
-            sample_dt=args.dt,
+            seq, track.quad, bc0, bcf, opt_cfg=opt_cfg, sample_dt=args.dt,
         )
     except RaceplanError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
@@ -142,17 +146,24 @@ def _hermite(p0, v0, p1, v1, dt, lam):
 def _best_traversal(gate, times, positions, velocities, start):
     """Smallest containment residual at or after sample ``start``.
 
-    Returns (residual, sample index).  Samples rarely land exactly on a
-    planar gate, so the crossing of the gate plane is reconstructed between
-    adjacent samples with cubic Hermite interpolation (the optimum often
-    grazes the gate boundary, so chord-level accuracy is not enough); ball
-    gates get the closest approach on each linear path segment.
+    Returns (residual, sample index).  The optimum often grazes the gate
+    boundary, so chord-level accuracy between samples is not enough: the
+    path between adjacent samples is reconstructed by cubic Hermite
+    interpolation.  Planar gates bisect it onto the gate plane; ball gates
+    take the closest approach over it, densified to HERMITE_STEPS chords
+    per sample interval.
     """
     pts = positions[start:]
     if len(pts) == 0:
         return np.inf, start
+    vel = velocities[start:]
+    ts = times[start:]
     if isinstance(gate, BallGate):
-        a, b = pts[:-1], pts[1:]
+        frac = (np.arange(HERMITE_STEPS) / HERMITE_STEPS)[None, :, None]
+        dense = _hermite(pts[:-1, None], vel[:-1, None], pts[1:, None],
+                         vel[1:, None], np.diff(ts)[:, None, None], frac)
+        dense = np.vstack([dense.reshape(-1, 3), pts[-1:]])
+        a, b = dense[:-1], dense[1:]
         seg = b - a
         denom = np.einsum("ij,ij->i", seg, seg)
         lam = np.zeros(len(seg))
@@ -163,11 +174,9 @@ def _best_traversal(gate, times, positions, velocities, start):
         dist = np.linalg.norm(closest - gate.center, axis=1)
         dist = np.append(dist, np.linalg.norm(pts[-1] - gate.center))
         k = int(np.argmin(dist))
-        return float(dist[k] - gate.radius), start + k
+        return float(dist[k] - gate.radius), start + k // HERMITE_STEPS
     if gate.is_planar:
         normal, offset = gate.plane
-        vel = velocities[start:]
-        ts = times[start:]
         side = pts @ normal - offset
         best, best_k = np.inf, 0
         for k in np.flatnonzero(side[:-1] * side[1:] <= 0):

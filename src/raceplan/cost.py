@@ -16,7 +16,7 @@ import numpy as np
 from . import _flatjet, gates, spline as spline_mod
 from .gates import DecisionVector, GateSequence
 from .model import LIMIT_COLUMNS, QuadParams, limit_residuals
-from .spline import BoundaryCondition, SplineConfig, TrajectorySpline
+from .spline import BoundaryCondition, TrajectorySpline
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,10 @@ class SamplingConfig:
         )
 
 
-@dataclass(frozen=True)
-class PenaltyWeights:
-    """Dimensionless weights on the normalized residual groups.  Defaults
-    are large so the converged time/violation tradeoff sits at violations
-    well under the 1% actuation headroom."""
-
-    thrust_weight: float = 1e4
-    body_rate_weight: float = 1e4
-
-    def __post_init__(self):
-        if self.thrust_weight <= 0 or self.body_rate_weight <= 0:
-            raise ValueError("penalty weights must be positive")
+#: Dimensionless weights on the 14 normalized limit residuals, thrust and
+#: body rate alike.  They are large so the converged time/violation tradeoff
+#: sits at violations well under the 1% actuation headroom.
+PENALTY_WEIGHTS = np.full(14, 1e4)
 
 
 @dataclass
@@ -75,8 +67,7 @@ def _sample_grid(durations: np.ndarray, scfg: SamplingConfig):
     return seg_ids, j, local, weights, kappa
 
 
-def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
-            w: PenaltyWeights):
+def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
@@ -87,7 +78,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     """
     durations = traj.durations
     num_seg = len(durations)
-    ncoef = traj.config.ncoef
+    ncoef = spline_mod.NCOEF
     seg_ids, j, local, weights, kappa = _sample_grid(durations, scfg)
 
     derivs = traj.eval_local(seg_ids, local, max_order=5)
@@ -106,13 +97,12 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     }
     res = raw / scale
     res_grad /= scale[:, None]
-    c = np.repeat([w.thrust_weight, w.body_rate_weight], [8, 6])
     hinge = np.maximum(res, 0.0)
-    rho = np.einsum("k,nk->n", c, hinge**3)
+    rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, hinge**3)
     value = float(weights @ rho)
 
     # d rho / d flat-inputs, (N, 12)
-    drho_dres = 3.0 * c[None, :] * hinge**2
+    drho_dres = 3.0 * PENALTY_WEIGHTS[None, :] * hinge**2
     g_inputs = np.einsum("nk,nkp->np", drho_dres, res_grad)
 
     # Time derivative of rho along the trajectory: shift each input one
@@ -147,10 +137,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
 
 
 def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
-              bc0: BoundaryCondition, bcf: BoundaryCondition,
-              spline_cfg: SplineConfig = SplineConfig(),
-              sampling: SamplingConfig = SamplingConfig(),
-              weights: PenaltyWeights = PenaltyWeights()) -> CostReport:
+              bc0: BoundaryCondition, bcf: BoundaryCondition) -> CostReport:
     """Full objective: decode -> construct -> penalty, with the assembled
     analytic gradient in decision-variable coordinates."""
     waypoints, durations, jac_blocks, dt_dk = gates.decode(seq, dec)
@@ -161,8 +148,8 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
             total=math.inf, time_term=float(np.sum(durations)),
             penalty_term=math.inf, max_violation=None, gradient=None,
         )
-    traj = spline_mod.construct(waypoints, durations, bc0, bcf, spline_cfg)
-    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, sampling, weights)
+    traj = spline_mod.construct(waypoints, durations, bc0, bcf)
+    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, SamplingConfig())
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):

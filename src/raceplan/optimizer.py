@@ -15,37 +15,36 @@ import numpy as np
 
 from . import cost as cost_mod
 from . import gates as gates_mod
-from .cost import PenaltyWeights, SamplingConfig
+from .cost import SamplingConfig
 from .errors import RaceplanError
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams, rotation_to_quat
 from . import _flatjet
-from .spline import BoundaryCondition, SplineConfig, TrajectorySpline
+from .spline import BoundaryCondition, TrajectorySpline
+
+
+# L-BFGS: history length, iteration cap, relative gradient tolerance, strong
+# Wolfe constants, and the stall test (this many iterations in a row that
+# lower f by less than STALL_DECREASE end the solve as converged).
+MEMORY = 8
+MAX_ITERATIONS = 3000
+GRAD_TOLERANCE = 1e-6
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+STALL_ITERATIONS = 20
+STALL_DECREASE = 1e-10
+# Post-optimization feasibility restoration: uniformly stretch segment
+# durations (waypoints fixed), by at most RESTORE_MAX_SCALE, until the
+# sampled penalty is at most RESTORE_PENALTY_TOL.
+RESTORE_PENALTY_TOL = 1e-8
+RESTORE_MAX_SCALE = 1.5
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    memory: int = 8
-    max_iterations: int = 3000
-    grad_tolerance: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     initial_speed_guess: float = 3.0
     restarts: int = 0
     seed: int = 0
-    stall_iterations: int = 20
-    stall_decrease: float = 1e-10
-    # Post-optimization feasibility restoration: uniformly stretch segment
-    # durations (waypoints fixed) until the sampled penalty is negligible.
-    restore_feasibility: bool = True
-    restore_penalty_tol: float = 1e-8
-    restore_max_scale: float = 1.5
-
-    def __post_init__(self):
-        if not (0 < self.wolfe_c1 < self.wolfe_c2 < 1):
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.memory < 3:
-            raise ValueError("memory must be >= 3")
 
 
 @dataclass
@@ -127,8 +126,7 @@ def _cubic_min(a, fa, da, b, fb, db):
     return b - (b - a) * (db + d2 - d1) / denom
 
 
-def _zoom(fg, x, d, lo, f_lo, d_lo, hi, f_hi, d_hi, f0, dphi0, c1, c2,
-          max_iter=30):
+def _zoom(fg, x, d, lo, f_lo, d_lo, hi, f_hi, d_hi, f0, dphi0, max_iter=30):
     evals = 0
     for _ in range(max_iter):
         trial = None
@@ -140,11 +138,11 @@ def _zoom(fg, x, d, lo, f_lo, d_lo, hi, f_hi, d_hi, f0, dphi0, c1, c2,
             trial = 0.5 * (lo + hi)
         f, g = fg(x + trial * d)
         evals += 1
-        if not np.isfinite(f) or f > f0 + c1 * trial * dphi0 or f >= f_lo:
+        if not np.isfinite(f) or f > f0 + WOLFE_C1 * trial * dphi0 or f >= f_lo:
             hi, f_hi, d_hi = trial, f, np.nan
         else:
             dphi = g @ d
-            if abs(dphi) <= -c2 * dphi0:
+            if abs(dphi) <= -WOLFE_C2 * dphi0:
                 return trial, f, g, evals
             if dphi * (hi - lo) >= 0:
                 hi, f_hi, d_hi = lo, f_lo, d_lo
@@ -159,7 +157,7 @@ def _zoom(fg, x, d, lo, f_lo, d_lo, hi, f_hi, d_hi, f0, dphi0, c1, c2,
     return None, None, None, evals
 
 
-def _strong_wolfe(fg, x, d, f0, g0, c1, c2, max_iter=20):
+def _strong_wolfe(fg, x, d, f0, g0, max_iter=20):
     """Strong-Wolfe line search; returns (alpha, f, g, evals) or alpha None."""
     dphi0 = g0 @ d
     if dphi0 >= 0:
@@ -170,24 +168,24 @@ def _strong_wolfe(fg, x, d, f0, g0, c1, c2, max_iter=20):
     for i in range(max_iter):
         f, g = fg(x + alpha * d)
         evals += 1
-        if not np.isfinite(f) or f > f0 + c1 * alpha * dphi0 or \
+        if not np.isfinite(f) or f > f0 + WOLFE_C1 * alpha * dphi0 or \
                 (f >= f_prev and i > 0):
             a, fa, ga, e = _zoom(fg, x, d, alpha_prev, f_prev, d_prev,
-                                 alpha, f, np.nan, f0, dphi0, c1, c2)
+                                 alpha, f, np.nan, f0, dphi0)
             return a, fa, ga, evals + e
         dphi = g @ d
-        if abs(dphi) <= -c2 * dphi0:
+        if abs(dphi) <= -WOLFE_C2 * dphi0:
             return alpha, f, g, evals
         if dphi >= 0:
             a, fa, ga, e = _zoom(fg, x, d, alpha, f, dphi,
-                                 alpha_prev, f_prev, d_prev, f0, dphi0, c1, c2)
+                                 alpha_prev, f_prev, d_prev, f0, dphi0)
             return a, fa, ga, evals + e
         alpha_prev, f_prev, d_prev = alpha, f, dphi
         alpha = min(2.0 * alpha, 1e4)
     return None, None, None, evals
 
 
-def _minimize(fg, x0, cfg: OptimizerConfig):
+def _minimize(fg, x0):
     """L-BFGS with strong Wolfe; returns (x_best, f_best, diagnostics)."""
     x = x0.copy()
     f, g = fg(x)
@@ -200,18 +198,16 @@ def _minimize(fg, x0, cfg: OptimizerConfig):
     stall = 0
     termination = "max_iter"
     it = 0
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         gnorm = np.linalg.norm(g)
-        if gnorm / max(1.0, abs(f)) < cfg.grad_tolerance:
+        if gnorm / max(1.0, abs(f)) < GRAD_TOLERANCE:
             termination = "converged"
             break
         d = _two_loop(g, s_list, y_list)
         if d @ g >= 0:  # safeguard: fall back to steepest descent
             d = -g
             s_list, y_list = [], []
-        alpha, f_new, g_new, e = _strong_wolfe(
-            fg, x, d, f, g, cfg.wolfe_c1, cfg.wolfe_c2
-        )
+        alpha, f_new, g_new, e = _strong_wolfe(fg, x, d, f, g)
         evals += e
         if alpha is None:
             termination = "line_search_failure"
@@ -221,7 +217,7 @@ def _minimize(fg, x0, cfg: OptimizerConfig):
         if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             s_list.append(s)
             y_list.append(y)
-            if len(s_list) > cfg.memory:
+            if len(s_list) > MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         decrease = f - f_new
@@ -230,8 +226,8 @@ def _minimize(fg, x0, cfg: OptimizerConfig):
         trace.append(f)
         if f < best_f:
             best_f, best_x = f, x.copy()
-        stall = stall + 1 if decrease < cfg.stall_decrease else 0
-        if stall >= cfg.stall_iterations:
+        stall = stall + 1 if decrease < STALL_DECREASE else 0
+        if stall >= STALL_ITERATIONS:
             termination = "converged"
             break
     diag = SolveDiagnostics(
@@ -245,7 +241,7 @@ def _minimize(fg, x0, cfg: OptimizerConfig):
     return best_x, best_f, diag
 
 
-def _restore_feasibility(dec: DecisionVector, penalty_of, cfg: OptimizerConfig):
+def _restore_feasibility(dec: DecisionVector, penalty_of):
     """Stretch all durations by the smallest uniform factor that drives the
     sampled penalty below tolerance.  Waypoints are untouched, so gate
     traversal is preserved exactly."""
@@ -256,15 +252,15 @@ def _restore_feasibility(dec: DecisionVector, penalty_of, cfg: OptimizerConfig):
                              offsets=dec.offsets)
         return out
 
-    if penalty_of(scaled(1.0)) <= cfg.restore_penalty_tol:
+    if penalty_of(scaled(1.0)) <= RESTORE_PENALTY_TOL:
         return dec
-    hi = cfg.restore_max_scale
-    if penalty_of(scaled(hi)) > cfg.restore_penalty_tol:
+    hi = RESTORE_MAX_SCALE
+    if penalty_of(scaled(hi)) > RESTORE_PENALTY_TOL:
         return dec  # restoration out of reach; keep the optimizer's iterate
     lo = 1.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if penalty_of(scaled(mid)) <= cfg.restore_penalty_tol:
+        if penalty_of(scaled(mid)) <= RESTORE_PENALTY_TOL:
             hi = mid
         else:
             lo = mid
@@ -292,9 +288,6 @@ def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
 def solve(seq: GateSequence, params: QuadParams,
           bc0: BoundaryCondition, bcf: BoundaryCondition,
           opt_cfg: OptimizerConfig = OptimizerConfig(),
-          spline_cfg: SplineConfig = SplineConfig(),
-          sampling: SamplingConfig = SamplingConfig(),
-          weights: PenaltyWeights = PenaltyWeights(),
           sample_dt: float = 0.01) -> PlanResult:
     """Plan a trajectory through the gate sequence.
 
@@ -306,10 +299,7 @@ def solve(seq: GateSequence, params: QuadParams,
     dec0 = initialize(seq, bc0, bcf, opt_cfg)
 
     def fg(x):
-        rep = cost_mod.objective(
-            dec0.with_flat(x), seq, params, bc0, bcf,
-            spline_cfg, sampling, weights,
-        )
+        rep = cost_mod.objective(dec0.with_flat(x), seq, params, bc0, bcf)
         if rep.gradient is None:
             return np.inf, None
         return rep.total, rep.gradient.to_flat()
@@ -321,35 +311,29 @@ def solve(seq: GateSequence, params: QuadParams,
 
     best = None
     for x0 in starts:
-        x, f, diag = _minimize(fg, x0, opt_cfg)
+        x, f, diag = _minimize(fg, x0)
         if best is None or f < best[1]:
             best = (x, f, diag)
     x, f, diag = best
     diag.seed = opt_cfg.seed
     diag.wall_time = time.perf_counter() - t_start
 
-    dec = dec0.with_flat(x)
-    if opt_cfg.restore_feasibility:
-        # Verify restoration on a grid finer than both the optimization
-        # sampling and the export rate, so peaks between penalty samples
-        # cannot slip past the downstream bound checks.
-        fine = SamplingConfig(
-            min_samples_per_segment=4 * sampling.min_samples_per_segment,
-            target_dt=sampling.target_dt / 4.0,
-        )
-
-        def penalty_of(d):
-            waypoints, durations, _, _ = gates_mod.decode(seq, d)
-            traj = cost_mod.spline_mod.construct(
-                waypoints, durations, bc0, bcf, spline_cfg
-            )
-            return cost_mod.penalty(traj, params, fine, weights)[0]
-
-        dec = _restore_feasibility(dec, penalty_of, opt_cfg)
-
-    report = cost_mod.objective(
-        dec, seq, params, bc0, bcf, spline_cfg, sampling, weights,
+    # Verify restoration on a grid finer than both the optimization
+    # sampling and the export rate, so peaks between penalty samples
+    # cannot slip past the downstream bound checks.
+    sampling = SamplingConfig()
+    fine = SamplingConfig(
+        min_samples_per_segment=4 * sampling.min_samples_per_segment,
+        target_dt=sampling.target_dt / 4.0,
     )
+
+    def penalty_of(d):
+        waypoints, durations, _, _ = gates_mod.decode(seq, d)
+        traj = cost_mod.spline_mod.construct(waypoints, durations, bc0, bcf)
+        return cost_mod.penalty(traj, params, fine)[0]
+
+    dec = _restore_feasibility(dec0.with_flat(x), penalty_of)
+    report = cost_mod.objective(dec, seq, params, bc0, bcf)
     traj = report.spline
     times, states, controls = _sample_trajectory(traj, params, sample_dt)
     return PlanResult(

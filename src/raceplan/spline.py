@@ -20,19 +20,9 @@ from .errors import DimensionMismatch, OutOfDomain, SingularSystem
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
 MAX_SEGMENT_DURATION = 60.0
-
-
-@dataclass(frozen=True)
-class SplineConfig:
-    s: int = 3  # smoothness order; piece degree is 2s-1
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("smoothness order must be >= 2")
-
-    @property
-    def ncoef(self) -> int:
-        return 2 * self.s
+#: Smoothness order s (minimum snap); each piece has NCOEF = 2s coefficients.
+S = 3
+NCOEF = 2 * S
 
 
 @dataclass(frozen=True)
@@ -50,8 +40,8 @@ class BoundaryCondition:
         object.__setattr__(self, "derivatives", d)
 
     @classmethod
-    def hover(cls, position, yaw: float = 0.0, s: int = 3) -> "BoundaryCondition":
-        d = np.zeros((s, 4))
+    def hover(cls, position, yaw: float = 0.0) -> "BoundaryCondition":
+        d = np.zeros((S, 4))
         d[0, :3] = position
         d[0, 3] = yaw
         return cls(d)
@@ -78,7 +68,6 @@ class TrajectorySpline:
     durations: np.ndarray       # (L+1,)
     coefficients: np.ndarray    # (L+1, 2s, 4)
     waypoints: np.ndarray       # (L, 4) interpolated values at junctions
-    config: SplineConfig
     _factor: tuple | None = field(default=None, repr=False)  # (lu, ipiv, kl, ku)
 
     @property
@@ -104,7 +93,7 @@ class TrajectorySpline:
     def eval_local(self, seg_idx, local, max_order: int) -> np.ndarray:
         """Evaluate on given segments at local times; (N, max_order+1, 4)."""
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 4)
-        basis = _basis(local, max_order, self.config.ncoef)
+        basis = _basis(local, max_order, NCOEF)
         out = np.empty((len(basis), max_order + 1, 4))
         for order in range(max_order + 1):
             out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
@@ -121,8 +110,7 @@ class TrajectorySpline:
         return FlatSample(self.eval_batch([t], max_order)[0])
 
 
-def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition,
-              cfg: SplineConfig = SplineConfig()) -> TrajectorySpline:
+def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> TrajectorySpline:
     """Build the minimum-control spline through waypoints P with durations T."""
     T = np.asarray(T, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -137,7 +125,7 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition,
         raise ValueError("segment durations must be positive")
     if np.any(T > MAX_SEGMENT_DURATION):
         raise ValueError("segment duration exceeds conditioning guard")
-    s, ncoef = cfg.s, cfg.ncoef
+    s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
         raise DimensionMismatch("boundary conditions must provide s rows")
     if P.shape[1] == 3:
@@ -183,7 +171,6 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition,
         durations=T.copy(),
         coefficients=coeffs,
         waypoints=P.copy(),
-        config=cfg,
         _factor=(lu, ipiv, kl, ku),
     )
 
@@ -194,8 +181,7 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     if spline._factor is None:
         raise SingularSystem("spline carries no cached factorization")
     lu, ipiv, kl, ku = spline._factor
-    cfg = spline.config
-    s, ncoef = cfg.s, cfg.ncoef
+    s, ncoef = S, NCOEF
     num_seg = len(spline.durations)
     n = ncoef * num_seg
 

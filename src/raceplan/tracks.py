@@ -30,19 +30,6 @@ def square_gate(center, normal, side: float) -> PolytopeGate:
     return PolytopeGate.from_vertices(np.array(verts), planar=True)
 
 
-def box_gate(center, normal, side: float, depth: float) -> PolytopeGate:
-    """Rectangular-box polyhedron gate (a simple tunnel segment)."""
-    u, w = _frame(normal)
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    c = np.asarray(center, dtype=float)
-    h, d = side / 2.0, depth / 2.0
-    verts = [c + sn * d * n + h * (su * u + sw * w)
-             for sn in (-1, 1)
-             for su, sw in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
-    return PolytopeGate.from_vertices(np.array(verts), planar=False)
-
-
 def loop_track(n_gates: int = 7, radius: float = 8.0, side: float = 2.4,
                margin: float = 0.3, base_height: float = 1.5,
                height_wobble: float = 0.7, laps: int = 1,

@@ -7,8 +7,9 @@ import pytest
 
 from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
-    main,
+    _best_traversal, main,
 )
+from raceplan.gates import BallGate
 
 TRACK = """
 schema_version: 1
@@ -104,8 +105,37 @@ class TestPlan:
         assert err.startswith("solver error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+    def test_bad_dt_exits_validation(self, dt, tmp_path, capsys):
+        """An export period that is not a finite number above 0 is refused
+        before the track is parsed or solved."""
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK)
+        out = tmp_path / "out"
+        assert main(["plan", str(track), "--dt", dt, "--out-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --dt")
+        assert not out.exists()
+
 
 class TestCheck:
+    def test_ball_grazed_between_samples(self):
+        """A circular arc of radius 5 m at 10 m/s, sampled every 10 ms,
+        passes 1e-5 m inside a ball's rim midway between two samples.  The
+        chord between those samples cuts 2.5e-4 m inward, away from the
+        ball; the Hermite reconstruction follows the arc."""
+        radius, speed, dt, inside = 5.0, 10.0, 0.01, 1e-5
+        times = np.arange(21) * dt
+        theta = speed / radius * (times - 0.105)  # graze between samples 10, 11
+        positions = radius * np.stack(
+            [np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
+        velocities = speed * np.stack(
+            [-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=1)
+        ball = BallGate(center=[radius + 0.3 - inside, 0.0, 0.0], radius=0.3)
+        res, at = _best_traversal(ball, times, positions, velocities, 0)
+        assert res == pytest.approx(-inside, abs=1e-8)
+        assert at == 10
+
     def test_closed_loop(self, planned, capsys):
         track, out = planned
         code = main(["check", str(out / "trajectory.csv"), str(track)])

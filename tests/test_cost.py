@@ -7,9 +7,7 @@ import pytest
 
 from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
-from raceplan.cost import (
-    PenaltyWeights, SamplingConfig, _sample_grid, objective, penalty,
-)
+from raceplan.cost import SamplingConfig, _sample_grid, objective, penalty
 from raceplan.gates import DecisionVector, time_map
 from raceplan.spline import BoundaryCondition, construct
 
@@ -46,30 +44,22 @@ class TestConfigs:
         counts = scfg.samples(np.array([0.05, 0.5, 1.01]))
         assert list(counts) == [8, 25, 51]
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            PenaltyWeights(thrust_weight=0.0)
-
 
 class TestPenalty:
     def test_feasible_spline_zero_value_zero_gradient(self, quad_a):
-        value, dJ_dC, dJ_dT, _ = penalty(
-            slow_spline(), quad_a, SamplingConfig(), PenaltyWeights()
-        )
+        value, dJ_dC, dJ_dT, _ = penalty(slow_spline(), quad_a, SamplingConfig())
         assert value == 0.0
         assert np.allclose(dJ_dC, 0.0)
         assert np.allclose(dJ_dT, 0.0)
 
     def test_infeasible_spline_positive(self, quad_a):
-        value = penalty(
-            aggressive_spline(), quad_a, SamplingConfig(), PenaltyWeights()
-        )[0]
+        value = penalty(aggressive_spline(), quad_a, SamplingConfig())[0]
         assert value > 0
 
     def test_value_zero_iff_samples_feasible(self, quad_a):
         scfg = SamplingConfig()
         for traj in (slow_spline(), aggressive_spline()):
-            value, _, _, worst = penalty(traj, quad_a, scfg, PenaltyWeights())
+            value, _, _, worst = penalty(traj, quad_a, scfg)
             feasible = (worst["thrust_low"] <= 0 and worst["thrust_high"] <= 0
                         and worst["body_rate"] <= 0)
             assert (value == 0.0) == feasible
@@ -80,7 +70,7 @@ class TestPenalty:
         flatness pass over the same grid, bit for bit."""
         scfg = SamplingConfig()
         for traj in (slow_spline(), aggressive_spline()):
-            worst = penalty(traj, quad_a, scfg, PenaltyWeights())[3]
+            worst = penalty(traj, quad_a, scfg)[3]
             seg_ids, _, local, _, _ = _sample_grid(traj.durations, scfg)
             out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 5), quad_a)
             assert worst == {
@@ -99,8 +89,7 @@ class TestPenalty:
         P = np.array([[2.0, 0.5, 1.4, 0.0], [4.0, -1.0, 1.8, 0.0]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
         scfg = SamplingConfig()
-        w = PenaltyWeights()
-        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a, scfg, w)
+        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a, scfg)
         assert value > 0  # the oracle only means something on an active penalty
 
         step = 1e-6
@@ -110,8 +99,8 @@ class TestPenalty:
             v = rng.normal(size=traj.coefficients.shape)
             plus = replace(traj, coefficients=traj.coefficients + step * v)
             minus = replace(traj, coefficients=traj.coefficients - step * v)
-            fd = (penalty(plus, quad_a, scfg, w)[0]
-                  - penalty(minus, quad_a, scfg, w)[0]) / (2 * step)
+            fd = (penalty(plus, quad_a, scfg)[0]
+                  - penalty(minus, quad_a, scfg)[0]) / (2 * step)
             analytic = float(np.sum(dJ_dC * v))
             assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
         # Direct duration derivatives, coefficients frozen.
@@ -119,8 +108,8 @@ class TestPenalty:
             tp, tm = ACTIVE_T.copy(), ACTIVE_T.copy()
             tp[k] += step
             tm[k] -= step
-            fd = (penalty(replace(traj, durations=tp), quad_a, scfg, w)[0]
-                  - penalty(replace(traj, durations=tm), quad_a, scfg, w)[0]
+            fd = (penalty(replace(traj, durations=tp), quad_a, scfg)[0]
+                  - penalty(replace(traj, durations=tm), quad_a, scfg)[0]
                   ) / (2 * step)
             assert dJ_dT[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -131,12 +120,11 @@ class TestPenalty:
         bcf = BoundaryCondition.hover([4.0, 0.0, 1.0])
         # Fixed sample count so the probe never crosses a kappa boundary.
         scfg = SamplingConfig(min_samples_per_segment=64, target_dt=1.0)
-        w = PenaltyWeights()
 
         def value(stretch):
             traj = construct(np.array([[2.0, 0.0, 1.3, 0.0]]),
                              SAFE_T[:2] * stretch, bc0, bcf)
-            return penalty(traj, quad_a, scfg, w)[0]
+            return penalty(traj, quad_a, scfg)[0]
 
         # Bracket the activation threshold in the duration stretch factor.
         lo, hi = 0.3, 1.5
@@ -182,7 +170,7 @@ class TestObjective:
         seq = mixed_sequence(3)
         bc0, bcf = hover_pair(3)
         report = objective(DecisionVector.for_sequence(seq), seq, quad_a, bc0, bcf)
-        worst = penalty(report.spline, quad_a, SamplingConfig(), PenaltyWeights())[3]
+        worst = penalty(report.spline, quad_a, SamplingConfig())[3]
         assert report.max_violation == worst
         assert report.max_violation["singular"] is False
 
@@ -222,11 +210,10 @@ class TestObjective:
     def test_sampling_refinement_consistency(self, quad_a):
         """Doubling the sample resolution barely moves a feasible penalty."""
         traj = slow_spline()
-        base = penalty(traj, quad_a, SamplingConfig(), PenaltyWeights())[0]
+        base = penalty(traj, quad_a, SamplingConfig())[0]
         fine = penalty(
             traj, quad_a,
             SamplingConfig(min_samples_per_segment=16, target_dt=0.01),
-            PenaltyWeights(),
         )[0]
         assert abs(fine - base) < 1e-6
 

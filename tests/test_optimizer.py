@@ -25,14 +25,6 @@ def single_ball_result(single_ball_problem):
     return solve(seq, quad, bc0, bcf)
 
 
-class TestOptimizerConfig:
-    def test_wolfe_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(wolfe_c1=0.5, wolfe_c2=0.1)
-        with pytest.raises(ValueError):
-            OptimizerConfig(memory=2)
-
-
 class TestInitialize:
     def test_ball_track_starts_near_centers(self):
         centers = np.array([[2.0, 0.0, 1.0], [4.0, 1.0, 1.5]])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack, null_space
 
+from raceplan import spline
 from raceplan.errors import DimensionMismatch, OutOfDomain
 from raceplan.spline import (
     BoundaryCondition, _basis, construct, propagate_gradients,
@@ -62,7 +63,7 @@ def per_order_basis(t, order: int, ncoef: int) -> np.ndarray:
 
 def reference_eval_local(traj, seg_idx, local, max_order):
     """Evaluation with one basis call per derivative order."""
-    ncoef = traj.config.ncoef
+    ncoef = spline.NCOEF
     coeffs = traj.coefficients[np.asarray(seg_idx)]
     out = np.empty((len(local), max_order + 1, 4))
     for order in range(max_order + 1):
@@ -117,7 +118,7 @@ def reference_construct(P, T, bc0, bcf, s=3):
 def reference_propagate(traj, dJ_dC, dJ_dT_direct):
     """Adjoint with the duration terms summed junction by junction."""
     lu, ipiv, kl, ku = traj._factor
-    s, ncoef = traj.config.s, traj.config.ncoef
+    s, ncoef = spline.S, spline.NCOEF
     num_seg = len(traj.durations)
     n = ncoef * num_seg
     lam, _ = lapack.dgbtrs(lu, kl, ku, dJ_dC.reshape(n, 4), ipiv, trans=1)
@@ -325,7 +326,7 @@ class TestGradients:
             # motion of t_star and the local clock.
             dy = 2.0 * (y - y_ref)
             dJ_dC = np.zeros_like(traj.coefficients)
-            basis = dpow(local[0], 0, traj.config.ncoef)
+            basis = dpow(local[0], 0, spline.NCOEF)
             dJ_dC[idx[0]] = np.outer(basis, dy)
             ydot = traj.eval_local(idx, local, 1)[0, 1]
             dJ_dT = np.zeros(len(T_))
