@@ -1,176 +1,38 @@
-"""Vectorized flatness pipeline with optional forward-mode derivatives.
+"""Vectorized flatness pipeline with an optional reverse-mode (adjoint) pass.
 
 Maps batches of flat-output derivatives (position orders 2..4 and yaw
 orders 0..2) to collective thrust, body rates, body-rate derivatives and
-per-rotor thrusts.  In gradient mode every intermediate carries its exact
-Jacobian with respect to the 12 flat inputs, propagated by the chain rule,
-so downstream penalty gradients are analytic rather than finite-differenced.
+per-rotor thrusts.  In gradient mode the value pass keeps its intermediates
+and the result carries a vector-Jacobian product: given cotangents on the
+rotor thrusts and body rates it runs the chain rule backwards over those
+intermediates and returns the cotangent on the 12 flat inputs, so downstream
+penalty gradients are analytic rather than finite-differenced.  This is the
+forward/backward split of the flatness map in GCOPTER (Wang et al., IEEE
+T-RO 2022); the value pass is identical with and without it.
 
-Input ordering for the 12-column Jacobians:
+Input ordering of the 12 input columns:
     0:3  acceleration, 3:6 jerk, 6:9 snap, 9 yaw, 10 yaw rate, 11 yaw accel
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-#: Number of differentiation directions.
-NDIR = 12
-
 #: Below this thrust magnitude / axis-cross magnitude the map is singular.
 EPS_SING = 1e-6
-
-
-class Jet:
-    """A batch of values with optional Jacobians w.r.t. the 12 flat inputs.
-
-    ``v`` is (N,) for scalars or (N, 3) for vectors; ``g`` appends a trailing
-    axis of length NDIR, or is None in value-only mode.
-    """
-
-    __slots__ = ("v", "g")
-
-    def __init__(self, v, g=None):
-        self.v = v
-        self.g = g
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def const(v, with_grad):
-        v = np.asarray(v, dtype=float)
-        g = np.zeros(v.shape + (NDIR,)) if with_grad else None
-        return Jet(v, g)
-
-    @staticmethod
-    def seed_vec(v, col0, with_grad):
-        """Vector input occupying Jacobian columns col0..col0+2."""
-        g = None
-        if with_grad:
-            g = np.zeros(v.shape + (NDIR,))
-            for k in range(3):
-                g[:, k, col0 + k] = 1.0
-        return Jet(v, g)
-
-    @staticmethod
-    def seed_scalar(v, col, with_grad):
-        g = None
-        if with_grad:
-            g = np.zeros(v.shape + (NDIR,))
-            g[:, col] = 1.0
-        return Jet(v, g)
-
-    @staticmethod
-    def stack3(a, b, c):
-        """Combine three scalar jets into a vector jet."""
-        v = np.stack([a.v, b.v, c.v], axis=1)
-        g = None
-        if a.g is not None:
-            g = np.stack([a.g, b.g, c.g], axis=1)
-        return Jet(v, g)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __neg__(self):
-        return Jet(-self.v, None if self.g is None else -self.g)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            g = None if self.g is None else self.g + other.g
-            return Jet(self.v + other.v, g)
-        return Jet(self.v + other, self.g)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            g = None if self.g is None else self.g - other.g
-            return Jet(self.v - other.v, g)
-        return Jet(self.v - other, self.g)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            g = None if self.g is None else self.g * other
-            return Jet(self.v * other, g)
-        a, b = self, other
-        if a.v.ndim > b.v.ndim:  # vector * scalar -> commute
-            a, b = b, a
-        if a.v.ndim == b.v.ndim:  # scalar*scalar (elementwise)
-            g = None
-            if a.g is not None:
-                g = a.g * b.v[..., None] + b.g * a.v[..., None]
-            return Jet(a.v * b.v, g)
-        # scalar a times vector b
-        g = None
-        if a.g is not None:
-            g = b.g * a.v[:, None, None] + a.g[:, None, :] * b.v[..., None]
-        return Jet(a.v[:, None] * b.v, g)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / other)
-        return self * other.recip()
-
-    def recip(self):
-        """1/x for a scalar jet."""
-        inv = 1.0 / self.v
-        g = None if self.g is None else -self.g * (inv * inv)[..., None]
-        return Jet(inv, g)
-
-
-def jdot(a: Jet, b: Jet) -> Jet:
-    v = np.einsum("ni,ni->n", a.v, b.v)
-    g = None
-    if a.g is not None:
-        g = np.einsum("ni,nip->np", b.v, a.g) + np.einsum("ni,nip->np", a.v, b.g)
-    return Jet(v, g)
-
-
-def jcross(a: Jet, b: Jet) -> Jet:
-    v = np.cross(a.v, b.v)
-    g = None
-    if a.g is not None:
-        g = np.cross(a.g, b.v[:, :, None], axis=1) + np.cross(
-            a.v[:, :, None], b.g, axis=1
-        )
-    return Jet(v, g)
-
-
-def jsqrt(a: Jet) -> Jet:
-    r = np.sqrt(a.v)
-    g = None if a.g is None else a.g * (0.5 / r)[..., None]
-    return Jet(r, g)
-
-
-def jsin(a: Jet) -> Jet:
-    g = None if a.g is None else a.g * np.cos(a.v)[..., None]
-    return Jet(np.sin(a.v), g)
-
-
-def jcos(a: Jet) -> Jet:
-    g = None if a.g is None else a.g * (-np.sin(a.v))[..., None]
-    return Jet(np.cos(a.v), g)
-
-
-def jscale_diag(a: Jet, diag) -> Jet:
-    """Multiply a vector jet componentwise by a constant 3-vector."""
-    d = np.asarray(diag, dtype=float)
-    g = None if a.g is None else a.g * d[None, :, None]
-    return Jet(a.v * d[None, :], g)
 
 
 @dataclass
 class FlatOutputs:
     """Batched outputs of the flatness pipeline.
 
-    Gradient fields are None in value-only mode.  ``singular`` marks samples
-    where the map is undefined; their numeric outputs are garbage and must be
-    discarded by the caller.
+    ``singular`` marks samples where the map is undefined; their numeric
+    outputs are garbage and must be discarded by the caller.  ``vjp`` is None
+    in value-only mode; otherwise ``vjp(rotor_bar (N, 4), omega_bar (N, 3))``
+    returns the (N, 12) cotangent on the flat inputs.
     """
 
     thrust: np.ndarray          # (N,) collective thrust, N
@@ -179,8 +41,7 @@ class FlatOutputs:
     omega_dot: np.ndarray       # (N, 3) body-rate derivatives
     rotation: np.ndarray        # (N, 3, 3) world<-body
     singular: np.ndarray        # (N,) bool
-    rotor_grad: np.ndarray | None = None   # (N, 4, 12)
-    omega_grad: np.ndarray | None = None   # (N, 3, 12)
+    vjp: Callable | None = None
 
 
 def mixer_matrix(params) -> np.ndarray:
@@ -196,6 +57,10 @@ def mixer_matrix(params) -> np.ndarray:
     )
 
 
+def _dot(a, b):
+    return np.einsum("ni,ni->n", a, b)
+
+
 def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOutputs:
     """Run the flatness pipeline on a batch of samples.
 
@@ -204,92 +69,195 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
     """
     derivs = np.asarray(derivs, dtype=float)
     n = derivs.shape[0]
-    wg = want_grad
 
-    a = Jet.seed_vec(derivs[:, 2, :3].copy(), 0, wg)
-    jrk = Jet.seed_vec(derivs[:, 3, :3].copy(), 3, wg)
-    snp = Jet.seed_vec(derivs[:, 4, :3].copy(), 6, wg)
-    psi = Jet.seed_scalar(derivs[:, 0, 3].copy(), 9, wg)
-    psid = Jet.seed_scalar(derivs[:, 1, 3].copy(), 10, wg)
-    psidd = Jet.seed_scalar(derivs[:, 2, 3].copy(), 11, wg)
+    # Contiguous copies: einsum may round differently on strided views.
+    a = derivs[:, 2, :3].copy()
+    jrk = derivs[:, 3, :3].copy()
+    snp = derivs[:, 4, :3].copy()
+    psi = derivs[:, 0, 3].copy()
+    psid = derivs[:, 1, 3].copy()
+    psidd = derivs[:, 2, 3].copy()
 
+    # Thrust direction z = f/|f| and its first two time derivatives.
     f = a - np.asarray(params.gravity)[None, :]
-    c2 = jdot(f, f)
-    singular = c2.v < EPS_SING**2
+    c2 = _dot(f, f)
+    singular = c2 < EPS_SING**2
     # Clamp singular entries so the remaining algebra stays finite.
-    c2.v = np.where(singular, 1.0, c2.v)
-    c = jsqrt(c2)
-    z = f / c
+    c2 = np.where(singular, 1.0, c2)
+    c = np.sqrt(c2)
+    inv_c = 1.0 / c
+    z = inv_c[:, None] * f
     thrust = c * params.mass
 
-    cd = jdot(z, jrk)
-    u = jrk - cd * z
-    zd = u / c
-    cdd = jdot(zd, jrk) + jdot(z, snp)
-    ud = snp - cdd * z - cd * zd
-    zdd = ud / c - u * (cd / c2)
+    cd = _dot(z, jrk)
+    u = jrk - cd[:, None] * z
+    zd = inv_c[:, None] * u
+    cdd = _dot(zd, jrk) + _dot(z, snp)
+    ud = snp - cdd[:, None] * z - cd[:, None] * zd
+    q = cd * (1.0 / c2)
+    zdd = inv_c[:, None] * ud - q[:, None] * u
 
-    cs, sn = jcos(psi), jsin(psi)
-    zero = Jet.const(np.zeros(n), wg)
-    x_c = Jet.stack3(cs, sn, zero)
-    y_c = Jet.stack3(-sn, cs, zero)
-    x_cd = psid * y_c
-    x_cdd = psidd * y_c - (psid * psid) * x_c
+    # Heading axes from yaw.
+    cs, sn = np.cos(psi), np.sin(psi)
+    zero = np.zeros(n)
+    x_c = np.stack([cs, sn, zero], axis=1)
+    y_c = np.stack([-sn, cs, zero], axis=1)
+    x_cd = psid[:, None] * y_c
+    x_cdd = psidd[:, None] * y_c - (psid * psid)[:, None] * x_c
 
-    nvec = jcross(z, x_c)
-    nd = jcross(zd, x_c) + jcross(z, x_cd)
-    ndd = jcross(zdd, x_c) + 2.0 * jcross(zd, x_cd) + jcross(z, x_cdd)
+    # Body y axis y_b = n/|n| with n = z x x_c, and its derivatives.
+    nvec = np.cross(z, x_c)
+    nd = np.cross(zd, x_c) + np.cross(z, x_cd)
+    ndd = np.cross(zdd, x_c) + 2.0 * np.cross(zd, x_cd) + np.cross(z, x_cdd)
 
-    nn2 = jdot(nvec, nvec)
-    singular |= nn2.v < EPS_SING**2
-    nn2.v = np.where(nn2.v < EPS_SING**2, 1.0, nn2.v)
-    inv = jsqrt(nn2).recip()
+    nn2 = _dot(nvec, nvec)
+    singular |= nn2 < EPS_SING**2
+    nn2 = np.where(nn2 < EPS_SING**2, 1.0, nn2)
+    inv = 1.0 / np.sqrt(nn2)
     inv3 = inv * inv * inv
-    invd = -jdot(nvec, nd) * inv3
-    invdd = -((jdot(nd, nd) + jdot(nvec, ndd)) * inv3) - jdot(nvec, nd) * (
-        3.0 * (inv * inv) * invd
-    )
+    p = _dot(nvec, nd)
+    invd = -p * inv3
+    s1 = _dot(nd, nd) + _dot(nvec, ndd)
+    invdd = -(s1 * inv3) - p * (3.0 * (inv * inv) * invd)
 
-    y_b = nvec * inv
-    y_bd = nd * inv + nvec * invd
-    y_bdd = ndd * inv + 2.0 * (nd * invd) + nvec * invdd
+    y_b = inv[:, None] * nvec
+    y_bd = inv[:, None] * nd + invd[:, None] * nvec
+    y_bdd = inv[:, None] * ndd + 2.0 * (invd[:, None] * nd) + invdd[:, None] * nvec
 
-    x_b = jcross(y_b, z)
-    x_bd = jcross(y_bd, z) + jcross(y_b, zd)
+    x_b = np.cross(y_b, z)
+    x_bd = np.cross(y_bd, z) + np.cross(y_b, zd)
 
-    w_x = -jdot(y_b, zd)
-    w_y = jdot(x_b, zd)
-    w_z = -jdot(x_b, y_bd)
-    w_xd = -(jdot(y_bd, zd) + jdot(y_b, zdd))
-    w_yd = jdot(x_bd, zd) + jdot(x_b, zdd)
-    w_zd = -(jdot(x_bd, y_bd) + jdot(x_b, y_bdd))
-
-    omega = Jet.stack3(w_x, w_y, w_z)
-    omega_dot = Jet.stack3(w_xd, w_yd, w_zd)
+    omega = np.stack([-_dot(y_b, zd), _dot(x_b, zd), -_dot(x_b, y_bd)], axis=1)
+    omega_dot = np.stack([
+        -(_dot(y_bd, zd) + _dot(y_b, zdd)),
+        _dot(x_bd, zd) + _dot(x_b, zdd),
+        -(_dot(x_bd, y_bd) + _dot(x_b, y_bdd)),
+    ], axis=1)
 
     inertia = np.asarray(params.inertia_diag)
-    j_w = jscale_diag(omega, inertia)
-    tau = jscale_diag(omega_dot, inertia) + jcross(omega, j_w)
+    j_w = omega * inertia[None, :]
+    tau = omega_dot * inertia[None, :] + np.cross(omega, j_w)
 
     m_inv = np.linalg.inv(mixer_matrix(params))
-    wrench_v = np.concatenate([thrust.v[:, None], tau.v], axis=1)  # (N, 4)
-    rotor = wrench_v @ m_inv.T
+    wrench = np.concatenate([thrust[:, None], tau], axis=1)  # (N, 4)
+    rotor = wrench @ m_inv.T
 
-    rotor_grad = omega_grad = None
-    if wg:
-        wrench_g = np.concatenate([thrust.g[:, None, :], tau.g], axis=1)
-        rotor_grad = np.einsum("ij,njp->nip", m_inv, wrench_g)
-        omega_grad = omega.g
+    def vjp(rotor_bar, omega_bar):
+        """Cotangents on rotor thrusts and body rates -> (N, 12) on inputs.
 
-    rotation = np.stack([x_b.v, y_b.v, z.v], axis=2)
+        Each block runs one forward step backwards; ``v_bar`` is the
+        cotangent of forward variable ``v``.
+        """
+        wrench_bar = rotor_bar @ m_inv
+        c_bar = params.mass * wrench_bar[:, 0]
+        tau_bar = wrench_bar[:, 1:]
+        wd_bar = tau_bar * inertia[None, :]
+        w_bar = (omega_bar + np.cross(j_w, tau_bar)
+                 + inertia[None, :] * np.cross(tau_bar, omega))
+
+        # omega and omega_dot as dot products of the body axes.
+        wx, wy, wz = (w_bar[:, k, None] for k in range(3))
+        ex, ey, ez = (wd_bar[:, k, None] for k in range(3))
+        x_b_bar = wy * zd - wz * y_bd + ey * zdd - ez * y_bdd
+        x_bd_bar = ey * zd - ez * y_bd
+        y_bdd_bar = -ez * x_b
+        zdd_bar = ey * x_b - ex * y_b
+        zd_bar = wy * x_b - wx * y_b + ey * x_bd - ex * y_bd
+
+        # x_b = y_b x z, x_bd = y_bd x z + y_b x zd.
+        y_b_bar = (-wx * zd - ex * zdd + np.cross(z, x_b_bar)
+                   + np.cross(zd, x_bd_bar))
+        y_bd_bar = -wz * x_b - ex * zd - ez * x_bd + np.cross(z, x_bd_bar)
+        z_bar = np.cross(x_b_bar, y_b) + np.cross(x_bd_bar, y_bd)
+        zd_bar += np.cross(x_bd_bar, y_b)
+
+        # y_b and its derivatives from n and the inverse norm.
+        nvec_bar = (inv[:, None] * y_b_bar + invd[:, None] * y_bd_bar
+                    + invdd[:, None] * y_bdd_bar)
+        nd_bar = inv[:, None] * y_bd_bar + 2.0 * invd[:, None] * y_bdd_bar
+        ndd_bar = inv[:, None] * y_bdd_bar
+        inv_bar = _dot(nvec, y_b_bar) + _dot(nd, y_bd_bar) + _dot(ndd, y_bdd_bar)
+        invd_bar = _dot(nvec, y_bd_bar) + 2.0 * _dot(nd, y_bdd_bar)
+        invdd_bar = _dot(nvec, y_bdd_bar)
+
+        s1_bar = -inv3 * invdd_bar
+        inv3_bar = -s1 * invdd_bar
+        p_bar = -3.0 * inv * inv * invd * invdd_bar
+        inv_bar -= 6.0 * p * inv * invd * invdd_bar
+        invd_bar -= 3.0 * p * inv * inv * invdd_bar
+        nd_bar += 2.0 * s1_bar[:, None] * nd
+        nvec_bar += s1_bar[:, None] * ndd
+        ndd_bar += s1_bar[:, None] * nvec
+
+        p_bar -= inv3 * invd_bar
+        inv3_bar -= p * invd_bar
+        nvec_bar += p_bar[:, None] * nd
+        nd_bar += p_bar[:, None] * nvec
+        inv_bar += 3.0 * inv * inv * inv3_bar
+        nn2_bar = -0.5 * inv3 * inv_bar
+        nvec_bar += 2.0 * nn2_bar[:, None] * nvec
+
+        # n, nd, ndd as cross products of z's and x_c's derivatives.
+        zdd_bar += np.cross(x_c, ndd_bar)
+        zd_bar += 2.0 * np.cross(x_cd, ndd_bar) + np.cross(x_c, nd_bar)
+        z_bar += (np.cross(x_cdd, ndd_bar) + np.cross(x_cd, nd_bar)
+                  + np.cross(x_c, nvec_bar))
+        x_c_bar = (np.cross(ndd_bar, zdd) + np.cross(nd_bar, zd)
+                   + np.cross(nvec_bar, z))
+        x_cd_bar = 2.0 * np.cross(ndd_bar, zd) + np.cross(nd_bar, z)
+        x_cdd_bar = np.cross(ndd_bar, z)
+
+        # Yaw: x_c = (cos, sin, 0), y_c = (-sin, cos, 0) = d x_c / d psi.
+        psidd_bar = _dot(y_c, x_cdd_bar)
+        psid_bar = _dot(y_c, x_cd_bar) - 2.0 * psid * _dot(x_c, x_cdd_bar)
+        x_c_bar -= (psid * psid)[:, None] * x_cdd_bar
+        y_c_bar = psid[:, None] * x_cd_bar + psidd[:, None] * x_cdd_bar
+        psi_bar = _dot(x_c_bar, y_c) - _dot(y_c_bar, x_c)
+
+        # z, zd, zdd from f, jerk and snap.
+        ud_bar = inv_c[:, None] * zdd_bar
+        inv_c_bar = _dot(ud, zdd_bar)
+        u_bar = -q[:, None] * zdd_bar
+        q_bar = -_dot(u, zdd_bar)
+        cd_bar = q_bar / c2
+        c2_bar = -q_bar * q / c2
+
+        snp_bar = ud_bar.copy()
+        cdd_bar = -_dot(z, ud_bar)
+        z_bar -= cdd[:, None] * ud_bar
+        cd_bar -= _dot(zd, ud_bar)
+        zd_bar -= cd[:, None] * ud_bar
+
+        zd_bar += cdd_bar[:, None] * jrk
+        jrk_bar = cdd_bar[:, None] * zd
+        z_bar += cdd_bar[:, None] * snp
+        snp_bar += cdd_bar[:, None] * z
+
+        u_bar += inv_c[:, None] * zd_bar
+        inv_c_bar += _dot(u, zd_bar)
+        jrk_bar += u_bar
+        cd_bar -= _dot(z, u_bar)
+        z_bar -= cd[:, None] * u_bar
+
+        z_bar += cd_bar[:, None] * jrk
+        jrk_bar += cd_bar[:, None] * z
+        f_bar = inv_c[:, None] * z_bar
+        inv_c_bar += _dot(f, z_bar)
+        c_bar -= inv_c * inv_c * inv_c_bar
+        c2_bar += 0.5 * inv_c * c_bar
+        f_bar += 2.0 * c2_bar[:, None] * f
+
+        return np.concatenate([
+            f_bar, jrk_bar, snp_bar,
+            psi_bar[:, None], psid_bar[:, None], psidd_bar[:, None],
+        ], axis=1)
 
     return FlatOutputs(
-        thrust=thrust.v,
+        thrust=thrust,
         rotor=rotor,
-        omega=omega.v,
-        omega_dot=omega_dot.v,
-        rotation=rotation,
+        omega=omega,
+        omega_dot=omega_dot,
+        rotation=np.stack([x_b, y_b, z], axis=2),
         singular=singular,
-        rotor_grad=rotor_grad,
-        omega_grad=omega_grad,
+        vjp=vjp if want_grad else None,
     )

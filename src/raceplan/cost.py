@@ -53,10 +53,11 @@ class CostReport:
     spline: TrajectorySpline | None = None
 
 
-def _sample_grid(durations: np.ndarray, scfg: SamplingConfig):
+def _sample_grid(durations: np.ndarray, scfg: SamplingConfig, kappa=None):
     """Per-segment sample layout: segment ids, local times, trapezoid
-    weights, sample ranks j and counts kappa."""
-    kappa = scfg.samples(durations)
+    weights, sample ranks j and counts kappa (``scfg``'s unless given)."""
+    if kappa is None:
+        kappa = scfg.samples(durations)
     seg_ids = np.repeat(np.arange(len(durations)), kappa + 1)
     j = np.concatenate([np.arange(k + 1) for k in kappa])
     dt = (durations / kappa)[seg_ids]
@@ -67,7 +68,8 @@ def _sample_grid(durations: np.ndarray, scfg: SamplingConfig):
     return seg_ids, j, local, weights, kappa
 
 
-def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
+def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
+            kappa=None):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
@@ -75,19 +77,22 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
     value is +inf when a sample hits the flatness singularity.  The
     violations are the worst raw limit residuals over the grid (negative
     values are headroom), with the thrust and body-rate extremes.
+    ``kappa`` pins the per-segment sample counts instead of ``scfg``'s.
     """
     durations = traj.durations
     num_seg = len(durations)
     ncoef = spline_mod.NCOEF
-    seg_ids, j, local, weights, kappa = _sample_grid(durations, scfg)
+    seg_ids, j, local, weights, kappa = _sample_grid(durations, scfg, kappa)
 
-    derivs = traj.eval_local(seg_ids, local, max_order=5)
+    # One basis table serves the evaluation and the coefficient scatter.
+    basis = spline_mod._basis(local, 5, ncoef)
+    derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis)
     out = _flatjet.flat_outputs(derivs, params, want_grad=True)
     if out.singular.any():
         return (math.inf, np.zeros((num_seg, ncoef, 4)), np.zeros(num_seg),
                 {"singular": True})
 
-    raw, res_grad, scale = limit_residuals(out, params)
+    raw, sign, scale = limit_residuals(out, params)
     violations = {
         "singular": False,
         **{name: float(np.max(raw[:, cols])) for name, cols in LIMIT_COLUMNS.items()},
@@ -96,14 +101,15 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
         "max_body_rate": float(np.max(np.abs(out.omega))),
     }
     res = raw / scale
-    res_grad /= scale[:, None]
     hinge = np.maximum(res, 0.0)
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, hinge**3)
     value = float(weights @ rho)
 
-    # d rho / d flat-inputs, (N, 12)
+    # d rho / d flat-inputs, (N, 12): one vector-Jacobian product of the
+    # flatness map, with each residual pair summed onto its rotor or rate.
     drho_dres = 3.0 * PENALTY_WEIGHTS[None, :] * hinge**2
-    g_inputs = np.einsum("nk,nkp->np", drho_dres, res_grad)
+    cot = (drho_dres * (sign / scale)).reshape(-1, 7, 2).sum(axis=2)
+    g_inputs = out.vjp(cot[:, :4], cot[:, 4:])
 
     # Time derivative of rho along the trajectory: shift each input one
     # derivative order up.
@@ -118,7 +124,6 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
 
     # Scatter input gradients onto coefficient blocks: position orders 2..4
     # and yaw orders 0..2.
-    basis = spline_mod._basis(local, 4, ncoef)
     contrib = np.zeros((len(local), ncoef, 4))
     for o in range(3):
         contrib[:, :, :3] += basis[:, 2 + o, :, None] * g_inputs[:, None, 3 * o:3 * o + 3]
@@ -137,9 +142,11 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig):
 
 
 def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
-              bc0: BoundaryCondition, bcf: BoundaryCondition) -> CostReport:
+              bc0: BoundaryCondition, bcf: BoundaryCondition,
+              kappa=None) -> CostReport:
     """Full objective: decode -> construct -> penalty, with the assembled
-    analytic gradient in decision-variable coordinates."""
+    analytic gradient in decision-variable coordinates.  ``kappa`` pins the
+    per-segment sample counts; by default they follow the durations."""
     waypoints, durations, jac_blocks, dt_dk = gates.decode(seq, dec)
     if np.any(durations > spline_mod.MAX_SEGMENT_DURATION):
         # Line searches may probe absurd time variables; report +inf so they
@@ -149,7 +156,7 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
             penalty_term=math.inf, max_violation=None, gradient=None,
         )
     traj = spline_mod.construct(waypoints, durations, bc0, bcf)
-    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, SamplingConfig())
+    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, SamplingConfig(), kappa)
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):

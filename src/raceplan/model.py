@@ -145,26 +145,33 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
 
 
 def rotation_to_quat(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix to unit quaternion (w, x, y, z), w >= 0."""
-    t = np.trace(r)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-             (r[1, 0] - r[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    """Rotation matrices (..., 3, 3) to unit quaternions (..., 4) as
+    (w, x, y, z), w >= 0."""
+    r = np.asarray(r, dtype=float)
+    rows = r.reshape(-1, 3, 3)
+    q = np.empty((len(rows), 4))
+    t = np.trace(rows, axis1=1, axis2=2)
+    pos = t > 0
+    rp = rows[pos]
+    s = np.sqrt(t[pos] + 1.0) * 2
+    q[pos, 0] = 0.25 * s
+    q[pos, 1] = (rp[:, 2, 1] - rp[:, 1, 2]) / s
+    q[pos, 2] = (rp[:, 0, 2] - rp[:, 2, 0]) / s
+    q[pos, 3] = (rp[:, 1, 0] - rp[:, 0, 1]) / s
+    # Otherwise pivot on the largest diagonal entry i, with j, k after it.
+    rest = np.flatnonzero(~pos)
+    rn = rows[rest]
+    m = np.arange(len(rest))
+    i = np.argmax(np.diagonal(rn, axis1=1, axis2=2), axis=1)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    s = np.sqrt(rn[m, i, i] - rn[m, j, j] - rn[m, k, k] + 1.0) * 2
+    q[rest, 0] = (rn[m, k, j] - rn[m, j, k]) / s
+    q[rest, 1 + i] = 0.25 * s
+    q[rest, 1 + j] = (rn[m, j, i] + rn[m, i, j]) / s
+    q[rest, 1 + k] = (rn[m, k, i] + rn[m, i, k]) / s
+    q[q[:, 0] < 0] *= -1.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return q.reshape(r.shape[:-2] + (4,))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,15 +245,15 @@ LIMIT_COLUMNS = {"thrust_low": slice(0, 8, 2), "thrust_high": slice(1, 8, 2),
 
 def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     """The 14 raw limit residuals per sample, all <= 0 iff thrust and
-    body-rate limits are met, with their Jacobians w.r.t. the 12 flat inputs
-    (None unless ``out`` carries them) and the per-column scale.
+    body-rate limits are met, with the per-column sign and scale.
 
     Layout: [f_min - f_i, f_i - f_max] for each rotor, then
-    [w_j - w_max_j, -w_j - w_max_j] per axis.  Returns (N, 14), (N, 14, 12)
-    or None, and (14,).
+    [w_j - w_max_j, -w_j - w_max_j] per axis.  Column c is
+    sign_c * x_c + offset_c, where x lists each rotor thrust and each body
+    rate twice, so the residuals' cotangent maps back onto the 4 rotors and
+    3 body rates by multiplying with sign and summing column pairs.  Returns
+    (N, 14), (14,) and (14,); scale_c is that limit's range.
     """
-    # Column c is sign_c * x_c + offset_c, where x lists each rotor thrust
-    # and each body rate twice; scale_c is that limit's range.
     sign = np.concatenate([np.tile([-1.0, 1.0], 4), np.tile([1.0, -1.0], 3)])
     offset = np.concatenate([np.tile([params.f_min, -params.f_max], 4),
                              np.repeat(-params.omega_max, 2)])
@@ -255,11 +262,7 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     res = np.repeat(np.hstack([out.rotor, out.omega]), 2, axis=1)
     res *= sign
     res += offset
-    grad = None
-    if out.rotor_grad is not None:
-        grad = np.repeat(np.hstack([out.rotor_grad, out.omega_grad]), 2, axis=1)
-        grad *= sign[:, None]
-    return res, grad, scale
+    return res, sign, scale
 
 
 def constraint_residuals(sample: FlatSample, params: QuadParams) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Unconstrained minimization of the planning objective.
 
-A limited-memory quasi-Newton loop with a strong-Wolfe line search drives
-the decision variables (gate parameters D, time variables K).  Infinite
-objective values (flatness singularities) are handled by the line search
-backtracking, so the solver never crashes on them.
+scipy's limited-memory quasi-Newton L-BFGS-B drives the decision variables
+(gate parameters D, time variables K), unbounded.  Infinite objective values
+(flatness singularities, absurd durations) are passed to it as +inf, so the
+solver never crashes on them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from . import cost as cost_mod
 from . import gates as gates_mod
@@ -23,16 +24,12 @@ from . import _flatjet
 from .spline import BoundaryCondition, TrajectorySpline
 
 
-# L-BFGS: history length, iteration cap, relative gradient tolerance, strong
-# Wolfe constants, and the stall test (this many iterations in a row that
-# lower f by less than STALL_DECREASE end the solve as converged).
+# L-BFGS-B (scipy): history length, iteration cap, and the tolerances on
+# the relative decrease of f and on the largest gradient entry.
 MEMORY = 8
 MAX_ITERATIONS = 3000
-GRAD_TOLERANCE = 1e-6
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-STALL_ITERATIONS = 20
-STALL_DECREASE = 1e-10
+F_TOLERANCE = 1e-12
+GRAD_TOLERANCE = 1e-9
 # Post-optimization feasibility restoration: uniformly stretch segment
 # durations (waypoints fixed), by at most RESTORE_MAX_SCALE, until the
 # sampled penalty is at most RESTORE_PENALTY_TOL.
@@ -91,154 +88,87 @@ def initialize(seq: GateSequence, bc0: BoundaryCondition, bcf: BoundaryCondition
     return dec
 
 
-def _two_loop(grad, s_list, y_list):
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(list(zip(s_list, y_list, _rhos(s_list, y_list)))):
-        a = rho * (s @ q)
-        alphas.append(a)
-        q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, _rhos(s_list, y_list)),
-                              reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q
-
-
-def _rhos(s_list, y_list):
-    return [1.0 / (s @ y) for s, y in zip(s_list, y_list)]
-
-
-def _cubic_min(a, fa, da, b, fb, db):
-    """Minimizer of the cubic through (a, fa, da), (b, fb, db); None if
-    degenerate."""
-    d1 = da + db - 3 * (fa - fb) / (a - b)
-    disc = d1 * d1 - da * db
-    if disc < 0:
-        return None
-    d2 = np.sqrt(disc) * np.sign(b - a)
-    denom = db - da + 2 * d2
-    if denom == 0:
-        return None
-    return b - (b - a) * (db + d2 - d1) / denom
-
-
-def _zoom(fg, x, d, lo, f_lo, d_lo, hi, f_hi, d_hi, f0, dphi0, max_iter=30):
-    evals = 0
-    for _ in range(max_iter):
-        trial = None
-        if np.isfinite(f_hi):
-            trial = _cubic_min(lo, f_lo, d_lo, hi, f_hi, d_hi if np.isfinite(d_hi) else 0.0)
-        width = abs(hi - lo)
-        if trial is None or not np.isfinite(trial) or \
-                not (min(lo, hi) + 0.1 * width <= trial <= max(lo, hi) - 0.1 * width):
-            trial = 0.5 * (lo + hi)
-        f, g = fg(x + trial * d)
-        evals += 1
-        if not np.isfinite(f) or f > f0 + WOLFE_C1 * trial * dphi0 or f >= f_lo:
-            hi, f_hi, d_hi = trial, f, np.nan
-        else:
-            dphi = g @ d
-            if abs(dphi) <= -WOLFE_C2 * dphi0:
-                return trial, f, g, evals
-            if dphi * (hi - lo) >= 0:
-                hi, f_hi, d_hi = lo, f_lo, d_lo
-            lo, f_lo, d_lo = trial, f, dphi
-        if abs(hi - lo) < 1e-14:
-            break
-    if np.isfinite(f_lo) and f_lo < f0:
-        # Sufficient decrease only; accept the best point found.
-        f, g = fg(x + lo * d)
-        evals += 1
-        return lo, f, g, evals
-    return None, None, None, evals
-
-
-def _strong_wolfe(fg, x, d, f0, g0, max_iter=20):
-    """Strong-Wolfe line search; returns (alpha, f, g, evals) or alpha None."""
-    dphi0 = g0 @ d
-    if dphi0 >= 0:
-        return None, None, None, 0
-    alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
-    alpha = 1.0
-    evals = 0
-    for i in range(max_iter):
-        f, g = fg(x + alpha * d)
-        evals += 1
-        if not np.isfinite(f) or f > f0 + WOLFE_C1 * alpha * dphi0 or \
-                (f >= f_prev and i > 0):
-            a, fa, ga, e = _zoom(fg, x, d, alpha_prev, f_prev, d_prev,
-                                 alpha, f, np.nan, f0, dphi0)
-            return a, fa, ga, evals + e
-        dphi = g @ d
-        if abs(dphi) <= -WOLFE_C2 * dphi0:
-            return alpha, f, g, evals
-        if dphi >= 0:
-            a, fa, ga, e = _zoom(fg, x, d, alpha, f, dphi,
-                                 alpha_prev, f_prev, d_prev, f0, dphi0)
-            return a, fa, ga, evals + e
-        alpha_prev, f_prev, d_prev = alpha, f, dphi
-        alpha = min(2.0 * alpha, 1e4)
-    return None, None, None, evals
-
-
 def _minimize(fg, x0):
-    """L-BFGS with strong Wolfe; returns (x_best, f_best, diagnostics)."""
-    x = x0.copy()
-    f, g = fg(x)
-    evals = 1
-    if not np.isfinite(f):
-        raise RaceplanError("objective is not finite at the initial point")
-    trace = [f]
-    s_list, y_list = [], []
-    best_x, best_f = x.copy(), f
-    stall = 0
-    termination = "max_iter"
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        gnorm = np.linalg.norm(g)
-        if gnorm / max(1.0, abs(f)) < GRAD_TOLERANCE:
-            termination = "converged"
+    """L-BFGS-B from x0; returns (x_best, f_best, diagnostics).
+
+    ``fg(x)`` returns the objective and its gradient at x, and
+    ``fg(x, grid)`` the same on the sample grid of the point ``grid`` rather
+    than on x's own.  A segment's sample count jumps with its duration, so
+    the objective is only piecewise smooth and a line search can stall at a
+    jump.  After such a failure, one run on the current iterate's grid,
+    where the objective is smooth, carries the iterate across; if that
+    lowers the objective, the solve resumes from there and the retry counts
+    as one iteration.
+
+    A non-finite objective goes to scipy as +inf, on which its line search
+    falls back to the current iterate and may then report convergence.  A
+    run that ends so, with no decrease since the non-finite trial point, is
+    a line-search failure.
+    """
+    evals = iterations = 0
+    trace = []
+
+    def run(x, f, grid=None):
+        """One L-BFGS-B run from x (f there, if known); returns its last
+        iterate, the objective there, its termination and gradient."""
+        nonlocal iterations
+        wall = False   # a non-finite trial point since f last decreased
+        last = [x, f]
+
+        def fun(y):
+            nonlocal evals, wall
+            evals += 1
+            fy, gy = fg(y) if grid is None else fg(y, grid)
+            if not np.isfinite(fy):
+                if evals == 1:
+                    raise RaceplanError("objective is not finite at the initial point")
+                wall = True
+                return np.inf, np.zeros_like(y)
+            if last[1] is None:
+                last[1] = fy
+                trace.append(fy)
+            return fy, gy
+
+        def callback(intermediate_result):
+            nonlocal wall
+            if intermediate_result.fun < last[1]:
+                wall = False
+            last[:] = intermediate_result.x.copy(), intermediate_result.fun
+            if grid is None:
+                trace.append(intermediate_result.fun)
+
+        res = optimize.minimize(
+            fun, x, jac=True, method="L-BFGS-B", callback=callback,
+            options={"maxcor": MEMORY, "maxiter": MAX_ITERATIONS - iterations,
+                     "ftol": F_TOLERANCE, "gtol": GRAD_TOLERANCE},
+        )
+        if grid is None:
+            iterations += res.nit
+        if res.status == 0 and not wall:
+            return last[0], last[1], "converged", res.jac
+        if res.status == 1:
+            return last[0], last[1], "max_iter", res.jac
+        return last[0], last[1], "line_search_failure", res.jac
+
+    x, f, termination, g = run(x0, None)
+    while termination == "line_search_failure" and iterations < MAX_ITERATIONS:
+        x_grid = run(x, f, grid=x)[0]
+        f_new, _ = fg(x_grid)
+        evals += 1
+        if not f_new < f:
             break
-        d = _two_loop(g, s_list, y_list)
-        if d @ g >= 0:  # safeguard: fall back to steepest descent
-            d = -g
-            s_list, y_list = [], []
-        alpha, f_new, g_new, e = _strong_wolfe(fg, x, d, f, g)
-        evals += e
-        if alpha is None:
-            termination = "line_search_failure"
-            break
-        s = alpha * d
-        y = g_new - g
-        if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            if len(s_list) > MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-        decrease = f - f_new
-        x = x + s
-        f, g = f_new, g_new
-        trace.append(f)
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        stall = stall + 1 if decrease < STALL_DECREASE else 0
-        if stall >= STALL_ITERATIONS:
-            termination = "converged"
-            break
+        iterations += 1
+        trace.append(f_new)
+        x, f, termination, g = run(x_grid, f_new)
     diag = SolveDiagnostics(
-        iterations=it,
+        iterations=iterations,
         objective_trace=trace,
         final_grad_norm=float(np.linalg.norm(g)),
         wall_time=0.0,
         termination=termination,
         function_evals=evals,
     )
-    return best_x, best_f, diag
+    return x, f, diag
 
 
 def _restore_feasibility(dec: DecisionVector, penalty_of):
@@ -278,8 +208,7 @@ def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
     out = _flatjet.flat_outputs(derivs, params)
     states = np.empty((len(times), 13))
     states[:, :3] = derivs[:, 0, :3]
-    for i in range(len(times)):
-        states[i, 3:7] = rotation_to_quat(out.rotation[i])
+    states[:, 3:7] = rotation_to_quat(out.rotation)
     states[:, 7:10] = derivs[:, 1, :3]
     states[:, 10:13] = out.omega
     return times, states, out.rotor.copy()
@@ -298,8 +227,13 @@ def solve(seq: GateSequence, params: QuadParams,
     t_start = time.perf_counter()
     dec0 = initialize(seq, bc0, bcf, opt_cfg)
 
-    def fg(x):
-        rep = cost_mod.objective(dec0.with_flat(x), seq, params, bc0, bcf)
+    sampling = SamplingConfig()
+
+    def fg(x, grid=None):
+        kappa = None
+        if grid is not None:
+            kappa = sampling.samples(gates_mod.time_map(dec0.with_flat(grid).K)[0])
+        rep = cost_mod.objective(dec0.with_flat(x), seq, params, bc0, bcf, kappa)
         if rep.gradient is None:
             return np.inf, None
         return rep.total, rep.gradient.to_flat()
@@ -321,7 +255,6 @@ def solve(seq: GateSequence, params: QuadParams,
     # Verify restoration on a grid finer than both the optimization
     # sampling and the export rate, so peaks between penalty samples
     # cannot slip past the downstream bound checks.
-    sampling = SamplingConfig()
     fine = SamplingConfig(
         min_samples_per_segment=4 * sampling.min_samples_per_segment,
         target_dt=sampling.target_dt / 4.0,

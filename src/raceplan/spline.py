@@ -90,10 +90,15 @@ class TrajectorySpline:
                       len(self.durations) - 1)
         return idx, np.clip(ts - cum[idx], 0.0, None)
 
-    def eval_local(self, seg_idx, local, max_order: int) -> np.ndarray:
-        """Evaluate on given segments at local times; (N, max_order+1, 4)."""
+    def eval_local(self, seg_idx, local, max_order: int, basis=None) -> np.ndarray:
+        """Evaluate on given segments at local times; (N, max_order+1, 4).
+
+        ``basis`` may pass in ``_basis(local, k, NCOEF)`` for some
+        k >= max_order, already built by the caller.
+        """
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 4)
-        basis = _basis(local, max_order, NCOEF)
+        if basis is None:
+            basis = _basis(local, max_order, NCOEF)
         out = np.empty((len(basis), max_order + 1, 4))
         for order in range(max_order + 1):
             out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)

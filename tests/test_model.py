@@ -10,9 +10,13 @@ from raceplan.errors import SingularFlatness
 from raceplan.model import (
     FlatSample, QuadParams, QuadState, RotorThrusts, constraint_residuals,
     dynamics, flat_to_control, flat_to_state, mixer_forward, mixer_inverse,
-    quat_to_rotation,
+    quat_to_rotation, rotation_to_quat,
 )
+from raceplan._flatjet import flat_outputs
+from raceplan.optimizer import solve
 from raceplan.spline import BoundaryCondition, construct
+from raceplan.trackio import build_sequence
+from raceplan.tracks import loop_track
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -195,6 +199,67 @@ class TestFlatToControl:
         for _ in range(20):
             state = flat_to_state(_smooth_sample(rng), quad_a)
             assert abs(np.linalg.norm(state.attitude) - 1.0) < 1e-9
+
+
+def per_row_rotation_to_quat(r):
+    """The one-matrix-at-a-time conversion that the batched
+    ``rotation_to_quat`` replaces, kept as its reference."""
+    t = np.trace(r)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2
+        q = np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
+             (r[1, 0] - r[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2
+        q = np.empty(4)
+        q[0] = (r[k, j] - r[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (r[j, i] + r[i, j]) / s
+        q[1 + k] = (r[k, i] + r[i, k]) / s
+    if q[0] < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+class TestRotationToQuat:
+    @staticmethod
+    def assert_matches_per_row(rotations):
+        q = rotation_to_quat(rotations)
+        reference = np.array([per_row_rotation_to_quat(r) for r in rotations])
+        np.testing.assert_allclose(q, reference, rtol=0, atol=1e-15)
+        assert np.all(q[:, 0] >= 0)
+        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-15
+        return q
+
+    def test_loop_export_rows(self, quad_a):
+        track = loop_track()
+        result = solve(build_sequence(track, mode="togt"), track.quad,
+                       BoundaryCondition.hover(track.start),
+                       BoundaryCondition.hover(track.finish))
+        derivs = result.spline.eval_batch(result.sample_times, max_order=4)
+        rotations = flat_outputs(derivs, track.quad).rotation
+        q = self.assert_matches_per_row(rotations)
+        assert np.array_equal(result.states[:, 3:7], q)
+
+    def test_every_branch(self):
+        """Random rotations reach the trace > 0 case and each diagonal
+        pivot; 180-degree turns about the axes have trace -1."""
+        rng = np.random.default_rng(7)
+        quats = rng.normal(size=(400, 4))
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        rotations = np.array([quat_to_rotation(q) for q in quats]
+                             + [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1],
+                                                     [-1.0, -1, 1])])
+        traces = np.trace(rotations, axis1=1, axis2=2)
+        pivots = np.argmax(np.diagonal(rotations, axis1=1, axis2=2)[traces <= 0], axis=1)
+        assert np.any(traces > 0) and set(pivots) == {0, 1, 2}
+        self.assert_matches_per_row(rotations)
+        assert np.array_equal(rotation_to_quat(rotations[5]),
+                              rotation_to_quat(rotations[5:6])[0])
 
 
 class TestConstraintResiduals:

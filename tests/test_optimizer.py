@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import raceplan.cost
 from raceplan.gates import (
     BallGate, GateSequence, contains, decode, time_map,
 )
-from raceplan.optimizer import OptimizerConfig, initialize, solve
+from raceplan.optimizer import OptimizerConfig, _minimize, initialize, solve
 from raceplan.spline import BoundaryCondition
+from raceplan.trackio import build_sequence
+from raceplan.tracks import loop_track
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +123,72 @@ class TestSolve:
         # The best raw iterate is kept across starts; the subsequent
         # feasibility-restoration bisection adds sub-millisecond jitter.
         assert multi.objective <= plain.objective + 1e-3
+
+
+class TestMinimize:
+    """Termination and bookkeeping of `_minimize` on synthetic
+    objectives; ``fg(x, grid)`` ignores the grid, as a smooth objective
+    would."""
+
+    @staticmethod
+    def counted(f_and_g):
+        calls = []
+
+        def fg(x, grid=None):
+            calls.append(x.copy())
+            return f_and_g(x)
+        return fg, calls
+
+    @staticmethod
+    def assert_bookkeeping(diag, calls):
+        trace = np.array(diag.objective_trace)
+        assert diag.function_evals == len(calls)
+        assert len(trace) == diag.iterations + 1
+        assert np.all(np.diff(trace) <= 0.0)
+
+    def test_minimizer_behind_infinite_wall_is_not_converged(self):
+        def wall(x):
+            if x[0] >= 1.0:
+                return np.inf, None
+            return (x[0] - 3.0) ** 2, 2.0 * (x - 3.0)
+
+        fg, calls = self.counted(wall)
+        x, f, diag = _minimize(fg, np.zeros(1))
+        assert diag.termination != "converged"
+        assert x[0] < 1.0 and f == (x[0] - 3.0) ** 2
+        self.assert_bookkeeping(diag, calls)
+
+    def test_smooth_bowl_converges(self):
+        scale = np.array([1.0, 10.0, 100.0])
+        fg, calls = self.counted(
+            lambda x: (float(np.sum(scale * (x - 1.0) ** 2)), 2.0 * scale * (x - 1.0)))
+        x, f, diag = _minimize(fg, np.zeros(3))
+        assert diag.termination == "converged"
+        assert np.allclose(x, 1.0, atol=1e-6)
+        self.assert_bookkeeping(diag, calls)
+
+
+def test_waypoint_loop_robust_to_gradient_rounding(monkeypatch):
+    """The 7-gate TOGT-WP solve must not hinge on the last bits of its
+    gradient: with seeded relative noise of 1e-15 on every gradient entry it
+    still ends without a line-search failure, at the same lap time."""
+    track = loop_track()
+    seq = build_sequence(track, mode="togt-wp")
+    bc0 = BoundaryCondition.hover(track.start)
+    bcf = BoundaryCondition.hover(track.finish)
+    reference = solve(seq, track.quad, bc0, bcf).total_time
+    exact = raceplan.cost.objective
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+
+        def noisy(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            if report.gradient is not None:
+                for g in (report.gradient.D, report.gradient.K):
+                    g *= 1.0 + 1e-15 * rng.standard_normal(g.shape)
+            return report
+
+        monkeypatch.setattr(raceplan.cost, "objective", noisy)
+        result = solve(seq, track.quad, bc0, bcf)
+        assert result.diagnostics.termination != "line_search_failure"
+        assert abs(result.total_time - reference) <= 1e-3
