@@ -9,7 +9,8 @@ inequality constraints.  Segment durations get the same treatment through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
@@ -138,44 +139,55 @@ Gate = BallGate | PolytopeGate
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Ordered gates, traversed in index order."""
+    """Ordered gates, traversed in index order.
+
+    ``offsets`` gives each gate's (start, stop) in the stacked parameters D.
+    ``groups`` batches the gates by surjection kind and parameter count, so
+    :func:`decode` maps each group in one call: per group, the gates'
+    positions (G,), their columns of D (G, dim), and the surjection with the
+    group's geometry stacked, (G, dim) parameters -> (G, 3), (G, 3, dim).
+    """
 
     gates: tuple
+    offsets: tuple = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         if not self.gates:
             raise ValidationError("gate sequence must be nonempty")
+        ends = np.cumsum([g.param_dim for g in self.gates]).tolist()
+        object.__setattr__(self, "offsets", tuple(zip([0] + ends[:-1], ends)))
+        members = {}
+        for i, gate in enumerate(self.gates):
+            members.setdefault((type(gate), gate.param_dim), []).append(i)
+        groups = []
+        for (kind, _), index in members.items():
+            gates = [self.gates[i] for i in index]
+            if kind is BallGate:
+                surject = partial(_ball_map, np.array([g.center for g in gates]),
+                                  np.array([g.radius for g in gates], dtype=float))
+            else:
+                surject = partial(_polytope_map, np.array([g.vertices for g in gates]))
+            columns = np.array([np.arange(*self.offsets[i]) for i in index])
+            groups.append((np.array(index), columns, surject))
+        object.__setattr__(self, "groups", tuple(groups))
 
     def __len__(self) -> int:
         return len(self.gates)
 
-    @property
-    def param_dims(self) -> list[int]:
-        return [g.param_dim for g in self.gates]
-
 
 @dataclass
 class DecisionVector:
-    """Stacked unconstrained variables: per-gate parameters D, times K."""
+    """Unconstrained variables: gate parameters D, at the sequence's
+    ``offsets``, and times K."""
 
     D: np.ndarray
     K: np.ndarray
-    offsets: tuple  # per-gate (start, stop) into D
 
     @classmethod
     def for_sequence(cls, seq: GateSequence, fill: float = 0.1) -> "DecisionVector":
-        dims = seq.param_dims
-        offsets = []
-        pos = 0
-        for d in dims:
-            offsets.append((pos, pos + d))
-            pos += d
-        return cls(
-            D=np.full(pos, fill),
-            K=np.zeros(len(seq) + 1),
-            offsets=tuple(offsets),
-        )
+        return cls(D=np.full(seq.offsets[-1][1], fill), K=np.zeros(len(seq) + 1))
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate([self.D, self.K])
@@ -184,7 +196,7 @@ class DecisionVector:
         nd = len(self.D)
         if len(x) != nd + len(self.K):
             raise DimensionMismatch("flat vector length does not match")
-        return DecisionVector(D=x[:nd].copy(), K=x[nd:].copy(), offsets=self.offsets)
+        return DecisionVector(D=x[:nd].copy(), K=x[nd:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -222,56 +234,60 @@ def gate_center(gate: Gate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # surjective parameter maps
 
+def _ball_map(center, radius, d):
+    """Map each row of d, (N, 4), onto a ball: center (3,) or (N, 3), radius
+    scalar or (N,).  Returns the points (N, 3) and Jacobians (N, 3, 4)."""
+    q = np.einsum("ni,ni->n", d, d) + 1.0
+    scale = 2.0 * radius / q
+    p = center + scale[:, None] * d[:, :3]
+    jac = np.zeros((len(d), 3, 4))
+    jac[:, :, :3] = scale[:, None, None] * np.eye(3)[None]
+    jac -= (2.0 * scale / q)[:, None, None] * np.einsum("ni,nj->nij", d[:, :3], d)
+    return p, jac
+
+
+def _polytope_map(vertices, d):
+    """Map each row of d, (N, v), onto a polytope through normalized squared
+    weights: vertices (v, 3), or (N, v, 3) with each row's own.  Returns the
+    points (N, 3) and Jacobians (N, 3, v)."""
+    v = d.shape[1]
+    s = np.einsum("ni,ni->n", d, d)
+    zero = s == 0.0
+    s_safe = np.where(zero, 1.0, s)
+    w = d * d / s_safe[:, None]
+    w[zero] = 1.0 / v
+    p = np.matmul(w[:, None], vertices)[:, 0]
+    # dw_i/dd_k = 2 d_i delta_ik / s - 2 d_k w_i / s
+    dw = 2.0 * np.einsum("ni,ik->nik", d, np.eye(v)) / s_safe[:, None, None]
+    dw -= 2.0 * np.einsum("nk,ni->nik", d, w) / s_safe[:, None, None]
+    dw[zero] = 0.0
+    jac = np.einsum("...ic,...ik->...ck", vertices, dw)
+    return p, jac
+
+
+def _surject_rows(surject, d, dim: int, *geometry):
+    """Run a batched map on one gate's parameters, (dim,) or (N, dim)."""
+    d = np.asarray(d, dtype=float)
+    d2 = np.atleast_2d(d)
+    if d2.shape[1] != dim:
+        raise DimensionMismatch(f"gate parameter must have {dim} entries")
+    p, jac = surject(*geometry, d2)
+    return (p[0], jac[0]) if d.ndim == 1 else (p, jac)
+
+
 def ball_surject(gate: BallGate, d):
     """Map R^4 onto the ball.  Accepts (4,) or (N, 4); returns the point(s)
     and the exact Jacobian(s) dp/dd."""
-    d = np.asarray(d, dtype=float)
-    single = d.ndim == 1
-    d2 = np.atleast_2d(d)
-    if d2.shape[1] != 4:
-        raise DimensionMismatch("ball gate parameter must be a 4-vector")
-    q = np.einsum("ni,ni->n", d2, d2) + 1.0
-    scale = 2.0 * gate.radius / q
-    p = gate.center[None, :] + scale[:, None] * d2[:, :3]
-    jac = np.zeros((len(d2), 3, 4))
-    jac[:, :, :3] = scale[:, None, None] * np.eye(3)[None]
-    jac -= (2.0 * scale / q)[:, None, None] * np.einsum("ni,nj->nij", d2[:, :3], d2)
-    if single:
-        return p[0], jac[0]
-    return p, jac
+    return _surject_rows(_ball_map, d, 4, gate.center, gate.radius)
 
 
 def polytope_surject(gate: PolytopeGate, d):
     """Map R^v onto the polytope through normalized squared weights.
+    Accepts (v,) or (N, v); returns the point(s) and Jacobian(s) dp/dd.
 
     d = 0 maps to the vertex centroid with a zero Jacobian by convention.
     """
-    d = np.asarray(d, dtype=float)
-    single = d.ndim == 1
-    d2 = np.atleast_2d(d)
-    v = gate.param_dim
-    if d2.shape[1] != v:
-        raise DimensionMismatch("polytope parameter length must equal vertex count")
-    s = np.einsum("ni,ni->n", d2, d2)
-    zero = s == 0.0
-    s_safe = np.where(zero, 1.0, s)
-    w = d2 * d2 / s_safe[:, None]
-    w[zero] = 1.0 / v
-    p = w @ gate.vertices
-    # dw_i/dd_k = 2 d_i delta_ik / s - 2 d_k w_i / s
-    dw = 2.0 * np.einsum("ni,ik->nik", d2, np.eye(v)) / s_safe[:, None, None]
-    dw -= 2.0 * np.einsum("nk,ni->nik", d2, w) / s_safe[:, None, None]
-    dw[zero] = 0.0
-    jac = np.einsum("ic,nik->nck", gate.vertices, dw)
-    if single:
-        return p[0], jac[0]
-    return p, jac
-
-
-def surject(gate: Gate, d):
-    if isinstance(gate, BallGate):
-        return ball_surject(gate, d)
-    return polytope_surject(gate, d)
+    return _surject_rows(_polytope_map, d, gate.param_dim, gate.vertices)
 
 
 def time_map(K):
@@ -306,21 +322,18 @@ def time_map_inverse(T):
 def decode(seq: GateSequence, dec: DecisionVector):
     """Decision variables -> waypoints, durations and their Jacobians.
 
-    Returns (P (L,3), T (L+1,), jac_blocks list of (3, dim_i), dT_dK (L+1,)).
+    Returns (P (L,3), T (L+1,), jacs, dT_dK (L+1,)), where jacs[k] holds the
+    (G, 3, dim) Jacobians of the gates in ``seq.groups[k]``.
     """
-    if len(dec.offsets) != len(seq) or len(dec.K) != len(seq) + 1:
+    if dec.D.shape != (seq.offsets[-1][1],) or len(dec.K) != len(seq) + 1:
         raise DimensionMismatch("decision vector does not match gate sequence")
     waypoints = np.empty((len(seq), 3))
-    jac_blocks = []
-    for i, gate in enumerate(seq.gates):
-        lo, hi = dec.offsets[i]
-        if hi - lo != gate.param_dim:
-            raise DimensionMismatch(f"gate {i}: parameter slice has wrong length")
-        p, jac = surject(gate, dec.D[lo:hi])
-        waypoints[i] = p
-        jac_blocks.append(jac)
+    jacs = []
+    for index, columns, surject in seq.groups:
+        waypoints[index], jac = surject(dec.D[columns])
+        jacs.append(jac)
     durations, dt_dk = time_map(dec.K)
-    return waypoints, durations, jac_blocks, dt_dk
+    return waypoints, durations, jacs, dt_dk
 
 
 # ---------------------------------------------------------------------------

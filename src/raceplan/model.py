@@ -241,6 +241,8 @@ def flat_to_control(sample: FlatSample, params: QuadParams) -> RotorThrusts:
 #: Columns of each limit in the residual layout of :func:`limit_residuals`.
 LIMIT_COLUMNS = {"thrust_low": slice(0, 8, 2), "thrust_high": slice(1, 8, 2),
                  "body_rate": slice(8, 14)}
+LIMIT_SIGN = np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3)  # sign of each column
+LIMIT_SIGN.flags.writeable = False
 
 
 def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
@@ -254,15 +256,13 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     3 body rates by multiplying with sign and summing column pairs.  Returns
     (N, 14), (14,) and (14,); scale_c is that limit's range.
     """
-    sign = np.concatenate([np.tile([-1.0, 1.0], 4), np.tile([1.0, -1.0], 3)])
-    offset = np.concatenate([np.tile([params.f_min, -params.f_max], 4),
-                             np.repeat(-params.omega_max, 2)])
-    scale = np.concatenate([np.full(8, params.f_max - params.f_min),
-                            np.repeat(params.omega_max, 2)])
+    rate_max = np.repeat(params.omega_max, 2)
+    offset = np.concatenate([[params.f_min, -params.f_max] * 4, -rate_max])
+    scale = np.concatenate([[params.f_max - params.f_min] * 8, rate_max])
     res = np.repeat(np.hstack([out.rotor, out.omega]), 2, axis=1)
-    res *= sign
+    res *= LIMIT_SIGN
     res += offset
-    return res, sign, scale
+    return res, LIMIT_SIGN, scale
 
 
 def constraint_residuals(sample: FlatSample, params: QuadParams) -> np.ndarray:

@@ -178,9 +178,7 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
     durations, _ = gates_mod.time_map(dec.K)
 
     def scaled(gamma):
-        out = DecisionVector(D=dec.D, K=gates_mod.time_map_inverse(gamma * durations),
-                             offsets=dec.offsets)
-        return out
+        return DecisionVector(D=dec.D, K=gates_mod.time_map_inverse(gamma * durations))
 
     if penalty_of(scaled(1.0)) <= RESTORE_PENALTY_TOL:
         return dec

@@ -51,14 +51,13 @@ def _basis(t, max_order: int, ncoef: int) -> np.ndarray:
     """Rows of d^k/dt^k [1, t, t^2, ...] for k = 0..max_order at a batch of
     times; (N, max_order+1, ncoef).  Entry (k, m) is m!/(m-k)! t^(m-k)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    order = np.arange(max_order + 1)[:, None]
-    power = np.arange(ncoef)[None, :] - order
-    falling = np.array([[math.perm(m, k) for m in range(ncoef)]
-                        for k in range(max_order + 1)], dtype=float)
     powers = np.stack([t ** p for p in range(ncoef)], axis=-1)
     # Stored order-major so that each order's (N, ncoef) slice is contiguous.
-    table = falling[:, None] * powers[:, np.maximum(power, 0)].swapaxes(0, 1)
-    return np.ascontiguousarray(table).swapaxes(0, 1)
+    table = np.zeros((max_order + 1, len(t), ncoef))
+    for k in range(min(max_order + 1, ncoef)):
+        falling = [math.perm(m, k) for m in range(k, ncoef)]
+        np.multiply(falling, powers[:, :ncoef - k], out=table[k, :, k:])
+    return table.swapaxes(0, 1)
 
 
 @dataclass
@@ -108,11 +107,6 @@ class TrajectorySpline:
         """Flat output derivatives, shape (N, max_order+1, 4)."""
         idx, local = self.locate(np.atleast_1d(ts))
         return self.eval_local(idx, local, max_order)
-
-    def eval(self, t: float, max_order: int = 4):
-        from .model import FlatSample
-
-        return FlatSample(self.eval_batch([t], max_order)[0])
 
 
 def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> TrajectorySpline:

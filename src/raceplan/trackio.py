@@ -25,7 +25,7 @@ _QUAD_KEYS = {
     "mass", "arm_length", "inertia", "inertia_units", "torque_const",
     "f_min", "f_max", "omega_max",
 }
-_GATE_KEYS = {"type", "center", "radius", "vertices", "tunnel"}
+_GATE_KEYS = {"type", "center", "radius", "vertices"}
 _OPTION_KEYS = {"margin", "laps", "mode", "waypoint_tolerance"}
 _TOP_KEYS = {"schema_version", "quad", "start", "finish", "gates", "options"}
 
@@ -54,7 +54,6 @@ class TrackFile:
     start: np.ndarray
     finish: np.ndarray
     gates: tuple            # of Gate
-    tunnel_labels: tuple    # per-gate str | None
     options: TrackOptions
 
 
@@ -112,13 +111,12 @@ def _parse_quad(node, strict) -> QuadParams:
         raise ValidationError(f"quad: {exc}") from exc
 
 
-def _parse_gate(node, index, strict) -> tuple:
+def _parse_gate(node, index, strict) -> Gate:
     ctx = f"gates[{index}]"
     if not isinstance(node, dict):
         raise ValidationError(f"{ctx}: expected a mapping")
     _check_keys(node, _GATE_KEYS, ctx, strict)
     gtype = _require(node, "type", ctx)
-    tunnel = node.get("tunnel")
     try:
         if gtype == "ball":
             gate = BallGate(
@@ -132,7 +130,7 @@ def _parse_gate(node, index, strict) -> tuple:
             raise ValidationError(f"{ctx}.type: unknown gate type {gtype!r}")
     except ValidationError as exc:
         raise ValidationError(f"{ctx}: {exc}") from exc
-    return gate, tunnel
+    return gate
 
 
 def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
@@ -155,7 +153,7 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
     gate_nodes = _require(doc, "gates", "track")
     if not isinstance(gate_nodes, list) or not gate_nodes:
         raise ValidationError("gates: must be a nonempty list")
-    parsed = [_parse_gate(g, i, strict) for i, g in enumerate(gate_nodes)]
+    gates = tuple(_parse_gate(g, i, strict) for i, g in enumerate(gate_nodes))
     opt_node = doc.get("options", {}) or {}
     _check_keys(opt_node, _OPTION_KEYS, "options", strict)
     options = TrackOptions(**{k: opt_node[k] for k in _OPTION_KEYS if k in opt_node})
@@ -163,8 +161,7 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
         quad=quad,
         start=start,
         finish=finish,
-        gates=tuple(g for g, _ in parsed),
-        tunnel_labels=tuple(t for _, t in parsed),
+        gates=gates,
         options=options,
     )
 
@@ -179,21 +176,17 @@ def parse(path, strict: bool = False) -> TrackFile:
     return loads(text, name=str(path), strict=strict)
 
 
-def _gate_node(gate: Gate, tunnel) -> dict:
+def _gate_node(gate: Gate) -> dict:
     if isinstance(gate, BallGate):
-        node = {
+        return {
             "type": "ball",
             "center": [float(x) for x in gate.center],
             "radius": float(gate.radius),
         }
-    else:
-        node = {
-            "type": "polygon" if gate.is_planar else "polyhedron",
-            "vertices": [[float(x) for x in v] for v in gate.vertices],
-        }
-    if tunnel is not None:
-        node["tunnel"] = tunnel
-    return node
+    return {
+        "type": "polygon" if gate.is_planar else "polyhedron",
+        "vertices": [[float(x) for x in v] for v in gate.vertices],
+    }
 
 
 def serialize(track: TrackFile) -> str:
@@ -212,9 +205,7 @@ def serialize(track: TrackFile) -> str:
         },
         "start": [float(x) for x in track.start],
         "finish": [float(x) for x in track.finish],
-        "gates": [
-            _gate_node(g, t) for g, t in zip(track.gates, track.tunnel_labels)
-        ],
+        "gates": [_gate_node(g) for g in track.gates],
         "options": {
             "margin": track.options.margin,
             "laps": track.options.laps,

@@ -53,7 +53,6 @@ def loop_track(n_gates: int = 7, radius: float = 8.0, side: float = 2.4,
         start=start,
         finish=start.copy(),
         gates=tuple(gates),
-        tunnel_labels=(None,) * n_gates,
         options=TrackOptions(margin=margin, laps=laps, mode=mode),
     )
 
@@ -96,7 +95,6 @@ def random_track(seed: int, n_gates: int = 3,
         start=start,
         finish=finish,
         gates=tuple(gates),
-        tunnel_labels=(None,) * n_gates,
         options=TrackOptions(),
     )
 

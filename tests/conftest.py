@@ -63,7 +63,9 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
     Returns (times, integrated positions, reference positions).
     """
     from raceplan import _flatjet
-    from raceplan.model import QuadState, RotorThrusts, dynamics, flat_to_state
+    from raceplan.model import (
+        FlatSample, QuadState, RotorThrusts, dynamics, flat_to_state,
+    )
 
     n_steps = int(round(duration / h))
     # Stage times on a half-step grid so every RK4 stage reuses a
@@ -80,7 +82,7 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
                           body_rate=x[10:13])
         return dynamics(state, u, params)
 
-    x = flat_to_state(traj.eval(t0), params).as_vector()
+    x = flat_to_state(FlatSample(traj.eval_batch([t0], 4)[0]), params).as_vector()
     times = np.empty(n_steps + 1)
     positions = np.empty((n_steps + 1, 3))
     times[0], positions[0] = t0, x[:3]

@@ -9,7 +9,7 @@ from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
 from raceplan.cost import SamplingConfig, _sample_grid, objective, penalty
 from raceplan.gates import DecisionVector, time_map
-from raceplan.spline import BoundaryCondition, construct
+from raceplan.spline import NCOEF, BoundaryCondition, _basis, construct
 
 # Durations away from multiples of target_dt, where the sample count
 # kappa_i = ceil(T_i / target_dt) would jump and finite differences break.
@@ -112,6 +112,42 @@ class TestPenalty:
                   - penalty(replace(traj, durations=tm), quad_a, scfg)[0]
                   ) / (2 * step)
             assert dJ_dT[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_coefficient_scatter_matches_add_at_bitwise(self, quad_a, monkeypatch):
+        """The per-segment block sums give the coefficient gradient of the
+        per-order loop and np.add.at scatter they replaced, bit for bit."""
+        bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0], yaw=0.3)
+        bcf = BoundaryCondition.hover([6.0, -2.0, 2.0], yaw=-0.4)
+        P = np.array([[2.0, 0.5, 1.4, 0.8], [4.0, -1.0, 1.8, -0.5]])
+        traj = construct(P, ACTIVE_T, bc0, bcf)
+        recorded = []
+        flat_outputs = _flatjet.flat_outputs
+
+        def recording(derivs, params, want_grad=False):
+            out = flat_outputs(derivs, params, want_grad)
+
+            def vjp(rotor_bar, omega_bar):
+                recorded.append(out.vjp(rotor_bar, omega_bar))
+                return recorded[-1]
+            return replace(out, vjp=vjp)
+
+        monkeypatch.setattr(_flatjet, "flat_outputs", recording)
+        scfg = SamplingConfig()
+        value, dJ_dC, _, _ = penalty(traj, quad_a, scfg)
+        assert value > 0
+        (g_inputs,) = recorded
+        seg_ids, _, local, weights, _ = _sample_grid(traj.durations, scfg)
+        basis = _basis(local, 5, NCOEF)
+        contrib = np.zeros((len(local), NCOEF, 4))
+        for o in range(3):
+            contrib[:, :, :3] += (basis[:, 2 + o, :, None]
+                                  * g_inputs[:, None, 3 * o:3 * o + 3])
+            contrib[:, :, 3] += basis[:, o] * g_inputs[:, 9 + o][:, None]
+        contrib *= weights[:, None, None]
+        want = np.zeros((len(traj.durations), NCOEF, 4))
+        np.add.at(want, seg_ids, contrib)
+        assert np.all(want[:, :, 3] != 0)  # the yaw blocks take part
+        assert np.ascontiguousarray(dJ_dC).tobytes() == want.tobytes()
 
     def test_c2_across_activation(self, quad_a):
         """Second differences of the penalty stay continuous where the cubic

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import root
 
-from conftest import mixed_sequence, tetra_gate, unit_square_gate
+from conftest import hover_pair, mixed_sequence, tetra_gate, unit_square_gate
+from raceplan.cost import SamplingConfig, objective, penalty
 from raceplan.errors import (
     DimensionMismatch, EmptyAfterShrink, ValidationError,
 )
@@ -16,6 +17,7 @@ from raceplan.gates import (
     ball_surject, contains, decode, gate_center, polytope_contains,
     polytope_surject, shrink_margin, time_map, time_map_inverse,
 )
+from raceplan.spline import construct, propagate_gradients
 from raceplan.tracks import square_gate
 
 
@@ -217,7 +219,7 @@ class TestDecode:
         waypoints, durations, jacs, dt_dk = decode(seq, dec)
         assert waypoints.shape == (1, 3)
         assert durations.shape == (2,)
-        assert len(jacs) == 1 and jacs[0].shape == (3, 4)
+        assert len(jacs) == 1 and jacs[0].shape == (1, 3, 4)
 
     def test_random_decisions_stay_contained(self):
         seq = mixed_sequence(5)
@@ -236,6 +238,105 @@ class TestDecode:
         dec = DecisionVector.for_sequence(mixed_sequence(3))
         with pytest.raises(DimensionMismatch):
             decode(seq, dec)
+
+
+def reference_surject(gate, d):
+    """One gate's surjection as the per-gate decode loop computed it: the
+    reference the batched groups must match bit for bit."""
+    d2 = np.atleast_2d(np.asarray(d, dtype=float))
+    if isinstance(gate, BallGate):
+        q = np.einsum("ni,ni->n", d2, d2) + 1.0
+        scale = 2.0 * gate.radius / q
+        p = gate.center[None, :] + scale[:, None] * d2[:, :3]
+        jac = np.zeros((len(d2), 3, 4))
+        jac[:, :, :3] = scale[:, None, None] * np.eye(3)[None]
+        jac -= (2.0 * scale / q)[:, None, None] * np.einsum("ni,nj->nij", d2[:, :3], d2)
+        return p[0], jac[0]
+    v = gate.param_dim
+    s = np.einsum("ni,ni->n", d2, d2)
+    zero = s == 0.0
+    s_safe = np.where(zero, 1.0, s)
+    w = d2 * d2 / s_safe[:, None]
+    w[zero] = 1.0 / v
+    p = w @ gate.vertices
+    dw = 2.0 * np.einsum("ni,ik->nik", d2, np.eye(v)) / s_safe[:, None, None]
+    dw -= 2.0 * np.einsum("nk,ni->nik", d2, w) / s_safe[:, None, None]
+    dw[zero] = 0.0
+    return p[0], np.einsum("ic,nik->nck", gate.vertices, dw)[0]
+
+
+def reference_decode(seq, dec):
+    """Per-gate loop: waypoints (L, 3) and one (3, dim) Jacobian per gate."""
+    waypoints = np.empty((len(seq), 3))
+    jacs = []
+    for i, gate in enumerate(seq.gates):
+        lo, hi = seq.offsets[i]
+        waypoints[i], jac = reference_surject(gate, dec.D[lo:hi])
+        jacs.append(jac)
+    return waypoints, jacs
+
+
+def interleaved_sequence(seed, n=12, spacing=4.0):
+    """Balls, triangles, squares, pentagons, tetrahedra and hexagonal prisms
+    (3 to 12 parameters) in a seeded interleaved order along the x axis."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for i, kind in enumerate(rng.permutation(np.arange(n) % 6)):
+        c = np.array([spacing * (i + 1), 0.3 * (-1) ** i, 1.5])
+        if kind == 0:
+            gates.append(BallGate(center=c, radius=0.8))
+        elif kind in (1, 2, 3):  # planar polygons with 3, 4, 5 vertices
+            ang = 2 * np.pi * np.arange(kind + 2) / (kind + 2)
+            gates.append(PolytopeGate.from_vertices(
+                c + np.stack([0 * ang, np.cos(ang), np.sin(ang)], axis=1)))
+        elif kind == 4:
+            gates.append(tetra_gate(c, scale=0.9))
+        else:
+            ang = 2 * np.pi * np.arange(6) / 6
+            ring = np.stack([0.7 * np.cos(ang), 0.7 * np.sin(ang), 0 * ang], axis=1)
+            gates.append(PolytopeGate.from_vertices(
+                c + np.concatenate([ring - [0, 0, 0.4], ring + [0, 0, 0.4]])))
+    return GateSequence(gates=tuple(gates))
+
+
+class TestBatchedDecode:
+    @staticmethod
+    def _decision(seq, seed):
+        rng = np.random.default_rng(100 + seed)
+        dec = DecisionVector.for_sequence(seq)
+        dec.D = rng.normal(scale=2.0, size=dec.D.shape)
+        lo, hi = seq.offsets[seed % len(seq)]
+        dec.D[lo:hi] = 0.0  # the d = 0 convention
+        # Short durations, so the penalty is active and grad_d is nonzero.
+        dec.K = rng.normal(scale=0.1, size=dec.K.shape) - 0.6
+        return dec
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_gate_loop_bitwise(self, seed):
+        seq = interleaved_sequence(seed)
+        assert len(seq.groups) == 5  # 4-vertex polygons and tetrahedra share one
+        dec = self._decision(seq, seed)
+        waypoints, _, jacs, _ = decode(seq, dec)
+        want_p, want_jacs = reference_decode(seq, dec)
+        assert waypoints.tobytes() == want_p.tobytes()
+        for (index, _, _), jac in zip(seq.groups, jacs):
+            for row, i in enumerate(index):
+                assert jac[row].tobytes() == want_jacs[i].tobytes(), i
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_objective_grad_d_matches_per_gate_assembly(self, quad_a, seed):
+        seq = interleaved_sequence(seed)
+        bc0, bcf = hover_pair(len(seq))
+        dec = self._decision(seq, seed)
+        waypoints, jacs = reference_decode(seq, dec)
+        traj = construct(waypoints, time_map(dec.K)[0], bc0, bcf)
+        _, dJ_dC, dJ_dT_direct, _ = penalty(traj, quad_a, SamplingConfig())
+        dJ_dP4, _ = propagate_gradients(traj, dJ_dC, dJ_dT_direct)
+        want = np.concatenate([jac.T @ dJ_dP4[i, :3] for i, jac in enumerate(jacs)])
+        got = objective(dec, seq, quad_a, bc0, bcf).gradient.D
+        lo, hi = seq.offsets[seed % len(seq)]  # the gate at d = 0
+        assert np.all(np.delete(want, np.s_[lo:hi]) != 0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestShrinkMargin:

@@ -256,10 +256,9 @@ class TestEval:
         rng = np.random.default_rng(4)
         P, T, bc0, bcf = random_problem(rng, 2)
         traj = construct(P, T, bc0, bcf)
-        at0 = traj.eval(0.0, max_order=2)
-        atf = traj.eval(traj.total_time, max_order=2)
-        assert np.allclose(at0.derivatives[:3], bc0.derivatives, atol=1e-9)
-        assert np.allclose(atf.derivatives[:3], bcf.derivatives, atol=1e-8)
+        at0, atf = traj.eval_batch([0.0, traj.total_time], max_order=2)
+        assert np.allclose(at0, bc0.derivatives, atol=1e-9)
+        assert np.allclose(atf, bcf.derivatives, atol=1e-8)
 
     def test_junction_continuity(self):
         rng = np.random.default_rng(5)
@@ -282,9 +281,9 @@ class TestEval:
         bc = BoundaryCondition.hover([0, 0, 1])
         traj = construct(np.zeros((0, 3)), [1.0], bc, bc)
         with pytest.raises(OutOfDomain):
-            traj.eval(1.5)
+            traj.eval_batch([1.5], 4)
         with pytest.raises(OutOfDomain):
-            traj.eval(-0.5)
+            traj.eval_batch([-0.5], 4)
 
 
 class TestGradients:

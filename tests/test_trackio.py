@@ -132,20 +132,6 @@ class TestSerialize:
                 else:
                     assert np.allclose(a.vertices, b.vertices)
 
-    def test_tunnel_label_round_trip(self):
-        doc = yaml.safe_load(MINIMAL)
-        doc["gates"] = [
-            {"type": "ball", "center": [2, 0, 1.5], "radius": 0.5,
-             "tunnel": "t1"},
-            {"type": "ball", "center": [3, 0, 1.5], "radius": 0.5},
-        ]
-        track = loads(yaml.safe_dump(doc))
-        assert track.tunnel_labels == ("t1", None)
-        written = yaml.safe_load(serialize(track))["gates"]
-        assert written[0]["tunnel"] == "t1"
-        assert "tunnel" not in written[1]
-        assert loads(serialize(track)).tunnel_labels == ("t1", None)
-
 
 class TestWaypointMode:
     def test_square_becomes_tolerance_ball(self):
