@@ -1,6 +1,6 @@
 """Time-optimal quadrotor trajectory planning through spatial racing gates."""
 
-from .cost import CostReport, SamplingConfig, objective, penalty
+from .cost import CostReport, objective, penalty, samples
 from .errors import (
     DimensionMismatch, EmptyAfterShrink, OutOfDomain, ParseError,
     RaceplanError, SingularFlatness, SingularSystem, ValidationError,

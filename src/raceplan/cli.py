@@ -14,7 +14,7 @@ import numpy as np
 
 from . import trackio
 from .errors import ParseError, RaceplanError, ValidationError
-from .gates import BallGate, contains
+from .gates import BallGate, PolytopeGate, contains
 from .optimizer import OptimizerConfig, solve
 from .spline import BoundaryCondition
 
@@ -28,8 +28,10 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
-#: Hermite sub-steps per sample interval when `check` measures ball gates.
-HERMITE_STEPS = 64
+#: Golden-section steps per sample interval when `check` searches a gate;
+#: they shrink the bracket to 1e-10 of the interval.
+GOLDEN_STEPS = 48
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _write_csv(path: Path, times, states, controls):
@@ -134,74 +136,65 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _hermite(p0, v0, p1, v1, dt, lam):
-    """Cubic Hermite position at fraction ``lam`` of a sample interval."""
-    h00 = 2 * lam**3 - 3 * lam**2 + 1
-    h10 = lam**3 - 2 * lam**2 + lam
-    h01 = -2 * lam**3 + 3 * lam**2
-    h11 = lam**3 - lam**2
-    return h00 * p0 + h10 * dt * v0 + h01 * p1 + h11 * dt * v1
-
-
 def _best_traversal(gate, times, positions, velocities, start):
     """Smallest containment residual at or after sample ``start``.
 
     Returns (residual, sample index).  The optimum often grazes the gate
-    boundary, so chord-level accuracy between samples is not enough: the
-    path between adjacent samples is reconstructed by cubic Hermite
-    interpolation.  Planar gates bisect it onto the gate plane; ball gates
-    take the closest approach over it, densified to HERMITE_STEPS chords
-    per sample interval.
+    boundary or passes a polyhedron vertex between samples, so the path
+    between adjacent samples is reconstructed by cubic Hermite
+    interpolation and searched by golden section: for the minimum of
+    ``contains``, or on a polygon for the crossing of its plane.  The
+    residual is ``contains`` at the point found or at a sample, whichever is
+    lower; the index is the sample at or before it.
     """
-    pts = positions[start:]
+    pts, vel, ts = positions[start:], velocities[start:], times[start:]
     if len(pts) == 0:
         return np.inf, start
-    vel = velocities[start:]
-    ts = times[start:]
-    if isinstance(gate, BallGate):
-        frac = (np.arange(HERMITE_STEPS) / HERMITE_STEPS)[None, :, None]
-        dense = _hermite(pts[:-1, None], vel[:-1, None], pts[1:, None],
-                         vel[1:, None], np.diff(ts)[:, None, None], frac)
-        dense = np.vstack([dense.reshape(-1, 3), pts[-1:]])
-        a, b = dense[:-1], dense[1:]
-        seg = b - a
-        denom = np.einsum("ij,ij->i", seg, seg)
-        lam = np.zeros(len(seg))
-        np.divide(np.einsum("ij,ij->i", gate.center - a, seg), denom,
-                  out=lam, where=denom > 0)
-        lam = np.clip(lam, 0.0, 1.0)
-        closest = a + lam[:, None] * seg
-        dist = np.linalg.norm(closest - gate.center, axis=1)
-        dist = np.append(dist, np.linalg.norm(pts[-1] - gate.center))
-        k = int(np.argmin(dist))
-        return float(dist[k] - gate.radius), start + k // HERMITE_STEPS
-    if gate.is_planar:
+    res = contains(gate, pts)
+    best = int(np.argmin(res))
+    # The piece after sample k is p_k + lam d0 + lam^2 (3 gap - 2 d0 - d1)
+    # + lam^3 (d0 + d1 - 2 gap) for lam in [0, 1].  It is no longer than its
+    # Bezier control polygon and ``contains`` is 1-Lipschitz, so a piece
+    # with an end farther above the best sample than that length cannot
+    # beat it.
+    dt = np.diff(ts)[:, None]
+    d0, d1, gap = dt * vel[:-1], dt * vel[1:], np.diff(pts, axis=0)
+    length = (np.linalg.norm(d0, axis=1) + np.linalg.norm(d1, axis=1)
+              + np.linalg.norm(3 * gap - d0 - d1, axis=1)) / 3
+    k = np.flatnonzero(np.maximum(res[:-1], res[1:]) - length < res[best])
+    if len(k) == 0:
+        return float(res[best]), start + best
+    p0, d0, d1, gap = pts[k], d0[k], d1[k], gap[k]
+    c2, c3 = 3 * gap - 2 * d0 - d1, d0 + d1 - 2 * gap
+
+    def piece(lam):
+        lam = lam[:, None]
+        return p0 + lam * (d0 + lam * (c2 + lam * c3))
+
+    if isinstance(gate, PolytopeGate) and gate.is_planar:
         normal, offset = gate.plane
-        side = pts @ normal - offset
-        best, best_k = np.inf, 0
-        for k in np.flatnonzero(side[:-1] * side[1:] <= 0):
-            dt = ts[k + 1] - ts[k]
-            gap = side[k] - side[k + 1]
-            lam = side[k] / gap if gap != 0 else 0.0
-            # Bisect the Hermite reconstruction onto the gate plane.
-            lo, hi = (0.0, 1.0) if side[k] <= 0 else (1.0, 0.0)
-            for _ in range(50):
-                point = _hermite(pts[k], vel[k], pts[k + 1], vel[k + 1], dt, lam)
-                if point @ normal - offset <= 0:
-                    lo = lam
-                else:
-                    hi = lam
-                lam = 0.5 * (lo + hi)
-            res = contains(gate, point)
-            if res < best:
-                best, best_k = res, int(k)
-        if np.isfinite(best):
-            return float(best), start + best_k
-        k = int(np.argmin(np.abs(side)))
-        return float(contains(gate, pts[k])), start + k
-    res = np.array([contains(gate, p) for p in pts])
-    k = int(np.argmin(res))
-    return float(res[k]), start + k
+
+        def measure(lam):
+            return np.abs(piece(lam) @ normal - offset)
+    else:
+        def measure(lam):
+            return contains(gate, piece(lam))
+
+    x = np.full(len(k), GOLDEN)
+    lo, hi, fx = np.zeros(len(k)), np.ones(len(k)), measure(x)
+    for _ in range(GOLDEN_STEPS):
+        # The other inner point mirrors x in the bracket: keep the better
+        # of the two and cut the bracket at the worse.
+        y = lo + hi - x
+        fy = measure(y)
+        x, worse = np.where(fy < fx, y, x), np.where(fy < fx, x, y)
+        fx = np.minimum(fx, fy)
+        lo, hi = np.where(worse < x, worse, lo), np.where(worse > x, worse, hi)
+    found = contains(gate, piece(x))
+    i = int(np.argmin(found))
+    if found[i] < res[best]:
+        return float(found[i]), start + int(k[i])
+    return float(res[best]), start + best
 
 
 def cmd_check(args) -> int:
@@ -238,8 +231,10 @@ def cmd_check(args) -> int:
     order_ok = True
     containment_ok = True
     for gate in seq.gates:
-        res_any, _ = _best_traversal(gate, times, positions, velocities, 0)
-        res_after, at = _best_traversal(gate, times, positions, velocities, idx)
+        res_any, at = _best_traversal(gate, times, positions, velocities, 0)
+        res_after = res_any
+        if at < idx:  # the best pass comes too early; search after idx
+            res_after, at = _best_traversal(gate, times, positions, velocities, idx)
         if res_any > 1e-6:
             containment_ok = False
         elif res_after > 1e-6:

@@ -19,22 +19,17 @@ from .model import LIMIT_COLUMNS, QuadParams, limit_residuals
 from .spline import BoundaryCondition, TrajectorySpline
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    min_samples_per_segment: int = 8
-    target_dt: float = 0.02
+#: Sample grid: each segment gets at least MIN_SAMPLES intervals, at most
+#: SAMPLE_DT s long.
+MIN_SAMPLES = 8
+SAMPLE_DT = 0.02
 
-    def __post_init__(self):
-        if self.min_samples_per_segment < 4:
-            raise ValueError("need at least 4 samples per segment")
-        if self.target_dt <= 0:
-            raise ValueError("target_dt must be positive")
 
-    def samples(self, durations: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            self.min_samples_per_segment,
-            np.ceil(np.asarray(durations) / self.target_dt).astype(int),
-        )
+def samples(durations, refine: int = 1) -> np.ndarray:
+    """Per-segment sample counts kappa, ``refine`` times finer than the
+    optimization grid."""
+    counts = np.ceil(np.asarray(durations) / (SAMPLE_DT / refine)).astype(int)
+    return np.maximum(refine * MIN_SAMPLES, counts)
 
 
 #: Dimensionless weights on the 14 normalized limit residuals, thrust and
@@ -53,13 +48,14 @@ class CostReport:
     spline: TrajectorySpline | None = None
 
 
-def _sample_grid(durations: np.ndarray, scfg: SamplingConfig, kappa=None):
-    """Per-segment sample layout: segment ids, local times, trapezoid
-    weights, sample ranks j and counts kappa (``scfg``'s unless given)."""
+def _sample_grid(durations: np.ndarray, kappa=None):
+    """Per-segment sample layout: segment ids, sample ranks j, local times,
+    trapezoid weights and counts kappa (``samples(durations)`` unless
+    given)."""
     if kappa is None:
-        kappa = scfg.samples(durations)
+        kappa = samples(durations)
     seg_ids = np.repeat(np.arange(len(durations)), kappa + 1)
-    j = np.concatenate([np.arange(k + 1) for k in kappa])
+    j = np.arange(len(seg_ids)) - (np.cumsum(kappa + 1) - (kappa + 1))[seg_ids]
     dt = (durations / kappa)[seg_ids]
     local = j * dt
     weights = dt.copy()
@@ -68,8 +64,7 @@ def _sample_grid(durations: np.ndarray, scfg: SamplingConfig, kappa=None):
     return seg_ids, j, local, weights, kappa
 
 
-def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
-            kappa=None):
+def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
@@ -77,12 +72,13 @@ def penalty(traj: TrajectorySpline, params: QuadParams, scfg: SamplingConfig,
     value is +inf when a sample hits the flatness singularity.  The
     violations are the worst raw limit residuals over the grid (negative
     values are headroom), with the thrust and body-rate extremes.
-    ``kappa`` pins the per-segment sample counts instead of ``scfg``'s.
+    ``kappa`` pins the per-segment sample counts; by default they follow
+    the durations through :func:`samples`.
     """
     durations = traj.durations
     num_seg = len(durations)
     ncoef = spline_mod.NCOEF
-    seg_ids, j, local, weights, kappa = _sample_grid(durations, scfg, kappa)
+    seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
 
     # One basis table serves the evaluation and the coefficient scatter.
     basis = spline_mod._basis(local, 5, ncoef)
@@ -155,7 +151,7 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
             penalty_term=math.inf, max_violation=None, gradient=None,
         )
     traj = spline_mod.construct(waypoints, durations, bc0, bcf)
-    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, SamplingConfig(), kappa)
+    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, kappa)
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):

@@ -202,23 +202,29 @@ class DecisionVector:
 # ---------------------------------------------------------------------------
 # containment
 
-def ball_contains(gate: BallGate, p) -> float:
-    """<= 0 iff p is inside the ball."""
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - gate.center) - gate.radius)
+def ball_contains(gate: BallGate, p):
+    """<= 0 iff p is inside the ball.  p is (3,) or (N, 3)."""
+    res = np.linalg.norm(np.asarray(p, dtype=float) - gate.center, axis=-1) - gate.radius
+    return res if np.ndim(res) else float(res)
 
 
-def polytope_contains(gate: PolytopeGate, p) -> float:
-    """<= 0 iff p is inside the polytope (and on-plane for polygons)."""
+def polytope_contains(gate: PolytopeGate, p):
+    """<= 0 iff p is inside the polytope (and on-plane for polygons).
+    p is (3,) or (N, 3)."""
+    # Products summed per point, not matmul: a batch rounds as its points
+    # do one at a time.
     p = np.asarray(p, dtype=float)
     a_mat, b_vec = gate.halfspaces
-    res = float(np.max(a_mat @ p - b_vec))
+    res = np.max((p[..., None, :] * a_mat).sum(axis=-1) - b_vec, axis=-1)
     if gate.is_planar:
         normal, off = gate.plane
-        res = max(res, abs(float(normal @ p) - off) - EPS_PLANE)
-    return res
+        res = np.maximum(res, np.abs((p * normal).sum(axis=-1) - off) - EPS_PLANE)
+    return res if np.ndim(res) else float(res)
 
 
-def contains(gate: Gate, p) -> float:
+def contains(gate: Gate, p):
+    """Containment residual of either gate kind: float for a (3,) point,
+    (N,) for (N, 3) points.  1-Lipschitz in the point."""
     if isinstance(gate, BallGate):
         return ball_contains(gate, p)
     return polytope_contains(gate, p)

@@ -16,7 +16,6 @@ from scipy import optimize
 
 from . import cost as cost_mod
 from . import gates as gates_mod
-from .cost import SamplingConfig
 from .errors import RaceplanError
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams, rotation_to_quat
@@ -225,12 +224,10 @@ def solve(seq: GateSequence, params: QuadParams,
     t_start = time.perf_counter()
     dec0 = initialize(seq, bc0, bcf, opt_cfg)
 
-    sampling = SamplingConfig()
-
     def fg(x, grid=None):
         kappa = None
         if grid is not None:
-            kappa = sampling.samples(gates_mod.time_map(dec0.with_flat(grid).K)[0])
+            kappa = cost_mod.samples(gates_mod.time_map(dec0.with_flat(grid).K)[0])
         rep = cost_mod.objective(dec0.with_flat(x), seq, params, bc0, bcf, kappa)
         if rep.gradient is None:
             return np.inf, None
@@ -253,15 +250,10 @@ def solve(seq: GateSequence, params: QuadParams,
     # Verify restoration on a grid finer than both the optimization
     # sampling and the export rate, so peaks between penalty samples
     # cannot slip past the downstream bound checks.
-    fine = SamplingConfig(
-        min_samples_per_segment=4 * sampling.min_samples_per_segment,
-        target_dt=sampling.target_dt / 4.0,
-    )
-
     def penalty_of(d):
         waypoints, durations, _, _ = gates_mod.decode(seq, d)
         traj = cost_mod.spline_mod.construct(waypoints, durations, bc0, bcf)
-        return cost_mod.penalty(traj, params, fine)[0]
+        return cost_mod.penalty(traj, params, cost_mod.samples(durations, refine=4))[0]
 
     dec = _restore_feasibility(dec0.with_flat(x), penalty_of)
     report = cost_mod.objective(dec, seq, params, bc0, bcf)

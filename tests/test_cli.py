@@ -9,7 +9,8 @@ from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
     _best_traversal, main,
 )
-from raceplan.gates import BallGate
+from raceplan import tracks, trackio
+from raceplan.gates import BallGate, PolytopeGate
 
 TRACK = """
 schema_version: 1
@@ -135,6 +136,34 @@ class TestCheck:
         res, at = _best_traversal(ball, times, positions, velocities, 0)
         assert res == pytest.approx(-inside, abs=1e-8)
         assert at == 10
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-4])
+    def test_polyhedron_vertex_passed_between_samples(self, shift):
+        """A straight pass at 10 m/s, sampled every 10 ms, through an
+        octahedron's vertex midway between two samples that lie 2.9 cm
+        outside.  Shifted 1e-4 m outward, the same line misses the vertex
+        and must fail the 1e-6 m containment tolerance."""
+        octahedron = PolytopeGate.from_vertices(
+            np.vstack([np.eye(3), -np.eye(3)]), planar=False)
+        times = np.arange(21) * 0.01
+        positions = np.zeros((21, 3))
+        positions[:, 0] = 1.0 + shift
+        positions[:, 1] = 10.0 * (times - 0.105)
+        velocities = np.tile([0.0, 10.0, 0.0], (21, 1))
+        res, at = _best_traversal(octahedron, times, positions, velocities, 0)
+        assert res == pytest.approx(shift / np.sqrt(3), abs=1e-9)
+        assert (res <= 1e-6) == (shift == 0.0)
+        assert at == 10
+
+    @pytest.mark.parametrize("seed", [103, 107, 110])
+    def test_random_track_round_trip(self, seed, tmp_path, capsys):
+        """Each of these plans passes its polyhedron gate between two
+        export samples that both lie outside it."""
+        track = tmp_path / "track.yaml"
+        track.write_text(trackio.serialize(tracks.random_track(seed)))
+        assert main(["plan", str(track), "--out-dir", str(tmp_path)]) == EXIT_OK
+        code = main(["check", str(tmp_path / "trajectory.csv"), str(track)])
+        assert code == EXIT_OK, capsys.readouterr().out
 
     def test_closed_loop(self, planned, capsys):
         track, out = planned

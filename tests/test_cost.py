@@ -7,14 +7,13 @@ import pytest
 
 from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
-from raceplan.cost import SamplingConfig, _sample_grid, objective, penalty
+from raceplan.cost import _sample_grid, objective, penalty, samples
 from raceplan.gates import DecisionVector, time_map
 from raceplan.spline import NCOEF, BoundaryCondition, _basis, construct
 
-# Durations away from multiples of target_dt, where the sample count
-# kappa_i = ceil(T_i / target_dt) would jump and finite differences break.
-# The shorter set keeps the penalty active for the gradient oracles.
-SAFE_T = np.array([0.73, 0.91, 0.83])
+# Durations away from multiples of SAMPLE_DT, where the sample count
+# kappa_i = ceil(T_i / SAMPLE_DT) would jump and finite differences break;
+# they keep the penalty active for the gradient oracles.
 ACTIVE_T = np.array([0.51, 0.49, 0.53])
 
 
@@ -33,33 +32,36 @@ def aggressive_spline():
 
 
 class TestConfigs:
-    def test_sampling_validation(self):
-        with pytest.raises(ValueError):
-            SamplingConfig(min_samples_per_segment=2)
-        with pytest.raises(ValueError):
-            SamplingConfig(target_dt=0.0)
-
     def test_sample_counts(self):
-        scfg = SamplingConfig(min_samples_per_segment=8, target_dt=0.02)
-        counts = scfg.samples(np.array([0.05, 0.5, 1.01]))
-        assert list(counts) == [8, 25, 51]
+        durations = np.array([0.05, 0.5, 1.01])
+        assert list(samples(durations)) == [8, 25, 51]
+        assert list(samples(durations, refine=4)) == [32, 100, 202]
+
+    def test_sample_ranks_match_concatenated_aranges(self):
+        """The sample ranks j restart at 0 in each segment, segments at the
+        minimum count included."""
+        durations = np.array([0.05, 0.5, 0.01, 1.01, 0.16])
+        seg_ids, j, _, _, kappa = _sample_grid(durations)
+        assert list(kappa) == [8, 25, 8, 51, 8]
+        want = np.concatenate([np.arange(k + 1) for k in kappa])
+        assert j.dtype == want.dtype and np.array_equal(j, want)
+        assert np.array_equal(seg_ids, np.repeat(np.arange(5), kappa + 1))
 
 
 class TestPenalty:
     def test_feasible_spline_zero_value_zero_gradient(self, quad_a):
-        value, dJ_dC, dJ_dT, _ = penalty(slow_spline(), quad_a, SamplingConfig())
+        value, dJ_dC, dJ_dT, _ = penalty(slow_spline(), quad_a)
         assert value == 0.0
         assert np.allclose(dJ_dC, 0.0)
         assert np.allclose(dJ_dT, 0.0)
 
     def test_infeasible_spline_positive(self, quad_a):
-        value = penalty(aggressive_spline(), quad_a, SamplingConfig())[0]
+        value = penalty(aggressive_spline(), quad_a)[0]
         assert value > 0
 
     def test_value_zero_iff_samples_feasible(self, quad_a):
-        scfg = SamplingConfig()
         for traj in (slow_spline(), aggressive_spline()):
-            value, _, _, worst = penalty(traj, quad_a, scfg)
+            value, _, _, worst = penalty(traj, quad_a)
             feasible = (worst["thrust_low"] <= 0 and worst["thrust_high"] <= 0
                         and worst["body_rate"] <= 0)
             assert (value == 0.0) == feasible
@@ -68,10 +70,9 @@ class TestPenalty:
     def test_violations_match_value_only_pass(self, quad_a):
         """The worst-case violations equal those of a separate value-only
         flatness pass over the same grid, bit for bit."""
-        scfg = SamplingConfig()
         for traj in (slow_spline(), aggressive_spline()):
-            worst = penalty(traj, quad_a, scfg)[3]
-            seg_ids, _, local, _, _ = _sample_grid(traj.durations, scfg)
+            worst = penalty(traj, quad_a)[3]
+            seg_ids, _, local, _, _ = _sample_grid(traj.durations)
             out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 5), quad_a)
             assert worst == {
                 "singular": False,
@@ -88,8 +89,7 @@ class TestPenalty:
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
         P = np.array([[2.0, 0.5, 1.4, 0.0], [4.0, -1.0, 1.8, 0.0]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
-        scfg = SamplingConfig()
-        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a, scfg)
+        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a)
         assert value > 0  # the oracle only means something on an active penalty
 
         step = 1e-6
@@ -99,8 +99,8 @@ class TestPenalty:
             v = rng.normal(size=traj.coefficients.shape)
             plus = replace(traj, coefficients=traj.coefficients + step * v)
             minus = replace(traj, coefficients=traj.coefficients - step * v)
-            fd = (penalty(plus, quad_a, scfg)[0]
-                  - penalty(minus, quad_a, scfg)[0]) / (2 * step)
+            fd = (penalty(plus, quad_a)[0]
+                  - penalty(minus, quad_a)[0]) / (2 * step)
             analytic = float(np.sum(dJ_dC * v))
             assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8)
         # Direct duration derivatives, coefficients frozen.
@@ -108,8 +108,8 @@ class TestPenalty:
             tp, tm = ACTIVE_T.copy(), ACTIVE_T.copy()
             tp[k] += step
             tm[k] -= step
-            fd = (penalty(replace(traj, durations=tp), quad_a, scfg)[0]
-                  - penalty(replace(traj, durations=tm), quad_a, scfg)[0]
+            fd = (penalty(replace(traj, durations=tp), quad_a)[0]
+                  - penalty(replace(traj, durations=tm), quad_a)[0]
                   ) / (2 * step)
             assert dJ_dT[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
@@ -132,11 +132,10 @@ class TestPenalty:
             return replace(out, vjp=vjp)
 
         monkeypatch.setattr(_flatjet, "flat_outputs", recording)
-        scfg = SamplingConfig()
-        value, dJ_dC, _, _ = penalty(traj, quad_a, scfg)
+        value, dJ_dC, _, _ = penalty(traj, quad_a)
         assert value > 0
         (g_inputs,) = recorded
-        seg_ids, _, local, weights, _ = _sample_grid(traj.durations, scfg)
+        seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
         basis = _basis(local, 5, NCOEF)
         contrib = np.zeros((len(local), NCOEF, 4))
         for o in range(3):
@@ -154,13 +153,13 @@ class TestPenalty:
         hinge switches on."""
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([4.0, 0.0, 1.0])
-        # Fixed sample count so the probe never crosses a kappa boundary.
-        scfg = SamplingConfig(min_samples_per_segment=64, target_dt=1.0)
+        # Fixed sample counts so the probe never crosses a kappa boundary.
+        kappa = np.array([64, 64])
 
         def value(stretch):
             traj = construct(np.array([[2.0, 0.0, 1.3, 0.0]]),
-                             SAFE_T[:2] * stretch, bc0, bcf)
-            return penalty(traj, quad_a, scfg)[0]
+                             np.array([0.73, 0.91]) * stretch, bc0, bcf)
+            return penalty(traj, quad_a, kappa)[0]
 
         # Bracket the activation threshold in the duration stretch factor.
         lo, hi = 0.3, 1.5
@@ -206,7 +205,7 @@ class TestObjective:
         seq = mixed_sequence(3)
         bc0, bcf = hover_pair(3)
         report = objective(DecisionVector.for_sequence(seq), seq, quad_a, bc0, bcf)
-        worst = penalty(report.spline, quad_a, SamplingConfig())[3]
+        worst = penalty(report.spline, quad_a)[3]
         assert report.max_violation == worst
         assert report.max_violation["singular"] is False
 
@@ -246,11 +245,8 @@ class TestObjective:
     def test_sampling_refinement_consistency(self, quad_a):
         """Doubling the sample resolution barely moves a feasible penalty."""
         traj = slow_spline()
-        base = penalty(traj, quad_a, SamplingConfig())[0]
-        fine = penalty(
-            traj, quad_a,
-            SamplingConfig(min_samples_per_segment=16, target_dt=0.01),
-        )[0]
+        base = penalty(traj, quad_a)[0]
+        fine = penalty(traj, quad_a, samples(traj.durations, refine=2))[0]
         assert abs(fine - base) < 1e-6
 
     def test_oversized_duration_reports_infinite(self, quad_a):

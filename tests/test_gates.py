@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import root
 
 from conftest import hover_pair, mixed_sequence, tetra_gate, unit_square_gate
-from raceplan.cost import SamplingConfig, objective, penalty
+from raceplan.cost import objective, penalty
 from raceplan.errors import (
     DimensionMismatch, EmptyAfterShrink, ValidationError,
 )
@@ -71,6 +71,21 @@ class TestContainment:
         gate = tetra_gate()
         assert polytope_contains(gate, [0, 0, 0]) < 0
         assert polytope_contains(gate, [2, 2, 2]) > 0
+
+    @pytest.mark.parametrize("gate", [
+        BallGate(center=[0.2, -0.1, 0.3], radius=0.8),
+        unit_square_gate(z=0.1),
+        tetra_gate(scale=0.9),
+    ], ids=["ball", "polygon", "polyhedron"])
+    def test_batched_equals_per_point(self, gate):
+        rng = np.random.default_rng(4)
+        points = rng.normal(scale=1.2, size=(64, 3))
+        points[:8, 2] = 0.1  # on the polygon's plane
+        points[8:16, 2] = 0.1 + rng.normal(scale=1e-6, size=8)
+        batched = contains(gate, points)
+        assert batched.shape == (64,)
+        assert np.array_equal(batched, [contains(gate, p) for p in points])
+        assert (batched < 0).any() and (batched > 0).any()
 
 
 class TestBallSurjection:
@@ -330,7 +345,7 @@ class TestBatchedDecode:
         dec = self._decision(seq, seed)
         waypoints, jacs = reference_decode(seq, dec)
         traj = construct(waypoints, time_map(dec.K)[0], bc0, bcf)
-        _, dJ_dC, dJ_dT_direct, _ = penalty(traj, quad_a, SamplingConfig())
+        _, dJ_dC, dJ_dT_direct, _ = penalty(traj, quad_a)
         dJ_dP4, _ = propagate_gradients(traj, dJ_dC, dJ_dT_direct)
         want = np.concatenate([jac.T @ dJ_dP4[i, :3] for i, jac in enumerate(jacs)])
         got = objective(dec, seq, quad_a, bc0, bcf).gradient.D
