@@ -14,7 +14,7 @@ import numpy as np
 
 from . import trackio
 from .errors import ParseError, RaceplanError, ValidationError
-from .gates import BallGate, PolytopeGate, contains
+from .gates import BallGate, contains
 from .optimizer import OptimizerConfig, solve
 from .spline import BoundaryCondition
 
@@ -32,6 +32,8 @@ EXIT_IO = 3
 #: they shrink the bracket to 1e-10 of the interval.
 GOLDEN_STEPS = 48
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: Largest containment residual, m, that `check` counts as passing a gate.
+PASS_TOL = 1e-6
 
 
 def _write_csv(path: Path, times, states, controls):
@@ -70,6 +72,10 @@ def cmd_plan(args) -> int:
         print(f"error: --dt must be a finite number above 0, got {args.dt}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    for flag, value in (("--seed", args.seed), ("--restarts", args.restarts)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         track = trackio.parse(args.track, strict=args.strict)
         seq = trackio.build_sequence(
@@ -136,49 +142,32 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _best_traversal(gate, times, positions, velocities, start):
-    """Smallest containment residual at or after sample ``start``.
+def _residuals(gate, times, positions, velocities):
+    """Containment residual of each sample: the lowest ``contains`` value
+    found at sample k or on the path from it to sample k + 1.
 
-    Returns (residual, sample index).  The optimum often grazes the gate
-    boundary or passes a polyhedron vertex between samples, so the path
-    between adjacent samples is reconstructed by cubic Hermite
-    interpolation and searched by golden section: for the minimum of
-    ``contains``, or on a polygon for the crossing of its plane.  The
-    residual is ``contains`` at the point found or at a sample, whichever is
-    lower; the index is the sample at or before it.
+    The optimum often grazes the gate boundary or passes a polyhedron vertex
+    between samples, so the path between adjacent samples is reconstructed
+    by cubic Hermite interpolation and searched by golden section for the
+    minimum of ``contains``.  NaN samples give NaN residuals.
     """
-    pts, vel, ts = positions[start:], velocities[start:], times[start:]
-    if len(pts) == 0:
-        return np.inf, start
-    res = contains(gate, pts)
-    best = int(np.argmin(res))
+    res = contains(gate, positions)
     # The piece after sample k is p_k + lam d0 + lam^2 (3 gap - 2 d0 - d1)
     # + lam^3 (d0 + d1 - 2 gap) for lam in [0, 1].  It is no longer than its
     # Bezier control polygon and ``contains`` is 1-Lipschitz, so a piece
-    # with an end farther above the best sample than that length cannot
-    # beat it.
-    dt = np.diff(ts)[:, None]
-    d0, d1, gap = dt * vel[:-1], dt * vel[1:], np.diff(pts, axis=0)
+    # with an end farther above PASS_TOL than that length cannot pass.
+    dt = np.diff(times)[:, None]
+    d0, d1 = dt * velocities[:-1], dt * velocities[1:]
+    gap = np.diff(positions, axis=0)
     length = (np.linalg.norm(d0, axis=1) + np.linalg.norm(d1, axis=1)
               + np.linalg.norm(3 * gap - d0 - d1, axis=1)) / 3
-    k = np.flatnonzero(np.maximum(res[:-1], res[1:]) - length < res[best])
-    if len(k) == 0:
-        return float(res[best]), start + best
-    p0, d0, d1, gap = pts[k], d0[k], d1[k], gap[k]
+    k = np.flatnonzero(np.maximum(res[:-1], res[1:]) - length <= PASS_TOL)
+    p0, d0, d1, gap = positions[k], d0[k], d1[k], gap[k]
     c2, c3 = 3 * gap - 2 * d0 - d1, d0 + d1 - 2 * gap
 
-    def piece(lam):
+    def measure(lam):
         lam = lam[:, None]
-        return p0 + lam * (d0 + lam * (c2 + lam * c3))
-
-    if isinstance(gate, PolytopeGate) and gate.is_planar:
-        normal, offset = gate.plane
-
-        def measure(lam):
-            return np.abs(piece(lam) @ normal - offset)
-    else:
-        def measure(lam):
-            return contains(gate, piece(lam))
+        return contains(gate, p0 + lam * (d0 + lam * (c2 + lam * c3)))
 
     x = np.full(len(k), GOLDEN)
     lo, hi, fx = np.zeros(len(k)), np.ones(len(k)), measure(x)
@@ -190,11 +179,8 @@ def _best_traversal(gate, times, positions, velocities, start):
         x, worse = np.where(fy < fx, y, x), np.where(fy < fx, x, y)
         fx = np.minimum(fx, fy)
         lo, hi = np.where(worse < x, worse, lo), np.where(worse > x, worse, hi)
-    found = contains(gate, piece(x))
-    i = int(np.argmin(found))
-    if found[i] < res[best]:
-        return float(found[i]), start + int(k[i])
-    return float(res[best]), start + best
+    res[k] = np.minimum(res[k], fx)
+    return res
 
 
 def cmd_check(args) -> int:
@@ -226,21 +212,21 @@ def cmd_check(args) -> int:
         status = "pass" if passed else "FAIL"
         print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
 
-    # Gate containment and traversal order in one ordered sweep.
+    # Gate containment and traversal order in one ordered sweep: each gate
+    # is passed at its first passing sample at or after the previous gate's.
     idx = 0
     order_ok = True
     containment_ok = True
     for gate in seq.gates:
-        res_any, at = _best_traversal(gate, times, positions, velocities, 0)
-        res_after = res_any
-        if at < idx:  # the best pass comes too early; search after idx
-            res_after, at = _best_traversal(gate, times, positions, velocities, idx)
-        if res_any > 1e-6:
+        passes = np.flatnonzero(
+            _residuals(gate, times, positions, velocities) <= PASS_TOL)
+        later = passes[passes >= idx]
+        if len(passes) == 0:
             containment_ok = False
-        elif res_after > 1e-6:
+        elif len(later) == 0:
             order_ok = False
         else:
-            idx = at
+            idx = later[0]
     report("gate containment", containment_ok)
     report("traversal order", order_ok)
 

@@ -22,13 +22,13 @@ class OutOfDomain(RaceplanError):
     """Evaluation time lies outside the trajectory's domain."""
 
 
-class EmptyAfterShrink(RaceplanError):
-    """Applying the safety margin consumed the gate entirely."""
-
-
 class ParseError(RaceplanError):
     """Track file could not be read or is not structurally valid."""
 
 
 class ValidationError(RaceplanError):
     """Track file is structurally valid but violates a semantic invariant."""
+
+
+class EmptyAfterShrink(ValidationError):
+    """Applying the safety margin consumed the gate entirely."""

@@ -40,11 +40,11 @@ class TrackOptions:
     def __post_init__(self):
         if self.mode not in ("togt", "togt-wp"):
             raise ValidationError(f"options.mode: unknown mode {self.mode!r}")
-        if self.laps < 1:
-            raise ValidationError("options.laps must be >= 1")
-        if self.margin < 0:
+        if not isinstance(self.laps, int) or self.laps < 1:
+            raise ValidationError("options.laps must be an integer >= 1")
+        if not self.margin >= 0:
             raise ValidationError("options.margin must be >= 0")
-        if self.waypoint_tolerance <= 0:
+        if not self.waypoint_tolerance > 0:
             raise ValidationError("options.waypoint_tolerance must be > 0")
 
 
@@ -155,8 +155,15 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
         raise ValidationError("gates: must be a nonempty list")
     gates = tuple(_parse_gate(g, i, strict) for i, g in enumerate(gate_nodes))
     opt_node = doc.get("options", {}) or {}
+    if not isinstance(opt_node, dict):
+        raise ValidationError("options: expected a mapping")
     _check_keys(opt_node, _OPTION_KEYS, "options", strict)
-    options = TrackOptions(**{k: opt_node[k] for k in _OPTION_KEYS if k in opt_node})
+    given = {k: opt_node[k] for k in _OPTION_KEYS if k in opt_node}
+    try:
+        options = TrackOptions(**given)
+    except TypeError as exc:
+        raise ValidationError("options.margin and options.waypoint_tolerance "
+                              "must be numbers") from exc
     return TrackFile(
         quad=quad,
         start=start,
@@ -237,16 +244,18 @@ def build_sequence(track: TrackFile, mode: str | None = None,
                    laps: int | None = None) -> GateSequence:
     """Apply mode conversion, safety margin and lap concatenation.
 
-    Waypoint mode replaces gates by tolerance balls at the original centers
-    (margins do not apply); gate mode shrinks each gate by the margin.
+    The arguments that are not None override the file's options and are
+    validated as they are.  Waypoint mode replaces gates by tolerance balls
+    at the original centers (margins do not apply); gate mode shrinks each
+    gate by the margin, and a margin that consumes a gate raises
+    ``EmptyAfterShrink``, a ``ValidationError``.
     """
-    mode = mode if mode is not None else track.options.mode
-    margin = margin if margin is not None else track.options.margin
-    laps = laps if laps is not None else track.options.laps
-    if mode == "togt-wp":
+    given = {"mode": mode, "margin": margin, "laps": laps}
+    options = replace(track.options,
+                      **{k: v for k, v in given.items() if v is not None})
+    if options.mode == "togt-wp":
         track = to_waypoint_mode(track)
-    elif margin > 0:
-        track = replace(
-            track, gates=tuple(shrink_margin(g, margin) for g in track.gates)
-        )
-    return concatenate_laps(track, laps)
+    elif options.margin > 0:
+        track = replace(track, gates=tuple(
+            shrink_margin(g, options.margin) for g in track.gates))
+    return concatenate_laps(track, options.laps)

@@ -7,10 +7,11 @@ import pytest
 
 from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
-    _best_traversal, main,
+    _residuals, _write_csv, main,
 )
 from raceplan import tracks, trackio
 from raceplan.gates import BallGate, PolytopeGate
+from raceplan.model import QuadParams
 
 TRACK = """
 schema_version: 1
@@ -118,6 +119,33 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: --dt")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+    def test_negative_seed_or_restarts_exits_validation(self, flag, tmp_path,
+                                                        capsys):
+        """A negative seed or restart count is refused before the track is
+        parsed or solved."""
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK)
+        out = tmp_path / "out"
+        assert main(["plan", str(track), flag, "-1", "--out-dir", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "check"])
+    @pytest.mark.parametrize("margin", ["-1", "5"])
+    def test_bad_margin_exits_validation(self, command, margin, planned,
+                                         tmp_path, capsys):
+        """A negative margin fails the same validation as the track file's,
+        and one that consumes a gate is a validation error, not a crash."""
+        track, out = planned
+        argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path)],
+                "check": ["check", str(out / "trajectory.csv"), str(track)]}
+        assert main(argv[command] + ["--margin", margin]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_ball_grazed_between_samples(self):
@@ -133,9 +161,9 @@ class TestCheck:
         velocities = speed * np.stack(
             [-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=1)
         ball = BallGate(center=[radius + 0.3 - inside, 0.0, 0.0], radius=0.3)
-        res, at = _best_traversal(ball, times, positions, velocities, 0)
-        assert res == pytest.approx(-inside, abs=1e-8)
-        assert at == 10
+        r = _residuals(ball, times, positions, velocities)
+        assert r.min() == pytest.approx(-inside, abs=1e-8)
+        assert r.argmin() == 10
 
     @pytest.mark.parametrize("shift", [0.0, 1e-4])
     def test_polyhedron_vertex_passed_between_samples(self, shift):
@@ -150,10 +178,10 @@ class TestCheck:
         positions[:, 0] = 1.0 + shift
         positions[:, 1] = 10.0 * (times - 0.105)
         velocities = np.tile([0.0, 10.0, 0.0], (21, 1))
-        res, at = _best_traversal(octahedron, times, positions, velocities, 0)
-        assert res == pytest.approx(shift / np.sqrt(3), abs=1e-9)
-        assert (res <= 1e-6) == (shift == 0.0)
-        assert at == 10
+        r = _residuals(octahedron, times, positions, velocities)
+        assert r.min() == pytest.approx(shift / np.sqrt(3), abs=1e-9)
+        assert (r.min() <= 1e-6) == (shift == 0.0)
+        assert r.argmin() == 10
 
     @pytest.mark.parametrize("seed", [103, 107, 110])
     def test_random_track_round_trip(self, seed, tmp_path, capsys):
@@ -172,6 +200,52 @@ class TestCheck:
         report = capsys.readouterr().out
         assert "FAIL" not in report
         assert "gate containment" in report
+
+    def test_second_lap_passes_more_centrally(self, tmp_path, capsys):
+        """A two-lap helix through two balls that contain both laps' passes
+        but hold the second lap's nearer their centers.  Each gate is passed
+        at its first pass after the previous gate's, so lap 1 passes in lap
+        1 and lap 2 in lap 2."""
+        radius, climb, speed, dt = 3.0, 0.5, 5.0, 0.01
+        times = np.arange(0.0, 4 * np.pi * radius / speed, dt)
+        theta = speed / radius * times
+        rise = climb * theta / (2 * np.pi)
+        positions = np.stack([radius * np.cos(theta),
+                              radius * np.sin(theta), 1.0 + rise], axis=1)
+        velocities = np.stack([-speed * np.sin(theta), speed * np.cos(theta),
+                               np.full_like(theta, climb * speed
+                                            / (2 * np.pi * radius))], axis=1)
+        quad = QuadParams.quad_a()
+        states = np.zeros((len(times), 13))
+        states[:, 0:3], states[:, 3], states[:, 7:10] = positions, 1.0, velocities
+        controls = np.full((len(times), 4), (quad.f_min + quad.f_max) / 2)
+        csv = tmp_path / "helix.csv"
+        _write_csv(csv, times, states, controls)
+        # Both balls sit at the second lap's height, 0.5 m above the first.
+        track = tmp_path / "helix.yaml"
+        track.write_text(
+            "schema_version: 1\nquad: quad_a\nstart: [3, 0, 1]\n"
+            "finish: [3, 0, 2]\ngates:\n"
+            "  - {type: ball, center: [0, 3, 1.625], radius: 0.8}\n"
+            "  - {type: ball, center: [0, -3, 1.875], radius: 0.8}\n"
+        )
+        code = main(["check", str(csv), str(track), "--laps", "2"])
+        report = capsys.readouterr().out
+        assert code == EXIT_OK, report
+        assert "pass: traversal order" in report
+
+    def test_nan_positions_fail_containment(self, planned, tmp_path, capsys):
+        track, out = planned
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        corrupted = rows[:2]
+        for line in rows[2:]:
+            cols = line.split(",")
+            cols[1:4] = ["nan"] * 3
+            corrupted.append(",".join(cols))
+        bad_csv = tmp_path / "nan.csv"
+        bad_csv.write_text("\n".join(corrupted) + "\n")
+        assert main(["check", str(bad_csv), str(track)]) == EXIT_VALIDATION
+        assert "FAIL: gate containment" in capsys.readouterr().out
 
     def test_scaled_thrusts_fail(self, planned, tmp_path, capsys):
         track, out = planned

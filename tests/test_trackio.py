@@ -102,6 +102,10 @@ class TestParse:
         lambda d: d.__setitem__("options", {"mode": "fastest"}),
         lambda d: d.__setitem__("options", {"margin": -1}),
         lambda d: d.__setitem__("quad", "quad_z"),
+        lambda d: d.__setitem__("options", {"laps": 1.5}),
+        lambda d: d.__setitem__("options", {"margin": float("nan")}),
+        lambda d: d.__setitem__("options", {"margin": "wide"}),
+        lambda d: d.__setitem__("options", 5),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
@@ -189,3 +193,13 @@ class TestBuildSequence:
         assert len(seq) == 2
         extent = seq.gates[0].vertices.max(axis=0) - seq.gates[0].vertices.min(axis=0)
         assert max(extent) == pytest.approx(2.4)
+
+    @pytest.mark.parametrize("override", [
+        {"margin": -1.0}, {"margin": float("nan")}, {"laps": 0},
+        {"mode": "fastest"}, {"margin": 5.0},
+    ])
+    def test_overrides_validated_like_the_file(self, override):
+        """A flag is checked as the same key in the file would be, and a
+        margin that consumes a gate is a validation error too."""
+        with pytest.raises(ValidationError):
+            build_sequence(loads(SQUARE), **override)
