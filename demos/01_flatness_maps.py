@@ -1,7 +1,8 @@
 """Differential flatness: recover full state and rotor thrusts from position.
 
 A quadrotor's attitude, body rates and rotor thrusts are all determined by
-the position trajectory and its derivatives (plus a yaw profile).  This
+the position trajectory and its derivatives, at a heading fixed at zero
+yaw.  This
 script evaluates the flat maps at hand-written flat samples and checks that
 the recovered controls respect the actuator model.
 """
@@ -30,13 +31,13 @@ def main():
           f"m*g = {quad.mass * np.linalg.norm(quad.gravity):.6f})")
 
     # A banked turn: lateral acceleration tilts the thrust axis.  Rows of the
-    # derivative table are orders 0..4 of [x, y, z, yaw].
+    # derivative table are orders 0..4 of [x, y, z].
     banked = FlatSample(np.array([
-        [0.0, 0.0, 1.0, 0.0],   # position / yaw
-        [5.0, 0.0, 0.0, 0.0],   # velocity / yaw rate
-        [0.0, 6.0, 0.0, 0.0],   # acceleration
-        [0.0, 0.0, 2.0, 0.0],   # jerk
-        [0.0, 0.0, 0.0, 0.0],   # snap
+        [0.0, 0.0, 1.0],   # position
+        [5.0, 0.0, 0.0],   # velocity
+        [0.0, 6.0, 0.0],   # acceleration
+        [0.0, 0.0, 2.0],   # jerk
+        [0.0, 0.0, 0.0],   # snap
     ]))
     state = flat_to_state(banked, quad)
     u = flat_to_control(banked, quad)

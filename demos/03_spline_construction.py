@@ -18,8 +18,8 @@ def main():
     bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
     bcf = BoundaryCondition.hover([6.0, 0.0, 1.0])
     P = np.array([
-        [2.0, 1.5, 1.2, 0.0],
-        [4.0, -1.5, 1.8, 0.0],
+        [2.0, 1.5, 1.2],
+        [4.0, -1.5, 1.8],
     ])
     T = [0.9, 1.1, 0.8]
     traj = construct(P, T, bc0, bcf)
@@ -28,7 +28,7 @@ def main():
     print("waypoint interpolation:")
     for t, p in zip(traj.junction_times, P):
         y = traj.eval_batch([t], 0)[0, 0]
-        print(f"  t={t:.2f}: spline {np.round(y[:3], 6)} vs waypoint {p[:3]}")
+        print(f"  t={t:.2f}: spline {np.round(y, 6)} vs waypoint {p}")
 
     # Continuity at an interior junction, orders 0..4.
     t_j = float(traj.junction_times[0])
@@ -44,7 +44,7 @@ def main():
     print("\nconstruction cost (best of 5 runs):")
     rng = np.random.default_rng(1)
     for n_seg in (16, 64, 256):
-        wp = np.cumsum(rng.normal(scale=1.0, size=(n_seg - 1, 4)), axis=0)
+        wp = np.cumsum(rng.normal(scale=1.0, size=(n_seg - 1, 3)), axis=0)
         durs = 0.5 + rng.random(n_seg)
         best = min(
             _timed(lambda: construct(wp, durs, bc0, bcf)) for _ in range(5)

@@ -1,11 +1,11 @@
 """Vectorized flatness pipeline with an optional reverse-mode (adjoint) pass.
 
-Maps batches of flat-output derivatives (position orders 2..4 and yaw
-orders 0..2) to collective thrust, body rates, body-rate derivatives and
+Maps batches of position derivatives (orders 2..4), at a heading fixed at
+zero yaw, to collective thrust, body rates, body-rate derivatives and
 per-rotor thrusts.  In gradient mode the value pass keeps its intermediates
 and the result carries a vector-Jacobian product: given cotangents on the
 rotor thrusts and body rates it runs the chain rule backwards over those
-intermediates and returns the cotangent on the 12 flat inputs, so downstream
+intermediates and returns the cotangent on the 9 flat inputs, so downstream
 penalty gradients are analytic rather than finite-differenced.  This is the
 forward/backward split of the flatness map in GCOPTER (Wang et al., IEEE
 T-RO 2022); the value pass is identical with and without it.
@@ -20,10 +20,13 @@ import numpy as np
 
 #: Below this thrust magnitude / axis-cross magnitude the map is singular.
 EPS_SING = 1e-6
-#: Derivative order and dim, in the (N, K, 4) input, of the 12 flat input
-#: columns: acceleration, jerk and snap (x, y, z each), then yaw and 2 rates.
-INPUT_ORDER = np.array([2, 2, 2, 3, 3, 3, 4, 4, 4, 0, 1, 2])
-INPUT_DIM = np.array([0, 1, 2] * 3 + [3] * 3)
+#: Derivative order and dim, in the (N, K, 3) input, of the 9 flat input
+#: columns: acceleration, jerk and snap (x, y, z each).
+INPUT_ORDER = np.array([2, 2, 2, 3, 3, 3, 4, 4, 4])
+INPUT_DIM = np.array([0, 1, 2] * 3)
+#: The heading x_c at zero yaw, (3, 1): it broadcasts against (3, N) in
+#: _cross, which keeps np.cross's arithmetic, signed zeros included.
+HEADING = np.array([[1.0], [0.0], [0.0]])
 
 
 @dataclass
@@ -33,7 +36,7 @@ class FlatOutputs:
     ``singular`` marks samples where the map is undefined; their numeric
     outputs are garbage and must be discarded by the caller.  ``vjp`` is None
     in value-only mode; otherwise ``vjp(rotor_bar (N, 4), omega_bar (N, 3))``
-    returns the (N, 12) cotangent on the flat inputs.
+    returns the (N, 9) cotangent on the flat inputs.
     """
 
     thrust: np.ndarray          # (N,) collective thrust, N
@@ -65,8 +68,9 @@ def _dot(a, b):
 
 
 def _cross(a, b):
-    """Per-sample cross products of (3, N) arrays, with np.cross's arithmetic."""
-    out = np.empty_like(a)
+    """Per-sample cross products of (3, N) or (3, 1) arrays, with np.cross's
+    arithmetic."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
         out[i] -= a[k] * b[j]
@@ -76,16 +80,14 @@ def _cross(a, b):
 def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOutputs:
     """Run the flatness pipeline on a batch of samples.
 
-    derivs: (N, K, 4) flat-output derivatives, orders 0..K-1 (K >= 5), for
-    dims (x, y, z, yaw).
+    derivs: (N, K, 3) position derivatives, orders 0..K-1 (K >= 5).
     """
     derivs = np.asarray(derivs, dtype=float)
-    n = derivs.shape[0]
 
     # Every vector is component-major, (3, N), with contiguous rows: scalars
     # broadcast as they are, and each numpy loop runs over the N samples.
     inputs = np.ascontiguousarray(derivs[:, INPUT_ORDER, INPUT_DIM].T)
-    a, jrk, snp, (psi, psid, psidd) = inputs.reshape(4, 3, n)
+    a, jrk, snp = inputs.reshape(3, 3, -1)
 
     # Thrust direction z = f/|f| and its first two time derivatives.
     f = a - np.asarray(params.gravity)[:, None]
@@ -106,18 +108,10 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
     q = cd * (1.0 / c2)
     zdd = inv_c * ud - q * u
 
-    # Heading axes from yaw.
-    cs, sn = np.cos(psi), np.sin(psi)
-    zero = np.zeros(n)
-    x_c = np.stack([cs, sn, zero])
-    y_c = np.stack([-sn, cs, zero])
-    x_cd = psid * y_c
-    x_cdd = psidd * y_c - (psid * psid) * x_c
-
     # Body y axis y_b = n/|n| with n = z x x_c, and its derivatives.
-    nvec = _cross(z, x_c)
-    nd = _cross(zd, x_c) + _cross(z, x_cd)
-    ndd = _cross(zdd, x_c) + 2.0 * _cross(zd, x_cd) + _cross(z, x_cdd)
+    nvec = _cross(z, HEADING)
+    nd = _cross(zd, HEADING)
+    ndd = _cross(zdd, HEADING)
 
     nn2 = _dot(nvec, nvec)
     singular |= nn2 < EPS_SING**2
@@ -152,7 +146,7 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
     rotor = wrench @ m_inv.T
 
     def vjp(rotor_bar, omega_bar):
-        """Cotangents on rotor thrusts and body rates -> (N, 12) on inputs.
+        """Cotangents on rotor thrusts and body rates -> (N, 9) on inputs.
 
         Each block runs one forward step backwards; ``v_bar`` is the
         cotangent of forward variable ``v``.
@@ -203,20 +197,10 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
         nn2_bar = -0.5 * inv3 * inv_bar
         nvec_bar += 2.0 * nn2_bar * nvec
 
-        # n, nd, ndd as cross products of z's and x_c's derivatives.
-        zdd_bar += _cross(x_c, ndd_bar)
-        zd_bar += 2.0 * _cross(x_cd, ndd_bar) + _cross(x_c, nd_bar)
-        z_bar += _cross(x_cdd, ndd_bar) + _cross(x_cd, nd_bar) + _cross(x_c, nvec_bar)
-        x_c_bar = _cross(ndd_bar, zdd) + _cross(nd_bar, zd) + _cross(nvec_bar, z)
-        x_cd_bar = 2.0 * _cross(ndd_bar, zd) + _cross(nd_bar, z)
-        x_cdd_bar = _cross(ndd_bar, z)
-
-        # Yaw: x_c = (cos, sin, 0), y_c = (-sin, cos, 0) = d x_c / d psi.
-        psidd_bar = _dot(y_c, x_cdd_bar)
-        psid_bar = _dot(y_c, x_cd_bar) - 2.0 * psid * _dot(x_c, x_cdd_bar)
-        x_c_bar -= (psid * psid) * x_cdd_bar
-        y_c_bar = psid * x_cd_bar + psidd * x_cdd_bar
-        psi_bar = _dot(x_c_bar, y_c) - _dot(y_c_bar, x_c)
+        # n, nd, ndd as cross products of z's derivatives with x_c.
+        zdd_bar += _cross(HEADING, ndd_bar)
+        zd_bar += _cross(HEADING, nd_bar)
+        z_bar += _cross(HEADING, nvec_bar)
 
         # z, zd, zdd from f, jerk and snap.
         ud_bar = inv_c * zdd_bar
@@ -250,9 +234,8 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
         c2_bar += 0.5 * inv_c * c_bar
         f_bar += 2.0 * c2_bar * f
 
-        # C-contiguous (N, 12): downstream einsums round by memory layout.
-        return np.stack([*f_bar, *jrk_bar, *snp_bar, psi_bar, psid_bar, psidd_bar],
-                        axis=1)
+        # C-contiguous (N, 9): downstream einsums round by memory layout.
+        return np.stack([*f_bar, *jrk_bar, *snp_bar], axis=1)
 
     return FlatOutputs(
         thrust=thrust,

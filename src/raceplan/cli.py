@@ -53,7 +53,10 @@ def _read_csv(path: Path) -> np.ndarray:
         columns = fh.readline().strip()
         if columns != CSV_COLUMNS:
             raise ValidationError(f"{path}: unexpected column layout")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: no trajectory rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != 18:
         raise ValidationError(f"{path}: expected 18 columns")
     return data

@@ -68,7 +68,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
-    Returns (value, dJ_dC (L+1, 2s, 4), dJ_dT_direct (L+1,), violations);
+    Returns (value, dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,), violations);
     value is +inf when a sample hits the flatness singularity.  The
     violations are the worst raw limit residuals over the grid (negative
     values are headroom), with the thrust and body-rate extremes.
@@ -85,7 +85,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis)
     out = _flatjet.flat_outputs(derivs, params, want_grad=True)
     if out.singular.any():
-        return (math.inf, np.zeros((num_seg, ncoef, 4)), np.zeros(num_seg),
+        return (math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg),
                 {"singular": True})
 
     raw, sign, scale = limit_residuals(out, params)
@@ -102,7 +102,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
     value = float(weights @ rho)
 
-    # d rho / d flat-inputs, (N, 12): one vector-Jacobian product of the
+    # d rho / d flat-inputs, (N, 9): one vector-Jacobian product of the
     # flatness map, with each residual pair summed onto its rotor or rate.
     drho_dx = 3.0 * PENALTY_WEIGHTS[None, :] * hinge**2
     drho_dx *= sign / scale
@@ -115,12 +115,10 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
         derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
     rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
 
-    # Scatter input gradients onto coefficient blocks, (N, 4, 2s): position
-    # orders 2..4 and yaw orders 0..2.
-    contrib = np.zeros((len(local), 4, ncoef))
+    # Scatter input gradients onto coefficient blocks, (N, 3, 2s).
+    contrib = np.zeros((len(local), 3, ncoef))
     for o in range(3):
-        contrib[:, :3] += basis[:, 2 + o, None, :] * g_inputs[:, 3 * o:3 * o + 3, None]
-        contrib[:, 3] += basis[:, o] * g_inputs[:, 9 + o, None]
+        contrib += basis[:, 2 + o, None, :] * g_inputs[:, 3 * o:3 * o + 3, None]
     contrib *= weights[:, None, None]
     # Samples come grouped by segment: summing each block in sample order
     # onto +0.0 adds exactly as np.add.at did, without its per-row cost.
@@ -160,12 +158,12 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
             max_violation=None, gradient=None, spline=traj,
         )
 
-    dJ_dP4, dJ_dT = spline_mod.propagate_gradients(traj, dJ_dC, dJ_dT_direct)
+    dJ_dP, dJ_dT = spline_mod.propagate_gradients(traj, dJ_dC, dJ_dT_direct)
     grad_k = (dJ_dT + 1.0) * dt_dk
     grad_d = np.empty_like(dec.D)
     for (index, columns, _), jac in zip(seq.groups, jacs):
         grad_d[columns] = np.matmul(jac.transpose(0, 2, 1),
-                                    dJ_dP4[index, :3, None])[..., 0]
+                                    dJ_dP[index, :, None])[..., 0]
 
     return CostReport(
         total=time_term + pen,

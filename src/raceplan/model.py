@@ -108,9 +108,10 @@ class RotorThrusts:
 
 @dataclass(frozen=True)
 class FlatSample:
-    """Flat output [x, y, z, yaw] and its time derivatives at one instant.
+    """Flat output, the position [x, y, z], and its time derivatives at one
+    instant; the heading is fixed at zero yaw.
 
-    ``derivatives`` has shape (k, 4), rows being orders 0..k-1.  Rows above
+    ``derivatives`` has shape (k, 3), rows being orders 0..k-1.  Rows above
     the stored order are treated as zero by the flat maps.
     """
 
@@ -118,18 +119,17 @@ class FlatSample:
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.derivatives, dtype=float))
-        if d.shape[1] != 4:
-            raise ValueError("each derivative row must be a 4-vector")
+        if d.shape[1] != 3:
+            raise ValueError("each derivative row must be a 3-vector")
         if d.shape[0] < 5:  # pad with zeros up to snap
-            d = np.vstack([d, np.zeros((5 - d.shape[0], 4))])
+            d = np.vstack([d, np.zeros((5 - d.shape[0], 3))])
         d.flags.writeable = False
         object.__setattr__(self, "derivatives", d)
 
     @classmethod
-    def rest(cls, position, yaw: float = 0.0) -> "FlatSample":
-        d = np.zeros((5, 4))
-        d[0, :3] = position
-        d[0, 3] = yaw
+    def rest(cls, position) -> "FlatSample":
+        d = np.zeros((5, 3))
+        d[0] = position
         return cls(d)
 
 
@@ -225,9 +225,9 @@ def flat_to_state(sample: FlatSample, params: QuadParams) -> QuadState:
     """Flat derivatives -> full state via the flatness construction."""
     out = _single_outputs(sample, params)
     return QuadState(
-        position=sample.derivatives[0, :3],
+        position=sample.derivatives[0],
         attitude=rotation_to_quat(out.rotation[0]),
-        velocity=sample.derivatives[1, :3],
+        velocity=sample.derivatives[1],
         body_rate=out.omega[0],
     )
 

@@ -79,7 +79,7 @@ def initialize(seq: GateSequence, bc0: BoundaryCondition, bcf: BoundaryCondition
     dec = DecisionVector.for_sequence(seq, fill=0.1)
     waypoints, _, _, _ = gates_mod.decode(seq, dec)
     chain = np.vstack(
-        [bc0.derivatives[0, :3], waypoints, bcf.derivatives[0, :3]]
+        [bc0.derivatives[0], waypoints, bcf.derivatives[0]]
     )
     dists = np.maximum(np.linalg.norm(np.diff(chain, axis=0), axis=1), 0.1)
     durations = dists / cfg.initial_speed_guess
@@ -204,9 +204,9 @@ def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
     derivs = traj.eval_batch(times, max_order=4)
     out = _flatjet.flat_outputs(derivs, params)
     states = np.empty((len(times), 13))
-    states[:, :3] = derivs[:, 0, :3]
+    states[:, :3] = derivs[:, 0]
     states[:, 3:7] = rotation_to_quat(out.rotation)
-    states[:, 7:10] = derivs[:, 1, :3]
+    states[:, 7:10] = derivs[:, 1]
     states[:, 10:13] = out.omega
     return times, states, out.rotor.copy()
 
@@ -262,7 +262,7 @@ def solve(seq: GateSequence, params: QuadParams,
     return PlanResult(
         spline=traj,
         decision=dec,
-        waypoints=traj.waypoints[:, :3].copy(),
+        waypoints=traj.waypoints.copy(),
         durations=traj.durations.copy(),
         gate_times=traj.junction_times.copy(),
         total_time=traj.total_time,

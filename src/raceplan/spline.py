@@ -27,23 +27,22 @@ NCOEF = 2 * S
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Flat output value and derivatives 1..s-1 at an endpoint, (s, 4)."""
+    """Position and its derivatives 1..s-1 at an endpoint, (s, 3)."""
 
     derivatives: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.derivatives, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 4:
-            raise ValueError("boundary condition must be (s, 4)")
+        if d.ndim != 2 or d.shape[1] != 3:
+            raise ValueError("boundary condition must be (s, 3)")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "derivatives", d)
 
     @classmethod
-    def hover(cls, position, yaw: float = 0.0) -> "BoundaryCondition":
-        d = np.zeros((S, 4))
-        d[0, :3] = position
-        d[0, 3] = yaw
+    def hover(cls, position) -> "BoundaryCondition":
+        d = np.zeros((S, 3))
+        d[0] = position
         return cls(d)
 
 
@@ -65,8 +64,8 @@ class TrajectorySpline:
     """Piecewise polynomial in local time per segment, power basis."""
 
     durations: np.ndarray       # (L+1,)
-    coefficients: np.ndarray    # (L+1, 2s, 4)
-    waypoints: np.ndarray       # (L, 4) interpolated values at junctions
+    coefficients: np.ndarray    # (L+1, 2s, 3)
+    waypoints: np.ndarray       # (L, 3) interpolated positions at junctions
     _factor: tuple | None = field(default=None, repr=False)  # (lu, ipiv, kl, ku)
 
     @property
@@ -90,21 +89,21 @@ class TrajectorySpline:
         return idx, np.clip(ts - cum[idx], 0.0, None)
 
     def eval_local(self, seg_idx, local, max_order: int, basis=None) -> np.ndarray:
-        """Evaluate on given segments at local times; (N, max_order+1, 4).
+        """Evaluate on given segments at local times; (N, max_order+1, 3).
 
         ``basis`` may pass in ``_basis(local, k, NCOEF)`` for some
         k >= max_order, already built by the caller.
         """
-        coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 4)
+        coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
         if basis is None:
             basis = _basis(local, max_order, NCOEF)
-        out = np.empty((len(basis), max_order + 1, 4))
+        out = np.empty((len(basis), max_order + 1, 3))
         for order in range(max_order + 1):
             out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
         return out
 
     def eval_batch(self, ts, max_order: int) -> np.ndarray:
-        """Flat output derivatives, shape (N, max_order+1, 4)."""
+        """Position derivatives, shape (N, max_order+1, 3)."""
         idx, local = self.locate(np.atleast_1d(ts))
         return self.eval_local(idx, local, max_order)
 
@@ -115,8 +114,8 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         P = P.reshape(0, 3)
-    if P.ndim != 2 or P.shape[1] not in (3, 4):
-        raise DimensionMismatch("waypoints must be (L, 3) or (L, 4)")
+    if P.ndim != 2 or P.shape[1] != 3:
+        raise DimensionMismatch("waypoints must be (L, 3)")
     num_seg = len(T)
     if num_seg != len(P) + 1:
         raise DimensionMismatch("need exactly len(P)+1 durations")
@@ -127,13 +126,11 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
         raise DimensionMismatch("boundary conditions must provide s rows")
-    if P.shape[1] == 3:
-        P = np.hstack([P, np.zeros((len(P), 1))])
 
     n = ncoef * num_seg
     kl = ku = 3 * s - 1
     ab = np.zeros((2 * kl + ku + 1, n))
-    rhs = np.zeros((n, 4))
+    rhs = np.zeros((n, 3))
     rhs[:s] = bc0.derivatives
     rhs[s:n - s:ncoef] = P
     rhs[n - s:] = bcf.derivatives
@@ -165,7 +162,7 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     if info != 0:
         raise SingularSystem("banded solve failed")
 
-    coeffs = sol.reshape(num_seg, ncoef, 4)
+    coeffs = sol.reshape(num_seg, ncoef, 3)
     return TrajectorySpline(
         durations=T.copy(),
         coefficients=coeffs,
@@ -176,7 +173,7 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
 
 def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     """Adjoint of the construction: gradients on coefficients and durations
-    become gradients on waypoints (L, 4) and durations (L+1,)."""
+    become gradients on waypoints (L, 3) and durations (L+1,)."""
     if spline._factor is None:
         raise SingularSystem("spline carries no cached factorization")
     lu, ipiv, kl, ku = spline._factor
@@ -184,7 +181,7 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     num_seg = len(spline.durations)
     n = ncoef * num_seg
 
-    dJ_dC = np.asarray(dJ_dC, dtype=float).reshape(n, 4)
+    dJ_dC = np.asarray(dJ_dC, dtype=float).reshape(n, 3)
     dJ_dT_direct = np.asarray(dJ_dT_direct, dtype=float)
     if len(dJ_dT_direct) != num_seg:
         raise DimensionMismatch("dJ_dT_direct must have one entry per segment")
@@ -196,11 +193,8 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity
     # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
-    # lam's rows are passed as views of the solve's output, in the layout a
-    # row-by-row dot product sees: BLAS rounds a dot product of contiguous
-    # vectors differently from one of strided vectors.
     at_end = _basis(spline.durations, ncoef - 1, ncoef)
-    junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 4),
+    junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 3),
                          at_end[:-1, np.r_[1, 1:ncoef]], spline.coefficients[:-1])
     end = _row_sums(lam[None, n - s:], at_end[-1:, 1:s + 1],
                     spline.coefficients[-1:])
@@ -210,7 +204,9 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
 
 def _row_sums(lam, basis, coeffs):
     """Per segment, the sum over rows k of lam_k . (basis_k @ coeffs), added
-    in row order; lam (S, R, 4), basis (S, R, 2s), coeffs (S, 2s, 4)."""
-    values = np.matmul(basis[:, :, None, :], coeffs[:, None])  # (S, R, 1, 4)
-    terms = np.matmul(values, lam[..., None])[..., 0, 0]
-    return np.cumsum(terms, axis=1)[:, -1]
+    in row order, each dot as (p0 + p2) + p1: solves hinge on dJ/dT's last
+    bits, and tests/test_spline.py pins this order.  lam (S, R, 3), basis
+    (S, R, 2s), coeffs (S, 2s, 3)."""
+    values = np.matmul(basis[:, :, None, :], coeffs[:, None])[:, :, 0]  # (S, R, 3)
+    p = values * lam
+    return np.cumsum((p[..., 0] + p[..., 2]) + p[..., 1], axis=1)[:, -1]

@@ -244,15 +244,20 @@ def build_sequence(track: TrackFile, mode: str | None = None,
                    laps: int | None = None) -> GateSequence:
     """Apply mode conversion, safety margin and lap concatenation.
 
-    The arguments that are not None override the file's options and are
-    validated as they are.  Waypoint mode replaces gates by tolerance balls
-    at the original centers (margins do not apply); gate mode shrinks each
-    gate by the margin, and a margin that consumes a gate raises
-    ``EmptyAfterShrink``, a ``ValidationError``.
+    The arguments that are not None override the file's options, validated
+    as they are but named by their flag (``--margin``).  Waypoint mode
+    replaces gates by tolerance balls at the original centers (margins do
+    not apply); gate mode shrinks each gate by the margin, and a margin
+    that consumes a gate raises ``EmptyAfterShrink``, a ``ValidationError``.
     """
-    given = {"mode": mode, "margin": margin, "laps": laps}
-    options = replace(track.options,
-                      **{k: v for k, v in given.items() if v is not None})
+    options = track.options
+    for key, value in {"mode": mode, "margin": margin, "laps": laps}.items():
+        if value is not None:
+            try:
+                options = replace(options, **{key: value})
+            except ValidationError as exc:
+                raise ValidationError(
+                    str(exc).replace(f"options.{key}", f"--{key}", 1)) from None
     if options.mode == "togt-wp":
         track = to_waypoint_mode(track)
     elif options.margin > 0:

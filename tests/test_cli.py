@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,9 +143,8 @@ class TestPlan:
         argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path)],
                 "check": ["check", str(out / "trajectory.csv"), str(track)]}
         assert main(argv[command] + ["--margin", margin]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        want = {"-1": "--margin must be >= 0", "5": "margin exceeds ball radius"}
+        assert capsys.readouterr().err == f"error: {want[margin]}\n"
 
 
 class TestCheck:
@@ -279,6 +279,20 @@ class TestCheck:
         body = (out / "trajectory.csv").read_text().splitlines()[1:]
         mangled.write_text("\n".join(["# other format"] + body))
         assert main(["check", str(mangled), str(track)]) == EXIT_VALIDATION
+
+    def test_header_only_csv_is_validation_error(self, planned, tmp_path,
+                                                 capsys):
+        """A table with no rows is refused with one error line, not numpy's
+        warning about empty input."""
+        track, _ = planned
+        empty = tmp_path / "empty.csv"
+        empty.write_text(f"{CSV_HEADER}\n{CSV_COLUMNS}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(empty), str(track)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: no trajectory rows\n"
+        assert captured.out == ""
 
     def test_missing_csv_is_io_error(self, planned, tmp_path):
         track, _ = planned

@@ -21,14 +21,14 @@ def slow_spline():
     """Gentle rest-to-rest trajectory far inside the actuation limits."""
     bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
     bcf = BoundaryCondition.hover([1.0, 0.5, 1.2])
-    return construct(np.array([[0.5, 0.2, 1.1, 0.0]]), [2.1, 2.3], bc0, bcf)
+    return construct(np.array([[0.5, 0.2, 1.1]]), [2.1, 2.3], bc0, bcf)
 
 
 def aggressive_spline():
     """Large translation in little time; violates thrust and rate limits."""
     bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
     bcf = BoundaryCondition.hover([8.0, -4.0, 3.0])
-    return construct(np.array([[5.0, 1.0, 2.0, 0.0]]), [0.61, 0.57], bc0, bcf)
+    return construct(np.array([[5.0, 1.0, 2.0]]), [0.61, 0.57], bc0, bcf)
 
 
 class TestConfigs:
@@ -87,7 +87,7 @@ class TestPenalty:
     def test_gradient_matches_finite_differences(self, quad_a):
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
-        P = np.array([[2.0, 0.5, 1.4, 0.0], [4.0, -1.0, 1.8, 0.0]])
+        P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
         value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a)
         assert value > 0  # the oracle only means something on an active penalty
@@ -116,9 +116,9 @@ class TestPenalty:
     def test_coefficient_scatter_matches_add_at_bitwise(self, quad_a, monkeypatch):
         """The per-segment block sums give the coefficient gradient of the
         per-order loop and np.add.at scatter they replaced, bit for bit."""
-        bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0], yaw=0.3)
-        bcf = BoundaryCondition.hover([6.0, -2.0, 2.0], yaw=-0.4)
-        P = np.array([[2.0, 0.5, 1.4, 0.8], [4.0, -1.0, 1.8, -0.5]])
+        bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
+        bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
+        P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
         recorded = []
         flat_outputs = _flatjet.flat_outputs
@@ -137,15 +137,12 @@ class TestPenalty:
         (g_inputs,) = recorded
         seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
         basis = _basis(local, 5, NCOEF)
-        contrib = np.zeros((len(local), NCOEF, 4))
+        contrib = np.zeros((len(local), NCOEF, 3))
         for o in range(3):
-            contrib[:, :, :3] += (basis[:, 2 + o, :, None]
-                                  * g_inputs[:, None, 3 * o:3 * o + 3])
-            contrib[:, :, 3] += basis[:, o] * g_inputs[:, 9 + o][:, None]
+            contrib += basis[:, 2 + o, :, None] * g_inputs[:, None, 3 * o:3 * o + 3]
         contrib *= weights[:, None, None]
-        want = np.zeros((len(traj.durations), NCOEF, 4))
+        want = np.zeros((len(traj.durations), NCOEF, 3))
         np.add.at(want, seg_ids, contrib)
-        assert np.all(want[:, :, 3] != 0)  # the yaw blocks take part
         assert np.ascontiguousarray(dJ_dC).tobytes() == want.tobytes()
 
     def test_c2_across_activation(self, quad_a):
@@ -157,7 +154,7 @@ class TestPenalty:
         kappa = np.array([64, 64])
 
         def value(stretch):
-            traj = construct(np.array([[2.0, 0.0, 1.3, 0.0]]),
+            traj = construct(np.array([[2.0, 0.0, 1.3]]),
                              np.array([0.73, 0.91]) * stretch, bc0, bcf)
             return penalty(traj, quad_a, kappa)[0]
 

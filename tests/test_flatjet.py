@@ -7,32 +7,35 @@ import pytest
 from raceplan._flatjet import EPS_SING, FlatOutputs, flat_outputs, mixer_matrix
 
 VALUE_FIELDS = ("thrust", "rotor", "omega", "omega_dot", "rotation", "singular")
-# Flat-input column -> (derivative order, dim) in the (N, K, 4) input.
-INPUT_ENTRIES = [(2 + k // 3, k % 3) for k in range(9)] + [(0, 3), (1, 3), (2, 3)]
+# Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
+INPUT_ENTRIES = [(2 + k // 3, k % 3) for k in range(9)]
 
 
 def random_batch(seed, n=40):
-    """Seeded flat derivatives with nonzero yaw, yaw rate and yaw
-    acceleration; the last sample has a strongly tilted thrust (horizontal
-    acceleration 3g, so the body z axis is about 72 degrees off vertical)."""
+    """Seeded position derivatives; the last sample has a strongly tilted
+    thrust (horizontal acceleration 3g, so the body z axis is about 72
+    degrees off vertical)."""
     rng = np.random.default_rng(seed)
-    derivs = rng.normal(scale=2.0, size=(n, 6, 4))
-    derivs[:, 0, 3] = rng.uniform(-np.pi, np.pi, n)
-    derivs[:, 1, 3] = rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n)
-    derivs[:, 2, 3] = rng.uniform(0.5, 3.0, n) * rng.choice([-1, 1], n)
-    derivs[-1, 2, :3] = [29.43, 0.0, 0.0]
+    derivs = rng.normal(scale=2.0, size=(n, 6, 3))
+    derivs[-1, 2] = [29.43, 0.0, 0.0]
     return derivs
 
 
+def with_zero_yaw(derivs):
+    """(N, K, 3) position derivatives as the reference's (N, K, 4) input,
+    with a zero yaw column."""
+    return np.concatenate([derivs, np.zeros(derivs.shape[:2] + (1,))], axis=2)
+
+
 def central_differences(derivs, params, rotor_bar, omega_bar, h=1e-6):
-    """(N, 12) derivatives of sum(rotor_bar * rotor + omega_bar * omega) per
+    """(N, 9) derivatives of sum(rotor_bar * rotor + omega_bar * omega) per
     sample, by central differences of the value pass."""
     def pairing(d):
         out = flat_outputs(d, params)
         return (np.sum(rotor_bar * out.rotor, axis=1)
                 + np.sum(omega_bar * out.omega, axis=1))
 
-    fd = np.empty((len(derivs), 12))
+    fd = np.empty((len(derivs), 9))
     for col, (order, dim) in enumerate(INPUT_ENTRIES):
         up, down = derivs.copy(), derivs.copy()
         up[:, order, dim] += h
@@ -58,8 +61,8 @@ def test_vjp_matches_central_differences(quad_a, seed):
     for rotor_bar, omega_bar in cotangents:
         got = out.vjp(rotor_bar, omega_bar)
         fd = central_differences(derivs, quad_a, rotor_bar, omega_bar)
-        assert got.shape == (n, 12)
-        for col in range(12):
+        assert got.shape == (n, 9)
+        for col in range(9):
             scale = max(1.0, np.max(np.abs(fd[:, col])))
             np.testing.assert_allclose(got[:, col], fd[:, col], rtol=1e-6,
                                        atol=1e-6 * scale, err_msg=f"column {col}")
@@ -85,7 +88,8 @@ def _rows_dot(a, b):
 def reference_flat_outputs(derivs, params, want_grad=False):
     """The flatness map and its VJP with every vector held sample-major,
     (N, 3), and np.cross: the reference the component-major kernel must
-    match bit for bit."""
+    match bit for bit.  It takes (N, K, 4) derivatives whose last column is
+    yaw, and its VJP is (N, 12), the last 3 columns on yaw."""
     derivs = np.asarray(derivs, dtype=float)
     n = derivs.shape[0]
 
@@ -291,8 +295,8 @@ def assert_bitwise(got, want, what):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
     derivs = random_batch(seed, n=300)
-    derivs[0, 2, :3] = quad_a.gravity  # zero specific force: singular
-    want = reference_flat_outputs(derivs, quad_a, want_grad=True)
+    derivs[0, 2] = quad_a.gravity  # zero specific force: singular
+    want = reference_flat_outputs(with_zero_yaw(derivs), quad_a, want_grad=True)
     got = flat_outputs(derivs, quad_a, want_grad=True)
     assert got.singular[0] and not got.singular[1:].any()
     assert got.rotation[-1, 2, 2] < 0.5   # the strongly tilted sample
@@ -307,4 +311,4 @@ def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
     for rotor_bar, omega_bar in (dense, sparse):
         g = got.vjp(rotor_bar, omega_bar)
         assert g.flags.c_contiguous
-        assert_bitwise(g, want.vjp(rotor_bar, omega_bar), "vjp")
+        assert_bitwise(g, want.vjp(rotor_bar, omega_bar)[:, :9], "vjp")

@@ -346,8 +346,8 @@ class TestBatchedDecode:
         waypoints, jacs = reference_decode(seq, dec)
         traj = construct(waypoints, time_map(dec.K)[0], bc0, bcf)
         _, dJ_dC, dJ_dT_direct, _ = penalty(traj, quad_a)
-        dJ_dP4, _ = propagate_gradients(traj, dJ_dC, dJ_dT_direct)
-        want = np.concatenate([jac.T @ dJ_dP4[i, :3] for i, jac in enumerate(jacs)])
+        dJ_dP, _ = propagate_gradients(traj, dJ_dC, dJ_dT_direct)
+        want = np.concatenate([jac.T @ dJ_dP[i] for i, jac in enumerate(jacs)])
         got = objective(dec, seq, quad_a, bc0, bcf).gradient.D
         lo, hi = seq.offsets[seed % len(seq)]  # the gate at d = 0
         assert np.all(np.delete(want, np.s_[lo:hi]) != 0)

@@ -23,15 +23,12 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 def _smooth_sample(rng, accel_scale=3.0):
     """Random flat sample with a clearly non-singular thrust direction."""
-    d = np.zeros((5, 4))
-    d[0, :3] = rng.normal(size=3)
-    d[1, :3] = rng.normal(size=3)
-    d[2, :3] = rng.normal(scale=accel_scale, size=3)
-    d[3, :3] = rng.normal(scale=accel_scale, size=3)
-    d[4, :3] = rng.normal(scale=accel_scale, size=3)
-    d[0, 3] = rng.uniform(-1.0, 1.0)
-    d[1, 3] = rng.uniform(-1.0, 1.0)
-    d[2, 3] = rng.uniform(-1.0, 1.0)
+    d = np.zeros((5, 3))
+    d[0] = rng.normal(size=3)
+    d[1] = rng.normal(size=3)
+    d[2] = rng.normal(scale=accel_scale, size=3)
+    d[3] = rng.normal(scale=accel_scale, size=3)
+    d[4] = rng.normal(scale=accel_scale, size=3)
     return FlatSample(d)
 
 
@@ -135,19 +132,13 @@ class TestFlatToState:
         assert np.allclose(state.attitude, IDENTITY_Q, atol=1e-12)
         assert np.allclose(state.body_rate, 0.0, atol=1e-12)
 
-    def test_pure_yaw(self, quad_a):
-        state = flat_to_state(FlatSample.rest([0, 0, 0], yaw=np.pi / 2), quad_a)
-        expected = np.array([np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)])
-        assert np.allclose(state.attitude, expected, atol=1e-12)
-        assert np.allclose(state.body_rate, 0.0, atol=1e-12)
-
     def test_body_z_parallel_to_thrust(self, quad_a):
         rng = np.random.default_rng(7)
         for _ in range(50):
             sample = _smooth_sample(rng)
             state = flat_to_state(sample, quad_a)
             rot = quat_to_rotation(state.attitude)
-            thrust_dir = sample.derivatives[2, :3] - quad_a.gravity
+            thrust_dir = sample.derivatives[2] - quad_a.gravity
             thrust_dir /= np.linalg.norm(thrust_dir)
             assert np.allclose(rot[:, 2], thrust_dir, atol=1e-10)
 
@@ -155,13 +146,13 @@ class TestFlatToState:
         """omega from the flat map equals the finite-difference rate of the
         attitude along a smooth analytic flat trajectory."""
         rng = np.random.default_rng(3)
-        coef = rng.normal(scale=0.4, size=(6, 4))  # quintic flat trajectory
+        coef = rng.normal(scale=0.4, size=(6, 3))  # quintic flat trajectory
 
         def sample_at(t):
             from numpy.polynomial import polynomial as poly
 
-            d = np.zeros((5, 4))
-            for dim in range(4):
+            d = np.zeros((5, 3))
+            for dim in range(3):
                 for order in range(5):
                     d[order, dim] = poly.polyval(t, poly.polyder(coef[:, dim], order))
             return FlatSample(d)
@@ -177,8 +168,8 @@ class TestFlatToState:
             assert np.allclose(state.body_rate, omega_fd, atol=1e-4)
 
     def test_free_fall_is_singular(self, quad_a):
-        d = np.zeros((5, 4))
-        d[2, :3] = quad_a.gravity  # free fall: thrust direction undefined
+        d = np.zeros((5, 3))
+        d[2] = quad_a.gravity  # free fall: thrust direction undefined
         with pytest.raises(SingularFlatness):
             flat_to_state(FlatSample(d), quad_a)
 
@@ -189,7 +180,7 @@ class TestFlatToControl:
         assert np.allclose(u.f, 2.0846250, atol=1e-5)
 
     def test_vertical_acceleration(self, quad_a):
-        d = np.zeros((5, 4))
+        d = np.zeros((5, 3))
         d[2, 2] = 1.0
         u = flat_to_control(FlatSample(d), quad_a)
         assert np.allclose(u.f, 0.85 * 10.81 / 4.0, atol=1e-5)
@@ -269,7 +260,7 @@ class TestConstraintResiduals:
         assert np.all(res < 0)
 
     def test_excess_collective_thrust_violates(self, quad_a):
-        d = np.zeros((5, 4))
+        d = np.zeros((5, 3))
         d[2, 2] = 4 * quad_a.f_max / quad_a.mass  # F = m*(a+g) > 4 f_max
         res = constraint_residuals(FlatSample(d), quad_a)
         assert np.max(res[:8]) > 0
@@ -277,7 +268,7 @@ class TestConstraintResiduals:
     def test_boundary_thrust_residual_is_zero(self, quad_a):
         # Vertical acceleration chosen so each rotor sits exactly at f_max.
         a_z = 4 * quad_a.f_max / quad_a.mass - 9.81
-        d = np.zeros((5, 4))
+        d = np.zeros((5, 3))
         d[2, 2] = a_z
         res = constraint_residuals(FlatSample(d), quad_a)
         assert np.max(np.abs(res[1:8:2])) < 1e-10
@@ -302,7 +293,7 @@ class TestFlatnessDynamicsConsistency:
 
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([3.0, 1.0, 2.0])
-        waypoints = np.array([[1.5, 1.2, 1.3, 0.0]])
+        waypoints = np.array([[1.5, 1.2, 1.3]])
         traj = construct(waypoints, [1.3, 1.4], bc0, bcf)
         _, positions, reference = rk4_rollout(traj, quad_a, t0=0.4,
                                               duration=0.5)

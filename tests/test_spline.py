@@ -28,7 +28,7 @@ def dense_oracle(P, T, bc0, bcf, s=3):
     num_seg = len(T)
     n = ncoef * num_seg
     mat = np.zeros((n, n))
-    rhs = np.zeros((n, 4))
+    rhs = np.zeros((n, 3))
     row = 0
     for k in range(s):
         mat[row, k] = math.factorial(k)
@@ -48,7 +48,7 @@ def dense_oracle(P, T, bc0, bcf, s=3):
         rhs[row] = bcf.derivatives[k]
         row += 1
     sol = np.linalg.solve(mat, rhs)
-    return mat, rhs, sol.reshape(num_seg, ncoef, 4)
+    return mat, rhs, sol.reshape(num_seg, ncoef, 3)
 
 
 def per_order_basis(t, order: int, ncoef: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def reference_eval_local(traj, seg_idx, local, max_order):
     """Evaluation with one basis call per derivative order."""
     ncoef = spline.NCOEF
     coeffs = traj.coefficients[np.asarray(seg_idx)]
-    out = np.empty((len(local), max_order + 1, 4))
+    out = np.empty((len(local), max_order + 1, 3))
     for order in range(max_order + 1):
         if order >= ncoef:
             out[:, order] = 0.0
@@ -75,10 +75,16 @@ def reference_eval_local(traj, seg_idx, local, max_order):
     return out
 
 
+def pad4(x):
+    """A zero fourth column on the last axis, where a zero yaw sat."""
+    x = np.asarray(x)
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+
+
 def reference_construct(P, T, bc0, bcf, s=3):
     """Banded assembly one entry at a time, junction by junction, then the
-    same banded LU solve as the library."""
-    P = np.hstack([P, np.zeros((len(P), 1))]) if P.shape[1] == 3 else P
+    same banded LU solve as the library, on 4 columns padded with zeros."""
+    P = pad4(P)
     ncoef = 2 * s
     num_seg = len(T)
     n = ncoef * num_seg
@@ -91,7 +97,7 @@ def reference_construct(P, T, bc0, bcf, s=3):
 
     for k in range(s):
         put(k, k, math.factorial(k))
-        rhs[k] = bc0.derivatives[k]
+        rhs[k] = pad4(bc0.derivatives[k])
     for i in range(1, num_seg):
         r0, c_a, c_b = s + (i - 1) * ncoef, (i - 1) * ncoef, i * ncoef
         beta0 = per_order_basis([T[i - 1]], 0, ncoef)[0]
@@ -109,19 +115,21 @@ def reference_construct(P, T, bc0, bcf, s=3):
         for m in range(ncoef):
             if beta[m] != 0.0:
                 put(n - s + k, (num_seg - 1) * ncoef + m, beta[m])
-        rhs[n - s + k] = bcf.derivatives[k]
+        rhs[n - s + k] = pad4(bcf.derivatives[k])
     lu, ipiv, _ = lapack.dgbtrf(ab, kl, ku)
     sol, _ = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)
-    return sol.reshape(num_seg, ncoef, 4)
+    return sol.reshape(num_seg, ncoef, 4)[:, :, :3]
 
 
 def reference_propagate(traj, dJ_dC, dJ_dT_direct):
-    """Adjoint with the duration terms summed junction by junction."""
+    """Adjoint with the duration terms summed junction by junction, on
+    coefficients and dJ_dC padded to 4 columns with zeros."""
     lu, ipiv, kl, ku = traj._factor
     s, ncoef = spline.S, spline.NCOEF
     num_seg = len(traj.durations)
     n = ncoef * num_seg
-    lam, _ = lapack.dgbtrs(lu, kl, ku, dJ_dC.reshape(n, 4), ipiv, trans=1)
+    coefficients = pad4(traj.coefficients)
+    lam, _ = lapack.dgbtrs(lu, kl, ku, pad4(dJ_dC).reshape(n, 4), ipiv, trans=1)
     dJ_dP = np.empty((num_seg - 1, 4))
     dJ_dT = dJ_dT_direct.copy()
     for i in range(1, num_seg):
@@ -130,21 +138,21 @@ def reference_propagate(traj, dJ_dC, dJ_dT_direct):
         contrib = 0.0
         for k in range(ncoef):
             beta = per_order_basis([traj.durations[i - 1]], max(k, 1), ncoef)[0]
-            contrib += float(lam[r0 + k] @ (beta @ traj.coefficients[i - 1]))
+            contrib += float(lam[r0 + k] @ (beta @ coefficients[i - 1]))
         dJ_dT[i - 1] -= contrib
     contrib = 0.0
     for k in range(s):
         beta = per_order_basis([traj.durations[-1]], k + 1, ncoef)[0]
-        contrib += float(lam[n - s + k] @ (beta @ traj.coefficients[-1]))
+        contrib += float(lam[n - s + k] @ (beta @ coefficients[-1]))
     dJ_dT[-1] -= contrib
-    return dJ_dP, dJ_dT
+    return dJ_dP[:, :3], dJ_dT
 
 
-def random_problem(rng, num_wp, dim4=True):
-    P = rng.normal(scale=2.0, size=(num_wp, 4 if dim4 else 3))
+def random_problem(rng, num_wp):
+    P = rng.normal(scale=2.0, size=(num_wp, 3))
     T = rng.uniform(0.6, 1.8, size=num_wp + 1)
-    bc0 = BoundaryCondition(rng.normal(scale=0.5, size=(3, 4)))
-    bcf = BoundaryCondition(rng.normal(scale=0.5, size=(3, 4)))
+    bc0 = BoundaryCondition(rng.normal(scale=0.5, size=(3, 3)))
+    bcf = BoundaryCondition(rng.normal(scale=0.5, size=(3, 3)))
     return P, T, bc0, bcf
 
 
@@ -174,7 +182,7 @@ class TestConstruct:
             traj = construct(P, T, bc0, bcf)
             mat, rhs, coeffs = dense_oracle(P, T, bc0, bcf)
             assert np.max(np.abs(traj.coefficients - coeffs)) < 1e-10
-            flat = traj.coefficients.reshape(-1, 4)
+            flat = traj.coefficients.reshape(-1, 3)
             assert np.max(np.abs(mat @ flat - rhs)) < 1e-10
 
     def test_waypoints_interpolated(self):
@@ -192,6 +200,14 @@ class TestConstruct:
             construct(np.zeros((0, 3)), [-1.0], bc, bc)
         with pytest.raises(ValueError):
             construct(np.zeros((0, 3)), [100.0], bc, bc)
+
+    def test_four_wide_inputs_refused(self):
+        """The flat output is the position alone: a yaw column is refused."""
+        with pytest.raises(ValueError):
+            BoundaryCondition(np.zeros((3, 4)))
+        bc = BoundaryCondition.hover([0, 0, 0])
+        with pytest.raises(DimensionMismatch):
+            construct(np.zeros((2, 4)), [1.0, 1.0, 1.0], bc, bc)
 
     def test_bandwidth_bounded(self):
         """Every nonzero of the optimality system sits within 4s of the
@@ -234,7 +250,7 @@ class TestExactReference:
     def test_spline_matches_references(self, seed):
         rng = np.random.default_rng(30 + seed)
         for num_wp in (0, 1, 4, 9):
-            P, T, bc0, bcf = random_problem(rng, num_wp, dim4=bool(seed % 2))
+            P, T, bc0, bcf = random_problem(rng, num_wp)
             T = T * rng.choice([0.05, 1.0, 20.0])
             traj = construct(P, T, bc0, bcf)
             assert np.array_equal(traj.coefficients,
@@ -312,7 +328,7 @@ class TestGradients:
         """J = |y(t*) - y_ref|^2 at a fixed fraction of total time."""
         rng = np.random.default_rng(8 + num_wp)
         P, T, bc0, bcf = random_problem(rng, num_wp)
-        y_ref = rng.normal(size=4)
+        y_ref = rng.normal(size=3)
         frac = 0.37
 
         def cost_and_grads(P_, T_):
@@ -341,7 +357,7 @@ class TestGradients:
         step = 1e-6
         fd_P = np.zeros_like(P)
         for i in range(P.shape[0]):
-            for j in range(4):
+            for j in range(3):
                 Pp, Pm = P.copy(), P.copy()
                 Pp[i, j] += step
                 Pm[i, j] -= step
@@ -370,11 +386,11 @@ class TestEnergyOptimality:
         num_wp = 3
         P = rng.normal(size=num_wp)        # scalar problem in the x channel
         T = rng.uniform(0.7, 1.5, size=num_wp + 1)
-        P4 = np.zeros((num_wp, 4))
-        P4[:, 0] = P
+        P3 = np.zeros((num_wp, 3))
+        P3[:, 0] = P
         bc0 = BoundaryCondition.hover([0.0, 0.0, 0.0])
         bcf = BoundaryCondition.hover([1.0, 0.0, 0.0])
-        traj = construct(P4, T, bc0, bcf)
+        traj = construct(P3, T, bc0, bcf)
         c0 = traj.coefficients[:, :, 0].ravel()
 
         num_seg = len(T)

@@ -200,6 +200,18 @@ class TestBuildSequence:
     ])
     def test_overrides_validated_like_the_file(self, override):
         """A flag is checked as the same key in the file would be, and a
-        margin that consumes a gate is a validation error too."""
-        with pytest.raises(ValidationError):
+        margin that consumes a gate is a validation error too.  A bad flag
+        is named by the flag, the same value in the file by its key."""
+        ((key, value),) = override.items()
+        with pytest.raises(ValidationError) as from_flag:
             build_sequence(loads(SQUARE), **override)
+        doc = yaml.safe_load(SQUARE)
+        doc["options"][key] = value
+        with pytest.raises(ValidationError) as from_file:
+            build_sequence(loads(yaml.safe_dump(doc)))
+        flag_message, file_message = str(from_flag.value), str(from_file.value)
+        if value == 5.0:  # the margin is valid; the gate it consumes is named
+            assert flag_message == file_message == "margin consumes the polytope gate"
+        else:
+            assert file_message.startswith(f"options.{key}")
+            assert flag_message == file_message.replace(f"options.{key}", f"--{key}")
