@@ -24,6 +24,9 @@ EPS_SING = 1e-6
 #: columns: acceleration, jerk and snap (x, y, z each).
 INPUT_ORDER = np.array([2, 2, 2, 3, 3, 3, 4, 4, 4])
 INPUT_DIM = np.array([0, 1, 2] * 3)
+#: Gravitational acceleration, m/s^2, world frame (z up).
+GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.flags.writeable = False
 #: The heading x_c at zero yaw, (3, 1): it broadcasts against (3, N) in
 #: _cross, which keeps np.cross's arithmetic, signed zeros included.
 HEADING = np.array([[1.0], [0.0], [0.0]])
@@ -90,7 +93,7 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
     a, jrk, snp = inputs.reshape(3, 3, -1)
 
     # Thrust direction z = f/|f| and its first two time derivatives.
-    f = a - np.asarray(params.gravity)[:, None]
+    f = a - GRAVITY[:, None]
     c2 = _dot(f, f)
     singular = c2 < EPS_SING**2
     # Clamp singular entries so the remaining algebra stays finite.

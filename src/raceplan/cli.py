@@ -56,7 +56,10 @@ def _read_csv(path: Path) -> np.ndarray:
         rows = [line for line in fh if line.strip()]
     if not rows:
         raise ValidationError(f"{path}: no trajectory rows")
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if data.shape[1] != 18:
         raise ValidationError(f"{path}: expected 18 columns")
     return data

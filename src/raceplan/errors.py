@@ -5,11 +5,6 @@ class RaceplanError(Exception):
     """Base class for all library errors."""
 
 
-class SingularFlatness(RaceplanError):
-    """Flat-output sample is at (or too close to) a free-fall or gimbal-lock
-    configuration, where the flatness maps are undefined."""
-
-
 class DimensionMismatch(RaceplanError):
     """Inputs have inconsistent shapes for the requested operation."""
 

@@ -33,8 +33,10 @@ class BallGate:
         c = np.asarray(self.center, dtype=float).reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if self.radius < 0:
-            raise ValidationError("ball gate radius must be >= 0")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("ball gate center must be finite")
+        if not 0 <= self.radius < np.inf:
+            raise ValidationError("ball gate radius must be finite and >= 0")
 
     @property
     def param_dim(self) -> int:
@@ -64,6 +66,8 @@ class PolytopeGate:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValidationError("polytope vertices must be an (v, 3) array")
+        if not np.all(np.isfinite(verts)):
+            raise ValidationError("polytope vertices must be finite")
         if len(verts) < 3:
             raise ValidationError("polytope gate needs at least 3 vertices")
 

@@ -1,15 +1,14 @@
-"""Quadrotor parameters, rigid-body dynamics and differential-flatness maps."""
+"""Quadrotor parameters, rigid-body dynamics and the limit residuals of
+the batched flatness map in :mod:`raceplan._flatjet`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _flatjet
-from .errors import SingularFlatness
-
-GRAVITY = np.array([0.0, 0.0, -9.81])
+from ._flatjet import GRAVITY
 
 
 def _vec(x, n):
@@ -29,21 +28,23 @@ class QuadParams:
     f_min: float
     f_max: float
     omega_max: np.ndarray
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
     def __post_init__(self):
         object.__setattr__(self, "inertia_diag", _vec(self.inertia_diag, 3))
         object.__setattr__(self, "omega_max", _vec(self.omega_max, 3))
-        object.__setattr__(self, "gravity", _vec(self.gravity, 3))
-        if self.mass <= 0 or self.arm_length <= 0 or self.torque_const <= 0:
+        if not np.all(np.isfinite([self.mass, self.arm_length, self.torque_const,
+                                   self.f_min, self.f_max, *self.inertia_diag,
+                                   *self.omega_max])):
+            raise ValueError("parameters must be finite")
+        if not (self.mass > 0 and self.arm_length > 0 and self.torque_const > 0):
             raise ValueError("mass, arm length and torque constant must be positive")
-        if np.any(self.inertia_diag <= 0):
+        if not np.all(self.inertia_diag > 0):
             raise ValueError("inertia entries must be positive")
         if not (0 <= self.f_min < self.f_max):
             raise ValueError("need 0 <= f_min < f_max")
-        if np.any(self.omega_max <= 0):
+        if not np.all(self.omega_max > 0):
             raise ValueError("omega_max must be positive componentwise")
-        if 4.0 * self.f_max <= self.mass * np.linalg.norm(self.gravity):
+        if not 4.0 * self.f_max > self.mass * np.linalg.norm(GRAVITY):
             raise ValueError("hover infeasible: 4*f_max <= m*g")
 
     @classmethod
@@ -70,67 +71,6 @@ class QuadParams:
             f_max=6.375,
             omega_max=[8.0, 8.0, 3.0],
         )
-
-
-@dataclass(frozen=True)
-class QuadState:
-    """Full state: position, world<-body unit quaternion (w,x,y,z), velocity,
-    body rates."""
-
-    position: np.ndarray
-    attitude: np.ndarray
-    velocity: np.ndarray
-    body_rate: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _vec(self.position, 3))
-        object.__setattr__(self, "attitude", _vec(self.attitude, 4))
-        object.__setattr__(self, "velocity", _vec(self.velocity, 3))
-        object.__setattr__(self, "body_rate", _vec(self.body_rate, 3))
-        if abs(np.linalg.norm(self.attitude) - 1.0) > 1e-9:
-            raise ValueError("attitude quaternion must be unit norm")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.position, self.attitude, self.velocity, self.body_rate]
-        )
-
-
-@dataclass(frozen=True)
-class RotorThrusts:
-    f: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _vec(self.f, 4))
-        if not np.all(np.isfinite(self.f)):
-            raise ValueError("rotor thrusts must be finite")
-
-
-@dataclass(frozen=True)
-class FlatSample:
-    """Flat output, the position [x, y, z], and its time derivatives at one
-    instant; the heading is fixed at zero yaw.
-
-    ``derivatives`` has shape (k, 3), rows being orders 0..k-1.  Rows above
-    the stored order are treated as zero by the flat maps.
-    """
-
-    derivatives: np.ndarray
-
-    def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.derivatives, dtype=float))
-        if d.shape[1] != 3:
-            raise ValueError("each derivative row must be a 3-vector")
-        if d.shape[0] < 5:  # pad with zeros up to snap
-            d = np.vstack([d, np.zeros((5 - d.shape[0], 3))])
-        d.flags.writeable = False
-        object.__setattr__(self, "derivatives", d)
-
-    @classmethod
-    def rest(cls, position) -> "FlatSample":
-        d = np.zeros((5, 3))
-        d[0] = position
-        return cls(d)
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -174,68 +114,20 @@ def rotation_to_quat(r: np.ndarray) -> np.ndarray:
     return q.reshape(r.shape[:-2] + (4,))
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
-def mixer_forward(u: RotorThrusts, params: QuadParams):
-    """Per-rotor thrusts -> (collective thrust, body torque)."""
-    w = _flatjet.mixer_matrix(params) @ u.f
-    return float(w[0]), w[1:].copy()
-
-
-def mixer_inverse(collective_thrust: float, torque, params: QuadParams) -> RotorThrusts:
-    w = np.concatenate([[collective_thrust], np.asarray(torque, dtype=float)])
-    return RotorThrusts(np.linalg.solve(_flatjet.mixer_matrix(params), w))
-
-
-def dynamics(state: QuadState, u: RotorThrusts, params: QuadParams) -> np.ndarray:
-    """Rigid-body dynamics; returns the 13-vector state derivative."""
-    thrust, torque = mixer_forward(u, params)
-    q = state.attitude
-    omega = state.body_rate
-    p_dot = state.velocity
-    q_dot = 0.5 * quat_mul(q, np.concatenate([[0.0], omega]))
-    body_force = np.array([0.0, 0.0, thrust])
-    v_dot = params.gravity + quat_to_rotation(q) @ body_force / params.mass
+def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
+    """Rigid-body dynamics: the derivative of the 13-vector state x =
+    (position, world<-body unit quaternion (w, x, y, z), velocity, body
+    rates) under the rotor thrusts f (4,)."""
+    wrench = _flatjet.mixer_matrix(params) @ f
+    thrust, torque = wrench[0], wrench[1:]
+    q, velocity, omega = x[3:7], x[7:10], x[10:13]
+    # q_dot = q * (0, omega) / 2 = (-v . omega, w omega + v x omega) / 2.
+    w, v = q[0], q[1:]
+    q_dot = 0.5 * np.concatenate([[-v @ omega], w * omega + np.cross(v, omega)])
+    v_dot = GRAVITY + quat_to_rotation(q) @ np.array([0.0, 0.0, thrust]) / params.mass
     inertia = params.inertia_diag
     w_dot = (torque - np.cross(omega, inertia * omega)) / inertia
-    return np.concatenate([p_dot, q_dot, v_dot, w_dot])
-
-
-def _single_outputs(sample: FlatSample, params: QuadParams) -> _flatjet.FlatOutputs:
-    out = _flatjet.flat_outputs(sample.derivatives[None, :5, :], params)
-    if out.singular[0]:
-        raise SingularFlatness(
-            "flat sample at free-fall or gimbal-lock configuration"
-        )
-    return out
-
-
-def flat_to_state(sample: FlatSample, params: QuadParams) -> QuadState:
-    """Flat derivatives -> full state via the flatness construction."""
-    out = _single_outputs(sample, params)
-    return QuadState(
-        position=sample.derivatives[0],
-        attitude=rotation_to_quat(out.rotation[0]),
-        velocity=sample.derivatives[1],
-        body_rate=out.omega[0],
-    )
-
-
-def flat_to_control(sample: FlatSample, params: QuadParams) -> RotorThrusts:
-    """Flat derivatives (up to snap) -> per-rotor thrusts."""
-    out = _single_outputs(sample, params)
-    return RotorThrusts(out.rotor[0])
+    return np.concatenate([velocity, q_dot, v_dot, w_dot])
 
 
 #: Columns of each limit in the residual layout of :func:`limit_residuals`.
@@ -264,7 +156,3 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     res += offset
     return res, LIMIT_SIGN, scale
 
-
-def constraint_residuals(sample: FlatSample, params: QuadParams) -> np.ndarray:
-    """The 14 limit residuals of one sample; see :func:`limit_residuals`."""
-    return limit_residuals(_single_outputs(sample, params), params)[0][0]

@@ -44,8 +44,8 @@ class TrackOptions:
             raise ValidationError("options.laps must be an integer >= 1")
         if not self.margin >= 0:
             raise ValidationError("options.margin must be >= 0")
-        if not self.waypoint_tolerance > 0:
-            raise ValidationError("options.waypoint_tolerance must be > 0")
+        if not 0 < self.waypoint_tolerance < np.inf:
+            raise ValidationError("options.waypoint_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ def _vec3(value, context):
         raise ValidationError(f"{context}: not a numeric vector") from exc
     if v.shape != (3,):
         raise ValidationError(f"{context}: expected a 3-vector")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{context}: entries must be finite")
     return v
 
 

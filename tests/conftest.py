@@ -63,9 +63,7 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
     Returns (times, integrated positions, reference positions).
     """
     from raceplan import _flatjet
-    from raceplan.model import (
-        FlatSample, QuadState, RotorThrusts, dynamics, flat_to_state,
-    )
+    from raceplan.model import dynamics, rotation_to_quat
 
     n_steps = int(round(duration / h))
     # Stage times on a half-step grid so every RK4 stage reuses a
@@ -74,15 +72,14 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
     derivs = traj.eval_batch(stage_times, max_order=4)
     out = _flatjet.flat_outputs(derivs, params)
     assert not out.singular.any()
-    controls = [RotorThrusts(f) for f in out.rotor]
+    controls = out.rotor
 
     def f(x, u):
         q = x[3:7] / np.linalg.norm(x[3:7])
-        state = QuadState(position=x[0:3], attitude=q, velocity=x[7:10],
-                          body_rate=x[10:13])
-        return dynamics(state, u, params)
+        return dynamics(np.concatenate([x[0:3], q, x[7:13]]), u, params)
 
-    x = flat_to_state(FlatSample(traj.eval_batch([t0], 4)[0]), params).as_vector()
+    x = np.concatenate([derivs[0, 0], rotation_to_quat(out.rotation[0]),
+                        derivs[0, 1], out.omega[0]])
     times = np.empty(n_steps + 1)
     positions = np.empty((n_steps + 1, 3))
     times[0], positions[0] = t0, x[:3]

@@ -33,6 +33,10 @@ options:
   margin: 0.2
 """
 
+#: quad_a as a track-file mapping.
+QUAD = ("mass: 0.85, arm_length: 0.15, inertia: [1, 1, 1.7], "
+        "torque_const: 0.05, f_max: 6.88, omega_max: [15, 15, 3]")
+
 
 @pytest.fixture(scope="module")
 def planned(tmp_path_factory):
@@ -145,6 +149,33 @@ class TestPlan:
         assert main(argv[command] + ["--margin", margin]) == EXIT_VALIDATION
         want = {"-1": "--margin must be >= 0", "5": "margin exceeds ball radius"}
         assert capsys.readouterr().err == f"error: {want[margin]}\n"
+
+    @pytest.mark.parametrize("old, new", [
+        ("radius: 0.8", "radius: .nan"),
+        ("radius: 0.8", "radius: .inf"),
+        ("center: [2.5, 0.8, 1.5]", "center: [2.5, .nan, 1.5]"),
+        ("start: [0, 0, 1.5]", "start: [0, .inf, 1.5]"),
+        ("[5, 0.4, 2.5]", "[5, .nan, 2.5]"),
+        ("quad: quad_a", "quad: {" + QUAD.replace("0.85", ".nan") + "}"),
+        ("quad: quad_a", "quad: {" + QUAD.replace("6.88", ".inf") + "}"),
+    ], ids=["radius-nan", "radius-inf", "center-nan", "start-inf",
+            "vertex-nan", "mass-nan", "f_max-inf"])
+    def test_non_finite_track_numbers_exit_validation(self, old, new,
+                                                      tmp_path, capsys):
+        """A NaN or infinite number in the track file is refused with one
+        error line before anything is solved, without numpy warnings."""
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK.replace(old, new))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plan", str(track), "--out-dir", str(out)]) \
+                == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestCheck:
@@ -292,6 +323,19 @@ class TestCheck:
             assert main(["check", str(empty), str(track)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err == f"error: {empty}: no trajectory rows\n"
+        assert captured.out == ""
+
+    def test_malformed_row_is_validation_error(self, planned, tmp_path,
+                                              capsys):
+        """A row that numpy cannot read ends in one error line naming the
+        file, not a traceback."""
+        track, out = planned
+        bad = tmp_path / "bad.csv"
+        bad.write_text((out / "trajectory.csv").read_text() + "1,2,abc\n")
+        assert main(["check", str(bad), str(track)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_missing_csv_is_io_error(self, planned, tmp_path):

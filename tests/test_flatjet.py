@@ -4,7 +4,9 @@ component-major kernel against the sample-major reference it replaced."""
 import numpy as np
 import pytest
 
-from raceplan._flatjet import EPS_SING, FlatOutputs, flat_outputs, mixer_matrix
+from raceplan._flatjet import (
+    EPS_SING, GRAVITY, FlatOutputs, flat_outputs, mixer_matrix,
+)
 
 VALUE_FIELDS = ("thrust", "rotor", "omega", "omega_dot", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
@@ -102,7 +104,7 @@ def reference_flat_outputs(derivs, params, want_grad=False):
     psidd = derivs[:, 2, 3].copy()
 
     # Thrust direction z = f/|f| and its first two time derivatives.
-    f = a - np.asarray(params.gravity)[None, :]
+    f = a - GRAVITY[None, :]
     c2 = _rows_dot(f, f)
     singular = c2 < EPS_SING**2
     # Clamp singular entries so the remaining algebra stays finite.
@@ -295,7 +297,7 @@ def assert_bitwise(got, want, what):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
     derivs = random_batch(seed, n=300)
-    derivs[0, 2] = quad_a.gravity  # zero specific force: singular
+    derivs[0, 2] = GRAVITY  # zero specific force: singular
     want = reference_flat_outputs(with_zero_yaw(derivs), quad_a, want_grad=True)
     got = flat_outputs(derivs, quad_a, want_grad=True)
     assert got.singular[0] and not got.singular[1:].any()

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from raceplan.errors import SingularFlatness
+from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
 from raceplan.model import (
-    FlatSample, QuadParams, QuadState, RotorThrusts, constraint_residuals,
-    dynamics, flat_to_control, flat_to_state, mixer_forward, mixer_inverse,
-    quat_to_rotation, rotation_to_quat,
+    QuadParams, dynamics, limit_residuals, quat_to_rotation, rotation_to_quat,
 )
-from raceplan._flatjet import flat_outputs
 from raceplan.optimizer import solve
 from raceplan.spline import BoundaryCondition, construct
 from raceplan.trackio import build_sequence
@@ -22,14 +19,32 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _smooth_sample(rng, accel_scale=3.0):
-    """Random flat sample with a clearly non-singular thrust direction."""
+    """Random (5, 3) flat sample with a clearly non-singular thrust
+    direction."""
     d = np.zeros((5, 3))
     d[0] = rng.normal(size=3)
     d[1] = rng.normal(size=3)
     d[2] = rng.normal(scale=accel_scale, size=3)
     d[3] = rng.normal(scale=accel_scale, size=3)
     d[4] = rng.normal(scale=accel_scale, size=3)
-    return FlatSample(d)
+    return d
+
+
+def _rest(position):
+    """(1, 5, 3) derivatives of a vehicle at rest at ``position``."""
+    d = np.zeros((1, 5, 3))
+    d[0, 0] = position
+    return d
+
+
+def _state(position, velocity=(0.0, 0.0, 0.0), attitude=IDENTITY_Q,
+           body_rate=(0.0, 0.0, 0.0)):
+    return np.concatenate([position, attitude, velocity, body_rate])
+
+
+def _limit_residuals(derivs, params):
+    """(N, 14) limit residuals of (N, 5, 3) derivatives."""
+    return limit_residuals(flat_outputs(derivs, params), params)[0]
 
 
 class TestQuadParams:
@@ -50,6 +65,11 @@ class TestQuadParams:
         dict(f_min=7.0),           # f_min >= f_max
         dict(omega_max=[1.0, 0.0, 1.0]),
         dict(mass=5.0),            # hover infeasible with quad_a thrust
+        dict(mass=float("nan")),
+        dict(f_max=float("inf")),
+        dict(arm_length=float("inf")),
+        dict(inertia_diag=[1e-3, float("nan"), 1.7e-3]),
+        dict(omega_max=[15.0, 15.0, float("inf")]),
     ])
     def test_invalid_params_rejected(self, bad):
         base = dict(
@@ -65,131 +85,131 @@ class TestQuadParams:
 class TestDynamics:
     def test_hover_equilibrium(self, quad_a):
         f_hover = quad_a.mass * 9.81 / 4.0
-        state = QuadState(position=[0, 0, 1], attitude=IDENTITY_Q,
-                          velocity=[0, 0, 0], body_rate=[0, 0, 0])
-        xdot = dynamics(state, RotorThrusts([f_hover] * 4), quad_a)
+        xdot = dynamics(_state([0, 0, 1]), np.full(4, f_hover), quad_a)
         assert np.allclose(xdot, 0.0, atol=1e-12)
 
     def test_equal_thrusts_give_zero_torque(self, quad_a):
-        state = QuadState(position=[0, 0, 0], attitude=IDENTITY_Q,
-                          velocity=[0, 0, 0], body_rate=[0, 0, 0])
         for f in (0.5, 2.0, 6.0):
-            xdot = dynamics(state, RotorThrusts([f] * 4), quad_a)
+            xdot = dynamics(_state([0, 0, 0]), np.full(4, f), quad_a)
             assert np.allclose(xdot[10:13], 0.0, atol=1e-12)
 
     def test_free_fall(self, quad_a):
-        state = QuadState(position=[0, 0, 10], attitude=IDENTITY_Q,
-                          velocity=[1, 2, 3], body_rate=[0, 0, 0])
-        xdot = dynamics(state, RotorThrusts([0, 0, 0, 0]), quad_a)
+        xdot = dynamics(_state([0, 0, 10], velocity=[1, 2, 3]), np.zeros(4),
+                        quad_a)
         assert np.allclose(xdot[7:10], [0, 0, -9.81])
         assert np.allclose(xdot[0:3], [1, 2, 3])
 
 
 class TestMixer:
+    """``mixer_matrix`` maps rotor thrusts to (collective thrust, body
+    torque); solving with it inverts the map."""
+
     def test_symmetric_hover(self, quad_a):
-        thrust, torque = mixer_forward(RotorThrusts([1, 1, 1, 1]), quad_a)
-        assert thrust == pytest.approx(4.0)
-        assert np.allclose(torque, 0.0)
+        wrench = mixer_matrix(quad_a) @ np.ones(4)
+        assert wrench[0] == pytest.approx(4.0)
+        assert np.allclose(wrench[1:], 0.0)
 
     def test_roll_pair(self, quad_a):
-        _, torque = mixer_forward(RotorThrusts([1, 1, 0, 0]), quad_a)
+        torque = (mixer_matrix(quad_a) @ np.array([1.0, 1, 0, 0]))[1:]
         assert torque[0] == pytest.approx(0.3)
 
     def test_yaw_pair(self, quad_a):
-        _, torque = mixer_forward(RotorThrusts([1, 0, 1, 0]), quad_a)
+        torque = (mixer_matrix(quad_a) @ np.array([1.0, 0, 1, 0]))[1:]
         assert torque[2] == pytest.approx(0.1)
 
     def test_inverse_hover(self, quad_a):
-        u = mixer_inverse(4.0, [0, 0, 0], quad_a)
-        assert np.allclose(u.f, 1.0, atol=1e-12)
-        u = mixer_inverse(0.85 * 9.81, [0, 0, 0], quad_a)
-        assert np.allclose(u.f, 2.0846250, atol=1e-6)
+        m = mixer_matrix(quad_a)
+        assert np.allclose(np.linalg.solve(m, [4.0, 0, 0, 0]), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.solve(m, [0.85 * 9.81, 0, 0, 0]),
+                           2.0846250, atol=1e-6)
 
     def test_round_trip(self, quad_a):
+        m = mixer_matrix(quad_a)
         rng = np.random.default_rng(0)
         for _ in range(100):
             thrust = rng.uniform(0.1, 25.0)
             torque = rng.normal(scale=0.5, size=3)
-            back_thrust, back_torque = mixer_forward(
-                mixer_inverse(thrust, torque, quad_a), quad_a
-            )
-            assert back_thrust == pytest.approx(thrust, rel=1e-12)
-            assert np.allclose(back_torque, torque, rtol=1e-12, atol=1e-14)
+            back = m @ np.linalg.solve(m, np.concatenate([[thrust], torque]))
+            assert back[0] == pytest.approx(thrust, rel=1e-12)
+            assert np.allclose(back[1:], torque, rtol=1e-12, atol=1e-14)
 
     @given(f=arrays(np.float64, 4, elements=st.floats(0.0, 10.0)))
     @settings(max_examples=50, deadline=None)
     def test_forward_then_inverse(self, f):
-        quad = QuadParams.quad_a()
-        thrust, torque = mixer_forward(RotorThrusts(f), quad)
-        back = mixer_inverse(thrust, torque, quad)
-        assert np.allclose(back.f, f, atol=1e-10)
+        m = mixer_matrix(QuadParams.quad_a())
+        back = np.linalg.solve(m, m @ f)
+        assert np.allclose(back, f, atol=1e-10)
 
 
 class TestFlatToState:
+    """Attitude and body rates from ``flat_outputs``."""
+
     def test_rest_sample(self, quad_a):
-        state = flat_to_state(FlatSample.rest([1.0, 2.0, 3.0]), quad_a)
-        assert np.allclose(state.position, [1, 2, 3])
-        assert np.allclose(state.attitude, IDENTITY_Q, atol=1e-12)
-        assert np.allclose(state.body_rate, 0.0, atol=1e-12)
+        out = flat_outputs(_rest([1.0, 2.0, 3.0]), quad_a)
+        assert not out.singular[0]
+        assert np.allclose(rotation_to_quat(out.rotation[0]), IDENTITY_Q,
+                           atol=1e-12)
+        assert np.allclose(out.omega[0], 0.0, atol=1e-12)
 
     def test_body_z_parallel_to_thrust(self, quad_a):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            sample = _smooth_sample(rng)
-            state = flat_to_state(sample, quad_a)
-            rot = quat_to_rotation(state.attitude)
-            thrust_dir = sample.derivatives[2] - quad_a.gravity
+        derivs = np.array([_smooth_sample(rng) for _ in range(50)])
+        quats = rotation_to_quat(flat_outputs(derivs, quad_a).rotation)
+        for d, q in zip(derivs, quats):
+            rot = quat_to_rotation(q)
+            thrust_dir = d[2] - GRAVITY
             thrust_dir /= np.linalg.norm(thrust_dir)
             assert np.allclose(rot[:, 2], thrust_dir, atol=1e-10)
 
     def test_body_rates_match_attitude_derivative(self, quad_a):
         """omega from the flat map equals the finite-difference rate of the
         attitude along a smooth analytic flat trajectory."""
+        from numpy.polynomial import polynomial as poly
+
         rng = np.random.default_rng(3)
         coef = rng.normal(scale=0.4, size=(6, 3))  # quintic flat trajectory
 
-        def sample_at(t):
-            from numpy.polynomial import polynomial as poly
-
-            d = np.zeros((5, 3))
+        def samples_at(times):
+            d = np.zeros((len(times), 5, 3))
             for dim in range(3):
                 for order in range(5):
-                    d[order, dim] = poly.polyval(t, poly.polyder(coef[:, dim], order))
-            return FlatSample(d)
+                    d[:, order, dim] = poly.polyval(
+                        times, poly.polyder(coef[:, dim], order))
+            return d
 
         h = 1e-5
         for t in (0.2, 0.5, 0.9):
-            state = flat_to_state(sample_at(t), quad_a)
-            r_minus = quat_to_rotation(flat_to_state(sample_at(t - h), quad_a).attitude)
-            r_plus = quat_to_rotation(flat_to_state(sample_at(t + h), quad_a).attitude)
-            rot = quat_to_rotation(state.attitude)
+            out = flat_outputs(samples_at(np.array([t - h, t, t + h])), quad_a)
+            r_minus, rot, r_plus = (quat_to_rotation(q)
+                                    for q in rotation_to_quat(out.rotation))
             omega_hat = rot.T @ (r_plus - r_minus) / (2 * h)  # skew(omega)
             omega_fd = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
-            assert np.allclose(state.body_rate, omega_fd, atol=1e-4)
+            assert np.allclose(out.omega[1], omega_fd, atol=1e-4)
 
     def test_free_fall_is_singular(self, quad_a):
-        d = np.zeros((5, 3))
-        d[2] = quad_a.gravity  # free fall: thrust direction undefined
-        with pytest.raises(SingularFlatness):
-            flat_to_state(FlatSample(d), quad_a)
+        derivs = np.concatenate([_rest([0.0, 0.0, 0.0])] * 2)
+        derivs[0, 2] = GRAVITY  # free fall: thrust direction undefined
+        assert flat_outputs(derivs, quad_a).singular.tolist() == [True, False]
 
 
 class TestFlatToControl:
+    """Rotor thrusts from ``flat_outputs``."""
+
     def test_hover_thrusts(self, quad_a):
-        u = flat_to_control(FlatSample.rest([0, 0, 1]), quad_a)
-        assert np.allclose(u.f, 2.0846250, atol=1e-5)
+        rotor = flat_outputs(_rest([0, 0, 1]), quad_a).rotor[0]
+        assert np.allclose(rotor, 2.0846250, atol=1e-5)
 
     def test_vertical_acceleration(self, quad_a):
-        d = np.zeros((5, 3))
-        d[2, 2] = 1.0
-        u = flat_to_control(FlatSample(d), quad_a)
-        assert np.allclose(u.f, 0.85 * 10.81 / 4.0, atol=1e-5)
+        d = np.zeros((1, 5, 3))
+        d[0, 2, 2] = 1.0
+        rotor = flat_outputs(d, quad_a).rotor[0]
+        assert np.allclose(rotor, 0.85 * 10.81 / 4.0, atol=1e-5)
 
     def test_quaternion_norm_preserved(self, quad_a):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            state = flat_to_state(_smooth_sample(rng), quad_a)
-            assert abs(np.linalg.norm(state.attitude) - 1.0) < 1e-9
+        derivs = np.array([_smooth_sample(rng) for _ in range(20)])
+        quats = rotation_to_quat(flat_outputs(derivs, quad_a).rotation)
+        assert np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) < 1e-9)
 
 
 def per_row_rotation_to_quat(r):
@@ -254,35 +274,35 @@ class TestRotationToQuat:
 
 
 class TestConstraintResiduals:
+    """The 14 limit residuals of ``limit_residuals(flat_outputs(...))``."""
+
     def test_hover_strictly_feasible(self, quad_a):
-        res = constraint_residuals(FlatSample.rest([0, 0, 1]), quad_a)
-        assert res.shape == (14,)
+        res = _limit_residuals(_rest([0, 0, 1]), quad_a)
+        assert res.shape == (1, 14)
         assert np.all(res < 0)
 
     def test_excess_collective_thrust_violates(self, quad_a):
-        d = np.zeros((5, 3))
-        d[2, 2] = 4 * quad_a.f_max / quad_a.mass  # F = m*(a+g) > 4 f_max
-        res = constraint_residuals(FlatSample(d), quad_a)
+        d = np.zeros((1, 5, 3))
+        d[0, 2, 2] = 4 * quad_a.f_max / quad_a.mass  # F = m*(a+g) > 4 f_max
+        res = _limit_residuals(d, quad_a)[0]
         assert np.max(res[:8]) > 0
 
     def test_boundary_thrust_residual_is_zero(self, quad_a):
         # Vertical acceleration chosen so each rotor sits exactly at f_max.
         a_z = 4 * quad_a.f_max / quad_a.mass - 9.81
-        d = np.zeros((5, 3))
-        d[2, 2] = a_z
-        res = constraint_residuals(FlatSample(d), quad_a)
+        d = np.zeros((1, 5, 3))
+        d[0, 2, 2] = a_z
+        res = _limit_residuals(d, quad_a)[0]
         assert np.max(np.abs(res[1:8:2])) < 1e-10
 
     def test_continuity_probe(self, quad_a):
         """Residuals change smoothly along a line in sample space."""
         rng = np.random.default_rng(4)
-        base = _smooth_sample(rng).derivatives
+        base = _smooth_sample(rng)
         direction = rng.normal(size=base.shape)
         thetas = np.linspace(0.0, 1e-3, 11)
-        values = np.array([
-            constraint_residuals(FlatSample(base + t * direction), quad_a)
-            for t in thetas
-        ])
+        values = _limit_residuals(base + thetas[:, None, None] * direction,
+                                  quad_a)
         steps = np.abs(np.diff(values, axis=0))
         assert np.max(steps) < 1e-2  # no jumps at this probe resolution
 

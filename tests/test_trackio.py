@@ -39,6 +39,9 @@ options:
   margin: 0.3
 """
 
+QUAD = {"mass": 0.85, "arm_length": 0.15, "inertia": [1.0, 1.0, 1.7],
+        "torque_const": 0.05, "f_max": 6.88, "omega_max": [15, 15, 3]}
+
 
 class TestParse:
     def test_minimal_ball_track(self):
@@ -106,6 +109,20 @@ class TestParse:
         lambda d: d.__setitem__("options", {"margin": float("nan")}),
         lambda d: d.__setitem__("options", {"margin": "wide"}),
         lambda d: d.__setitem__("options", 5),
+        lambda d: d["gates"][0].__setitem__("radius", float("nan")),
+        lambda d: d["gates"][0].__setitem__("radius", float("inf")),
+        lambda d: d["gates"][0].__setitem__("center", [3, float("nan"), 1.5]),
+        lambda d: d["gates"][0].__setitem__("center", [float("inf"), 0, 1.5]),
+        lambda d: d.__setitem__("start", [0, 0, float("nan")]),
+        lambda d: d.__setitem__("finish", [float("-inf"), 0, 1.5]),
+        lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
+            [3, -1, 0.5], [3, 1, 0.5], [3, 1, 2.5], [3, float("nan"), 2.5]]}]),
+        lambda d: d.__setitem__("quad", {**QUAD, "mass": float("nan")}),
+        lambda d: d.__setitem__("quad", {**QUAD, "f_max": float("inf")}),
+        lambda d: d.__setitem__("quad", {**QUAD, "inertia": [1, float("nan"), 1.7]}),
+        lambda d: d.__setitem__("quad", {**QUAD, "omega_max": [15, 15, float("nan")]}),
+        lambda d: d.__setitem__("options", {"waypoint_tolerance": float("nan")}),
+        lambda d: d.__setitem__("options", {"waypoint_tolerance": float("inf")}),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
