@@ -1,6 +1,7 @@
 """Time-optimal quadrotor trajectory planning through spatial racing gates."""
 
 from ._flatjet import FlatOutputs, flat_outputs, mixer_matrix
+from .checks import Check, verify
 from .cost import CostReport, objective, penalty, samples
 from .errors import (
     DimensionMismatch, EmptyAfterShrink, OutOfDomain, ParseError,

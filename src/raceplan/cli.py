@@ -1,6 +1,7 @@
 """Command-line front end: plan trajectories and verify exported ones.
 
-Exit codes: 0 ok, 1 validation/check failure, 2 solver failure, 3 I/O error.
+Exit codes: 0 ok, 1 validation/check failure, 2 solver failure or a plan
+that fails a check, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import trackio
+from .checks import verify
 from .errors import ParseError, RaceplanError, ValidationError
-from .gates import BallGate, contains
+from .gates import BallGate
 from .optimizer import OptimizerConfig, solve
 from .spline import BoundaryCondition
 
@@ -28,21 +30,11 @@ EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
-#: Golden-section steps per sample interval when `check` searches a gate;
-#: they shrink the bracket to 1e-10 of the interval.
-GOLDEN_STEPS = 48
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-#: Largest containment residual, m, that `check` counts as passing a gate.
-PASS_TOL = 1e-6
-
 
 def _write_csv(path: Path, times, states, controls):
-    rows = np.hstack([times[:, None], states, controls])
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(CSV_COLUMNS + "\n")
-        for row in rows:
-            fh.write(",".join(format(x, ".12g") for x in row) + "\n")
+    np.savetxt(path, np.hstack([times[:, None], states, controls]),
+               fmt="%.12g", delimiter=",", comments="",
+               header=f"{CSV_HEADER}\n{CSV_COLUMNS}")
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -115,11 +107,9 @@ def cmd_plan(args) -> int:
             "total_time": result.total_time,
             "gate_times": [float(t) for t in result.gate_times],
             "path_length": path_length,
-            "min_rotor_thrust": float(result.controls.min()),
-            "max_rotor_thrust": float(result.controls.max()),
-            "max_body_rate": float(np.abs(result.states[:, 10:13]).max()),
             "penalty": result.penalty,
-            "max_violation": result.max_violation,
+            "checks": {c.name: {"passed": c.passed, "worst": list(c.worst)}
+                       for c in result.checks},
             "solver": {
                 "iterations": result.diagnostics.iterations,
                 "function_evals": result.diagnostics.function_evals,
@@ -145,48 +135,11 @@ def cmd_plan(args) -> int:
     print(f"total time: {result.total_time:.4f} s "
           f"({result.diagnostics.termination}, "
           f"{result.diagnostics.iterations} iterations)")
+    failed = [c.name for c in result.checks if not c.passed]
+    if failed:
+        print(f"error: the plan fails {', '.join(failed)}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
-
-
-def _residuals(gate, times, positions, velocities):
-    """Containment residual of each sample: the lowest ``contains`` value
-    found at sample k or on the path from it to sample k + 1.
-
-    The optimum often grazes the gate boundary or passes a polyhedron vertex
-    between samples, so the path between adjacent samples is reconstructed
-    by cubic Hermite interpolation and searched by golden section for the
-    minimum of ``contains``.  NaN samples give NaN residuals.
-    """
-    res = contains(gate, positions)
-    # The piece after sample k is p_k + lam d0 + lam^2 (3 gap - 2 d0 - d1)
-    # + lam^3 (d0 + d1 - 2 gap) for lam in [0, 1].  It is no longer than its
-    # Bezier control polygon and ``contains`` is 1-Lipschitz, so a piece
-    # with an end farther above PASS_TOL than that length cannot pass.
-    dt = np.diff(times)[:, None]
-    d0, d1 = dt * velocities[:-1], dt * velocities[1:]
-    gap = np.diff(positions, axis=0)
-    length = (np.linalg.norm(d0, axis=1) + np.linalg.norm(d1, axis=1)
-              + np.linalg.norm(3 * gap - d0 - d1, axis=1)) / 3
-    k = np.flatnonzero(np.maximum(res[:-1], res[1:]) - length <= PASS_TOL)
-    p0, d0, d1, gap = positions[k], d0[k], d1[k], gap[k]
-    c2, c3 = 3 * gap - 2 * d0 - d1, d0 + d1 - 2 * gap
-
-    def measure(lam):
-        lam = lam[:, None]
-        return contains(gate, p0 + lam * (d0 + lam * (c2 + lam * c3)))
-
-    x = np.full(len(k), GOLDEN)
-    lo, hi, fx = np.zeros(len(k)), np.ones(len(k)), measure(x)
-    for _ in range(GOLDEN_STEPS):
-        # The other inner point mirrors x in the bracket: keep the better
-        # of the two and cut the bracket at the worse.
-        y = lo + hi - x
-        fy = measure(y)
-        x, worse = np.where(fy < fx, y, x), np.where(fy < fx, x, y)
-        fx = np.minimum(fx, fy)
-        lo, hi = np.where(worse < x, worse, lo), np.where(worse > x, worse, hi)
-    res[k] = np.minimum(res[k], fx)
-    return res
 
 
 def cmd_check(args) -> int:
@@ -203,56 +156,9 @@ def cmd_check(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    times = data[:, 0]
-    positions = data[:, 1:4]
-    velocities = data[:, 8:11]
-    quats = data[:, 4:8]
-    rates = data[:, 11:14]
-    thrusts = data[:, 14:18]
-    quad = track.quad
-    ok = True
-
-    def report(name, passed, detail=""):
-        nonlocal ok
-        ok &= passed
-        status = "pass" if passed else "FAIL"
-        print(f"{status}: {name}" + (f" ({detail})" if detail else ""))
-
-    # Gate containment and traversal order in one ordered sweep: each gate
-    # is passed at its first passing sample at or after the previous gate's.
-    idx = 0
-    order_ok = True
-    containment_ok = True
-    for gate in seq.gates:
-        passes = np.flatnonzero(
-            _residuals(gate, times, positions, velocities) <= PASS_TOL)
-        later = passes[passes >= idx]
-        if len(passes) == 0:
-            containment_ok = False
-        elif len(later) == 0:
-            order_ok = False
-        else:
-            idx = later[0]
-    report("gate containment", containment_ok)
-    report("traversal order", order_ok)
-
-    f_range = quad.f_max - quad.f_min
-    report(
-        "rotor thrust bounds",
-        bool(np.all(thrusts >= quad.f_min - 0.01 * f_range)
-             and np.all(thrusts <= quad.f_max + 0.01 * f_range)),
-        f"range [{thrusts.min():.3f}, {thrusts.max():.3f}] N",
-    )
-    report(
-        "body rate bounds",
-        bool(np.all(np.abs(rates) <= quad.omega_max[None, :] * 1.01)),
-        f"max {np.abs(rates).max():.3f} rad/s",
-    )
-    norms = np.linalg.norm(quats, axis=1)
-    report("quaternion norms", bool(np.all(np.abs(norms - 1) < 1e-6)))
-    report("monotone timestamps", bool(np.all(np.diff(times) > 0)))
-
-    return EXIT_OK if ok else EXIT_VALIDATION
+    checks = verify(data[:, 0], data[:, 1:14], data[:, 14:18], seq, track.quad)
+    print("\n".join(map(str, checks)))
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VALIDATION
 
 
 def build_parser() -> argparse.ArgumentParser:

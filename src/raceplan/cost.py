@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _flatjet, gates, spline as spline_mod
 from .gates import DecisionVector, GateSequence
-from .model import LIMIT_COLUMNS, QuadParams, limit_residuals
+from .model import QuadParams, limit_residuals
 from .spline import BoundaryCondition, TrajectorySpline
 
 
@@ -43,7 +43,6 @@ class CostReport:
     total: float
     time_term: float
     penalty_term: float
-    max_violation: dict | None
     gradient: DecisionVector | None
     spline: TrajectorySpline | None = None
 
@@ -68,12 +67,10 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     """Sampled cubic-hinge penalty and its exact partial derivatives with
     respect to polynomial coefficients and (directly) segment durations.
 
-    Returns (value, dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,), violations);
-    value is +inf when a sample hits the flatness singularity.  The
-    violations are the worst raw limit residuals over the grid (negative
-    values are headroom), with the thrust and body-rate extremes.
-    ``kappa`` pins the per-segment sample counts; by default they follow
-    the durations through :func:`samples`.
+    Returns (value, dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)); value is
+    +inf when a sample hits the flatness singularity.  ``kappa`` pins the
+    per-segment sample counts; by default they follow the durations through
+    :func:`samples`.
     """
     durations = traj.durations
     num_seg = len(durations)
@@ -85,17 +82,9 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis)
     out = _flatjet.flat_outputs(derivs, params, want_grad=True)
     if out.singular.any():
-        return (math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg),
-                {"singular": True})
+        return math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg)
 
     raw, sign, scale = limit_residuals(out, params)
-    violations = {
-        "singular": False,
-        **{name: float(np.max(raw[:, cols])) for name, cols in LIMIT_COLUMNS.items()},
-        "min_thrust": float(np.min(out.rotor)),
-        "max_thrust": float(np.max(out.rotor)),
-        "max_body_rate": float(np.max(np.abs(out.omega))),
-    }
     hinge = np.maximum(raw / scale, 0.0)
     # pow only on the few residuals past their limit; the rest cube to +0.0.
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
@@ -131,7 +120,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     t_contrib += weights * rho_dot * j / kappa[seg_ids]
     dJ_dT_direct = np.bincount(seg_ids, weights=t_contrib, minlength=num_seg)
 
-    return value, dJ_dC, dJ_dT_direct, violations
+    return value, dJ_dC, dJ_dT_direct
 
 
 def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
@@ -144,19 +133,15 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
     if np.any(durations > spline_mod.MAX_SEGMENT_DURATION):
         # Line searches may probe absurd time variables; report +inf so they
         # backtrack instead of tripping the spline conditioning guard.
-        return CostReport(
-            total=math.inf, time_term=float(np.sum(durations)),
-            penalty_term=math.inf, max_violation=None, gradient=None,
-        )
+        return CostReport(total=math.inf, time_term=float(np.sum(durations)),
+                          penalty_term=math.inf, gradient=None)
     traj = spline_mod.construct(waypoints, durations, bc0, bcf)
-    pen, dJ_dC, dJ_dT_direct, violations = penalty(traj, params, kappa)
+    pen, dJ_dC, dJ_dT_direct = penalty(traj, params, kappa)
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):
-        return CostReport(
-            total=math.inf, time_term=time_term, penalty_term=pen,
-            max_violation=None, gradient=None, spline=traj,
-        )
+        return CostReport(total=math.inf, time_term=time_term,
+                          penalty_term=pen, gradient=None, spline=traj)
 
     dJ_dP, dJ_dT = spline_mod.propagate_gradients(traj, dJ_dC, dJ_dT_direct)
     grad_k = (dJ_dT + 1.0) * dt_dk
@@ -169,7 +154,6 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
         total=time_term + pen,
         time_term=time_term,
         penalty_term=pen,
-        max_violation=violations,
         gradient=DecisionVector(D=grad_d, K=grad_k),
         spline=traj,
     )

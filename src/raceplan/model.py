@@ -130,9 +130,6 @@ def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     return np.concatenate([velocity, q_dot, v_dot, w_dot])
 
 
-#: Columns of each limit in the residual layout of :func:`limit_residuals`.
-LIMIT_COLUMNS = {"thrust_low": slice(0, 8, 2), "thrust_high": slice(1, 8, 2),
-                 "body_rate": slice(8, 14)}
 LIMIT_SIGN = np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3)  # sign of each column
 LIMIT_SIGN.flags.writeable = False
 

@@ -16,11 +16,12 @@ from scipy import optimize
 
 from . import cost as cost_mod
 from . import gates as gates_mod
+from .checks import Check, verify
 from .errors import RaceplanError
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams, rotation_to_quat
 from . import _flatjet
-from .spline import BoundaryCondition, TrajectorySpline
+from .spline import MAX_SEGMENT_DURATION, BoundaryCondition, TrajectorySpline
 
 
 # L-BFGS-B (scipy): history length, iteration cap, and the tolerances on
@@ -64,7 +65,7 @@ class PlanResult:
     total_time: float
     objective: float
     penalty: float
-    max_violation: dict
+    checks: list[Check]          # verify() of the export below
     sample_times: np.ndarray     # (N,)
     states: np.ndarray           # (N, 13): p, q(wxyz), v, omega
     controls: np.ndarray         # (N, 4) rotor thrusts
@@ -75,14 +76,15 @@ def initialize(seq: GateSequence, bc0: BoundaryCondition, bcf: BoundaryCondition
                cfg: OptimizerConfig = OptimizerConfig()) -> DecisionVector:
     """Initial decision vector: gate parameters slightly off the polytope
     convention point, durations from straight-line distances at a guessed
-    speed."""
+    speed, each at most half the spline's duration guard."""
     dec = DecisionVector.for_sequence(seq, fill=0.1)
     waypoints, _, _, _ = gates_mod.decode(seq, dec)
     chain = np.vstack(
         [bc0.derivatives[0], waypoints, bcf.derivatives[0]]
     )
     dists = np.maximum(np.linalg.norm(np.diff(chain, axis=0), axis=1), 0.1)
-    durations = dists / cfg.initial_speed_guess
+    durations = np.minimum(dists / cfg.initial_speed_guess,
+                           0.5 * MAX_SEGMENT_DURATION)
     dec.K = gates_mod.time_map_inverse(durations)
     return dec
 
@@ -268,7 +270,7 @@ def solve(seq: GateSequence, params: QuadParams,
         total_time=traj.total_time,
         objective=report.total,
         penalty=report.penalty_term,
-        max_violation=report.max_violation,
+        checks=verify(times, states, controls, seq, params),
         sample_times=times,
         states=states,
         controls=controls,

@@ -131,7 +131,8 @@ def _parse_gate(node, index, strict) -> Gate:
         else:
             raise ValidationError(f"{ctx}.type: unknown gate type {gtype!r}")
     except ValidationError as exc:
-        raise ValidationError(f"{ctx}: {exc}") from exc
+        message = str(exc) if str(exc).startswith(ctx) else f"{ctx}: {exc}"
+        raise ValidationError(message) from exc
     return gate
 
 

@@ -7,7 +7,8 @@ so the pass/fail line of this module is the acceptance report:
      each mode's solve within its budget of objective evaluations (the
      work of 10 s at a reference speed); wall time is reported, not asserted
   2. solve time scales sub-quadratically in gate count (exponent < 1.5)
-  3. converged solutions are feasible within 1% actuation headroom
+  3. converged solutions pass every check of ``verify``, which allows 1%
+     actuation headroom
   4. optimized waypoints satisfy gate containment to 1e-9, interpolation 1e-8
   5. analytic objective gradients match finite differences to 1e-4
   6. open-loop rigid-body integration tracks the flat trajectory to 1e-3 m
@@ -123,17 +124,16 @@ def test_acceptance_scaling_sub_quadratic(scaling_solves):
     assert total < 300.0
 
 
+def _failed_checks(result):
+    return [c.name for c in result.checks if not c.passed]
+
+
 def test_acceptance_feasibility_at_convergence(loop_solves, scaling_solves):
-    quad = QuadParams.quad_a()
-    f_slack = 0.01 * (quad.f_max - quad.f_min)
     suite = [loop_solves["togt"][1], loop_solves["wp"][1]]
     suite += [r for _, r, _ in scaling_solves[0]]
     for result in suite:
         assert result.penalty < 1e-4
-        assert np.all(result.controls >= quad.f_min - f_slack)
-        assert np.all(result.controls <= quad.f_max + f_slack)
-        rates = np.abs(result.states[:, 10:13])
-        assert np.all(rates <= 1.01 * quad.omega_max[None, :])
+        assert _failed_checks(result) == []
 
 
 def test_acceptance_gate_traversal_exactness(loop_solves, scaling_solves):
@@ -248,8 +248,9 @@ def test_acceptance_monotone_benefit_of_space():
         )
         bc0 = BoundaryCondition.hover(track.start)
         bcf = BoundaryCondition.hover(track.finish)
-        t_base = solve(base_seq, track.quad, bc0, bcf, opt_cfg=cfg).total_time
-        t_big = solve(big_seq, track.quad, bc0, bcf, opt_cfg=cfg).total_time
-        worst = max(worst, t_big - t_base)
+        base = solve(base_seq, track.quad, bc0, bcf, opt_cfg=cfg)
+        big = solve(big_seq, track.quad, bc0, bcf, opt_cfg=cfg)
+        assert _failed_checks(base) == _failed_checks(big) == [], seed
+        worst = max(worst, big.total_time - base.total_time)
     print(f"worst enlargement regression {worst:.2e} s over 10 tracks")
     assert worst <= 1e-3

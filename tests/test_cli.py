@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from raceplan.checks import _residuals, verify
 from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
-    _residuals, _write_csv, main,
+    _write_csv, main,
 )
-from raceplan import tracks, trackio
+from raceplan import cli, tracks, trackio
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.model import QuadParams
 
@@ -74,6 +75,20 @@ class TestPlan:
         assert summary["penalty"] < 1e-4
         assert summary["solver"]["iterations"] >= 1
 
+    def test_summary_checks_match_check(self, planned, capsys):
+        """The checks plan writes are the verdicts and worst values that
+        check prints for the exported CSV."""
+        track, out = planned
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["check", str(out / "trajectory.csv"), str(track)]) \
+            == EXIT_OK
+        report = capsys.readouterr().out.splitlines()
+        assert len(report) == len(summary["checks"]) == 6
+        for line, (name, c) in zip(report, summary["checks"].items()):
+            assert line.startswith(f"{'pass' if c['passed'] else 'FAIL'}: {name}")
+            assert all(f"{w:.3f}" in line for w in c["worst"])
+
     def test_deterministic_output(self, planned, tmp_path):
         track, out = planned
         assert main(["plan", str(track), "--out-dir", str(tmp_path)]) == EXIT_OK
@@ -98,19 +113,44 @@ class TestPlan:
     def test_missing_track_exits_validation(self, tmp_path):
         assert main(["plan", str(tmp_path / "absent.yaml")]) == EXIT_VALIDATION
 
-    def test_unplannable_track_exits_solver(self, tmp_path, capsys):
-        """A first segment longer than the spline's 60 s duration guard makes
-        the objective infinite at the initial point."""
+    def test_far_track_round_trip(self, tmp_path, capsys):
+        """A 200 m straight, whose 3 m/s initial guess exceeds the spline's
+        60 s duration guard, plans from a clamped guess and passes check."""
         far = tmp_path / "far.yaml"
         far.write_text(
             "schema_version: 1\nquad: quad_a\nstart: [0, 0, 1.5]\n"
             "finish: [200, 0, 1.5]\n"
             "gates:\n  - type: ball\n    center: [1, 0, 1.5]\n    radius: 0.5\n"
         )
-        assert main(["plan", str(far), "--out-dir", str(tmp_path / "out")]) == EXIT_SOLVER
+        out = tmp_path / "out"
+        assert main(["plan", str(far), "--out-dir", str(out)]) == EXIT_OK
+        code = main(["check", str(out / "trajectory.csv"), str(far)])
+        assert code == EXIT_OK, capsys.readouterr().out
+
+    def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
+                                       monkeypatch):
+        """A plan whose export fails a check still writes every artifact,
+        reports the failure in summary.json and exits 2 with one error."""
+        track, _ = planned
+        solve = cli.solve
+
+        def scaled_solve(seq, params, *args, **kwargs):
+            result = solve(seq, params, *args, **kwargs)
+            result.controls = 1.5 * result.controls
+            result.checks = verify(result.sample_times, result.states,
+                                   result.controls, seq, params)
+            return result
+
+        monkeypatch.setattr(cli, "solve", scaled_solve)
+        assert main(["plan", str(track), "--out-dir", str(tmp_path)]) \
+            == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith("solver error: ")
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rotor thrust bounds" in err
+        assert (tmp_path / "trajectory.csv").exists()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["rotor thrust bounds"]["passed"] is False
+        assert summary["checks"]["gate containment"]["passed"] is True
 
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
     def test_bad_dt_exits_validation(self, dt, tmp_path, capsys):

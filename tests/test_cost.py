@@ -9,6 +9,7 @@ from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
 from raceplan.cost import _sample_grid, objective, penalty, samples
 from raceplan.gates import DecisionVector, time_map
+from raceplan.model import limit_residuals
 from raceplan.spline import NCOEF, BoundaryCondition, _basis, construct
 
 # Durations away from multiples of SAMPLE_DT, where the sample count
@@ -50,7 +51,7 @@ class TestConfigs:
 
 class TestPenalty:
     def test_feasible_spline_zero_value_zero_gradient(self, quad_a):
-        value, dJ_dC, dJ_dT, _ = penalty(slow_spline(), quad_a)
+        value, dJ_dC, dJ_dT = penalty(slow_spline(), quad_a)
         assert value == 0.0
         assert np.allclose(dJ_dC, 0.0)
         assert np.allclose(dJ_dT, 0.0)
@@ -61,35 +62,19 @@ class TestPenalty:
 
     def test_value_zero_iff_samples_feasible(self, quad_a):
         for traj in (slow_spline(), aggressive_spline()):
-            value, _, _, worst = penalty(traj, quad_a)
-            feasible = (worst["thrust_low"] <= 0 and worst["thrust_high"] <= 0
-                        and worst["body_rate"] <= 0)
-            assert (value == 0.0) == feasible
-            assert value >= 0.0
-
-    def test_violations_match_value_only_pass(self, quad_a):
-        """The worst-case violations equal those of a separate value-only
-        flatness pass over the same grid, bit for bit."""
-        for traj in (slow_spline(), aggressive_spline()):
-            worst = penalty(traj, quad_a)[3]
+            value = penalty(traj, quad_a)[0]
             seg_ids, _, local, _, _ = _sample_grid(traj.durations)
             out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 5), quad_a)
-            assert worst == {
-                "singular": False,
-                "thrust_low": float(np.max(quad_a.f_min - out.rotor)),
-                "thrust_high": float(np.max(out.rotor - quad_a.f_max)),
-                "body_rate": float(np.max(np.abs(out.omega) - quad_a.omega_max)),
-                "min_thrust": float(np.min(out.rotor)),
-                "max_thrust": float(np.max(out.rotor)),
-                "max_body_rate": float(np.max(np.abs(out.omega))),
-            }
+            feasible = bool(np.all(limit_residuals(out, quad_a)[0] <= 0))
+            assert (value == 0.0) == feasible
+            assert value >= 0.0
 
     def test_gradient_matches_finite_differences(self, quad_a):
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
         P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
-        value, dJ_dC, dJ_dT, _ = penalty(traj, quad_a)
+        value, dJ_dC, dJ_dT = penalty(traj, quad_a)
         assert value > 0  # the oracle only means something on an active penalty
 
         step = 1e-6
@@ -132,7 +117,7 @@ class TestPenalty:
             return replace(out, vjp=vjp)
 
         monkeypatch.setattr(_flatjet, "flat_outputs", recording)
-        value, dJ_dC, _, _ = penalty(traj, quad_a)
+        value, dJ_dC, _ = penalty(traj, quad_a)
         assert value > 0
         (g_inputs,) = recorded
         seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
@@ -197,14 +182,6 @@ class TestObjective:
         assert report.total == pytest.approx(float(np.sum(durations)))
         assert np.allclose(report.gradient.K, dt_dk)
         assert np.allclose(report.gradient.D, 0.0)
-
-    def test_report_carries_violations(self, quad_a):
-        seq = mixed_sequence(3)
-        bc0, bcf = hover_pair(3)
-        report = objective(DecisionVector.for_sequence(seq), seq, quad_a, bc0, bcf)
-        worst = penalty(report.spline, quad_a)[3]
-        assert report.max_violation == worst
-        assert report.max_violation["singular"] is False
 
     def test_total_is_time_plus_penalty(self, quad_a):
         seq = mixed_sequence(3)

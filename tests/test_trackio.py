@@ -12,6 +12,12 @@ from raceplan.trackio import (
 )
 from raceplan.tracks import loop_track, random_track
 
+
+def _says(message, mutate):
+    """Mark a document mutation whose error must read exactly ``message``."""
+    mutate.message = message
+    return mutate
+
 MINIMAL = """
 schema_version: 1
 quad: quad_a
@@ -98,9 +104,12 @@ class TestParse:
         lambda d: d.pop("gates"),
         lambda d: d.pop("start"),
         lambda d: d.__setitem__("gates", []),
-        lambda d: d["gates"][0].pop("radius"),
-        lambda d: d["gates"][0].__setitem__("type", "pentagram"),
-        lambda d: d["gates"][0].__setitem__("center", [1, 2]),
+        _says("gates[0]: missing required key 'radius'",
+              lambda d: d["gates"][0].pop("radius")),
+        _says("gates[0].type: unknown gate type 'pentagram'",
+              lambda d: d["gates"][0].__setitem__("type", "pentagram")),
+        _says("gates[0].center: expected a 3-vector",
+              lambda d: d["gates"][0].__setitem__("center", [1, 2])),
         lambda d: d.__setitem__("options", {"laps": 0}),
         lambda d: d.__setitem__("options", {"mode": "fastest"}),
         lambda d: d.__setitem__("options", {"margin": -1}),
@@ -109,9 +118,11 @@ class TestParse:
         lambda d: d.__setitem__("options", {"margin": float("nan")}),
         lambda d: d.__setitem__("options", {"margin": "wide"}),
         lambda d: d.__setitem__("options", 5),
-        lambda d: d["gates"][0].__setitem__("radius", float("nan")),
+        _says("gates[0]: ball gate radius must be finite and >= 0",
+              lambda d: d["gates"][0].__setitem__("radius", float("nan"))),
         lambda d: d["gates"][0].__setitem__("radius", float("inf")),
-        lambda d: d["gates"][0].__setitem__("center", [3, float("nan"), 1.5]),
+        _says("gates[0].center: entries must be finite",
+              lambda d: d["gates"][0].__setitem__("center", [3, float("nan"), 1.5])),
         lambda d: d["gates"][0].__setitem__("center", [float("inf"), 0, 1.5]),
         lambda d: d.__setitem__("start", [0, 0, float("nan")]),
         lambda d: d.__setitem__("finish", [float("-inf"), 0, 1.5]),
@@ -127,8 +138,10 @@ class TestParse:
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
         mutate(doc)
-        with pytest.raises(RaceplanError):
+        with pytest.raises(RaceplanError) as info:
             loads(yaml.safe_dump(doc))
+        if hasattr(mutate, "message"):
+            assert str(info.value) == mutate.message
 
     def test_invalid_yaml_is_parse_error(self):
         with pytest.raises(ParseError):
