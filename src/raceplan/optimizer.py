@@ -4,14 +4,26 @@ scipy's limited-memory quasi-Newton L-BFGS-B drives the decision variables
 (gate parameters D, time variables K), unbounded.  Infinite objective values
 (flatness singularities, absurd durations) are passed to it as +inf, so the
 solver never crashes on them.
+
+A solve's starts are independent.  Where more than one CPU can take them,
+they run side by side in forked worker processes, each limited to one
+OpenBLAS thread so that no worker's BLAS waits on a thread without a core;
+elsewhere they run one after the other in the calling process.  Both ways
+give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import optimize
 
 from . import cost as cost_mod
@@ -172,6 +184,68 @@ def _minimize(fg, x0):
     return x, f, diag
 
 
+@functools.cache
+def _blas_thread_setter():
+    """``scipy_openblas_set_num_threads`` of the OpenBLAS that scipy's
+    wheel loads, or None where there is none (a build without it, or a
+    platform that cannot fork)."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    return None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_starts: int) -> int:
+    """Workers for n_starts starts: one per start, at most one per usable
+    CPU."""
+    return min(n_starts, _usable_cpus())
+
+
+_worker_fg = None   # in a forked worker, the objective of the parent's solve
+
+
+def _start_worker(fg, set_blas_threads):
+    global _worker_fg
+    _worker_fg = fg
+    set_blas_threads(1)
+
+
+def _run_start(x0):
+    return _minimize(_worker_fg, x0)
+
+
+def _run_starts(fg, starts):
+    """``_minimize(fg, x0)`` for each start, in start order.
+
+    With more than one worker, the starts run in a pool of forked workers
+    while this process waits; the pool is gone when this returns or raises.
+    Fork, not spawn: the closure ``fg`` cannot be pickled, and a spawned
+    worker would import numpy and scipy afresh.  The workers run only
+    ``_minimize``.  With one worker, where the BLAS thread count cannot be
+    set, or inside a daemonic process (which may not have children), the
+    starts run here one after the other.
+    """
+    workers = _worker_count(len(starts))
+    set_blas_threads = _blas_thread_setter()
+    if (workers < 2 or set_blas_threads is None
+            or multiprocessing.current_process().daemon):
+        return [_minimize(fg, x0) for x0 in starts]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, _start_worker, (fg, set_blas_threads)) as pool:
+        return pool.map(_run_start, starts, chunksize=1)
+
+
 def _restore_feasibility(dec: DecisionVector, penalty_of):
     """Stretch all durations by the smallest uniform factor that drives the
     sampled penalty below tolerance.  Waypoints are untouched, so gate
@@ -241,8 +315,7 @@ def solve(seq: GateSequence, params: QuadParams,
         starts.append(starts[0] + rng.normal(scale=0.3, size=len(starts[0])))
 
     best = None
-    for x0 in starts:
-        x, f, diag = _minimize(fg, x0)
+    for x, f, diag in _run_starts(fg, starts):
         if best is None or f < best[1]:
             best = (x, f, diag)
     x, f, diag = best

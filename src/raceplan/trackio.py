@@ -72,11 +72,22 @@ def _check_keys(mapping, allowed, context, strict):
             )
 
 
-def _vec3(value, context):
+def _number(value, context):
     try:
-        v = np.asarray(value, dtype=float)
+        return float(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: not a numeric vector") from exc
+        raise ValidationError(f"{context}: not a number") from exc
+
+
+def _array(value, context):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{context}: not a numeric array") from exc
+
+
+def _vec3(value, context):
+    v = _array(value, context)
     if v.shape != (3,):
         raise ValidationError(f"{context}: expected a 3-vector")
     if not np.all(np.isfinite(v)):
@@ -96,17 +107,16 @@ def _parse_quad(node, strict) -> QuadParams:
     units = node.get("inertia_units", "g_m2")
     if units not in ("g_m2", "kg_m2"):
         raise ValidationError(f"quad.inertia_units: unknown unit {units!r}")
-    inertia = np.asarray(_require(node, "inertia", "quad"), dtype=float)
+    inertia = _array(_require(node, "inertia", "quad"), "quad.inertia")
     if units == "g_m2":
         inertia = inertia * 1e-3
+    scalars = {key: _number(_require(node, key, "quad"), f"quad.{key}")
+               for key in ("mass", "arm_length", "torque_const", "f_max")}
     try:
         return QuadParams(
-            mass=float(_require(node, "mass", "quad")),
-            arm_length=float(_require(node, "arm_length", "quad")),
+            **scalars,
             inertia_diag=inertia,
-            torque_const=float(_require(node, "torque_const", "quad")),
-            f_min=float(node.get("f_min", 0.0)),
-            f_max=float(_require(node, "f_max", "quad")),
+            f_min=_number(node.get("f_min", 0.0), "quad.f_min"),
             omega_max=_vec3(_require(node, "omega_max", "quad"), "quad.omega_max"),
         )
     except ValueError as exc:
@@ -123,10 +133,10 @@ def _parse_gate(node, index, strict) -> Gate:
         if gtype == "ball":
             gate = BallGate(
                 center=_vec3(_require(node, "center", ctx), f"{ctx}.center"),
-                radius=float(_require(node, "radius", ctx)),
+                radius=_number(_require(node, "radius", ctx), f"{ctx}.radius"),
             )
         elif gtype in ("polygon", "polyhedron"):
-            verts = np.asarray(_require(node, "vertices", ctx), dtype=float)
+            verts = _array(_require(node, "vertices", ctx), f"{ctx}.vertices")
             gate = PolytopeGate.from_vertices(verts, planar=(gtype == "polygon"))
         else:
             raise ValidationError(f"{ctx}.type: unknown gate type {gtype!r}")

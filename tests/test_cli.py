@@ -217,6 +217,27 @@ class TestPlan:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("radius: 0.8", "radius: wide", "gates[0].radius: not a number"),
+        ("vertices:\n      - [5, -1.6, 0.5]\n      - [5, 0.4, 0.5]\n"
+         "      - [5, 0.4, 2.5]\n      - [5, -1.6, 2.5]", "vertices: wide",
+         "gates[1].vertices: not a numeric array"),
+    ], ids=["radius-word", "vertices-word"])
+    def test_non_numeric_gate_values_exit_validation(self, old, new, message,
+                                                     tmp_path, capsys):
+        """A word where a gate's number or vertex list belongs is refused
+        with one error line naming the field, not a traceback."""
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK.replace(old, new))
+        assert new in track.read_text()
+        out = tmp_path / "out"
+        assert main(["plan", str(track), "--out-dir", str(out)]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCheck:
     def test_ball_grazed_between_samples(self):

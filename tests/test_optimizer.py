@@ -1,9 +1,17 @@
 """Tests for initialization, the quasi-Newton solve and its diagnostics."""
 
+import ctypes
+import glob
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+import scipy
 
 import raceplan.cost
+from raceplan import optimizer
+from raceplan.errors import RaceplanError
 from raceplan.gates import (
     BallGate, GateSequence, contains, decode, time_map,
 )
@@ -123,6 +131,117 @@ class TestSolve:
         # The best raw iterate is kept across starts; the subsequent
         # feasibility-restoration bisection adds sub-millisecond jitter.
         assert multi.objective <= plain.objective + 1e-3
+
+
+def _blas_threads():
+    """The thread count of scipy's OpenBLAS, or None where it cannot be
+    read."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        return ctypes.CDLL(path).scipy_openblas_get_num_threads()
+    return None
+
+
+class TestStarts:
+    """A solve's starts run in forked workers when more than one usable CPU
+    can take them (2 here, whatever the host has), and in-process with 1."""
+
+    CFG = OptimizerConfig(restarts=2, seed=1)
+
+    def test_forked_and_in_process_give_the_same_bytes(self, single_ball_problem,
+                                                       monkeypatch):
+        results = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+            results.append(solve(*single_ball_problem, opt_cfg=self.CFG))
+            assert multiprocessing.active_children() == []
+        forked, in_process = results
+        for name in ("states", "controls", "sample_times"):
+            assert getattr(forked, name).tobytes() == getattr(in_process, name).tobytes()
+        assert forked.decision.to_flat().tobytes() == in_process.decision.to_flat().tobytes()
+        a, b = forked.diagnostics, in_process.diagnostics
+        assert (a.function_evals, a.iterations, a.termination, a.objective_trace) \
+            == (b.function_evals, b.iterations, b.termination, b.objective_trace)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_a_failing_start_reaches_the_caller(self, cpus, single_ball_problem,
+                                                monkeypatch):
+        """The restarts raise; the solve raises their error unchanged, and
+        no worker is left behind."""
+        seq, _, bc0, bcf = single_ball_problem
+        first = initialize(seq, bc0, bcf).to_flat()
+        minimize = optimizer._minimize
+
+        def failing(fg, x0):
+            if not np.array_equal(x0, first):
+                raise RaceplanError("this start failed")
+            return minimize(fg, x0)
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(optimizer, "_minimize", failing)
+        with pytest.raises(RaceplanError) as info:
+            solve(*single_ball_problem, opt_cfg=self.CFG)
+        assert type(info.value) is RaceplanError
+        assert str(info.value) == "this start failed"
+        assert multiprocessing.active_children() == []
+
+    def test_solve_in_a_daemonic_worker_runs_in_process(self, single_ball_problem,
+                                                        monkeypatch):
+        """A daemonic process may not have children, so a solve called in
+        a caller's own pool worker runs its starts there."""
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        expect = solve(*single_ball_problem, opt_cfg=self.CFG)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            result = pool.apply(solve, single_ball_problem, {"opt_cfg": self.CFG})
+        assert result.states.tobytes() == expect.states.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_starts_capped_by_cpus(self, monkeypatch):
+        starts = 1 + OptimizerConfig(restarts=1000).restarts
+        for cpus, workers in ((1, 1), (2, 2), (64, 64), (4096, 1001)):
+            monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+            assert optimizer._worker_count(starts) == workers
+        assert multiprocessing.active_children() == []
+
+    def test_workers_use_one_blas_thread_and_leave_the_callers(
+            self, single_ball_problem, monkeypatch):
+        minimize = optimizer._minimize
+
+        def reporting(fg, x0):
+            x, f, diag = minimize(fg, x0)
+            diag.blas_threads = _blas_threads()
+            return x, f, diag
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer, "_minimize", reporting)
+        set_threads = optimizer._blas_thread_setter()
+        if set_threads is None:
+            return   # no OpenBLAS thread count to read or set here
+        before = _blas_threads()
+        set_threads(2)   # not the workers' 1, whatever an earlier test left
+        try:
+            result = solve(*single_ball_problem, opt_cfg=self.CFG)
+            assert _blas_threads() == 2
+        finally:
+            set_threads(before)
+        assert result.diagnostics.blas_threads == 1
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_a_tie_goes_to_the_first_start(self, cpus, single_ball_problem,
+                                           monkeypatch):
+        minimize = optimizer._minimize
+
+        def tied(fg, x0):
+            x, _, diag = minimize(fg, x0)
+            return x, 1.0, diag
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(optimizer, "_minimize", tied)
+        first_only = solve(*single_ball_problem)
+        result = solve(*single_ball_problem, opt_cfg=self.CFG)
+        assert result.states.tobytes() == first_only.states.tobytes()
+        assert result.diagnostics.objective_trace \
+            == first_only.diagnostics.objective_trace
 
 
 class TestMinimize:

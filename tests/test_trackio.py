@@ -134,6 +134,14 @@ class TestParse:
         lambda d: d.__setitem__("quad", {**QUAD, "omega_max": [15, 15, float("nan")]}),
         lambda d: d.__setitem__("options", {"waypoint_tolerance": float("nan")}),
         lambda d: d.__setitem__("options", {"waypoint_tolerance": float("inf")}),
+        _says("gates[0].radius: not a number",
+              lambda d: d["gates"][0].__setitem__("radius", "wide")),
+        _says("gates[0].vertices: not a numeric array",
+              lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": "wide"}])),
+        _says("quad.mass: not a number",
+              lambda d: d.__setitem__("quad", {**QUAD, "mass": [0.85]})),
+        _says("quad.inertia: not a numeric array",
+              lambda d: d.__setitem__("quad", {**QUAD, "inertia": "wide"})),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
