@@ -73,7 +73,7 @@ def _dot(a, b):
 def _cross(a, b):
     """Per-sample cross products of (3, N) or (3, 1) arrays, with np.cross's
     arithmetic."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty((3, b.shape[1] if a.shape[1] == 1 else a.shape[1]))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
         out[i] -= a[k] * b[j]
@@ -144,7 +144,7 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
     j_w = omega * inertia
     tau = omega_dot * inertia + _cross(omega, j_w)
 
-    m_inv = np.linalg.inv(mixer_matrix(params))
+    m_inv = params.mixer_inverse
     wrench = np.stack([thrust, *tau], axis=1)  # (N, 4)
     rotor = wrench @ m_inv.T
 

@@ -78,8 +78,9 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
 
     # One basis table serves the evaluation and the coefficient scatter.
-    basis = spline_mod._basis(local, 5, ncoef)
-    derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis)
+    # Only orders 2-5 are read: the flatness map takes 2-4, rho_dot 3-5.
+    basis = spline_mod._basis(local, 5, ncoef, min_order=2)
+    derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis, min_order=2)
     out = _flatjet.flat_outputs(derivs, params, want_grad=True)
     if out.singular.any():
         return math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg)

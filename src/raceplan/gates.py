@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionMismatch, EmptyAfterShrink, ValidationError
@@ -350,6 +349,7 @@ def decode(seq: GateSequence, dec: DecisionVector):
 # margin shrinking
 
 def _chebyshev_center(a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linprog  # here, not at import: few gates need it
     # max r s.t. A x + r <= b (rows unit-norm)
     c = np.array([0.0, 0.0, 0.0, -1.0])
     a_ub = np.hstack([a_mat, np.ones((len(a_mat), 1))])

@@ -46,6 +46,9 @@ class QuadParams:
             raise ValueError("omega_max must be positive componentwise")
         if not 4.0 * self.f_max > self.mass * np.linalg.norm(GRAVITY):
             raise ValueError("hover infeasible: 4*f_max <= m*g")
+        # Read-only, (collective thrust, body torque) -> rotor thrusts.
+        object.__setattr__(self, "mixer_inverse",
+                           _vec(np.linalg.inv(_flatjet.mixer_matrix(self)), (4, 4)))
 
     @classmethod
     def quad_a(cls) -> "QuadParams":

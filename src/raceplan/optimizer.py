@@ -1,9 +1,9 @@
 """Unconstrained minimization of the planning objective.
 
-scipy's limited-memory quasi-Newton L-BFGS-B drives the decision variables
-(gate parameters D, time variables K), unbounded.  Infinite objective values
-(flatness singularities, absurd durations) are passed to it as +inf, so the
-solver never crashes on them.
+scipy's limited-memory quasi-Newton L-BFGS-B, which ``solve`` imports,
+drives the decision variables (gate parameters D, time variables K),
+unbounded.  Infinite objective values (flatness singularities, absurd
+durations) are passed to it as +inf, so the solver never crashes on them.
 
 A solve's starts are independent.  Where more than one CPU can take them,
 they run side by side in forked worker processes, each limited to one
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy import optimize
 
 from . import cost as cost_mod
 from . import gates as gates_mod
@@ -150,7 +149,7 @@ def _minimize(fg, x0):
             if grid is None:
                 trace.append(intermediate_result.fun)
 
-        res = optimize.minimize(
+        res = scipy.optimize.minimize(
             fun, x, jac=True, method="L-BFGS-B", callback=callback,
             options={"maxcor": MEMORY, "maxiter": MAX_ITERATIONS - iterations,
                      "ftol": F_TOLERANCE, "gtol": GRAD_TOLERANCE},
@@ -255,15 +254,19 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
     def scaled(gamma):
         return DecisionVector(D=dec.D, K=gates_mod.time_map_inverse(gamma * durations))
 
-    if penalty_of(scaled(1.0)) <= RESTORE_PENALTY_TOL:
+    def feasible(d):  # a stretch past the spline's duration guard is out of reach
+        return (np.all(gates_mod.time_map(d.K)[0] <= MAX_SEGMENT_DURATION)
+                and penalty_of(d) <= RESTORE_PENALTY_TOL)
+
+    if feasible(scaled(1.0)):
         return dec
     hi = RESTORE_MAX_SCALE
-    if penalty_of(scaled(hi)) > RESTORE_PENALTY_TOL:
+    if not feasible(scaled(hi)):
         return dec  # restoration out of reach; keep the optimizer's iterate
     lo = 1.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if penalty_of(scaled(mid)) <= RESTORE_PENALTY_TOL:
+        if feasible(scaled(mid)):
             hi = mid
         else:
             lo = mid
@@ -297,6 +300,8 @@ def solve(seq: GateSequence, params: QuadParams,
     optional seeded random restarts) and returns the best iterate with
     sampled state/control trajectories and diagnostics.
     """
+    # Loaded by a solve only, before the clock and any fork: workers inherit it.
+    import scipy.optimize  # noqa: F401
     t_start = time.perf_counter()
     dec0 = initialize(seq, bc0, bcf, opt_cfg)
 

@@ -10,6 +10,7 @@ cost gradients on coefficients back onto waypoints and durations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ MAX_SEGMENT_DURATION = 60.0
 #: Smoothness order s (minimum snap); each piece has NCOEF = 2s coefficients.
 S = 3
 NCOEF = 2 * S
+#: Falling factorials m!/(m-k)!: row k, column m, zero where m < k.
+_FALLING = np.array([[math.perm(m, k) for m in range(NCOEF)] for k in range(NCOEF)], float)
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,16 @@ class BoundaryCondition:
         return cls(d)
 
 
-def _basis(t, max_order: int, ncoef: int) -> np.ndarray:
+def _basis(t, max_order: int, ncoef: int, min_order: int = 0) -> np.ndarray:
     """Rows of d^k/dt^k [1, t, t^2, ...] for k = 0..max_order at a batch of
-    times; (N, max_order+1, ncoef).  Entry (k, m) is m!/(m-k)! t^(m-k)."""
+    times; (N, max_order+1, ncoef), ncoef <= NCOEF.  Entry (k, m) is
+    m!/(m-k)! t^(m-k); rows below ``min_order`` are left zero."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    powers = np.stack([t ** p for p in range(ncoef)], axis=-1)
+    powers = np.stack([t ** p for p in range(ncoef - min_order)], axis=-1)
     # Stored order-major so that each order's (N, ncoef) slice is contiguous.
     table = np.zeros((max_order + 1, len(t), ncoef))
-    for k in range(min(max_order + 1, ncoef)):
-        falling = [math.perm(m, k) for m in range(k, ncoef)]
-        np.multiply(falling, powers[:, :ncoef - k], out=table[k, :, k:])
+    for k in range(min_order, min(max_order + 1, ncoef)):
+        np.multiply(_FALLING[k, k:ncoef], powers[:, :ncoef - k], out=table[k, :, k:])
     return table.swapaxes(0, 1)
 
 
@@ -88,17 +91,19 @@ class TrajectorySpline:
                       len(self.durations) - 1)
         return idx, np.clip(ts - cum[idx], 0.0, None)
 
-    def eval_local(self, seg_idx, local, max_order: int, basis=None) -> np.ndarray:
-        """Evaluate on given segments at local times; (N, max_order+1, 3).
+    def eval_local(self, seg_idx, local, max_order: int, basis=None,
+                   min_order: int = 0) -> np.ndarray:
+        """Evaluate on given segments at local times; (N, max_order+1, 3),
+        with the orders below ``min_order`` left zero.
 
-        ``basis`` may pass in ``_basis(local, k, NCOEF)`` for some
+        ``basis`` may pass in ``_basis(local, k, NCOEF, min_order)`` for some
         k >= max_order, already built by the caller.
         """
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
         if basis is None:
-            basis = _basis(local, max_order, NCOEF)
-        out = np.empty((len(basis), max_order + 1, 3))
-        for order in range(max_order + 1):
+            basis = _basis(local, max_order, NCOEF, min_order)
+        out = np.zeros((len(basis), max_order + 1, 3))
+        for order in range(min_order, max_order + 1):
             out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
         return out
 
@@ -106,6 +111,32 @@ class TrajectorySpline:
         """Position derivatives, shape (N, max_order+1, 3)."""
         idx, local = self.locate(np.atleast_1d(ts))
         return self.eval_local(idx, local, max_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _band_layout(num_seg: int):
+    """For num_seg segments, the flat position of each entry of construct's
+    band matrix, and its flat index into [_basis(T, 2s-2, 2s), k!, -k!]."""
+    s, ncoef, n = S, NCOEF, NCOEF * num_seg
+    # Rows: the start boundary (orders 0..s-1 of segment 0 at t = 0); per
+    # junction j between segments j and j+1, position interpolation then
+    # continuity of orders 0..2s-2 (segment j at T_j minus segment j+1 at 0);
+    # the end boundary (orders 0..s-1 of the last segment at its T).
+    k = np.arange(ncoef - 1)  # derivative orders
+    m = np.arange(ncoef)      # coefficient index within a segment
+    j = np.arange(num_seg - 1)[:, None]
+    r0 = s + ncoef * j
+    at_end = np.arange(num_seg * (ncoef - 1) * ncoef).reshape(num_seg, ncoef - 1, ncoef)
+    at0 = at_end.size + k     # k! at t = 0; -k! follows at at0 + 2s-1
+    blocks = (  # (rows, columns, sources), broadcast against each other
+        (k[:s], k[:s], at0[:s]),
+        (r0[..., None] + m[:, None], ncoef * j[..., None] + m, at_end[:-1, np.r_[0, k]]),
+        (r0 + 1 + k, ncoef * (j + 1) + k, at0 + ncoef - 1),
+        (n - s + k[:s, None], n - ncoef + m, at_end[-1, :s]),
+    )
+    rows, cols, sources = (np.concatenate(parts) for parts in zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
+    return (2 * (3 * s - 1) + rows - cols) * n + cols, sources  # row kl + ku + i - j
 
 
 def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> TrajectorySpline:
@@ -129,31 +160,15 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
 
     n = ncoef * num_seg
     kl = ku = 3 * s - 1
-    ab = np.zeros((2 * kl + ku + 1, n))
     rhs = np.zeros((n, 3))
     rhs[:s] = bc0.derivatives
     rhs[s:n - s:ncoef] = P
     rhs[n - s:] = bcf.derivatives
-
-    # Rows: the start boundary (orders 0..s-1 of segment 0 at t = 0); per
-    # junction j between segments j and j+1, position interpolation then
-    # continuity of orders 0..2s-2 (segment j at T_j minus segment j+1 at 0);
-    # the end boundary (orders 0..s-1 of the last segment at its T).
-    k = np.arange(ncoef - 1)  # derivative orders
-    m = np.arange(ncoef)      # coefficient index within a segment
-    j = np.arange(num_seg - 1)[:, None]
-    r0 = s + ncoef * j
-    at0 = np.diagonal(_basis(0.0, ncoef - 2, ncoef)[0])  # only t^k is left: k!
-    at_end = _basis(T, ncoef - 2, ncoef)
-    blocks = (  # (rows, columns, values), broadcast against each other
-        (k[:s], k[:s], at0[:s]),
-        (r0[..., None] + m[:, None], ncoef * j[..., None] + m, at_end[:-1, np.r_[0, k]]),
-        (r0 + 1 + k, ncoef * (j + 1) + k, -at0),
-        (n - s + k[:s, None], n - ncoef + m, at_end[-1, :s]),
-    )
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*(
-        [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
-    ab[kl + ku + rows - cols, cols] = vals
+    positions, sources = _band_layout(num_seg)
+    factorials = np.diagonal(_FALLING)[:-1]
+    values = np.concatenate([_basis(T, ncoef - 2, ncoef).ravel(), factorials, -factorials])
+    ab = np.zeros((2 * kl + ku + 1, n))
+    np.put(ab, positions, values[sources])
 
     lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
     if info != 0:
@@ -193,7 +208,7 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity
     # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
-    at_end = _basis(spline.durations, ncoef - 1, ncoef)
+    at_end = _basis(spline.durations, ncoef - 1, ncoef, min_order=1)
     junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 3),
                          at_end[:-1, np.r_[1, 1:ncoef]], spline.coefficients[:-1])
     end = _row_sums(lam[None, n - s:], at_end[-1:, 1:s + 1],

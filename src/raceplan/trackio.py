@@ -107,7 +107,7 @@ def _parse_quad(node, strict) -> QuadParams:
     units = node.get("inertia_units", "g_m2")
     if units not in ("g_m2", "kg_m2"):
         raise ValidationError(f"quad.inertia_units: unknown unit {units!r}")
-    inertia = _array(_require(node, "inertia", "quad"), "quad.inertia")
+    inertia = _vec3(_require(node, "inertia", "quad"), "quad.inertia")
     if units == "g_m2":
         inertia = inertia * 1e-3
     scalars = {key: _number(_require(node, key, "quad"), f"quad.{key}")

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,27 @@ class TestPlan:
         assert main(["plan", str(far), "--out-dir", str(out)]) == EXIT_OK
         code = main(["check", str(out / "trajectory.csv"), str(far)])
         assert code == EXIT_OK, capsys.readouterr().out
+
+    @pytest.mark.parametrize("move", ["start", "gate"])
+    def test_far_start_or_gate_exits_solver(self, move, tmp_path, capsys):
+        """The loop track with its start 1e6 m away, or a gate moved by
+        1e7 m.  Restoration would stretch durations past the spline's 60 s
+        guard, so it is out of reach: plan exits 2 with one error line, not
+        a traceback."""
+        track = tracks.loop_track()
+        if move == "start":
+            track = replace(track, start=np.array([1e6, 0.0, 1.0]))
+        else:
+            gates = list(track.gates)
+            gates[3] = PolytopeGate.from_vertices(gates[3].vertices + [1e7, 0.0, 0.0])
+            track = replace(track, gates=tuple(gates))
+        path = tmp_path / "far.yaml"
+        path.write_text(trackio.serialize(track))
+        code = main(["plan", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):

@@ -4,6 +4,10 @@ import ctypes
 import glob
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,13 @@ import raceplan.cost
 from raceplan import optimizer
 from raceplan.errors import RaceplanError
 from raceplan.gates import (
-    BallGate, GateSequence, contains, decode, time_map,
+    BallGate, DecisionVector, GateSequence, contains, decode, time_map,
+    time_map_inverse,
 )
-from raceplan.optimizer import OptimizerConfig, _minimize, initialize, solve
-from raceplan.spline import BoundaryCondition
+from raceplan.optimizer import (
+    OptimizerConfig, _minimize, _restore_feasibility, initialize, solve,
+)
+from raceplan.spline import MAX_SEGMENT_DURATION, BoundaryCondition, construct
 from raceplan.trackio import build_sequence
 from raceplan.tracks import loop_track
 
@@ -244,6 +251,39 @@ class TestStarts:
             == first_only.diagnostics.objective_trace
 
 
+class TestRestore:
+    """`_restore_feasibility` on a penalty that builds the spline, as the
+    solve's does, and is met once the first duration reaches a bound."""
+
+    @staticmethod
+    def penalty_met_from(bound, asked):
+        hover = BoundaryCondition.hover([0.0, 0.0, 1.0])
+
+        def penalty_of(dec):
+            durations = time_map(dec.K)[0]
+            asked.append(durations.max())
+            construct(np.zeros((1, 3)), durations, hover, hover)
+            return 0.0 if durations[0] >= bound else 1.0
+        return penalty_of
+
+    def test_stretch_past_the_duration_guard_is_out_of_reach(self):
+        """50 s stretched by RESTORE_MAX_SCALE passes the spline's 60 s
+        guard: restoration keeps the iterate, and never builds a spline past
+        the guard, where construct would raise."""
+        dec = DecisionVector(D=np.zeros(0), K=time_map_inverse(np.array([50.0, 5.0])))
+        asked = []
+        assert _restore_feasibility(dec, self.penalty_met_from(55.0, asked)) is dec
+        assert asked and max(asked) <= MAX_SEGMENT_DURATION
+
+    def test_smallest_stretch_within_the_guard(self):
+        dec = DecisionVector(D=np.zeros(0), K=time_map_inverse(np.array([10.0, 5.0])))
+        asked = []
+        restored = _restore_feasibility(dec, self.penalty_met_from(12.0, asked))
+        durations = time_map(restored.K)[0]
+        assert durations[0] >= 12.0 and durations[0] == pytest.approx(12.0, abs=1e-3)
+        assert durations[1] / durations[0] == pytest.approx(0.5)
+
+
 class TestMinimize:
     """Termination and bookkeeping of `_minimize` on synthetic
     objectives; ``fg(x, grid)`` ignores the grid, as a smooth objective
@@ -311,3 +351,37 @@ def test_waypoint_loop_robust_to_gradient_rounding(monkeypatch):
         result = solve(seq, track.quad, bc0, bcf)
         assert result.diagnostics.termination != "line_search_failure"
         assert abs(result.total_time - reference) <= 1e-3
+
+
+def test_scipy_optimize_loads_only_when_a_solve_starts():
+    """In a fresh interpreter, importing the CLI and evaluating the
+    objective leave scipy.optimize unloaded; a solve has loaded it by the
+    time it initializes, before its starts run or fork."""
+    script = textwrap.dedent("""
+        import sys
+        import raceplan.cli
+        from raceplan import QuadParams, cost, optimizer
+        from raceplan.gates import BallGate, GateSequence
+        from raceplan.spline import BoundaryCondition
+        seq = GateSequence(gates=(BallGate(center=[3.0, 0.0, 1.5], radius=1.0),))
+        bc0 = BoundaryCondition.hover([0.0, 0.0, 1.5])
+        bcf = BoundaryCondition.hover([6.0, 0.0, 1.5])
+        quad = QuadParams.quad_a()
+        cost.objective(optimizer.initialize(seq, bc0, bcf), seq, quad, bc0, bcf)
+        print("scipy.optimize" in sys.modules)
+        initialize = optimizer.initialize
+
+        def recording(*args):
+            print("scipy.optimize" in sys.modules)
+            return initialize(*args)
+
+        optimizer.initialize = recording
+        optimizer.solve(seq, quad, bc0, bcf)
+    """)
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -148,6 +148,39 @@ def reference_propagate(traj, dJ_dC, dJ_dT_direct):
     return dJ_dP[:, :3], dJ_dT
 
 
+def broadcast_construct(P, T, bc0, bcf):
+    """The coefficients of construct's assembly before its layout was cached
+    per segment count: every entry's row, column and value broadcast per
+    block on each call, then one indexed write into the band."""
+    s, ncoef = spline.S, spline.NCOEF
+    num_seg = len(T)
+    n = ncoef * num_seg
+    kl = ku = 3 * s - 1
+    ab = np.zeros((2 * kl + ku + 1, n))
+    rhs = np.zeros((n, 3))
+    rhs[:s] = bc0.derivatives
+    rhs[s:n - s:ncoef] = P
+    rhs[n - s:] = bcf.derivatives
+    k = np.arange(ncoef - 1)
+    m = np.arange(ncoef)
+    j = np.arange(num_seg - 1)[:, None]
+    r0 = s + ncoef * j
+    at0 = np.diagonal(_basis(0.0, ncoef - 2, ncoef)[0])
+    at_end = _basis(T, ncoef - 2, ncoef)
+    blocks = (
+        (k[:s], k[:s], at0[:s]),
+        (r0[..., None] + m[:, None], ncoef * j[..., None] + m, at_end[:-1, np.r_[0, k]]),
+        (r0 + 1 + k, ncoef * (j + 1) + k, -at0),
+        (n - s + k[:s, None], n - ncoef + m, at_end[-1, :s]),
+    )
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
+    ab[kl + ku + rows - cols, cols] = vals
+    lu, ipiv, _ = lapack.dgbtrf(ab, kl, ku)
+    sol, _ = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)
+    return sol.reshape(num_seg, ncoef, 3)
+
+
 def random_problem(rng, num_wp):
     P = rng.normal(scale=2.0, size=(num_wp, 3))
     T = rng.uniform(0.6, 1.8, size=num_wp + 1)
@@ -245,6 +278,36 @@ class TestExactReference:
         assert table.shape == (500, 8, 6)
         for order in range(8):
             assert np.array_equal(table[:, order], per_order_basis(t, order, 6))
+
+    def test_basis_from_order_two_matches_full_table(self):
+        """Rows from min_order on equal the full table's; the rows below it
+        are zero, in the table and in eval_local's output."""
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0.0, 60.0, 500)
+        full = _basis(t, 5, 6)
+        part = _basis(t, 5, 6, min_order=2)
+        assert part.shape == full.shape
+        assert part[:, 2:].tobytes() == np.ascontiguousarray(full[:, 2:]).tobytes()
+        assert not part[:, :2].any()
+        P, T, bc0, bcf = random_problem(rng, 3)
+        traj = construct(P, T, bc0, bcf)
+        seg, local = traj.locate(rng.uniform(0.0, traj.total_time, 300))
+        got = traj.eval_local(seg, local, 5, min_order=2)
+        assert got[:, 2:].tobytes() == \
+            np.ascontiguousarray(traj.eval_local(seg, local, 5)[:, 2:]).tobytes()
+        assert not got[:, :2].any()
+
+    def test_cached_layout_matches_broadcast_assembly(self):
+        """Segment counts 1-9, then again in reverse and shuffled, so each
+        count's cached layout is reused after others: the coefficients equal
+        the per-call broadcast assembly's, byte for byte."""
+        rng = np.random.default_rng(40)
+        counts = list(range(1, 10))
+        for num_seg in counts + counts[::-1] + list(rng.permutation(counts)):
+            P, T, bc0, bcf = random_problem(rng, int(num_seg) - 1)
+            T = T * rng.choice([0.05, 1.0, 20.0])
+            got = construct(P, T, bc0, bcf).coefficients
+            assert got.tobytes() == broadcast_construct(P, T, bc0, bcf).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_spline_matches_references(self, seed):

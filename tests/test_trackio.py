@@ -142,6 +142,8 @@ class TestParse:
               lambda d: d.__setitem__("quad", {**QUAD, "mass": [0.85]})),
         _says("quad.inertia: not a numeric array",
               lambda d: d.__setitem__("quad", {**QUAD, "inertia": "wide"})),
+        _says("quad.inertia: expected a 3-vector",
+              lambda d: d.__setitem__("quad", {**QUAD, "inertia": [1, 2]})),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
