@@ -8,9 +8,9 @@ from .errors import (
     RaceplanError, SingularSystem, ValidationError,
 )
 from .gates import (
-    BallGate, DecisionVector, GateSequence, PolytopeGate, ball_contains,
-    ball_surject, decode, polytope_contains, polytope_surject, shrink_margin,
-    time_map, time_map_inverse,
+    BallGate, DecisionVector, GateSequence, PolytopeGate, ball_surject,
+    contains, decode, polytope_surject, shrink_margin, time_map,
+    time_map_inverse,
 )
 from .model import QuadParams, dynamics, limit_residuals, rotation_to_quat
 from .optimizer import OptimizerConfig, PlanResult, SolveDiagnostics, initialize, solve
@@ -18,7 +18,7 @@ from .spline import (
     BoundaryCondition, TrajectorySpline, construct, propagate_gradients,
 )
 from .trackio import (
-    TrackFile, TrackOptions, build_sequence, concatenate_laps, parse, serialize,
+    TrackFile, TrackOptions, build_sequence, parse, serialize,
 )
 
 __version__ = "0.1.0"

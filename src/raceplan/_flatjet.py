@@ -1,14 +1,13 @@
-"""Vectorized flatness pipeline with an optional reverse-mode (adjoint) pass.
+"""Vectorized flatness pipeline with its reverse-mode (adjoint) pass.
 
 Maps batches of position derivatives (orders 2..4), at a heading fixed at
-zero yaw, to collective thrust, body rates, body-rate derivatives and
-per-rotor thrusts.  In gradient mode the value pass keeps its intermediates
-and the result carries a vector-Jacobian product: given cotangents on the
-rotor thrusts and body rates it runs the chain rule backwards over those
-intermediates and returns the cotangent on the 9 flat inputs, so downstream
-penalty gradients are analytic rather than finite-differenced.  This is the
-forward/backward split of the flatness map in GCOPTER (Wang et al., IEEE
-T-RO 2022); the value pass is identical with and without it.
+zero yaw, to body rates, body-rate derivatives and per-rotor thrusts.  The
+value pass keeps its intermediates and the result carries a vector-Jacobian
+product: given cotangents on the rotor thrusts and body rates it runs the
+chain rule backwards over those intermediates and returns the cotangent on
+the 9 flat inputs, so downstream penalty gradients are analytic rather than
+finite-differenced.  This is the forward/backward split of the flatness map
+in GCOPTER (Wang et al., IEEE T-RO 2022).
 """
 
 from __future__ import annotations
@@ -37,18 +36,17 @@ class FlatOutputs:
     """Batched outputs of the flatness pipeline.
 
     ``singular`` marks samples where the map is undefined; their numeric
-    outputs are garbage and must be discarded by the caller.  ``vjp`` is None
-    in value-only mode; otherwise ``vjp(rotor_bar (N, 4), omega_bar (N, 3))``
-    returns the (N, 9) cotangent on the flat inputs.
+    outputs are garbage and must be discarded by the caller.
+    ``vjp(rotor_bar (N, 4), omega_bar (N, 3))`` returns the (N, 9) cotangent
+    on the flat inputs.
     """
 
-    thrust: np.ndarray          # (N,) collective thrust, N
     rotor: np.ndarray           # (N, 4) per-rotor thrusts, N
     omega: np.ndarray           # (N, 3) body rates, rad/s
     omega_dot: np.ndarray       # (N, 3) body-rate derivatives
     rotation: np.ndarray        # (N, 3, 3) world<-body
     singular: np.ndarray        # (N,) bool
-    vjp: Callable | None = None
+    vjp: Callable
 
 
 def mixer_matrix(params) -> np.ndarray:
@@ -80,7 +78,7 @@ def _cross(a, b):
     return out
 
 
-def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOutputs:
+def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
     """Run the flatness pipeline on a batch of samples.
 
     derivs: (N, K, 3) position derivatives, orders 0..K-1 (K >= 5).
@@ -241,11 +239,10 @@ def flat_outputs(derivs: np.ndarray, params, want_grad: bool = False) -> FlatOut
         return np.stack([*f_bar, *jrk_bar, *snp_bar], axis=1)
 
     return FlatOutputs(
-        thrust=thrust,
         rotor=rotor,
         omega=omega.T.copy(),
         omega_dot=omega_dot.T.copy(),
         rotation=np.stack([x_b, y_b, z]).transpose(2, 1, 0).copy(),
         singular=singular,
-        vjp=vjp if want_grad else None,
+        vjp=vjp,
     )

@@ -16,7 +16,6 @@ import numpy as np
 from . import trackio
 from .checks import verify
 from .errors import ParseError, RaceplanError, ValidationError
-from .gates import BallGate
 from .optimizer import OptimizerConfig, solve
 from .spline import BoundaryCondition
 
@@ -58,11 +57,19 @@ def _read_csv(path: Path) -> np.ndarray:
 
 
 def _gate_outline(gate) -> dict:
-    if isinstance(gate, BallGate):
-        return {"type": "ball", "center": list(map(float, gate.center)),
-                "radius": float(gate.radius)}
-    return {"type": "polytope",
-            "vertices": [list(map(float, v)) for v in gate.vertices]}
+    """The gate as a track file writes it, with either polytope kind
+    labelled "polytope"."""
+    node = trackio._gate_node(gate)
+    if node["type"] != "ball":
+        node["type"] = "polytope"
+    return node
+
+
+def _load(args):
+    """The track file and its gate sequence under the command's flags."""
+    track = trackio.parse(args.track, strict=args.strict)
+    return track, trackio.build_sequence(
+        track, mode=args.mode, margin=args.margin, laps=args.laps)
 
 
 def cmd_plan(args) -> int:
@@ -75,10 +82,7 @@ def cmd_plan(args) -> int:
             print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        track = trackio.parse(args.track, strict=args.strict)
-        seq = trackio.build_sequence(
-            track, mode=args.mode, margin=args.margin, laps=args.laps
-        )
+        track, seq = _load(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -116,7 +120,8 @@ def cmd_plan(args) -> int:
                 "termination": result.diagnostics.termination,
                 "final_grad_norm": result.diagnostics.final_grad_norm,
                 "wall_time": result.diagnostics.wall_time,
-                "seed": result.diagnostics.seed,
+                "seed": args.seed,
+                "restore_scale": result.diagnostics.restore_scale,
             },
         }
         with open(out_dir / "summary.json", "w") as fh:
@@ -144,10 +149,7 @@ def cmd_plan(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        track = trackio.parse(args.track, strict=args.strict)
-        seq = trackio.build_sequence(
-            track, mode=args.mode, margin=args.margin, laps=args.laps
-        )
+        track, seq = _load(args)
         data = _read_csv(Path(args.trajectory))
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

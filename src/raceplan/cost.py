@@ -79,9 +79,9 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
 
     # One basis table serves the evaluation and the coefficient scatter.
     # Only orders 2-5 are read: the flatness map takes 2-4, rho_dot 3-5.
-    basis = spline_mod._basis(local, 5, ncoef, min_order=2)
+    basis = spline_mod._basis(local, 5, min_order=2)
     derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis, min_order=2)
-    out = _flatjet.flat_outputs(derivs, params, want_grad=True)
+    out = _flatjet.flat_outputs(derivs, params)
     if out.singular.any():
         return math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg)
 

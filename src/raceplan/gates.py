@@ -189,8 +189,10 @@ class DecisionVector:
     K: np.ndarray
 
     @classmethod
-    def for_sequence(cls, seq: GateSequence, fill: float = 0.1) -> "DecisionVector":
-        return cls(D=np.full(seq.offsets[-1][1], fill), K=np.zeros(len(seq) + 1))
+    def for_sequence(cls, seq: GateSequence) -> "DecisionVector":
+        """Every gate parameter at 0.1, just off the polytope map's d = 0
+        convention point, and every time variable at 0 (T = 1)."""
+        return cls(D=np.full(seq.offsets[-1][1], 0.1), K=np.zeros(len(seq) + 1))
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate([self.D, self.K])
@@ -205,32 +207,22 @@ class DecisionVector:
 # ---------------------------------------------------------------------------
 # containment
 
-def ball_contains(gate: BallGate, p):
-    """<= 0 iff p is inside the ball.  p is (3,) or (N, 3)."""
-    res = np.linalg.norm(np.asarray(p, dtype=float) - gate.center, axis=-1) - gate.radius
-    return res if np.ndim(res) else float(res)
-
-
-def polytope_contains(gate: PolytopeGate, p):
-    """<= 0 iff p is inside the polytope (and on-plane for polygons).
-    p is (3,) or (N, 3)."""
-    # Products summed per point, not matmul: a batch rounds as its points
-    # do one at a time.
-    p = np.asarray(p, dtype=float)
-    a_mat, b_vec = gate.halfspaces
-    res = np.max((p[..., None, :] * a_mat).sum(axis=-1) - b_vec, axis=-1)
-    if gate.is_planar:
-        normal, off = gate.plane
-        res = np.maximum(res, np.abs((p * normal).sum(axis=-1) - off) - EPS_PLANE)
-    return res if np.ndim(res) else float(res)
-
-
 def contains(gate: Gate, p):
-    """Containment residual of either gate kind: float for a (3,) point,
-    (N,) for (N, 3) points.  1-Lipschitz in the point."""
+    """Containment residual, <= 0 iff p is inside the gate (and on-plane for
+    polygons): float for a (3,) point, (N,) for (N, 3) points.  1-Lipschitz
+    in the point."""
+    p = np.asarray(p, dtype=float)
     if isinstance(gate, BallGate):
-        return ball_contains(gate, p)
-    return polytope_contains(gate, p)
+        res = np.linalg.norm(p - gate.center, axis=-1) - gate.radius
+    else:
+        # Products summed per point, not matmul: a batch rounds as its
+        # points do one at a time.
+        a_mat, b_vec = gate.halfspaces
+        res = np.max((p[..., None, :] * a_mat).sum(axis=-1) - b_vec, axis=-1)
+        if gate.is_planar:
+            normal, off = gate.plane
+            res = np.maximum(res, np.abs((p * normal).sum(axis=-1) - off) - EPS_PLANE)
+    return res if np.ndim(res) else float(res)
 
 
 def gate_center(gate: Gate) -> np.ndarray:
@@ -377,7 +369,6 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
 
     a_mat, b_vec = gate.halfspaces
     if gate.is_planar:
-        normal, _ = gate.plane
         basis = np.linalg.svd(gate.vertices - gate.vertices.mean(axis=0))[2][:2].T
         pts2 = (gate.vertices - gate.vertices.mean(axis=0)) @ basis
         # Area centroid of the convex polygon via its hull triangulation.

@@ -62,8 +62,10 @@ class SolveDiagnostics:
     final_grad_norm: float
     wall_time: float
     termination: str  # converged | max_iter | line_search_failure
-    seed: int = 0
     function_evals: int = 0
+    # The uniform duration stretch restoration applied: 1.0 where none was
+    # needed, None where feasibility was out of reach (set by solve).
+    restore_scale: float | None = 1.0
 
 
 @dataclass
@@ -88,7 +90,7 @@ def initialize(seq: GateSequence, bc0: BoundaryCondition, bcf: BoundaryCondition
     """Initial decision vector: gate parameters slightly off the polytope
     convention point, durations from straight-line distances at a guessed
     speed, each at most half the spline's duration guard."""
-    dec = DecisionVector.for_sequence(seq, fill=0.1)
+    dec = DecisionVector.for_sequence(seq)
     waypoints, _, _, _ = gates_mod.decode(seq, dec)
     chain = np.vstack(
         [bc0.derivatives[0], waypoints, bcf.derivatives[0]]
@@ -248,7 +250,11 @@ def _run_starts(fg, starts):
 def _restore_feasibility(dec: DecisionVector, penalty_of):
     """Stretch all durations by the smallest uniform factor that drives the
     sampled penalty below tolerance.  Waypoints are untouched, so gate
-    traversal is preserved exactly."""
+    traversal is preserved exactly.
+
+    Returns the decision vector and the factor: 1.0 with ``dec`` itself when
+    no stretch is needed, None with ``dec`` when feasibility is out of
+    reach within RESTORE_MAX_SCALE and the duration guard."""
     durations, _ = gates_mod.time_map(dec.K)
 
     def scaled(gamma):
@@ -259,10 +265,10 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
                 and penalty_of(d) <= RESTORE_PENALTY_TOL)
 
     if feasible(scaled(1.0)):
-        return dec
+        return dec, 1.0
     hi = RESTORE_MAX_SCALE
     if not feasible(scaled(hi)):
-        return dec  # restoration out of reach; keep the optimizer's iterate
+        return dec, None
     lo = 1.0
     for _ in range(30):
         mid = 0.5 * (lo + hi)
@@ -272,7 +278,7 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
             lo = mid
         if hi - lo < 1e-4:
             break
-    return scaled(hi)
+    return scaled(hi), hi
 
 
 def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
@@ -324,7 +330,6 @@ def solve(seq: GateSequence, params: QuadParams,
         if best is None or f < best[1]:
             best = (x, f, diag)
     x, f, diag = best
-    diag.seed = opt_cfg.seed
     diag.wall_time = time.perf_counter() - t_start
 
     # Verify restoration on a grid finer than both the optimization
@@ -335,7 +340,7 @@ def solve(seq: GateSequence, params: QuadParams,
         traj = cost_mod.spline_mod.construct(waypoints, durations, bc0, bcf)
         return cost_mod.penalty(traj, params, cost_mod.samples(durations, refine=4))[0]
 
-    dec = _restore_feasibility(dec0.with_flat(x), penalty_of)
+    dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x), penalty_of)
     report = cost_mod.objective(dec, seq, params, bc0, bcf)
     traj = report.spline
     times, states, controls = _sample_trajectory(traj, params, sample_dt)

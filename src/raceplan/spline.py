@@ -49,16 +49,16 @@ class BoundaryCondition:
         return cls(d)
 
 
-def _basis(t, max_order: int, ncoef: int, min_order: int = 0) -> np.ndarray:
-    """Rows of d^k/dt^k [1, t, t^2, ...] for k = 0..max_order at a batch of
-    times; (N, max_order+1, ncoef), ncoef <= NCOEF.  Entry (k, m) is
-    m!/(m-k)! t^(m-k); rows below ``min_order`` are left zero."""
+def _basis(t, max_order: int, min_order: int = 0) -> np.ndarray:
+    """Rows of d^k/dt^k [1, t, .., t^(2s-1)] for k = 0..max_order at a batch
+    of times; (N, max_order+1, 2s).  Entry (k, m) is m!/(m-k)! t^(m-k); rows
+    below ``min_order`` are left zero."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    powers = np.stack([t ** p for p in range(ncoef - min_order)], axis=-1)
-    # Stored order-major so that each order's (N, ncoef) slice is contiguous.
-    table = np.zeros((max_order + 1, len(t), ncoef))
-    for k in range(min_order, min(max_order + 1, ncoef)):
-        np.multiply(_FALLING[k, k:ncoef], powers[:, :ncoef - k], out=table[k, :, k:])
+    powers = np.stack([t ** p for p in range(NCOEF - min_order)], axis=-1)
+    # Stored order-major so that each order's (N, 2s) slice is contiguous.
+    table = np.zeros((max_order + 1, len(t), NCOEF))
+    for k in range(min_order, min(max_order + 1, NCOEF)):
+        np.multiply(_FALLING[k, k:], powers[:, :NCOEF - k], out=table[k, :, k:])
     return table.swapaxes(0, 1)
 
 
@@ -96,12 +96,12 @@ class TrajectorySpline:
         """Evaluate on given segments at local times; (N, max_order+1, 3),
         with the orders below ``min_order`` left zero.
 
-        ``basis`` may pass in ``_basis(local, k, NCOEF, min_order)`` for some
+        ``basis`` may pass in ``_basis(local, k, min_order)`` for some
         k >= max_order, already built by the caller.
         """
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
         if basis is None:
-            basis = _basis(local, max_order, NCOEF, min_order)
+            basis = _basis(local, max_order, min_order)
         out = np.zeros((len(basis), max_order + 1, 3))
         for order in range(min_order, max_order + 1):
             out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
@@ -116,7 +116,7 @@ class TrajectorySpline:
 @functools.lru_cache(maxsize=None)
 def _band_layout(num_seg: int):
     """For num_seg segments, the flat position of each entry of construct's
-    band matrix, and its flat index into [_basis(T, 2s-2, 2s), k!, -k!]."""
+    band matrix, and its flat index into [_basis(T, 2s-2), k!, -k!]."""
     s, ncoef, n = S, NCOEF, NCOEF * num_seg
     # Rows: the start boundary (orders 0..s-1 of segment 0 at t = 0); per
     # junction j between segments j and j+1, position interpolation then
@@ -166,7 +166,7 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     rhs[n - s:] = bcf.derivatives
     positions, sources = _band_layout(num_seg)
     factorials = np.diagonal(_FALLING)[:-1]
-    values = np.concatenate([_basis(T, ncoef - 2, ncoef).ravel(), factorials, -factorials])
+    values = np.concatenate([_basis(T, ncoef - 2).ravel(), factorials, -factorials])
     ab = np.zeros((2 * kl + ku + 1, n))
     np.put(ab, positions, values[sources])
 
@@ -208,7 +208,7 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity
     # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
-    at_end = _basis(spline.durations, ncoef - 1, ncoef, min_order=1)
+    at_end = _basis(spline.durations, ncoef - 1, min_order=1)
     junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 3),
                          at_end[:-1, np.r_[1, 1:ncoef]], spline.coefficients[:-1])
     end = _row_sums(lam[None, n - s:], at_end[-1:, 1:s + 1],

@@ -40,7 +40,8 @@ class TrackOptions:
     def __post_init__(self):
         if self.mode not in ("togt", "togt-wp"):
             raise ValidationError(f"options.mode: unknown mode {self.mode!r}")
-        if not isinstance(self.laps, int) or self.laps < 1:
+        # bool is an int, but YAML's true is no lap count.
+        if isinstance(self.laps, bool) or not isinstance(self.laps, int) or self.laps < 1:
             raise ValidationError("options.laps must be an integer >= 1")
         if not self.margin >= 0:
             raise ValidationError("options.margin must be >= 0")
@@ -73,6 +74,8 @@ def _check_keys(mapping, allowed, context, strict):
 
 
 def _number(value, context):
+    if isinstance(value, bool):  # YAML's true/false, which float() takes as 1/0
+        raise ValidationError(f"{context}: not a number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -172,17 +175,15 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
         raise ValidationError("options: expected a mapping")
     _check_keys(opt_node, _OPTION_KEYS, "options", strict)
     given = {k: opt_node[k] for k in _OPTION_KEYS if k in opt_node}
-    try:
-        options = TrackOptions(**given)
-    except TypeError as exc:
-        raise ValidationError("options.margin and options.waypoint_tolerance "
-                              "must be numbers") from exc
+    for key in ("margin", "waypoint_tolerance"):
+        if key in given:
+            given[key] = _number(given[key], f"options.{key}")
     return TrackFile(
         quad=quad,
         start=start,
         finish=finish,
         gates=gates,
-        options=options,
+        options=TrackOptions(**given),
     )
 
 
@@ -245,17 +246,11 @@ def to_waypoint_mode(track: TrackFile) -> TrackFile:
     return replace(track, gates=new_gates)
 
 
-def concatenate_laps(track: TrackFile, laps: int) -> GateSequence:
-    """Repeat the gate list verbatim for a multi-lap problem."""
-    if laps < 1:
-        raise ValidationError("laps must be >= 1")
-    return GateSequence(gates=track.gates * laps)
-
-
 def build_sequence(track: TrackFile, mode: str | None = None,
                    margin: float | None = None,
                    laps: int | None = None) -> GateSequence:
-    """Apply mode conversion, safety margin and lap concatenation.
+    """Apply mode conversion, safety margin and lap concatenation (the gate
+    list repeated verbatim).
 
     The arguments that are not None override the file's options, validated
     as they are but named by their flag (``--margin``).  Waypoint mode
@@ -276,4 +271,4 @@ def build_sequence(track: TrackFile, mode: str | None = None,
     elif options.margin > 0:
         track = replace(track, gates=tuple(
             shrink_margin(g, options.margin) for g in track.gates))
-    return concatenate_laps(track, options.laps)
+    return GateSequence(gates=track.gates * options.laps)

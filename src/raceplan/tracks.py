@@ -9,10 +9,12 @@ from .model import QuadParams
 from .trackio import TrackFile, TrackOptions
 
 
-def _frame(normal, up=(0.0, 0.0, 1.0)):
+def _frame(normal):
+    """Two unit axes spanning the plane normal to ``normal``, the first
+    horizontal unless the normal is vertical."""
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
-    u = np.cross(np.asarray(up, dtype=float), n)
+    u = np.cross(np.array([0.0, 0.0, 1.0]), n)
     if np.linalg.norm(u) < 1e-9:
         u = np.cross([1.0, 0.0, 0.0], n)
     u /= np.linalg.norm(u)
@@ -30,30 +32,28 @@ def square_gate(center, normal, side: float) -> PolytopeGate:
     return PolytopeGate.from_vertices(np.array(verts), planar=True)
 
 
-def loop_track(n_gates: int = 7, radius: float = 8.0, side: float = 2.4,
-               margin: float = 0.3, base_height: float = 1.5,
-               height_wobble: float = 0.7, laps: int = 1,
-               mode: str = "togt", quad: QuadParams | None = None) -> TrackFile:
-    """Closed loop of square gates on a circle, tangent-facing, with mild
-    height variation.  Start and finish hover at the same point on the ring."""
-    quad = quad or QuadParams.quad_a()
+def loop_track() -> TrackFile:
+    """The paper's 7-gate loop: 2.4 m square gates on a circle of radius 8 m,
+    tangent-facing, at 1.5 m height with a 0.7 m wobble, under a 0.3 m
+    margin.  Start and finish hover at the same point on the ring."""
+    n_gates, radius, base_height = 7, 8.0, 1.5
     gates = []
     for i in range(n_gates):
         theta = 2.0 * np.pi * i / n_gates
-        z = base_height + height_wobble * np.sin(2.0 * theta)
+        z = base_height + 0.7 * np.sin(2.0 * theta)
         center = np.array([radius * np.cos(theta), radius * np.sin(theta), z])
         normal = np.array([-np.sin(theta), np.cos(theta), 0.0])
-        gates.append(square_gate(center, normal, side))
+        gates.append(square_gate(center, normal, 2.4))
     theta0 = -np.pi / n_gates
     start = np.array(
         [radius * np.cos(theta0), radius * np.sin(theta0), base_height]
     )
     return TrackFile(
-        quad=quad,
+        quad=QuadParams.quad_a(),
         start=start,
         finish=start.copy(),
         gates=tuple(gates),
-        options=TrackOptions(margin=margin, laps=laps, mode=mode),
+        options=TrackOptions(margin=0.3),
     )
 
 
@@ -63,14 +63,11 @@ def _octahedron(center, scale: float) -> PolytopeGate:
     return PolytopeGate.from_vertices(verts, planar=False)
 
 
-def random_track(seed: int, n_gates: int = 3,
-                 kinds=("ball", "polygon", "polyhedron"),
-                 spacing: float = 5.0,
-                 quad: QuadParams | None = None) -> TrackFile:
-    """Randomized mixed-gate track along a meandering path, reproducible
-    from the seed."""
+def random_track(seed: int, n_gates: int = 3) -> TrackFile:
+    """Randomized track of ball, polygon and polyhedron gates, 5 m apart
+    along a meandering path, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    quad = quad or QuadParams.quad_a()
+    kinds, spacing = ("ball", "polygon", "polyhedron"), 5.0
     heading = rng.uniform(0, 2 * np.pi)
     pos = np.array([0.0, 0.0, 1.5])
     gates: list[Gate] = []
@@ -91,7 +88,7 @@ def random_track(seed: int, n_gates: int = 3,
     ) * 0.3
     finish = pos + spacing * 0.5 * np.array([np.cos(heading), np.sin(heading), 0.0])
     return TrackFile(
-        quad=quad,
+        quad=QuadParams.quad_a(),
         start=start,
         finish=finish,
         gates=tuple(gates),

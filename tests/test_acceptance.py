@@ -134,6 +134,10 @@ def test_acceptance_feasibility_at_convergence(loop_solves, scaling_solves):
     for result in suite:
         assert result.penalty < 1e-4
         assert _failed_checks(result) == []
+    # The 7-gate optima sit just past the limits on the fine grid: each
+    # needs, and reports, a small duration stretch within reach.
+    for mode in ("togt", "wp"):
+        assert 1.0 < loop_solves[mode][1].diagnostics.restore_scale <= 1.5
 
 
 def test_acceptance_gate_traversal_exactness(loop_solves, scaling_solves):

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raceplan.checks import _residuals, verify
 from raceplan.cli import (
@@ -75,6 +79,7 @@ class TestPlan:
         assert summary["path_length"] >= 7.0  # at least the crow-flies span
         assert summary["penalty"] < 1e-4
         assert summary["solver"]["iterations"] >= 1
+        assert summary["solver"]["restore_scale"] >= 1.0
 
     def test_summary_checks_match_check(self, planned, capsys):
         """The checks plan writes are the verdicts and worst values that
@@ -148,6 +153,8 @@ class TestPlan:
         assert code == EXIT_SOLVER
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["solver"]["restore_scale"] is None
 
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):
@@ -306,6 +313,17 @@ class TestCheck:
         assert main(["plan", str(track), "--out-dir", str(tmp_path)]) == EXIT_OK
         code = main(["check", str(tmp_path / "trajectory.csv"), str(track)])
         assert code == EXIT_OK, capsys.readouterr().out
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_random_track_round_trip_property(self, seed):
+        """Any random_track seed plans, and check passes the export."""
+        with tempfile.TemporaryDirectory() as tmp:
+            track = Path(tmp) / "track.yaml"
+            track.write_text(trackio.serialize(tracks.random_track(seed)))
+            assert main(["plan", str(track), "--out-dir", tmp]) == EXIT_OK
+            assert main(["check", str(Path(tmp) / "trajectory.csv"),
+                         str(track)]) == EXIT_OK
 
     def test_closed_loop(self, planned, capsys):
         track, out = planned

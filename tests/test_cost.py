@@ -108,8 +108,8 @@ class TestPenalty:
         recorded = []
         flat_outputs = _flatjet.flat_outputs
 
-        def recording(derivs, params, want_grad=False):
-            out = flat_outputs(derivs, params, want_grad)
+        def recording(derivs, params):
+            out = flat_outputs(derivs, params)
 
             def vjp(rotor_bar, omega_bar):
                 recorded.append(out.vjp(rotor_bar, omega_bar))
@@ -121,7 +121,7 @@ class TestPenalty:
         assert value > 0
         (g_inputs,) = recorded
         seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
-        basis = _basis(local, 5, NCOEF)
+        basis = _basis(local, 5)
         contrib = np.zeros((len(local), NCOEF, 3))
         for o in range(3):
             contrib += basis[:, 2 + o, :, None] * g_inputs[:, None, 3 * o:3 * o + 3]

@@ -8,7 +8,7 @@ from raceplan._flatjet import (
     EPS_SING, GRAVITY, FlatOutputs, flat_outputs, mixer_matrix,
 )
 
-VALUE_FIELDS = ("thrust", "rotor", "omega", "omega_dot", "rotation", "singular")
+VALUE_FIELDS = ("rotor", "omega", "omega_dot", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
 INPUT_ENTRIES = [(2 + k // 3, k % 3) for k in range(9)]
 
@@ -49,7 +49,7 @@ def central_differences(derivs, params, rotor_bar, omega_bar, h=1e-6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_vjp_matches_central_differences(quad_a, seed):
     derivs = random_batch(seed)
-    out = flat_outputs(derivs, quad_a, want_grad=True)
+    out = flat_outputs(derivs, quad_a)
     assert not out.singular.any()
     assert out.rotation[-1, 2, 2] < 0.5   # body z more than 60 deg off vertical
     rng = np.random.default_rng(100 + seed)
@@ -70,16 +70,6 @@ def test_vjp_matches_central_differences(quad_a, seed):
                                        atol=1e-6 * scale, err_msg=f"column {col}")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_gradient_mode_leaves_values_bitwise_unchanged(quad_a, seed):
-    derivs = random_batch(seed, n=200)
-    plain = flat_outputs(derivs, quad_a)
-    with_grad = flat_outputs(derivs, quad_a, want_grad=True)
-    assert plain.vjp is None and with_grad.vjp is not None
-    for name in VALUE_FIELDS:
-        assert np.array_equal(getattr(plain, name), getattr(with_grad, name)), name
-
-
 # ---------------------------------------------------------------------------
 # reference: the sample-major value pass and VJP
 
@@ -87,7 +77,7 @@ def _rows_dot(a, b):
     return np.einsum("ni,ni->n", a, b)
 
 
-def reference_flat_outputs(derivs, params, want_grad=False):
+def reference_flat_outputs(derivs, params):
     """The flatness map and its VJP with every vector held sample-major,
     (N, 3), and np.cross: the reference the component-major kernel must
     match bit for bit.  It takes (N, K, 4) derivatives whose last column is
@@ -280,13 +270,12 @@ def reference_flat_outputs(derivs, params, want_grad=False):
         ], axis=1)
 
     return FlatOutputs(
-        thrust=thrust,
         rotor=rotor,
         omega=omega,
         omega_dot=omega_dot,
         rotation=np.stack([x_b, y_b, z], axis=2),
         singular=singular,
-        vjp=vjp if want_grad else None,
+        vjp=vjp,
     )
 
 
@@ -298,8 +287,8 @@ def assert_bitwise(got, want, what):
 def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
     derivs = random_batch(seed, n=300)
     derivs[0, 2] = GRAVITY  # zero specific force: singular
-    want = reference_flat_outputs(with_zero_yaw(derivs), quad_a, want_grad=True)
-    got = flat_outputs(derivs, quad_a, want_grad=True)
+    want = reference_flat_outputs(with_zero_yaw(derivs), quad_a)
+    got = flat_outputs(derivs, quad_a)
     assert got.singular[0] and not got.singular[1:].any()
     assert got.rotation[-1, 2, 2] < 0.5   # the strongly tilted sample
     for name in VALUE_FIELDS:

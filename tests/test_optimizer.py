@@ -53,8 +53,8 @@ class TestInitialize:
         bcf = BoundaryCondition.hover([6.0, 0.0, 1.0])
         dec = initialize(seq, bc0, bcf)
         waypoints, _, _, _ = decode(seq, dec)
-        # fill = 0.1 puts the ball parameter slightly off zero, so the seed
-        # waypoint sits near (not exactly at) the center.
+        # for_sequence's 0.1 puts the ball parameter slightly off zero, so
+        # the seed waypoint sits near (not exactly at) the center.
         assert np.max(np.linalg.norm(waypoints - centers, axis=1)) < 0.2
 
     def test_durations_from_speed_guess(self):
@@ -272,16 +272,23 @@ class TestRestore:
         the guard, where construct would raise."""
         dec = DecisionVector(D=np.zeros(0), K=time_map_inverse(np.array([50.0, 5.0])))
         asked = []
-        assert _restore_feasibility(dec, self.penalty_met_from(55.0, asked)) is dec
+        restored, scale = _restore_feasibility(dec, self.penalty_met_from(55.0, asked))
+        assert restored is dec and scale is None
         assert asked and max(asked) <= MAX_SEGMENT_DURATION
 
     def test_smallest_stretch_within_the_guard(self):
         dec = DecisionVector(D=np.zeros(0), K=time_map_inverse(np.array([10.0, 5.0])))
         asked = []
-        restored = _restore_feasibility(dec, self.penalty_met_from(12.0, asked))
+        restored, scale = _restore_feasibility(dec, self.penalty_met_from(12.0, asked))
         durations = time_map(restored.K)[0]
         assert durations[0] >= 12.0 and durations[0] == pytest.approx(12.0, abs=1e-3)
         assert durations[1] / durations[0] == pytest.approx(0.5)
+        assert scale == pytest.approx(1.2, abs=1e-4)
+
+    def test_no_stretch_when_already_feasible(self):
+        dec = DecisionVector(D=np.zeros(0), K=time_map_inverse(np.array([10.0, 5.0])))
+        restored, scale = _restore_feasibility(dec, self.penalty_met_from(8.0, []))
+        assert restored is dec and scale == 1.0
 
 
 class TestMinimize:

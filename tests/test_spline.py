@@ -165,8 +165,8 @@ def broadcast_construct(P, T, bc0, bcf):
     m = np.arange(ncoef)
     j = np.arange(num_seg - 1)[:, None]
     r0 = s + ncoef * j
-    at0 = np.diagonal(_basis(0.0, ncoef - 2, ncoef)[0])
-    at_end = _basis(T, ncoef - 2, ncoef)
+    at0 = np.diagonal(_basis(0.0, ncoef - 2)[0])
+    at_end = _basis(T, ncoef - 2)
     blocks = (
         (k[:s], k[:s], at0[:s]),
         (r0[..., None] + m[:, None], ncoef * j[..., None] + m, at_end[:-1, np.r_[0, k]]),
@@ -274,7 +274,7 @@ class TestExactReference:
 
     def test_basis_table_matches_per_order_rows(self):
         t = np.random.default_rng(20).uniform(0.0, 60.0, 500)
-        table = _basis(t, 7, 6)
+        table = _basis(t, 7)
         assert table.shape == (500, 8, 6)
         for order in range(8):
             assert np.array_equal(table[:, order], per_order_basis(t, order, 6))
@@ -284,8 +284,8 @@ class TestExactReference:
         are zero, in the table and in eval_local's output."""
         rng = np.random.default_rng(21)
         t = rng.uniform(0.0, 60.0, 500)
-        full = _basis(t, 5, 6)
-        part = _basis(t, 5, 6, min_order=2)
+        full = _basis(t, 5)
+        part = _basis(t, 5, min_order=2)
         assert part.shape == full.shape
         assert part[:, 2:].tobytes() == np.ascontiguousarray(full[:, 2:]).tobytes()
         assert not part[:, :2].any()

@@ -7,8 +7,7 @@ import yaml
 from raceplan.errors import ParseError, RaceplanError, ValidationError
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.trackio import (
-    build_sequence, concatenate_laps, loads, parse, serialize,
-    to_waypoint_mode,
+    build_sequence, loads, parse, serialize, to_waypoint_mode,
 )
 from raceplan.tracks import loop_track, random_track
 
@@ -116,7 +115,8 @@ class TestParse:
         lambda d: d.__setitem__("quad", "quad_z"),
         lambda d: d.__setitem__("options", {"laps": 1.5}),
         lambda d: d.__setitem__("options", {"margin": float("nan")}),
-        lambda d: d.__setitem__("options", {"margin": "wide"}),
+        _says("options.margin: not a number",
+              lambda d: d.__setitem__("options", {"margin": "wide"})),
         lambda d: d.__setitem__("options", 5),
         _says("gates[0]: ball gate radius must be finite and >= 0",
               lambda d: d["gates"][0].__setitem__("radius", float("nan"))),
@@ -144,6 +144,17 @@ class TestParse:
               lambda d: d.__setitem__("quad", {**QUAD, "inertia": "wide"})),
         _says("quad.inertia: expected a 3-vector",
               lambda d: d.__setitem__("quad", {**QUAD, "inertia": [1, 2]})),
+        # YAML booleans are no numbers, though float(True) is 1.0.
+        _says("options.margin: not a number",
+              lambda d: d.__setitem__("options", {"margin": True})),
+        _says("options.laps must be an integer >= 1",
+              lambda d: d.__setitem__("options", {"laps": True})),
+        _says("gates[0].radius: not a number",
+              lambda d: d["gates"][0].__setitem__("radius", True)),
+        _says("quad.mass: not a number",
+              lambda d: d.__setitem__("quad", {**QUAD, "mass": True})),
+        _says("options.waypoint_tolerance: not a number",
+              lambda d: d.__setitem__("options", {"waypoint_tolerance": [1]})),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
@@ -199,20 +210,20 @@ class TestWaypointMode:
 
 class TestLaps:
     def test_single_lap_count(self):
-        seq = concatenate_laps(loop_track(), 1)
+        seq = build_sequence(loop_track(), laps=1)
         assert len(seq) == 7
 
     def test_multi_lap_repetition(self):
         track = loop_track()
         for laps in (2, 3, 5):
-            seq = concatenate_laps(track, laps)
+            seq = build_sequence(track, laps=laps)
             assert len(seq) == 7 * laps
             for lap in range(laps):
                 assert type(seq.gates[7 * lap]) is type(track.gates[0])
 
     def test_bad_lap_count(self):
         with pytest.raises(ValidationError):
-            concatenate_laps(loop_track(), 0)
+            build_sequence(loop_track(), laps=0)
 
 
 class TestBuildSequence:
