@@ -6,8 +6,10 @@ value pass keeps its intermediates and the result carries a vector-Jacobian
 product: given cotangents on the rotor thrusts and body rates it runs the
 chain rule backwards over those intermediates and returns the cotangent on
 the 9 flat inputs, so downstream penalty gradients are analytic rather than
-finite-differenced.  This is the forward/backward split of the flatness map
-in GCOPTER (Wang et al., IEEE T-RO 2022).
+finite-differenced.  The backward pass drops each cotangent after its last
+use, so only a few of them are alive beside the kept intermediates.  This
+is the forward/backward split of the flatness map in GCOPTER (Wang et al.,
+IEEE T-RO 2022).
 """
 
 from __future__ import annotations
@@ -38,15 +40,26 @@ class FlatOutputs:
     ``singular`` marks samples where the map is undefined; their numeric
     outputs are garbage and must be discarded by the caller.
     ``vjp(rotor_bar (N, 4), omega_bar (N, 3))`` returns the (N, 9) cotangent
-    on the flat inputs.
+    on the flat inputs.  ``rotation`` and ``omega_dot``, which no penalty
+    reads, are built from the kept component-major rows when read.
     """
 
     rotor: np.ndarray           # (N, 4) per-rotor thrusts, N
     omega: np.ndarray           # (N, 3) body rates, rad/s
-    omega_dot: np.ndarray       # (N, 3) body-rate derivatives
-    rotation: np.ndarray        # (N, 3, 3) world<-body
     singular: np.ndarray        # (N,) bool
     vjp: Callable
+    axes: tuple                 # body x, y, z axes in world frame, each (3, N)
+    omega_dot_rows: np.ndarray  # (3, N) body-rate derivatives
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """(N, 3, 3) world<-body."""
+        return np.stack(self.axes).transpose(2, 1, 0).copy()
+
+    @property
+    def omega_dot(self) -> np.ndarray:
+        """(N, 3) body-rate derivatives."""
+        return self.omega_dot_rows.T.copy()
 
 
 def mixer_matrix(params) -> np.ndarray:
@@ -150,13 +163,14 @@ def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
         """Cotangents on rotor thrusts and body rates -> (N, 9) on inputs.
 
         Each block runs one forward step backwards; ``v_bar`` is the
-        cotangent of forward variable ``v``.
+        cotangent of forward variable ``v``, deleted after its last use.
         """
         wrench_bar = (rotor_bar @ m_inv).T
         c_bar = params.mass * wrench_bar[0]
         tau_bar = wrench_bar[1:]
         wd_bar = tau_bar * inertia
         w_bar = omega_bar.T + _cross(j_w, tau_bar) + inertia * _cross(tau_bar, omega)
+        del wrench_bar, tau_bar
 
         # omega and omega_dot as dot products of the body axes.
         wx, wy, wz = w_bar
@@ -170,8 +184,10 @@ def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
         # x_b = y_b x z, x_bd = y_bd x z + y_b x zd.
         y_b_bar = -wx * zd - ex * zdd + _cross(z, x_b_bar) + _cross(zd, x_bd_bar)
         y_bd_bar = -wz * x_b - ex * zd - ez * x_bd + _cross(z, x_bd_bar)
+        del w_bar, wd_bar, wx, wy, wz, ex, ey, ez
         z_bar = _cross(x_b_bar, y_b) + _cross(x_bd_bar, y_bd)
         zd_bar += _cross(x_bd_bar, y_b)
+        del x_b_bar, x_bd_bar
 
         # y_b and its derivatives from n and the inverse norm.
         nvec_bar = inv * y_b_bar + invd * y_bd_bar + invdd * y_bdd_bar
@@ -180,57 +196,72 @@ def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
         inv_bar = _dot(nvec, y_b_bar) + _dot(nd, y_bd_bar) + _dot(ndd, y_bdd_bar)
         invd_bar = _dot(nvec, y_bd_bar) + 2.0 * _dot(nd, y_bdd_bar)
         invdd_bar = _dot(nvec, y_bdd_bar)
+        del y_b_bar, y_bd_bar, y_bdd_bar
 
         s1_bar = -inv3 * invdd_bar
         inv3_bar = -s1 * invdd_bar
         p_bar = -3.0 * inv * inv * invd * invdd_bar
         inv_bar -= 6.0 * p * inv * invd * invdd_bar
         invd_bar -= 3.0 * p * inv * inv * invdd_bar
+        del invdd_bar
         nd_bar += 2.0 * s1_bar * nd
         nvec_bar += s1_bar * ndd
         ndd_bar += s1_bar * nvec
+        del s1_bar
 
         p_bar -= inv3 * invd_bar
         inv3_bar -= p * invd_bar
+        del invd_bar
         nvec_bar += p_bar * nd
         nd_bar += p_bar * nvec
+        del p_bar
         inv_bar += 3.0 * inv * inv * inv3_bar
         nn2_bar = -0.5 * inv3 * inv_bar
         nvec_bar += 2.0 * nn2_bar * nvec
+        del inv3_bar, inv_bar, nn2_bar
 
         # n, nd, ndd as cross products of z's derivatives with x_c.
         zdd_bar += _cross(HEADING, ndd_bar)
         zd_bar += _cross(HEADING, nd_bar)
         z_bar += _cross(HEADING, nvec_bar)
+        del ndd_bar, nd_bar, nvec_bar
 
         # z, zd, zdd from f, jerk and snap.
         ud_bar = inv_c * zdd_bar
         inv_c_bar = _dot(ud, zdd_bar)
         u_bar = -q * zdd_bar
         q_bar = -_dot(u, zdd_bar)
+        del zdd_bar
         cd_bar = q_bar / c2
         c2_bar = -q_bar * q / c2
+        del q_bar
 
         cdd_bar = -_dot(z, ud_bar)
         z_bar -= cdd * ud_bar
         cd_bar -= _dot(zd, ud_bar)
         zd_bar -= cd * ud_bar
         snp_bar = ud_bar + cdd_bar * z
+        del ud_bar
 
         zd_bar += cdd_bar * jrk
         jrk_bar = cdd_bar * zd
         z_bar += cdd_bar * snp
+        del cdd_bar
 
         u_bar += inv_c * zd_bar
         inv_c_bar += _dot(u, zd_bar)
+        del zd_bar
         jrk_bar += u_bar
         cd_bar -= _dot(z, u_bar)
         z_bar -= cd * u_bar
+        del u_bar
 
         z_bar += cd_bar * jrk
         jrk_bar += cd_bar * z
+        del cd_bar
         f_bar = inv_c * z_bar
         inv_c_bar += _dot(f, z_bar)
+        del z_bar
         c_bar -= inv_c * inv_c * inv_c_bar
         c2_bar += 0.5 * inv_c * c_bar
         f_bar += 2.0 * c2_bar * f
@@ -241,8 +272,8 @@ def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
     return FlatOutputs(
         rotor=rotor,
         omega=omega.T.copy(),
-        omega_dot=omega_dot.T.copy(),
-        rotation=np.stack([x_b, y_b, z]).transpose(2, 1, 0).copy(),
         singular=singular,
         vjp=vjp,
+        axes=(x_b, y_b, z),
+        omega_dot_rows=omega_dot,
     )

@@ -64,13 +64,16 @@ def _sample_grid(durations: np.ndarray, kappa=None):
 
 
 def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
-    """Sampled cubic-hinge penalty and its exact partial derivatives with
-    respect to polynomial coefficients and (directly) segment durations.
+    """Sampled cubic-hinge penalty, and on demand its exact partial
+    derivatives with respect to polynomial coefficients and (directly)
+    segment durations.
 
-    Returns (value, dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)); value is
-    +inf when a sample hits the flatness singularity.  ``kappa`` pins the
-    per-segment sample counts; by default they follow the durations through
-    :func:`samples`.
+    Returns (value, grad); value is +inf when a sample hits the flatness
+    singularity.  ``grad()`` runs the flatness VJP and the coefficient
+    scatter and returns (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a
+    caller that reads only the value never pays for them.  ``kappa`` pins
+    the per-segment sample counts; by default they follow the durations
+    through :func:`samples`.
     """
     durations = traj.durations
     num_seg = len(durations)
@@ -81,47 +84,66 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     # Only orders 2-5 are read: the flatness map takes 2-4, rho_dot 3-5.
     basis = spline_mod._basis(local, 5, min_order=2)
     derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis, min_order=2)
+    # The gradient reads only the scatter's orders 2-4 of the table and
+    # rho_dot's inputs, the flat inputs one derivative order up
+    # (C-contiguous, as einsum rounds by memory layout).  Every large array
+    # here is dropped after its last use, so that one evaluation's working
+    # set stays small.
+    basis = basis[:, 2:5].copy()
+    inputs_dot = np.ascontiguousarray(
+        derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
     out = _flatjet.flat_outputs(derivs, params)
+    del derivs
     if out.singular.any():
-        return math.inf, np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg)
+        return math.inf, lambda: (np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg))
 
-    raw, sign, scale = limit_residuals(out, params)
-    hinge = np.maximum(raw / scale, 0.0)
+    # Residual -> hinge -> cotangent, in place on one (N, 14) array.
+    hinge, sign, scale = limit_residuals(out, params)
+    hinge /= scale
+    np.maximum(hinge, 0.0, out=hinge)
     # pow only on the few residuals past their limit; the rest cube to +0.0.
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
+    del cube
     value = float(weights @ rho)
 
-    # d rho / d flat-inputs, (N, 9): one vector-Jacobian product of the
-    # flatness map, with each residual pair summed onto its rotor or rate.
-    drho_dx = 3.0 * PENALTY_WEIGHTS[None, :] * hinge**2
-    drho_dx *= sign / scale
-    cot = drho_dx[:, 0::2] + drho_dx[:, 1::2]
-    g_inputs = out.vjp(cot[:, :4], cot[:, 4:])
+    # d rho / d flat-outputs, with each residual pair summed onto its rotor
+    # or rate.
+    np.square(hinge, out=hinge)
+    hinge *= 3.0 * PENALTY_WEIGHTS
+    hinge *= sign / scale
+    cot = hinge[:, 0::2] + hinge[:, 1::2]
+    del hinge
+    vjp = out.vjp
+    del out
 
-    # Time derivative of rho along the trajectory: shift each input one
-    # derivative order up; C-contiguous, as einsum rounds by memory layout.
-    inputs_dot = np.ascontiguousarray(
-        derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
-    rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
+    def grad():
+        # d rho / d flat-inputs, (N, 9): one vector-Jacobian product of the
+        # flatness map.
+        g_inputs = vjp(cot[:, :4], cot[:, 4:])
 
-    # Scatter input gradients onto coefficient blocks, (N, 3, 2s).
-    contrib = np.zeros((len(local), 3, ncoef))
-    for o in range(3):
-        contrib += basis[:, 2 + o, None, :] * g_inputs[:, 3 * o:3 * o + 3, None]
-    contrib *= weights[:, None, None]
-    # Samples come grouped by segment: summing each block in sample order
-    # onto +0.0 adds exactly as np.add.at did, without its per-row cost.
-    blocks = np.split(contrib, np.cumsum(kappa + 1)[:-1])
-    dJ_dC = np.stack([b.sum(axis=0, initial=0.0) for b in blocks]).transpose(0, 2, 1)
+        # Time derivative of rho along the trajectory.
+        rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
 
-    # Direct duration dependence: quadrature weights scale with T_i and the
-    # sample times move as xi = j T_i / kappa_i.
-    t_contrib = weights * rho / durations[seg_ids]
-    t_contrib += weights * rho_dot * j / kappa[seg_ids]
-    dJ_dT_direct = np.bincount(seg_ids, weights=t_contrib, minlength=num_seg)
+        # Scatter input gradients onto coefficient blocks, (N, 3, 2s).
+        contrib = np.zeros((len(local), 3, ncoef))
+        for o in range(3):
+            contrib += basis[:, o, None, :] * g_inputs[:, 3 * o:3 * o + 3, None]
+        contrib *= weights[:, None, None]
+        # Samples come grouped by segment: summing each block in sample
+        # order onto +0.0 adds exactly as np.add.at did, without its
+        # per-row cost.
+        blocks = np.split(contrib, np.cumsum(kappa + 1)[:-1])
+        dJ_dC = np.stack([b.sum(axis=0, initial=0.0) for b in blocks]).transpose(0, 2, 1)
 
-    return value, dJ_dC, dJ_dT_direct
+        # Direct duration dependence: quadrature weights scale with T_i and
+        # the sample times move as xi = j T_i / kappa_i.
+        t_contrib = weights * rho / durations[seg_ids]
+        t_contrib += weights * rho_dot * j / kappa[seg_ids]
+        dJ_dT_direct = np.bincount(seg_ids, weights=t_contrib, minlength=num_seg)
+        return dJ_dC, dJ_dT_direct
+
+    return value, grad
 
 
 def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
@@ -137,14 +159,14 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
         return CostReport(total=math.inf, time_term=float(np.sum(durations)),
                           penalty_term=math.inf, gradient=None)
     traj = spline_mod.construct(waypoints, durations, bc0, bcf)
-    pen, dJ_dC, dJ_dT_direct = penalty(traj, params, kappa)
+    pen, pen_grad = penalty(traj, params, kappa)
     time_term = float(np.sum(durations))
 
     if not math.isfinite(pen):
         return CostReport(total=math.inf, time_term=time_term,
                           penalty_term=pen, gradient=None, spline=traj)
 
-    dJ_dP, dJ_dT = spline_mod.propagate_gradients(traj, dJ_dC, dJ_dT_direct)
+    dJ_dP, dJ_dT = spline_mod.propagate_gradients(traj, *pen_grad())
     grad_k = (dJ_dT + 1.0) * dt_dk
     grad_d = np.empty_like(dec.D)
     for (index, columns, _), jac in zip(seq.groups, jacs):

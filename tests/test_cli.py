@@ -156,6 +156,33 @@ class TestPlan:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["solver"]["restore_scale"] is None
 
+    @pytest.mark.parametrize("extreme", ["ball-at-1e200", "tolerance-1e300"])
+    def test_overflowing_track_exits_solver_without_warnings(self, extreme,
+                                                             tmp_path, capsys):
+        """random_track(103) with its ball gate's centre at 1e200 m, or in
+        togt-wp mode with a waypoint tolerance of 1e300, overflows the
+        objective at the initial point: plan exits 2 with one solver error
+        line and no numpy RuntimeWarning."""
+        track = tracks.random_track(103)
+        if extreme == "ball-at-1e200":
+            gates = list(track.gates)
+            gates[2] = BallGate(center=[1e200, *gates[2].center[1:]],
+                                radius=gates[2].radius)
+            track = replace(track, gates=tuple(gates))
+        else:
+            track = replace(track, options=replace(
+                track.options, mode="togt-wp", waypoint_tolerance=1e300))
+        path = tmp_path / "extreme.yaml"
+        path.write_text(trackio.serialize(track))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["plan", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver error: ") and err.count("\n") == 1, err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):
         """A plan whose export fails a check still writes every artifact,

@@ -1,5 +1,6 @@
 """Tests for the time-plus-penalty objective and its analytic gradients."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,10 @@ from raceplan import _flatjet
 from raceplan.cost import _sample_grid, objective, penalty, samples
 from raceplan.gates import DecisionVector, time_map
 from raceplan.model import limit_residuals
+from raceplan.optimizer import OptimizerConfig, initialize
 from raceplan.spline import NCOEF, BoundaryCondition, _basis, construct
+from raceplan.trackio import build_sequence
+from raceplan.tracks import loop_track
 
 # Durations away from multiples of SAMPLE_DT, where the sample count
 # kappa_i = ceil(T_i / SAMPLE_DT) would jump and finite differences break;
@@ -51,7 +55,8 @@ class TestConfigs:
 
 class TestPenalty:
     def test_feasible_spline_zero_value_zero_gradient(self, quad_a):
-        value, dJ_dC, dJ_dT = penalty(slow_spline(), quad_a)
+        value, grad = penalty(slow_spline(), quad_a)
+        dJ_dC, dJ_dT = grad()
         assert value == 0.0
         assert np.allclose(dJ_dC, 0.0)
         assert np.allclose(dJ_dT, 0.0)
@@ -74,7 +79,8 @@ class TestPenalty:
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
         P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
-        value, dJ_dC, dJ_dT = penalty(traj, quad_a)
+        value, grad = penalty(traj, quad_a)
+        dJ_dC, dJ_dT = grad()
         assert value > 0  # the oracle only means something on an active penalty
 
         step = 1e-6
@@ -117,7 +123,8 @@ class TestPenalty:
             return replace(out, vjp=vjp)
 
         monkeypatch.setattr(_flatjet, "flat_outputs", recording)
-        value, dJ_dC, _ = penalty(traj, quad_a)
+        value, grad = penalty(traj, quad_a)
+        dJ_dC, _ = grad()
         assert value > 0
         (g_inputs,) = recorded
         seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
@@ -129,6 +136,31 @@ class TestPenalty:
         want = np.zeros((len(traj.durations), NCOEF, 3))
         np.add.at(want, seg_ids, contrib)
         assert np.ascontiguousarray(dJ_dC).tobytes() == want.tobytes()
+
+    def test_value_only_call_never_runs_the_vjp(self, quad_a, monkeypatch):
+        """Reading only the value, as restoration does, runs no flatness VJP;
+        the gradient runs it once per call."""
+        calls = []
+        flat_outputs = _flatjet.flat_outputs
+
+        def recording(derivs, params):
+            out = flat_outputs(derivs, params)
+
+            def vjp(rotor_bar, omega_bar):
+                calls.append(len(rotor_bar))
+                return out.vjp(rotor_bar, omega_bar)
+            return replace(out, vjp=vjp)
+
+        monkeypatch.setattr(_flatjet, "flat_outputs", recording)
+        traj = aggressive_spline()
+        value, grad = penalty(traj, quad_a, samples(traj.durations, refine=4))
+        assert value > 0 and calls == []
+        first = grad()
+        assert len(calls) == 1
+        second = grad()
+        assert len(calls) == 2
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
     def test_c2_across_activation(self, quad_a):
         """Second differences of the penalty stay continuous where the cubic
@@ -215,6 +247,27 @@ class TestObjective:
                      - objective(dec.with_flat(xm), seq, quad_a, bc0, bcf).total
                      ) / (2 * step)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
+
+    def test_working_set_per_sample(self):
+        """One evaluation of the 8-lap, 56-gate loop at its initial point
+        (1,722 samples) peaks at no more than 1,500 traced bytes per sample:
+        each large per-sample array lives only until its last use."""
+        track = loop_track()
+        seq = build_sequence(track, laps=8)
+        bc0 = BoundaryCondition.hover(track.start)
+        bcf = BoundaryCondition.hover(track.finish)
+        dec = initialize(seq, bc0, bcf, OptimizerConfig(initial_speed_guess=12.0))
+        n = int(np.sum(samples(time_map(dec.K)[0]) + 1))
+        assert n == 1722
+        objective(dec, seq, track.quad, bc0, bcf)   # fills the per-size caches
+        tracemalloc.start()
+        try:
+            report = objective(dec, seq, track.quad, bc0, bcf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.gradient is not None
+        assert peak <= 1500 * n, f"{peak / n:.0f} bytes per sample"
 
     def test_sampling_refinement_consistency(self, quad_a):
         """Doubling the sample resolution barely moves a feasible penalty."""

@@ -1,12 +1,13 @@
 """Tests for the flatness pipeline: its reverse-mode (adjoint) pass, and the
 component-major kernel against the sample-major reference it replaced."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
-from raceplan._flatjet import (
-    EPS_SING, GRAVITY, FlatOutputs, flat_outputs, mixer_matrix,
-)
+from raceplan._flatjet import EPS_SING, GRAVITY, flat_outputs, mixer_matrix
 
 VALUE_FIELDS = ("rotor", "omega", "omega_dot", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
@@ -72,6 +73,18 @@ def test_vjp_matches_central_differences(quad_a, seed):
 
 # ---------------------------------------------------------------------------
 # reference: the sample-major value pass and VJP
+
+@dataclass
+class ReferenceOutputs:
+    """The reference's outputs, each value field stored as it is computed."""
+
+    rotor: np.ndarray
+    omega: np.ndarray
+    omega_dot: np.ndarray
+    rotation: np.ndarray
+    singular: np.ndarray
+    vjp: Callable
+
 
 def _rows_dot(a, b):
     return np.einsum("ni,ni->n", a, b)
@@ -269,7 +282,7 @@ def reference_flat_outputs(derivs, params):
             psi_bar[:, None], psid_bar[:, None], psidd_bar[:, None],
         ], axis=1)
 
-    return FlatOutputs(
+    return ReferenceOutputs(
         rotor=rotor,
         omega=omega,
         omega_dot=omega_dot,

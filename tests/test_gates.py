@@ -345,7 +345,7 @@ class TestBatchedDecode:
         dec = self._decision(seq, seed)
         waypoints, jacs = reference_decode(seq, dec)
         traj = construct(waypoints, time_map(dec.K)[0], bc0, bcf)
-        _, dJ_dC, dJ_dT_direct = penalty(traj, quad_a)
+        dJ_dC, dJ_dT_direct = penalty(traj, quad_a)[1]()
         dJ_dP, _ = propagate_gradients(traj, dJ_dC, dJ_dT_direct)
         want = np.concatenate([jac.T @ dJ_dP[i] for i, jac in enumerate(jacs)])
         got = objective(dec, seq, quad_a, bc0, bcf).gradient.D
