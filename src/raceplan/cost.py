@@ -63,6 +63,11 @@ def _sample_grid(durations: np.ndarray, kappa=None):
     return seg_ids, j, local, weights, kappa
 
 
+def _zero_gradient(num_seg: int):
+    """(dJ_dC, dJ_dT_direct) of a penalty that no sample activates."""
+    return np.zeros((num_seg, spline_mod.NCOEF, 3)), np.zeros(num_seg)
+
+
 def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     """Sampled cubic-hinge penalty, and on demand its exact partial
     derivatives with respect to polynomial coefficients and (directly)
@@ -70,71 +75,83 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
 
     Returns (value, grad); value is +inf when a sample hits the flatness
     singularity.  ``grad()`` runs the flatness VJP and the coefficient
-    scatter and returns (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a
-    caller that reads only the value never pays for them.  ``kappa`` pins
-    the per-segment sample counts; by default they follow the durations
-    through :func:`samples`.
+    scatter on the samples where a limit is active and returns
+    (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a caller that reads only
+    the value never pays for them.  ``kappa`` pins the per-segment sample
+    counts; by default they follow the durations through :func:`samples`.
     """
     durations = traj.durations
     num_seg = len(durations)
     ncoef = spline_mod.NCOEF
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
 
-    # One basis table serves the evaluation and the coefficient scatter.
-    # Only orders 2-5 are read: the flatness map takes 2-4, rho_dot 3-5.
-    basis = spline_mod._basis(local, 5, min_order=2)
-    derivs = traj.eval_local(seg_ids, local, max_order=5, basis=basis, min_order=2)
-    # The gradient reads only the scatter's orders 2-4 of the table and
+    # The flatness map reads orders 2-4, rho_dot 3-5.
+    derivs = traj.eval_local(seg_ids, local, max_order=5, min_order=2)
+    out = _flatjet.flat_outputs(derivs, params)
     # rho_dot's inputs, the flat inputs one derivative order up
     # (C-contiguous, as einsum rounds by memory layout).  Every large array
     # here is dropped after its last use, so that one evaluation's working
     # set stays small.
-    basis = basis[:, 2:5].copy()
     inputs_dot = np.ascontiguousarray(
         derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
-    out = _flatjet.flat_outputs(derivs, params)
     del derivs
     if out.singular.any():
-        return math.inf, lambda: (np.zeros((num_seg, ncoef, 3)), np.zeros(num_seg))
+        return math.inf, lambda: _zero_gradient(num_seg)
 
-    # Residual -> hinge -> cotangent, in place on one (N, 14) array.
+    # Residual -> hinge, in place on one (N, 14) array.
     hinge, sign, scale = limit_residuals(out, params)
     hinge /= scale
     np.maximum(hinge, 0.0, out=hinge)
+
+    # The gradient runs on the active samples alone, those with a limit past
+    # its bound: any other sample has a zero cotangent.  Every gradient step
+    # is elementwise per sample, and a zero-cotangent sample adds exactly
+    # +0.0 to each sum, so the result is bit for bit that of all samples.
+    # The gather runs once, here, so that the flatness map's kept values of
+    # the other samples are freed now and grad() never holds them.
+    rows = np.flatnonzero(hinge.any(axis=1))
+    kept = out.kept[:, rows]
+    del out
+
     # pow only on the few residuals past their limit; the rest cube to +0.0.
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
     del cube
     value = float(weights @ rho)
+    if not len(rows):
+        return value, lambda: _zero_gradient(num_seg)
 
     # d rho / d flat-outputs, with each residual pair summed onto its rotor
     # or rate.
-    np.square(hinge, out=hinge)
+    hinge = np.square(hinge[rows])
     hinge *= 3.0 * PENALTY_WEIGHTS
     hinge *= sign / scale
     cot = hinge[:, 0::2] + hinge[:, 1::2]
     del hinge
-    vjp = out.vjp
-    del out
+    inputs_dot = inputs_dot[rows]
+    basis = spline_mod._basis(local[rows], 4, min_order=2)  # orders 2-4
+    seg_ids, j, weights, rho = seg_ids[rows], j[rows], weights[rows], rho[rows]
 
     def grad():
-        # d rho / d flat-inputs, (N, 9): one vector-Jacobian product of the
+        # d rho / d flat-inputs, (n, 9): one vector-Jacobian product of the
         # flatness map.
-        g_inputs = vjp(cot[:, :4], cot[:, 4:])
+        g_inputs = _flatjet.vjp(kept, params, cot[:, :4], cot[:, 4:])
 
         # Time derivative of rho along the trajectory.
         rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
 
-        # Scatter input gradients onto coefficient blocks, (N, 3, 2s).
-        contrib = np.zeros((len(local), 3, ncoef))
+        # Scatter input gradients onto coefficient blocks, (n, 3, 2s).
+        contrib = np.zeros((len(rows), 3, ncoef))
         for o in range(3):
             contrib += basis[:, o, None, :] * g_inputs[:, 3 * o:3 * o + 3, None]
         contrib *= weights[:, None, None]
-        # Samples come grouped by segment: summing each block in sample
-        # order onto +0.0 adds exactly as np.add.at did, without its
-        # per-row cost.
-        blocks = np.split(contrib, np.cumsum(kappa + 1)[:-1])
-        dJ_dC = np.stack([b.sum(axis=0, initial=0.0) for b in blocks]).transpose(0, 2, 1)
+        # One bincount: each (segment, input dim, coefficient) entry sums
+        # its samples in sample order onto +0.0, so the skipped samples'
+        # exact +0.0 terms would not have changed a bit.
+        bins = seg_ids[:, None] * (3 * ncoef) + np.arange(3 * ncoef)
+        dJ_dC = np.bincount(bins.ravel(), weights=contrib.ravel(),
+                            minlength=num_seg * 3 * ncoef)
+        dJ_dC = dJ_dC.reshape(num_seg, 3, ncoef).transpose(0, 2, 1)
 
         # Direct duration dependence: quadrature weights scale with T_i and
         # the sample times move as xi = j T_i / kappa_i.

@@ -50,15 +50,16 @@ class BoundaryCondition:
 
 
 def _basis(t, max_order: int, min_order: int = 0) -> np.ndarray:
-    """Rows of d^k/dt^k [1, t, .., t^(2s-1)] for k = 0..max_order at a batch
-    of times; (N, max_order+1, 2s).  Entry (k, m) is m!/(m-k)! t^(m-k); rows
-    below ``min_order`` are left zero."""
+    """Rows of d^k/dt^k [1, t, .., t^(2s-1)] for k = min_order..max_order at
+    a batch of times; (N, max_order+1-min_order, 2s), row i holding order
+    min_order + i.  Entry (k, m) is m!/(m-k)! t^(m-k)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     powers = np.stack([t ** p for p in range(NCOEF - min_order)], axis=-1)
     # Stored order-major so that each order's (N, 2s) slice is contiguous.
-    table = np.zeros((max_order + 1, len(t), NCOEF))
+    table = np.zeros((max_order + 1 - min_order, len(t), NCOEF))
     for k in range(min_order, min(max_order + 1, NCOEF)):
-        np.multiply(_FALLING[k, k:], powers[:, :NCOEF - k], out=table[k, :, k:])
+        np.multiply(_FALLING[k, k:], powers[:, :NCOEF - k],
+                    out=table[k - min_order, :, k:])
     return table.swapaxes(0, 1)
 
 
@@ -91,20 +92,15 @@ class TrajectorySpline:
                       len(self.durations) - 1)
         return idx, np.clip(ts - cum[idx], 0.0, None)
 
-    def eval_local(self, seg_idx, local, max_order: int, basis=None,
+    def eval_local(self, seg_idx, local, max_order: int,
                    min_order: int = 0) -> np.ndarray:
         """Evaluate on given segments at local times; (N, max_order+1, 3),
-        with the orders below ``min_order`` left zero.
-
-        ``basis`` may pass in ``_basis(local, k, min_order)`` for some
-        k >= max_order, already built by the caller.
-        """
+        with the orders below ``min_order`` left zero."""
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
-        if basis is None:
-            basis = _basis(local, max_order, min_order)
+        basis = _basis(local, max_order, min_order)
         out = np.zeros((len(basis), max_order + 1, 3))
         for order in range(min_order, max_order + 1):
-            out[:, order] = np.einsum("nm,nmd->nd", basis[:, order], coeffs)
+            out[:, order] = np.einsum("nm,nmd->nd", basis[:, order - min_order], coeffs)
         return out
 
     def eval_batch(self, ts, max_order: int) -> np.ndarray:
@@ -208,11 +204,10 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity
     # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
-    at_end = _basis(spline.durations, ncoef - 1, min_order=1)
+    at_end = _basis(spline.durations, ncoef - 1, min_order=1)  # orders 1..2s-1
     junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 3),
-                         at_end[:-1, np.r_[1, 1:ncoef]], spline.coefficients[:-1])
-    end = _row_sums(lam[None, n - s:], at_end[-1:, 1:s + 1],
-                    spline.coefficients[-1:])
+                         at_end[:-1, np.r_[0, :ncoef - 1]], spline.coefficients[:-1])
+    end = _row_sums(lam[None, n - s:], at_end[-1:, :s], spline.coefficients[-1:])
     dJ_dT = dJ_dT_direct - np.concatenate([junction, end])
     return lam[s:n - s:ncoef].copy(), dJ_dT
 

@@ -28,6 +28,9 @@ _QUAD_KEYS = {
 _GATE_KEYS = {"type", "center", "radius", "vertices"}
 _OPTION_KEYS = {"margin", "laps", "mode", "waypoint_tolerance"}
 _TOP_KEYS = {"schema_version", "quad", "start", "finish", "gates", "options"}
+#: The most laps a track may ask for.  build_sequence repeats the gate list
+#: that many times, so a huge count would only exhaust memory.
+MAX_LAPS = 100
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class TrackOptions:
         # bool is an int, but YAML's true is no lap count.
         if isinstance(self.laps, bool) or not isinstance(self.laps, int) or self.laps < 1:
             raise ValidationError("options.laps must be an integer >= 1")
+        if self.laps > MAX_LAPS:
+            raise ValidationError(f"options.laps must be at most {MAX_LAPS}")
         if not self.margin >= 0:
             raise ValidationError("options.margin must be >= 0")
         if not 0 < self.waypoint_tolerance < np.inf:

@@ -273,6 +273,23 @@ class TestPlan:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_huge_lap_count_exits_validation(self, where, tmp_path, capsys):
+        """A lap count of 10**18, in the file or as a flag, is refused with
+        one error line before the gate list is repeated."""
+        track = tmp_path / "track.yaml"
+        huge = str(10**18)
+        track.write_text(TRACK + (f"  laps: {huge}\n" if where == "file" else ""))
+        flags = ["--laps", huge] if where == "flag" else []
+        out = tmp_path / "out"
+        assert main(["plan", str(track), "--out-dir", str(out), *flags]) \
+            == EXIT_VALIDATION
+        name = {"file": "options.laps", "flag": "--laps"}[where]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be at most {trackio.MAX_LAPS}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("radius: 0.8", "radius: wide", "gates[0].radius: not a number"),
         ("vertices:\n      - [5, -1.6, 0.5]\n      - [5, 0.4, 0.5]\n"

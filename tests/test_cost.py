@@ -8,7 +8,7 @@ import pytest
 
 from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
-from raceplan.cost import _sample_grid, objective, penalty, samples
+from raceplan.cost import PENALTY_WEIGHTS, _sample_grid, objective, penalty, samples
 from raceplan.gates import DecisionVector, time_map
 from raceplan.model import limit_residuals
 from raceplan.optimizer import OptimizerConfig, initialize
@@ -34,6 +34,39 @@ def aggressive_spline():
     bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
     bcf = BoundaryCondition.hover([8.0, -4.0, 3.0])
     return construct(np.array([[5.0, 1.0, 2.0]]), [0.61, 0.57], bc0, bcf)
+
+
+def reference_penalty_gradient(traj, params, kappa=None):
+    """(dJ_dC, dJ_dT_direct, cotangent) of the penalty over every sample:
+    the flatness VJP of all samples, the per-order coefficient scatter and
+    np.add.at, as the penalty computed them before it ran its gradient on
+    the active samples alone."""
+    durations = traj.durations
+    seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
+    derivs = traj.eval_local(seg_ids, local, 5)
+    out = _flatjet.flat_outputs(derivs, params)
+    hinge, sign, scale = limit_residuals(out, params)
+    hinge = np.maximum(hinge / scale, 0.0)
+    cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
+    rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
+    bar = np.square(hinge) * (3.0 * PENALTY_WEIGHTS) * (sign / scale)
+    cot = bar[:, 0::2] + bar[:, 1::2]
+    g_inputs = _flatjet.vjp(out.kept, params, cot[:, :4], cot[:, 4:])
+    inputs_dot = np.ascontiguousarray(
+        derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
+    rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
+    basis = _basis(local, 5)
+    contrib = np.zeros((len(local), NCOEF, 3))
+    for o in range(3):
+        contrib += basis[:, 2 + o, :, None] * g_inputs[:, None, 3 * o:3 * o + 3]
+    contrib *= weights[:, None, None]
+    dJ_dC = np.zeros((len(durations), NCOEF, 3))
+    np.add.at(dJ_dC, seg_ids, contrib)
+    t_contrib = weights * rho / durations[seg_ids]
+    t_contrib += weights * rho_dot * j / kappa[seg_ids]
+    dJ_dT = np.zeros(len(durations))
+    np.add.at(dJ_dT, seg_ids, t_contrib)
+    return dJ_dC, dJ_dT, cot
 
 
 class TestConfigs:
@@ -105,29 +138,30 @@ class TestPenalty:
             assert dJ_dT[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_coefficient_scatter_matches_add_at_bitwise(self, quad_a, monkeypatch):
-        """The per-segment block sums give the coefficient gradient of the
-        per-order loop and np.add.at scatter they replaced, bit for bit."""
+        """The per-segment sums over the active samples give the coefficient
+        gradient of the per-order loop and np.add.at scatter over every
+        sample that they replaced, bit for bit."""
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
         P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
         traj = construct(P, ACTIVE_T, bc0, bcf)
+        rows = np.flatnonzero(reference_penalty_gradient(traj, quad_a)[2].any(axis=1))
         recorded = []
-        flat_outputs = _flatjet.flat_outputs
+        vjp = _flatjet.vjp
 
-        def recording(derivs, params):
-            out = flat_outputs(derivs, params)
+        def recording(kept, params, rotor_bar, omega_bar):
+            recorded.append(vjp(kept, params, rotor_bar, omega_bar))
+            return recorded[-1]
 
-            def vjp(rotor_bar, omega_bar):
-                recorded.append(out.vjp(rotor_bar, omega_bar))
-                return recorded[-1]
-            return replace(out, vjp=vjp)
-
-        monkeypatch.setattr(_flatjet, "flat_outputs", recording)
+        monkeypatch.setattr(_flatjet, "vjp", recording)
         value, grad = penalty(traj, quad_a)
         dJ_dC, _ = grad()
         assert value > 0
-        (g_inputs,) = recorded
         seg_ids, _, local, weights, _ = _sample_grid(traj.durations)
+        (active,) = recorded
+        assert 0 < len(rows) < len(local) and len(active) == len(rows)
+        g_inputs = np.zeros((len(local), 9))
+        g_inputs[rows] = active
         basis = _basis(local, 5)
         contrib = np.zeros((len(local), NCOEF, 3))
         for o in range(3):
@@ -137,21 +171,49 @@ class TestPenalty:
         np.add.at(want, seg_ids, contrib)
         assert np.ascontiguousarray(dJ_dC).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("case", ["none", "some", "all"])
+    def test_active_sample_gradient_matches_every_sample_bitwise(
+            self, quad_a, monkeypatch, case):
+        """The gradient over the active samples alone is the gradient over
+        every sample, bit for bit, with no sample, some or every sample
+        active; with none active the VJP never runs."""
+        bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
+        bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
+        P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
+        traj, params = {
+            "none": (slow_spline(), quad_a),
+            "some": (construct(P, ACTIVE_T, bc0, bcf), quad_a),
+            # Above the hover thrust, the lower rotor limit binds everywhere.
+            "all": (slow_spline(), replace(quad_a, f_min=2.5)),
+        }[case]
+        want_dC, want_dT, cot = reference_penalty_gradient(traj, params)
+        active = int(cot.any(axis=1).sum())
+        assert {"none": active == 0, "some": 0 < active < len(cot),
+                "all": active == len(cot)}[case]
+        calls = []
+        vjp = _flatjet.vjp
+
+        def counting(kept, params, rotor_bar, omega_bar):
+            calls.append(len(rotor_bar))
+            return vjp(kept, params, rotor_bar, omega_bar)
+
+        monkeypatch.setattr(_flatjet, "vjp", counting)
+        dJ_dC, dJ_dT = penalty(traj, params)[1]()
+        assert calls == ([active] if active else [])
+        assert np.ascontiguousarray(dJ_dC).tobytes() == want_dC.tobytes()
+        assert dJ_dT.tobytes() == want_dT.tobytes()
+
     def test_value_only_call_never_runs_the_vjp(self, quad_a, monkeypatch):
         """Reading only the value, as restoration does, runs no flatness VJP;
         the gradient runs it once per call."""
         calls = []
-        flat_outputs = _flatjet.flat_outputs
+        vjp = _flatjet.vjp
 
-        def recording(derivs, params):
-            out = flat_outputs(derivs, params)
+        def counting(kept, params, rotor_bar, omega_bar):
+            calls.append(len(rotor_bar))
+            return vjp(kept, params, rotor_bar, omega_bar)
 
-            def vjp(rotor_bar, omega_bar):
-                calls.append(len(rotor_bar))
-                return out.vjp(rotor_bar, omega_bar)
-            return replace(out, vjp=vjp)
-
-        monkeypatch.setattr(_flatjet, "flat_outputs", recording)
+        monkeypatch.setattr(_flatjet, "vjp", counting)
         traj = aggressive_spline()
         value, grad = penalty(traj, quad_a, samples(traj.durations, refine=4))
         assert value > 0 and calls == []
@@ -250,8 +312,10 @@ class TestObjective:
 
     def test_working_set_per_sample(self):
         """One evaluation of the 8-lap, 56-gate loop at its initial point
-        (1,722 samples) peaks at no more than 1,500 traced bytes per sample:
-        each large per-sample array lives only until its last use."""
+        (1,722 samples) peaks at no more than 925 traced bytes per sample
+        (871 measured with numpy 2.4): each large per-sample array lives
+        only until its last use, and the gradient holds the active samples
+        alone."""
         track = loop_track()
         seq = build_sequence(track, laps=8)
         bc0 = BoundaryCondition.hover(track.start)
@@ -267,7 +331,7 @@ class TestObjective:
         finally:
             tracemalloc.stop()
         assert report.gradient is not None
-        assert peak <= 1500 * n, f"{peak / n:.0f} bytes per sample"
+        assert peak <= 925 * n, f"{peak / n:.0f} bytes per sample"
 
     def test_sampling_refinement_consistency(self, quad_a):
         """Doubling the sample resolution barely moves a feasible penalty."""

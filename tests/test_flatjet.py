@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from raceplan._flatjet import EPS_SING, GRAVITY, flat_outputs, mixer_matrix
+from raceplan._flatjet import EPS_SING, GRAVITY, flat_outputs, mixer_matrix, vjp
 
 VALUE_FIELDS = ("rotor", "omega", "omega_dot", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
@@ -62,7 +62,7 @@ def test_vjp_matches_central_differences(quad_a, seed):
         unit[:, k] = 1.0
         cotangents.append((unit[:, :4], unit[:, 4:]))
     for rotor_bar, omega_bar in cotangents:
-        got = out.vjp(rotor_bar, omega_bar)
+        got = vjp(out.kept, quad_a, rotor_bar, omega_bar)
         fd = central_differences(derivs, quad_a, rotor_bar, omega_bar)
         assert got.shape == (n, 9)
         for col in range(9):
@@ -313,6 +313,23 @@ def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
     # Mostly zero cotangents of both signs, as an inactive penalty gives.
     sparse = tuple(c * (rng.random(c.shape) < 0.1) for c in dense)
     for rotor_bar, omega_bar in (dense, sparse):
-        g = got.vjp(rotor_bar, omega_bar)
+        g = vjp(got.kept, quad_a, rotor_bar, omega_bar)
         assert g.flags.c_contiguous
         assert_bitwise(g, want.vjp(rotor_bar, omega_bar)[:, :9], "vjp")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vjp_on_gathered_columns_matches_full_rows_bitwise(quad_a, seed):
+    """The VJP of any subset of the samples, one sample included, gives
+    their rows of the VJP of all samples, bit for bit."""
+    derivs = random_batch(seed, n=300)
+    out = flat_outputs(derivs, quad_a)
+    rng = np.random.default_rng(300 + seed)
+    n = len(derivs)
+    rotor_bar, omega_bar = rng.normal(size=(n, 4)), rng.normal(size=(n, 3))
+    full = vjp(out.kept, quad_a, rotor_bar, omega_bar)
+    subsets = [np.array([k]) for k in (0, 137, n - 1)]
+    subsets += [np.array([5, 6]), np.sort(rng.choice(n, 40, replace=False))]
+    for rows in subsets:
+        got = vjp(out.kept[:, rows], quad_a, rotor_bar[rows], omega_bar[rows])
+        assert_bitwise(got, full[rows], f"rows {rows[:3]}")

@@ -7,7 +7,7 @@ import yaml
 from raceplan.errors import ParseError, RaceplanError, ValidationError
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.trackio import (
-    build_sequence, loads, parse, serialize, to_waypoint_mode,
+    MAX_LAPS, build_sequence, loads, parse, serialize, to_waypoint_mode,
 )
 from raceplan.tracks import loop_track, random_track
 
@@ -224,6 +224,13 @@ class TestLaps:
     def test_bad_lap_count(self):
         with pytest.raises(ValidationError):
             build_sequence(loop_track(), laps=0)
+
+    def test_lap_count_bounded_before_repeating(self):
+        """MAX_LAPS laps build; one more is refused before the gate list is
+        repeated."""
+        assert len(build_sequence(loop_track(), laps=MAX_LAPS)) == 7 * MAX_LAPS
+        with pytest.raises(ValidationError, match=f"--laps must be at most {MAX_LAPS}"):
+            build_sequence(loop_track(), laps=MAX_LAPS + 1)
 
 
 class TestBuildSequence:
