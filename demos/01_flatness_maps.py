@@ -7,10 +7,9 @@ samples and checks that the recovered controls respect the actuator model.
 """
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
-from raceplan import (
-    QuadParams, flat_outputs, limit_residuals, mixer_matrix, rotation_to_quat,
-)
+from raceplan import QuadParams, flat_outputs, limit_residuals, mixer_matrix
 
 
 def main():
@@ -28,7 +27,8 @@ def main():
     derivs[1, 3] = [0.0, 0.0, 2.0]     # jerk
     out = flat_outputs(derivs, quad)
     assert not out.singular.any()
-    quats = rotation_to_quat(out.rotation)
+    # scipy's quaternions are (x, y, z, w); printed here as (w, x, y, z).
+    quats = Rotation.from_matrix(out.rotation).as_quat()[:, [3, 0, 1, 2]]
 
     # Hover: thrust balances gravity, identity attitude.
     print("\nhover state:")

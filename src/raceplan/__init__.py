@@ -12,7 +12,7 @@ from .gates import (
     contains, decode, polytope_surject, shrink_margin, time_map,
     time_map_inverse,
 )
-from .model import QuadParams, dynamics, limit_residuals, rotation_to_quat
+from .model import QuadParams, dynamics, limit_residuals
 from .optimizer import OptimizerConfig, PlanResult, SolveDiagnostics, initialize, solve
 from .spline import (
     BoundaryCondition, TrajectorySpline, construct, propagate_gradients,

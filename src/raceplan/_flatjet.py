@@ -310,6 +310,5 @@ def vjp(kept, params, rotor_bar, omega_bar):
     c2_bar += 0.5 * inv_c * c_bar
     f_bar += 2.0 * c2_bar * f
 
-    # C-contiguous (N, 9): downstream einsums round by memory layout.
     # C-contiguous (n, 9): downstream einsums round by memory layout.
     return np.stack([*f_bar, *jrk_bar, *snp_bar], axis=1)

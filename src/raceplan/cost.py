@@ -170,9 +170,10 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
     analytic gradient in decision-variable coordinates.  ``kappa`` pins the
     per-segment sample counts; by default they follow the durations."""
     waypoints, durations, jacs, dt_dk = gates.decode(seq, dec)
-    if np.any(durations > spline_mod.MAX_SEGMENT_DURATION):
-        # Line searches may probe absurd time variables; report +inf so they
-        # backtrack instead of tripping the spline conditioning guard.
+    if not np.all((durations > 0) & (durations <= spline_mod.MAX_SEGMENT_DURATION)):
+        # Line searches may probe absurd time variables, whose durations
+        # underflow to 0, overflow past the spline's conditioning guard or
+        # are NaN; report +inf so they backtrack.
         return CostReport(total=math.inf, time_term=float(np.sum(durations)),
                           penalty_term=math.inf, gradient=None)
     traj = spline_mod.construct(waypoints, durations, bc0, bcf)

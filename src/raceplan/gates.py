@@ -118,8 +118,9 @@ class PolytopeGate:
                 a_mat /= norms[:, None]
                 b_vec /= norms
                 plane = None
-        except QhullError as exc:
-            raise ValidationError(f"degenerate polytope vertex set: {exc}") from exc
+        except QhullError as exc:  # its first line names the cause
+            raise ValidationError("degenerate polytope vertex set: "
+                                  + str(exc).partition("\n")[0]) from exc
 
         # Every vertex must satisfy its own halfspace description.
         if np.max(verts @ a_mat.T - b_vec) > _GEOM_TOL:

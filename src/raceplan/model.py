@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from . import _flatjet
 from ._flatjet import GRAVITY
@@ -76,47 +77,6 @@ class QuadParams:
         )
 
 
-def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def rotation_to_quat(r: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) to unit quaternions (..., 4) as
-    (w, x, y, z), w >= 0."""
-    r = np.asarray(r, dtype=float)
-    rows = r.reshape(-1, 3, 3)
-    q = np.empty((len(rows), 4))
-    t = np.trace(rows, axis1=1, axis2=2)
-    pos = t > 0
-    rp = rows[pos]
-    s = np.sqrt(t[pos] + 1.0) * 2
-    q[pos, 0] = 0.25 * s
-    q[pos, 1] = (rp[:, 2, 1] - rp[:, 1, 2]) / s
-    q[pos, 2] = (rp[:, 0, 2] - rp[:, 2, 0]) / s
-    q[pos, 3] = (rp[:, 1, 0] - rp[:, 0, 1]) / s
-    # Otherwise pivot on the largest diagonal entry i, with j, k after it.
-    rest = np.flatnonzero(~pos)
-    rn = rows[rest]
-    m = np.arange(len(rest))
-    i = np.argmax(np.diagonal(rn, axis1=1, axis2=2), axis=1)
-    j, k = (i + 1) % 3, (i + 2) % 3
-    s = np.sqrt(rn[m, i, i] - rn[m, j, j] - rn[m, k, k] + 1.0) * 2
-    q[rest, 0] = (rn[m, k, j] - rn[m, j, k]) / s
-    q[rest, 1 + i] = 0.25 * s
-    q[rest, 1 + j] = (rn[m, j, i] + rn[m, i, j]) / s
-    q[rest, 1 + k] = (rn[m, k, i] + rn[m, i, k]) / s
-    q[q[:, 0] < 0] *= -1.0
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q.reshape(r.shape[:-2] + (4,))
-
-
 def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     """Rigid-body dynamics: the derivative of the 13-vector state x =
     (position, world<-body unit quaternion (w, x, y, z), velocity, body
@@ -127,7 +87,9 @@ def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     # q_dot = q * (0, omega) / 2 = (-v . omega, w omega + v x omega) / 2.
     w, v = q[0], q[1:]
     q_dot = 0.5 * np.concatenate([[-v @ omega], w * omega + np.cross(v, omega)])
-    v_dot = GRAVITY + quat_to_rotation(q) @ np.array([0.0, 0.0, thrust]) / params.mass
+    # Thrust acts along body z; scipy's quaternions are scalar-last.
+    body_z = Rotation.from_quat(q[[1, 2, 3, 0]]).as_matrix()[:, 2]
+    v_dot = GRAVITY + body_z * (thrust / params.mass)
     inertia = params.inertia_diag
     w_dot = (torque - np.cross(omega, inertia * omega)) / inertia
     return np.concatenate([velocity, q_dot, v_dot, w_dot])

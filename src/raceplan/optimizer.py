@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
+from scipy.spatial.transform import Rotation
 
 from . import cost as cost_mod
 from . import gates as gates_mod
 from .checks import Check, verify
 from .errors import RaceplanError
 from .gates import DecisionVector, GateSequence
-from .model import QuadParams, rotation_to_quat
+from .model import QuadParams
 from . import _flatjet
 from .spline import MAX_SEGMENT_DURATION, BoundaryCondition, TrajectorySpline
 
@@ -275,27 +276,35 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
     if not feasible(scaled(hi)):
         return dec, None
     lo = 1.0
-    for _ in range(30):
+    while hi - lo >= 1e-4:
         mid = 0.5 * (lo + hi)
         if feasible(scaled(mid)):
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-4:
-            break
     return scaled(hi), hi
 
 
 def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
+    """The export every dt s: times (N,), states (N, 13) and rotor thrusts
+    (N, 4).  Raises RaceplanError at a flatness-singular sample, whose
+    attitude is undefined."""
     n = max(2, int(np.floor(traj.total_time / dt)) + 1)
     times = np.minimum(np.arange(n) * dt, traj.total_time)
     if times[-1] < traj.total_time - 1e-12:
         times = np.append(times, traj.total_time)
     derivs = traj.eval_batch(times, max_order=4)
     out = _flatjet.flat_outputs(derivs, params)
+    if out.singular.any():
+        t = times[np.argmax(out.singular)]
+        raise RaceplanError(f"the export's attitude is undefined at t = {t:.6g} s "
+                            "(zero thrust, or thrust along the heading)")
+    # scipy's quaternions are scalar-last; the export's are (w, x, y, z), w >= 0.
+    quats = Rotation.from_matrix(out.rotation).as_quat()[:, [3, 0, 1, 2]]
+    quats[quats[:, 0] < 0] *= -1
     states = np.empty((len(times), 13))
     states[:, :3] = derivs[:, 0]
-    states[:, 3:7] = rotation_to_quat(out.rotation)
+    states[:, 3:7] = quats
     states[:, 7:10] = derivs[:, 1]
     states[:, 10:13] = out.omega
     return times, states, out.rotor.copy()

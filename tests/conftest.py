@@ -62,8 +62,10 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
 
     Returns (times, integrated positions, reference positions).
     """
+    from scipy.spatial.transform import Rotation
+
     from raceplan import _flatjet
-    from raceplan.model import dynamics, rotation_to_quat
+    from raceplan.model import dynamics
 
     n_steps = int(round(duration / h))
     # Stage times on a half-step grid so every RK4 stage reuses a
@@ -78,8 +80,9 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
         q = x[3:7] / np.linalg.norm(x[3:7])
         return dynamics(np.concatenate([x[0:3], q, x[7:13]]), u, params)
 
-    x = np.concatenate([derivs[0, 0], rotation_to_quat(out.rotation[0]),
-                        derivs[0, 1], out.omega[0]])
+    xyzw = Rotation.from_matrix(out.rotation[0]).as_quat()
+    x = np.concatenate([derivs[0, 0], xyzw[[3, 0, 1, 2]], derivs[0, 1],
+                        out.omega[0]])
     times = np.empty(n_steps + 1)
     positions = np.empty((n_steps + 1, 3))
     times[0], positions[0] = t0, x[:3]

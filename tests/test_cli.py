@@ -5,9 +5,11 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
     _write_csv, main,
 )
-from raceplan import cli, tracks, trackio
+from raceplan import _flatjet, cli, optimizer, tracks, trackio
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.model import QuadParams
 
@@ -310,6 +312,57 @@ class TestPlan:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "check"])
+    @pytest.mark.parametrize("vertices", ["collinear", "1e306", "1e-300"])
+    def test_degenerate_polygon_exits_validation_in_one_line(
+            self, command, vertices, planned, tmp_path, capsys):
+        """random_track(103) with its first gate, a polygon, given four
+        collinear vertices or its own scaled by 1e306 or 1e-300: Qhull
+        rejects it with a report of over 50 lines, of which both commands
+        print the first line only, and exit 1."""
+        doc = yaml.safe_load(trackio.serialize(tracks.random_track(103)))
+        gate = doc["gates"][0]
+        assert gate["type"] == "polygon"
+        if vertices == "collinear":
+            gate["vertices"] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        else:
+            gate["vertices"] = (float(vertices) * np.array(gate["vertices"])).tolist()
+        track = tmp_path / "degenerate.yaml"
+        track.write_text(yaml.safe_dump(doc))
+        _, out = planned
+        argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path / "out")],
+                "check": ["check", str(out / "trajectory.csv"), str(track)]}
+        assert main(argv[command]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: gates[0]: degenerate polytope vertex set: QH")
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+
+    def test_singular_export_sample_exits_solver(self, planned, tmp_path,
+                                                 capsys, monkeypatch):
+        """A plan whose export has a flatness-singular sample, here marked
+        at t = 0.05 s, has no attitude to write there: it exits 2 with one
+        solver error line naming that time and writes no artifact."""
+        track, _ = planned
+
+        def marked(derivs, params):
+            out = _flatjet.flat_outputs(derivs, params)
+            out.singular[5] = True
+            return out
+
+        monkeypatch.setattr(optimizer, "_flatjet", SimpleNamespace(
+            **{**vars(_flatjet), "flat_outputs": marked}))
+        out_dir = tmp_path / "out"
+        assert main(["plan", str(track), "--out-dir", str(out_dir)]) \
+            == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.err == ("solver error: the export's attitude is "
+                                "undefined at t = 0.05 s (zero thrust, or "
+                                "thrust along the heading)\n")
+        assert not out_dir.exists()
 
 
 class TestCheck:

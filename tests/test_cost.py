@@ -348,3 +348,20 @@ class TestObjective:
         report = objective(dec, seq, quad_a, bc0, bcf)
         assert report.total == np.inf
         assert report.gradient is None
+
+    @pytest.mark.parametrize("k0", [-1e200, np.nan, 1e200],
+                             ids=["underflow", "nan", "overflow"])
+    def test_unusable_duration_reports_infinite(self, k0):
+        """On the loop's initial vector, a first time variable whose
+        duration underflows to 0 s, is NaN or overflows gives +inf and no
+        gradient rather than an error from the spline."""
+        track = loop_track()
+        seq = build_sequence(track)
+        bc0 = BoundaryCondition.hover(track.start)
+        bcf = BoundaryCondition.hover(track.finish)
+        dec = initialize(seq, bc0, bcf)
+        dec.K[0] = k0
+        with np.errstate(over="ignore"):
+            report = objective(dec, seq, track.quad, bc0, bcf)
+        assert report.total == np.inf
+        assert report.gradient is None

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.transform import Rotation
 
 from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
-from raceplan.model import (
-    QuadParams, dynamics, limit_residuals, quat_to_rotation, rotation_to_quat,
-)
-from raceplan.optimizer import solve
+from raceplan.errors import RaceplanError
+from raceplan.model import QuadParams, dynamics, limit_residuals
+from raceplan.optimizer import _sample_trajectory, solve
 from raceplan.spline import BoundaryCondition, construct
 from raceplan.trackio import build_sequence
 from raceplan.tracks import loop_track
@@ -147,16 +147,15 @@ class TestFlatToState:
     def test_rest_sample(self, quad_a):
         out = flat_outputs(_rest([1.0, 2.0, 3.0]), quad_a)
         assert not out.singular[0]
-        assert np.allclose(rotation_to_quat(out.rotation[0]), IDENTITY_Q,
-                           atol=1e-12)
+        assert np.allclose(Rotation.from_matrix(out.rotation[0]).as_quat(),
+                           [0.0, 0.0, 0.0, 1.0], atol=1e-12)   # (x, y, z, w)
         assert np.allclose(out.omega[0], 0.0, atol=1e-12)
 
     def test_body_z_parallel_to_thrust(self, quad_a):
         rng = np.random.default_rng(7)
         derivs = np.array([_smooth_sample(rng) for _ in range(50)])
-        quats = rotation_to_quat(flat_outputs(derivs, quad_a).rotation)
-        for d, q in zip(derivs, quats):
-            rot = quat_to_rotation(q)
+        quats = Rotation.from_matrix(flat_outputs(derivs, quad_a).rotation)
+        for d, rot in zip(derivs, quats.as_matrix()):
             thrust_dir = d[2] - GRAVITY
             thrust_dir /= np.linalg.norm(thrust_dir)
             assert np.allclose(rot[:, 2], thrust_dir, atol=1e-10)
@@ -180,8 +179,7 @@ class TestFlatToState:
         h = 1e-5
         for t in (0.2, 0.5, 0.9):
             out = flat_outputs(samples_at(np.array([t - h, t, t + h])), quad_a)
-            r_minus, rot, r_plus = (quat_to_rotation(q)
-                                    for q in rotation_to_quat(out.rotation))
+            r_minus, rot, r_plus = Rotation.from_matrix(out.rotation).as_matrix()
             omega_hat = rot.T @ (r_plus - r_minus) / (2 * h)  # skew(omega)
             omega_fd = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
             assert np.allclose(out.omega[1], omega_fd, atol=1e-4)
@@ -208,69 +206,39 @@ class TestFlatToControl:
     def test_quaternion_norm_preserved(self, quad_a):
         rng = np.random.default_rng(11)
         derivs = np.array([_smooth_sample(rng) for _ in range(20)])
-        quats = rotation_to_quat(flat_outputs(derivs, quad_a).rotation)
+        quats = Rotation.from_matrix(flat_outputs(derivs, quad_a).rotation).as_quat()
         assert np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) < 1e-9)
 
 
-def per_row_rotation_to_quat(r):
-    """The one-matrix-at-a-time conversion that the batched
-    ``rotation_to_quat`` replaces, kept as its reference."""
-    t = np.trace(r)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-             (r[1, 0] - r[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+class TestExportAttitude:
+    """The export's attitude columns: scipy's quaternions of the flatness
+    map's rotations, as (w, x, y, z) with w >= 0."""
 
-
-class TestRotationToQuat:
-    @staticmethod
-    def assert_matches_per_row(rotations):
-        q = rotation_to_quat(rotations)
-        reference = np.array([per_row_rotation_to_quat(r) for r in rotations])
-        np.testing.assert_allclose(q, reference, rtol=0, atol=1e-15)
-        assert np.all(q[:, 0] >= 0)
-        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-15
-        return q
-
-    def test_loop_export_rows(self, quad_a):
+    def test_loop_export_quaternions(self):
         track = loop_track()
         result = solve(build_sequence(track, mode="togt"), track.quad,
                        BoundaryCondition.hover(track.start),
                        BoundaryCondition.hover(track.finish))
+        q = result.states[:, 3:7]
+        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) <= 1e-15
+        assert np.all(q[:, 0] >= 0)
         derivs = result.spline.eval_batch(result.sample_times, max_order=4)
-        rotations = flat_outputs(derivs, track.quad).rotation
-        q = self.assert_matches_per_row(rotations)
-        assert np.array_equal(result.states[:, 3:7], q)
+        rotations = Rotation.from_quat(q[:, [1, 2, 3, 0]]).as_matrix()
+        np.testing.assert_allclose(
+            rotations, flat_outputs(derivs, track.quad).rotation, rtol=0, atol=1e-15)
+        thrust = derivs[:, 2] - GRAVITY
+        thrust /= np.linalg.norm(thrust, axis=1, keepdims=True)
+        np.testing.assert_allclose(rotations[:, :, 2], thrust, rtol=0, atol=1e-15)
 
-    def test_every_branch(self):
-        """Random rotations reach the trace > 0 case and each diagonal
-        pivot; 180-degree turns about the axes have trace -1."""
-        rng = np.random.default_rng(7)
-        quats = rng.normal(size=(400, 4))
-        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-        rotations = np.array([quat_to_rotation(q) for q in quats]
-                             + [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1],
-                                                     [-1.0, -1, 1])])
-        traces = np.trace(rotations, axis1=1, axis2=2)
-        pivots = np.argmax(np.diagonal(rotations, axis1=1, axis2=2)[traces <= 0], axis=1)
-        assert np.any(traces > 0) and set(pivots) == {0, 1, 2}
-        self.assert_matches_per_row(rotations)
-        assert np.array_equal(rotation_to_quat(rotations[5]),
-                              rotation_to_quat(rotations[5:6])[0])
+    def test_free_fall_sample_has_no_attitude(self, quad_a):
+        """A spline that starts in free fall, its acceleration equal to
+        gravity, has no thrust direction at t = 0: the export refuses it."""
+        bc0 = BoundaryCondition(np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0],
+                                          GRAVITY]))
+        traj = construct(np.array([[1.0, 0.0, 4.0]]), [1.0, 1.0], bc0,
+                         BoundaryCondition.hover([2.0, 0.0, 4.0]))
+        with pytest.raises(RaceplanError, match=r"undefined at t = 0 s"):
+            _sample_trajectory(traj, quad_a, 0.01)
 
 
 class TestConstraintResiduals:
