@@ -17,15 +17,14 @@ def main():
     print(f"vehicle: m={quad.mass} kg, f in [{quad.f_min}, {quad.f_max}] N, "
           f"omega_max={quad.omega_max} rad/s")
 
-    # One batch of two samples, (N, 5, 3): rows of each derivative table are
-    # orders 0..4 of [x, y, z].  Hover at 1 m, and a banked turn, where
-    # lateral acceleration tilts the thrust axis.
-    derivs = np.zeros((2, 5, 3))
-    derivs[:, 0] = [0.0, 0.0, 1.0]     # position
-    derivs[1, 1] = [5.0, 0.0, 0.0]     # velocity
-    derivs[1, 2] = [0.0, 6.0, 0.0]     # acceleration
-    derivs[1, 3] = [0.0, 0.0, 2.0]     # jerk
-    out = flat_outputs(derivs, quad)
+    # One batch of two samples, (N, 3, 3): the rows of each sample are the
+    # acceleration, jerk and snap of [x, y, z], all that the map reads at
+    # zero yaw.  Hover, and a banked turn, where lateral acceleration tilts
+    # the thrust axis.
+    inputs = np.zeros((2, 3, 3))
+    inputs[1, 0] = [0.0, 6.0, 0.0]     # acceleration
+    inputs[1, 1] = [0.0, 0.0, 2.0]     # jerk
+    out = flat_outputs(inputs, quad)
     assert not out.singular.any()
     # scipy's quaternions are (x, y, z, w); printed here as (w, x, y, z).
     quats = Rotation.from_matrix(out.rotation).as_quat()[:, [3, 0, 1, 2]]

@@ -20,10 +20,6 @@ import numpy as np
 
 #: Below this thrust magnitude / axis-cross magnitude the map is singular.
 EPS_SING = 1e-6
-#: Derivative order and dim, in the (N, K, 3) input, of the 9 flat input
-#: columns: acceleration, jerk and snap (x, y, z each).
-INPUT_ORDER = np.array([2, 2, 2, 3, 3, 3, 4, 4, 4])
-INPUT_DIM = np.array([0, 1, 2] * 3)
 #: Gravitational acceleration, m/s^2, world frame (z up).
 GRAVITY = np.array([0.0, 0.0, -9.81])
 GRAVITY.flags.writeable = False
@@ -110,20 +106,18 @@ def _heading_crosses(z, zd, zdd):
     return np.split(_cross(np.concatenate([z, zd, zdd], axis=1), HEADING), 3, axis=1)
 
 
-def flat_outputs(derivs: np.ndarray, params) -> FlatOutputs:
+def flat_outputs(inputs: np.ndarray, params) -> FlatOutputs:
     """Run the flatness pipeline on a batch of samples.
 
-    derivs: (N, K, 3) position derivatives, orders 0..K-1 (K >= 5).
+    inputs: (N, 3, 3) acceleration, jerk and snap of the position.
     """
-    derivs = np.asarray(derivs, dtype=float)
-
     # Every vector is component-major, (3, N), with contiguous rows: scalars
     # broadcast as they are, and each numpy loop runs over the N samples.
     # The values the VJP reads are written into their rows of ``kept``.
-    kept = np.empty((KEPT_ROWS, len(derivs)))
+    kept = np.empty((KEPT_ROWS, len(inputs)))
     ((c2, inv_c, cd, cdd, q, inv, invd, invdd, p, s1),
      (f, jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega)) = _views(kept)
-    f[:], jrk[:], snp[:] = derivs[:, INPUT_ORDER, INPUT_DIM].T.reshape(3, 3, -1)
+    f[:], jrk[:], snp[:] = np.transpose(inputs, (1, 2, 0))
 
     # Thrust direction z = f/|f| and its first two time derivatives.
     f -= GRAVITY[:, None]

@@ -63,17 +63,12 @@ def _sample_grid(durations: np.ndarray, kappa=None):
     return seg_ids, j, local, weights, kappa
 
 
-def _zero_gradient(num_seg: int):
-    """(dJ_dC, dJ_dT_direct) of a penalty that no sample activates."""
-    return np.zeros((num_seg, spline_mod.NCOEF, 3)), np.zeros(num_seg)
-
-
 def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     """Sampled cubic-hinge penalty, and on demand its exact partial
     derivatives with respect to polynomial coefficients and (directly)
     segment durations.
 
-    Returns (value, grad); value is +inf when a sample hits the flatness
+    Returns (value, grad); (+inf, None) when a sample hits the flatness
     singularity.  ``grad()`` runs the flatness VJP and the coefficient
     scatter on the samples where a limit is active and returns
     (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a caller that reads only
@@ -85,18 +80,13 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     ncoef = spline_mod.NCOEF
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
 
-    # The flatness map reads orders 2-4, rho_dot 3-5.
-    derivs = traj.eval_local(seg_ids, local, max_order=5, min_order=2)
-    out = _flatjet.flat_outputs(derivs, params)
-    # rho_dot's inputs, the flat inputs one derivative order up
-    # (C-contiguous, as einsum rounds by memory layout).  Every large array
+    # The flatness map reads orders 2-4, rho_dot 3-5.  Every large array
     # here is dropped after its last use, so that one evaluation's working
     # set stays small.
-    inputs_dot = np.ascontiguousarray(
-        derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
-    del derivs
+    derivs = traj.eval_local(seg_ids, local, max_order=5, min_order=2)
+    out = _flatjet.flat_outputs(derivs[:, :3], params)
     if out.singular.any():
-        return math.inf, lambda: _zero_gradient(num_seg)
+        return math.inf, None
 
     # Residual -> hinge, in place on one (N, 14) array.
     hinge, sign, scale = limit_residuals(out, params)
@@ -118,8 +108,6 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
     del cube
     value = float(weights @ rho)
-    if not len(rows):
-        return value, lambda: _zero_gradient(num_seg)
 
     # d rho / d flat-outputs, with each residual pair summed onto its rotor
     # or rate.
@@ -128,7 +116,10 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     hinge *= sign / scale
     cot = hinge[:, 0::2] + hinge[:, 1::2]
     del hinge
-    inputs_dot = inputs_dot[rows]
+    # rho_dot's inputs, the flat inputs one derivative order up (a
+    # C-contiguous copy, as einsum rounds by memory layout).
+    inputs_dot = derivs[rows, 1:].reshape(-1, 9)
+    del derivs
     basis = spline_mod._basis(local[rows], 4, min_order=2)  # orders 2-4
     seg_ids, j, weights, rho = seg_ids[rows], j[rows], weights[rows], rho[rows]
 

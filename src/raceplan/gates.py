@@ -292,6 +292,8 @@ def polytope_surject(gate: PolytopeGate, d):
     return _surject_rows(_polytope_map, d, gate.param_dim, gate.vertices)
 
 
+# At a huge |K| both np.where branches overflow; T saturates at +inf or 0.
+@np.errstate(over="ignore", invalid="ignore")
 def time_map(K):
     """Unconstrained variable -> strictly positive duration, C^2, T(0) = 1.
 
@@ -306,6 +308,7 @@ def time_map(K):
     return t, dt
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def time_map_inverse(T):
     """Exact inverse of time_map's duration component."""
     t = np.asarray(T, dtype=float)

@@ -47,6 +47,8 @@ GRAD_TOLERANCE = 1e-9
 # sampled penalty is at most RESTORE_PENALTY_TOL.
 RESTORE_PENALTY_TOL = 1e-8
 RESTORE_MAX_SCALE = 1.5
+#: The most rows an export may have, so that a tiny sample_dt ends in an error.
+MAX_EXPORT_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -287,14 +289,19 @@ def _restore_feasibility(dec: DecisionVector, penalty_of):
 
 def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
     """The export every dt s: times (N,), states (N, 13) and rotor thrusts
-    (N, 4).  Raises RaceplanError at a flatness-singular sample, whose
-    attitude is undefined."""
-    n = max(2, int(np.floor(traj.total_time / dt)) + 1)
+    (N, 4).  Raises RaceplanError, before it allocates them, when they would
+    have more than MAX_EXPORT_SAMPLES rows, and at a flatness-singular
+    sample, whose attitude is undefined."""
+    steps = traj.total_time / dt  # floor(steps) + 1 rows, and the end time
+    if not steps < MAX_EXPORT_SAMPLES - 1:
+        raise RaceplanError(f"sampling every {dt:g} s would export more than "
+                            f"{MAX_EXPORT_SAMPLES} samples")
+    n = max(2, int(np.floor(steps)) + 1)
     times = np.minimum(np.arange(n) * dt, traj.total_time)
     if times[-1] < traj.total_time - 1e-12:
         times = np.append(times, traj.total_time)
     derivs = traj.eval_batch(times, max_order=4)
-    out = _flatjet.flat_outputs(derivs, params)
+    out = _flatjet.flat_outputs(derivs[:, 2:], params)
     if out.singular.any():
         t = times[np.argmax(out.singular)]
         raise RaceplanError(f"the export's attitude is undefined at t = {t:.6g} s "
@@ -319,8 +326,12 @@ def solve(seq: GateSequence, params: QuadParams,
 
     Runs the quasi-Newton loop from the deterministic initialization (plus
     optional seeded random restarts) and returns the best iterate with
-    sampled state/control trajectories and diagnostics.
+    sampled state/control trajectories, every ``sample_dt`` s (finite and
+    above 0), and diagnostics.
     """
+    if not 0 < sample_dt < np.inf:
+        raise RaceplanError(
+            f"sample_dt must be a finite number above 0, got {sample_dt}")
     # Loaded by a solve only, before the clock and any fork: workers inherit it.
     import scipy.optimize  # noqa: F401
     t_start = time.perf_counter()

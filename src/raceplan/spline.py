@@ -94,13 +94,13 @@ class TrajectorySpline:
 
     def eval_local(self, seg_idx, local, max_order: int,
                    min_order: int = 0) -> np.ndarray:
-        """Evaluate on given segments at local times; (N, max_order+1, 3),
-        with the orders below ``min_order`` left zero."""
+        """Evaluate orders min_order..max_order on given segments at local
+        times; (N, max_order+1-min_order, 3)."""
         coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
         basis = _basis(local, max_order, min_order)
-        out = np.zeros((len(basis), max_order + 1, 3))
-        for order in range(min_order, max_order + 1):
-            out[:, order] = np.einsum("nm,nmd->nd", basis[:, order - min_order], coeffs)
+        out = np.empty((len(basis), max_order + 1 - min_order, 3))
+        for row in range(out.shape[1]):
+            out[:, row] = np.einsum("nm,nmd->nd", basis[:, row], coeffs)
         return out
 
     def eval_batch(self, ts, max_order: int) -> np.ndarray:

@@ -72,7 +72,7 @@ def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
     # precomputed control sample.
     stage_times = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
     derivs = traj.eval_batch(stage_times, max_order=4)
-    out = _flatjet.flat_outputs(derivs, params)
+    out = _flatjet.flat_outputs(derivs[:, 2:], params)
     assert not out.singular.any()
     controls = out.rotor
 

@@ -222,6 +222,21 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: --dt")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", ["1e-9", "1e-300"])
+    def test_tiny_dt_exits_solver(self, dt, tmp_path, capsys):
+        """An export period so small that the export would have more than
+        MAX_EXPORT_SAMPLES rows ends, after the solve, in one solver error
+        line and no artifact, before the export allocates its rows."""
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK)
+        out = tmp_path / "out"
+        assert main(["plan", str(track), "--dt", dt, "--out-dir", str(out)]) \
+            == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert f"more than {optimizer.MAX_EXPORT_SAMPLES} samples" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
     def test_negative_seed_or_restarts_exits_validation(self, flag, tmp_path,
                                                         capsys):

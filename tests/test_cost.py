@@ -1,6 +1,7 @@
 """Tests for the time-plus-penalty objective and its analytic gradients."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,7 @@ def reference_penalty_gradient(traj, params, kappa=None):
     durations = traj.durations
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
     derivs = traj.eval_local(seg_ids, local, 5)
-    out = _flatjet.flat_outputs(derivs, params)
+    out = _flatjet.flat_outputs(derivs[:, 2:5], params)
     hinge, sign, scale = limit_residuals(out, params)
     hinge = np.maximum(hinge / scale, 0.0)
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
@@ -52,8 +53,7 @@ def reference_penalty_gradient(traj, params, kappa=None):
     bar = np.square(hinge) * (3.0 * PENALTY_WEIGHTS) * (sign / scale)
     cot = bar[:, 0::2] + bar[:, 1::2]
     g_inputs = _flatjet.vjp(out.kept, params, cot[:, :4], cot[:, 4:])
-    inputs_dot = np.ascontiguousarray(
-        derivs[:, _flatjet.INPUT_ORDER + 1, _flatjet.INPUT_DIM])
+    inputs_dot = np.ascontiguousarray(derivs[:, 3:6]).reshape(-1, 9)
     rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
     basis = _basis(local, 5)
     contrib = np.zeros((len(local), NCOEF, 3))
@@ -102,7 +102,7 @@ class TestPenalty:
         for traj in (slow_spline(), aggressive_spline()):
             value = penalty(traj, quad_a)[0]
             seg_ids, _, local, _, _ = _sample_grid(traj.durations)
-            out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 5), quad_a)
+            out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 4, 2), quad_a)
             feasible = bool(np.all(limit_residuals(out, quad_a)[0] <= 0))
             assert (value == 0.0) == feasible
             assert value >= 0.0
@@ -176,7 +176,7 @@ class TestPenalty:
             self, quad_a, monkeypatch, case):
         """The gradient over the active samples alone is the gradient over
         every sample, bit for bit, with no sample, some or every sample
-        active; with none active the VJP never runs."""
+        active; the VJP runs once, on the active samples."""
         bc0 = BoundaryCondition.hover([0.0, 0.0, 1.0])
         bcf = BoundaryCondition.hover([6.0, -2.0, 2.0])
         P = np.array([[2.0, 0.5, 1.4], [4.0, -1.0, 1.8]])
@@ -199,9 +199,19 @@ class TestPenalty:
 
         monkeypatch.setattr(_flatjet, "vjp", counting)
         dJ_dC, dJ_dT = penalty(traj, params)[1]()
-        assert calls == ([active] if active else [])
+        assert calls == [active]
         assert np.ascontiguousarray(dJ_dC).tobytes() == want_dC.tobytes()
         assert dJ_dT.tobytes() == want_dT.tobytes()
+
+    def test_singular_spline_has_no_gradient(self, quad_a):
+        """A spline that starts in free fall, its acceleration equal to
+        gravity, has no thrust direction at its first sample: the penalty is
+        +inf, with no gradient."""
+        bc0 = BoundaryCondition(np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0],
+                                          _flatjet.GRAVITY]))
+        traj = construct(np.array([[1.0, 0.0, 4.0]]), [1.0, 1.0], bc0,
+                         BoundaryCondition.hover([2.0, 0.0, 4.0]))
+        assert penalty(traj, quad_a) == (np.inf, None)
 
     def test_value_only_call_never_runs_the_vjp(self, quad_a, monkeypatch):
         """Reading only the value, as restoration does, runs no flatness VJP;
@@ -349,19 +359,21 @@ class TestObjective:
         assert report.total == np.inf
         assert report.gradient is None
 
-    @pytest.mark.parametrize("k0", [-1e200, np.nan, 1e200],
-                             ids=["underflow", "nan", "overflow"])
+    @pytest.mark.parametrize("k0", [-1e200, np.nan, 1e200, -np.inf, np.inf],
+                             ids=["underflow", "nan", "overflow", "-inf", "inf"])
     def test_unusable_duration_reports_infinite(self, k0):
         """On the loop's initial vector, a first time variable whose
         duration underflows to 0 s, is NaN or overflows gives +inf and no
-        gradient rather than an error from the spline."""
+        gradient rather than an error from the spline, and no numpy
+        warning."""
         track = loop_track()
         seq = build_sequence(track)
         bc0 = BoundaryCondition.hover(track.start)
         bcf = BoundaryCondition.hover(track.finish)
         dec = initialize(seq, bc0, bcf)
         dec.K[0] = k0
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = objective(dec, seq, track.quad, bc0, bcf)
         assert report.total == np.inf
         assert report.gradient is None

@@ -1,5 +1,7 @@
 """Tests for gate regions, surjective parameter maps and margin shrinking."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,16 @@ class TestTimeMap:
         ks = np.linspace(-8, 8, 101)
         t, _ = time_map(ks)
         assert np.allclose(time_map_inverse(t), ks, atol=1e-9)
+
+    def test_saturation_warns_nothing(self):
+        """Far past either end, the map saturates at +inf and 0 s and its
+        inverse at -inf and +inf, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, _ = time_map(np.array([1e200, -1e200, np.inf, -np.inf]))
+            k = time_map_inverse(np.array([5e-324, 1e308, np.inf]))
+        assert t.tolist() == [np.inf, 0.0, np.inf, 0.0]
+        assert k.tolist() == [-np.inf, np.inf, np.inf]
 
 
 class TestDecode:

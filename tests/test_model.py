@@ -44,7 +44,7 @@ def _state(position, velocity=(0.0, 0.0, 0.0), attitude=IDENTITY_Q,
 
 def _limit_residuals(derivs, params):
     """(N, 14) limit residuals of (N, 5, 3) derivatives."""
-    return limit_residuals(flat_outputs(derivs, params), params)[0]
+    return limit_residuals(flat_outputs(derivs[:, 2:], params), params)[0]
 
 
 class TestQuadParams:
@@ -145,7 +145,7 @@ class TestFlatToState:
     """Attitude and body rates from ``flat_outputs``."""
 
     def test_rest_sample(self, quad_a):
-        out = flat_outputs(_rest([1.0, 2.0, 3.0]), quad_a)
+        out = flat_outputs(_rest([1.0, 2.0, 3.0])[:, 2:], quad_a)
         assert not out.singular[0]
         assert np.allclose(Rotation.from_matrix(out.rotation[0]).as_quat(),
                            [0.0, 0.0, 0.0, 1.0], atol=1e-12)   # (x, y, z, w)
@@ -154,7 +154,7 @@ class TestFlatToState:
     def test_body_z_parallel_to_thrust(self, quad_a):
         rng = np.random.default_rng(7)
         derivs = np.array([_smooth_sample(rng) for _ in range(50)])
-        quats = Rotation.from_matrix(flat_outputs(derivs, quad_a).rotation)
+        quats = Rotation.from_matrix(flat_outputs(derivs[:, 2:], quad_a).rotation)
         for d, rot in zip(derivs, quats.as_matrix()):
             thrust_dir = d[2] - GRAVITY
             thrust_dir /= np.linalg.norm(thrust_dir)
@@ -178,7 +178,7 @@ class TestFlatToState:
 
         h = 1e-5
         for t in (0.2, 0.5, 0.9):
-            out = flat_outputs(samples_at(np.array([t - h, t, t + h])), quad_a)
+            out = flat_outputs(samples_at(np.array([t - h, t, t + h]))[:, 2:], quad_a)
             r_minus, rot, r_plus = Rotation.from_matrix(out.rotation).as_matrix()
             omega_hat = rot.T @ (r_plus - r_minus) / (2 * h)  # skew(omega)
             omega_fd = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
@@ -187,26 +187,26 @@ class TestFlatToState:
     def test_free_fall_is_singular(self, quad_a):
         derivs = np.concatenate([_rest([0.0, 0.0, 0.0])] * 2)
         derivs[0, 2] = GRAVITY  # free fall: thrust direction undefined
-        assert flat_outputs(derivs, quad_a).singular.tolist() == [True, False]
+        assert flat_outputs(derivs[:, 2:], quad_a).singular.tolist() == [True, False]
 
 
 class TestFlatToControl:
     """Rotor thrusts from ``flat_outputs``."""
 
     def test_hover_thrusts(self, quad_a):
-        rotor = flat_outputs(_rest([0, 0, 1]), quad_a).rotor[0]
+        rotor = flat_outputs(_rest([0, 0, 1])[:, 2:], quad_a).rotor[0]
         assert np.allclose(rotor, 2.0846250, atol=1e-5)
 
     def test_vertical_acceleration(self, quad_a):
         d = np.zeros((1, 5, 3))
         d[0, 2, 2] = 1.0
-        rotor = flat_outputs(d, quad_a).rotor[0]
+        rotor = flat_outputs(d[:, 2:], quad_a).rotor[0]
         assert np.allclose(rotor, 0.85 * 10.81 / 4.0, atol=1e-5)
 
     def test_quaternion_norm_preserved(self, quad_a):
         rng = np.random.default_rng(11)
         derivs = np.array([_smooth_sample(rng) for _ in range(20)])
-        quats = Rotation.from_matrix(flat_outputs(derivs, quad_a).rotation).as_quat()
+        quats = Rotation.from_matrix(flat_outputs(derivs[:, 2:], quad_a).rotation).as_quat()
         assert np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) < 1e-9)
 
 
@@ -225,7 +225,7 @@ class TestExportAttitude:
         derivs = result.spline.eval_batch(result.sample_times, max_order=4)
         rotations = Rotation.from_quat(q[:, [1, 2, 3, 0]]).as_matrix()
         np.testing.assert_allclose(
-            rotations, flat_outputs(derivs, track.quad).rotation, rtol=0, atol=1e-15)
+            rotations, flat_outputs(derivs[:, 2:], track.quad).rotation, rtol=0, atol=1e-15)
         thrust = derivs[:, 2] - GRAVITY
         thrust /= np.linalg.norm(thrust, axis=1, keepdims=True)
         np.testing.assert_allclose(rotations[:, :, 2], thrust, rtol=0, atol=1e-15)

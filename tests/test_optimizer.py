@@ -130,6 +130,15 @@ class TestSolve:
         assert np.max(np.abs(norms - 1)) < 1e-9
         assert result.states.shape[0] == result.controls.shape[0]
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    def test_unusable_sample_dt_is_refused_before_the_starts(
+            self, single_ball_problem, dt, monkeypatch):
+        """An export period that is not a finite number above 0 raises
+        before any start runs."""
+        monkeypatch.setattr(optimizer, "_run_starts", None)
+        with pytest.raises(RaceplanError, match="sample_dt must be a finite"):
+            solve(*single_ball_problem, sample_dt=dt)
+
     def test_restarts_never_worse(self, single_ball_problem):
         seq, quad, bc0, bcf = single_ball_problem
         plain = solve(seq, quad, bc0, bcf)
