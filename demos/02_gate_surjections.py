@@ -9,7 +9,7 @@ feasible set.
 
 import numpy as np
 
-from raceplan import BallGate, PolytopeGate, ball_surject, polytope_surject, time_map
+from raceplan import BallGate, PolytopeGate, surject, time_map
 from raceplan.gates import contains
 
 
@@ -18,7 +18,7 @@ def main():
 
     ball = BallGate(center=[2.0, -1.0, 1.5], radius=0.8)
     d = rng.normal(scale=5.0, size=(5, 4))
-    points, _ = ball_surject(ball, d)
+    points, _ = surject(ball, d)
     print("ball gate (center [2,-1,1.5], r=0.8):")
     for row, p in zip(d, points):
         dist = np.linalg.norm(p - ball.center)
@@ -27,12 +27,12 @@ def main():
 
     square = PolytopeGate.from_vertices([
         [4.0, -1.2, 0.3], [4.0, 1.2, 0.3], [4.0, 1.2, 2.7], [4.0, -1.2, 2.7],
-    ])
+    ], planar=True)
     print("\nplanar square gate, parameter -> convex vertex combination:")
     for d in (np.array([1.0, 0.0, 0.0, 0.0]),   # exactly the first vertex
               np.ones(4),                        # the centroid
               rng.normal(size=4)):
-        p, _ = polytope_surject(square, d)
+        p = surject(square, d[None])[0][0]
         print(f"  d={np.round(d, 2)} -> p={np.round(p, 3)} "
               f"(containment residual {contains(square, p):.1e})")
 
@@ -40,7 +40,7 @@ def main():
     n = 10_000
     worst = max(
         contains(square, p)
-        for p in polytope_surject(square, rng.normal(scale=5.0, size=(n, 4)))[0]
+        for p in surject(square, rng.normal(scale=5.0, size=(n, 4)))[0]
     )
     print(f"  worst residual over {n} random parameters: {worst:.1e}")
 

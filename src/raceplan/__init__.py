@@ -8,9 +8,8 @@ from .errors import (
     RaceplanError, SingularSystem, ValidationError,
 )
 from .gates import (
-    BallGate, DecisionVector, GateSequence, PolytopeGate, ball_surject,
-    contains, decode, polytope_surject, shrink_margin, time_map,
-    time_map_inverse,
+    BallGate, DecisionVector, GateSequence, PolytopeGate, contains, decode,
+    shrink_margin, surject, time_map, time_map_inverse,
 )
 from .model import QuadParams, dynamics, limit_residuals
 from .optimizer import OptimizerConfig, PlanResult, SolveDiagnostics, initialize, solve

@@ -1,9 +1,9 @@
 """Vectorized flatness pipeline with its reverse-mode (adjoint) pass.
 
 Maps batches of position derivatives (orders 2..4), at a heading fixed at
-zero yaw, to body rates, body-rate derivatives and per-rotor thrusts.  The
-value pass writes the intermediates its adjoint reads into one array, one
-column per sample.  :func:`vjp` takes cotangents on the rotor thrusts and
+zero yaw, to body rates and, through their derivatives, per-rotor thrusts.
+The value pass writes the intermediates its adjoint reads into one array,
+one column per sample.  :func:`vjp` takes cotangents on the rotor thrusts and
 body rates of any subset of the samples, with their columns, and runs the
 chain rule backwards to the cotangent on their 9 flat inputs, so downstream
 penalty gradients are analytic rather than finite-differenced.  The backward
@@ -49,8 +49,8 @@ class FlatOutputs:
     outputs are garbage and must be discarded by the caller.  ``kept`` holds
     the forward values that :func:`vjp` reads, one column per sample, so a
     caller gathers the columns of the samples it differentiates with one
-    index.  ``rotation`` and ``omega_dot``, which no penalty reads, are
-    built from the kept component-major rows when read.
+    index.  ``rotation``, which no penalty reads, is built from the kept
+    component-major axes when read.
     """
 
     rotor: np.ndarray           # (N, 4) per-rotor thrusts, N
@@ -58,17 +58,11 @@ class FlatOutputs:
     singular: np.ndarray        # (N,) bool
     kept: np.ndarray            # (KEPT_ROWS, N) forward values for vjp
     axes: tuple                 # body x, y, z axes in world frame, each (3, N)
-    omega_dot_rows: np.ndarray  # (3, N) body-rate derivatives
 
     @property
     def rotation(self) -> np.ndarray:
         """(N, 3, 3) world<-body."""
         return np.stack(self.axes).transpose(2, 1, 0).copy()
-
-    @property
-    def omega_dot(self) -> np.ndarray:
-        """(N, 3) body-rate derivatives."""
-        return self.omega_dot_rows.T.copy()
 
 
 def mixer_matrix(params) -> np.ndarray:
@@ -178,7 +172,6 @@ def flat_outputs(inputs: np.ndarray, params) -> FlatOutputs:
         singular=singular,
         kept=kept,
         axes=(x_b, y_b, z),
-        omega_dot_rows=omega_dot,
     )
 
 

@@ -74,6 +74,9 @@ def _residuals(gate, times, positions, velocities):
     return res
 
 
+# A far gate or sample overflows its residual to +inf, which fails the check
+# as it should, so numpy's warnings are off here as in solve.
+@np.errstate(over="ignore", invalid="ignore")
 def verify(times, states, controls, seq: GateSequence,
            params: QuadParams) -> list[Check]:
     """Check a sampled trajectory: times (N,), states (N, 13) as p, q(wxyz),

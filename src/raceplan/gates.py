@@ -61,7 +61,7 @@ class PolytopeGate:
         return len(self.vertices)
 
     @classmethod
-    def from_vertices(cls, vertices, planar: bool | None = None) -> "PolytopeGate":
+    def from_vertices(cls, vertices, planar: bool) -> "PolytopeGate":
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValidationError("polytope vertices must be an (v, 3) array")
@@ -75,8 +75,6 @@ class PolytopeGate:
         _, svals, vt = np.linalg.svd(centered, full_matrices=True)
         svals = np.concatenate([svals, np.zeros(3 - len(svals))])
         coplanar = svals[2] <= 1e-9 * max(1.0, svals[0])
-        if planar is None:
-            planar = coplanar
         if planar and not coplanar:
             raise ValidationError("polygon gate vertices are not coplanar")
         if not planar and coplanar:
@@ -237,8 +235,9 @@ def gate_center(gate: Gate) -> np.ndarray:
 # surjective parameter maps
 
 def _ball_map(center, radius, d):
-    """Map each row of d, (N, 4), onto a ball: center (3,) or (N, 3), radius
-    scalar or (N,).  Returns the points (N, 3) and Jacobians (N, 3, 4)."""
+    """Map each row of d, (N, 4), onto a ball: centers (G, 3) and radii (G,),
+    one per gate of a group, broadcast against the rows of d (G is N or 1).
+    Returns the points (N, 3) and Jacobians (N, 3, 4)."""
     q = np.einsum("ni,ni->n", d, d) + 1.0
     scale = 2.0 * radius / q
     p = center + scale[:, None] * d[:, :3]
@@ -250,8 +249,10 @@ def _ball_map(center, radius, d):
 
 def _polytope_map(vertices, d):
     """Map each row of d, (N, v), onto a polytope through normalized squared
-    weights: vertices (v, 3), or (N, v, 3) with each row's own.  Returns the
-    points (N, 3) and Jacobians (N, 3, v)."""
+    weights: vertices (G, v, 3), one set per gate of a group, broadcast
+    against the rows of d (G is N or 1).  Returns the points (N, 3) and
+    Jacobians (N, 3, v); d = 0 maps to the vertex centroid with a zero
+    Jacobian by convention."""
     v = d.shape[1]
     s = np.einsum("ni,ni->n", d, d)
     zero = s == 0.0
@@ -267,29 +268,15 @@ def _polytope_map(vertices, d):
     return p, jac
 
 
-def _surject_rows(surject, d, dim: int, *geometry):
-    """Run a batched map on one gate's parameters, (dim,) or (N, dim)."""
+def surject(gate: Gate, d):
+    """Map each row of d, (N, param_dim), into the gate with the group map
+    that :func:`decode` runs.  Returns the points (N, 3) and the exact
+    Jacobians dp/dd, (N, 3, param_dim)."""
     d = np.asarray(d, dtype=float)
-    d2 = np.atleast_2d(d)
-    if d2.shape[1] != dim:
-        raise DimensionMismatch(f"gate parameter must have {dim} entries")
-    p, jac = surject(*geometry, d2)
-    return (p[0], jac[0]) if d.ndim == 1 else (p, jac)
-
-
-def ball_surject(gate: BallGate, d):
-    """Map R^4 onto the ball.  Accepts (4,) or (N, 4); returns the point(s)
-    and the exact Jacobian(s) dp/dd."""
-    return _surject_rows(_ball_map, d, 4, gate.center, gate.radius)
-
-
-def polytope_surject(gate: PolytopeGate, d):
-    """Map R^v onto the polytope through normalized squared weights.
-    Accepts (v,) or (N, v); returns the point(s) and Jacobian(s) dp/dd.
-
-    d = 0 maps to the vertex centroid with a zero Jacobian by convention.
-    """
-    return _surject_rows(_polytope_map, d, gate.param_dim, gate.vertices)
+    if d.ndim != 2 or d.shape[1] != gate.param_dim:
+        raise DimensionMismatch(f"gate parameters must be (N, {gate.param_dim})")
+    (_, _, group_map), = GateSequence((gate,)).groups
+    return group_map(d)
 
 
 # At a huge |K| both np.where branches overflow; T saturates at +inf or 0.
@@ -297,14 +284,12 @@ def polytope_surject(gate: PolytopeGate, d):
 def time_map(K):
     """Unconstrained variable -> strictly positive duration, C^2, T(0) = 1.
 
-    Returns (T, dT/dK); accepts scalars or arrays.
+    Returns (T, dT/dK) as arrays of K's shape.
     """
     k = np.asarray(K, dtype=float)
     pos = k >= 0
     t = np.where(pos, 0.5 * k * k + k + 1.0, 2.0 / (k * k - 2.0 * k + 2.0))
     dt = np.where(pos, k + 1.0, (4.0 - 4.0 * k) / (k * k - 2.0 * k + 2.0) ** 2)
-    if np.isscalar(K) or np.ndim(K) == 0:
-        return float(t), float(dt)
     return t, dt
 
 
@@ -314,14 +299,11 @@ def time_map_inverse(T):
     t = np.asarray(T, dtype=float)
     if np.any(t <= 0):
         raise ValueError("durations must be positive")
-    k = np.where(
+    return np.where(
         t >= 1.0,
         -1.0 + np.sqrt(np.maximum(2.0 * t - 1.0, 0.0)),
         1.0 - np.sqrt(np.maximum(2.0 / t - 1.0, 0.0)),
     )
-    if np.isscalar(T) or np.ndim(T) == 0:
-        return float(k)
-    return k
 
 
 def decode(seq: GateSequence, dec: DecisionVector):

@@ -70,7 +70,7 @@ class TrajectorySpline:
     durations: np.ndarray       # (L+1,)
     coefficients: np.ndarray    # (L+1, 2s, 3)
     waypoints: np.ndarray       # (L, 3) interpolated positions at junctions
-    _factor: tuple | None = field(default=None, repr=False)  # (lu, ipiv, kl, ku)
+    _factor: tuple = field(repr=False)  # (lu, ipiv, kl, ku)
 
     @property
     def total_time(self) -> float:
@@ -139,8 +139,6 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     """Build the minimum-control spline through waypoints P with durations T."""
     T = np.asarray(T, dtype=float)
     P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        P = P.reshape(0, 3)
     if P.ndim != 2 or P.shape[1] != 3:
         raise DimensionMismatch("waypoints must be (L, 3)")
     num_seg = len(T)
@@ -185,8 +183,6 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
 def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     """Adjoint of the construction: gradients on coefficients and durations
     become gradients on waypoints (L, 3) and durations (L+1,)."""
-    if spline._factor is None:
-        raise SingularSystem("spline carries no cached factorization")
     lu, ipiv, kl, ku = spline._factor
     s, ncoef = S, NCOEF
     num_seg = len(spline.durations)

@@ -28,8 +28,7 @@ from test_spline import dense_oracle, random_problem
 
 from raceplan.cost import objective
 from raceplan.gates import (
-    BallGate, DecisionVector, GateSequence, ball_surject, contains,
-    gate_center, polytope_surject,
+    BallGate, DecisionVector, GateSequence, contains, gate_center, surject,
 )
 from raceplan.model import QuadParams
 from raceplan.optimizer import OptimizerConfig, solve
@@ -206,23 +205,23 @@ def test_acceptance_surjection_suites():
     rng = np.random.default_rng(7)
     n = 100_000
     ball = BallGate(center=[1.0, -2.0, 3.0], radius=0.9)
-    p, _ = ball_surject(ball, rng.normal(scale=4.0, size=(n, 4)))
+    p, _ = surject(ball, rng.normal(scale=4.0, size=(n, 4)))
     assert np.max(np.linalg.norm(p - ball.center, axis=1) - ball.radius) <= 1e-9
 
     square = mixed_sequence(2).gates[1]      # planar polygon
     tetra = tetra_gate([0.0, 0.0, 0.0], 1.2)  # polyhedron
     for gate in (square, tetra):
         d = rng.normal(scale=4.0, size=(n, gate.param_dim))
-        p, _ = polytope_surject(gate, d)
+        p, _ = surject(gate, d)
         residuals = np.array([contains(gate, pt) for pt in p])
         assert np.max(residuals) <= 1e-9
         # Designated parameters reach every vertex and the centroid exactly.
         for i, vertex in enumerate(gate.vertices):
             e_i = np.eye(gate.param_dim)[i]
-            assert np.allclose(polytope_surject(gate, e_i)[0], vertex,
+            assert np.allclose(surject(gate, e_i[None])[0][0], vertex,
                                atol=1e-12)
-        ones = np.ones(gate.param_dim)
-        assert np.allclose(polytope_surject(gate, ones)[0], gate_center(gate),
+        ones = np.ones((1, gate.param_dim))
+        assert np.allclose(surject(gate, ones)[0][0], gate_center(gate),
                            atol=1e-12)
 
 

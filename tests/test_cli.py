@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
 import tempfile
 import warnings
@@ -10,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raceplan.checks import _residuals, verify
@@ -46,6 +49,22 @@ QUAD = ("mass: 0.85, arm_length: 0.15, inertia: [1, 1, 1.7], "
         "torque_const: 0.05, f_max: 6.88, omega_max: [15, 15, 3]")
 
 
+#: random_track(103)'s track document: a polygon, a polyhedron and a ball.
+RANDOM103 = yaml.safe_load(trackio.serialize(tracks.random_track(103)))
+#: What the fuzz test puts at one node of a track document.
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, -1e300, float("inf"), float("nan"),
+               "word", None, [], {}, True, [1.0, 2.0], [[1.0, 2.0, 3.0]])
+
+
+def _nodes(node, path=()):
+    """The path of every node of a YAML document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _nodes(child, path + (key,))
+
+
 @pytest.fixture(scope="module")
 def planned(tmp_path_factory):
     """One planned track reused by the CLI assertions below."""
@@ -56,6 +75,17 @@ def planned(tmp_path_factory):
     code = main(["plan", str(track), "--out-dir", str(out)])
     assert code == EXIT_OK
     return track, out
+
+
+@pytest.fixture(scope="module")
+def planned_random103(tmp_path_factory):
+    """random_track(103) planned once: its track and the exported CSV."""
+    root = tmp_path_factory.mktemp("random103")
+    track = tracks.random_track(103)
+    path = root / "track.yaml"
+    path.write_text(trackio.serialize(track))
+    assert main(["plan", str(path), "--out-dir", str(root)]) == EXIT_OK
+    return track, root / "trajectory.csv"
 
 
 class TestPlan:
@@ -146,7 +176,8 @@ class TestPlan:
             track = replace(track, start=np.array([1e6, 0.0, 1.0]))
         else:
             gates = list(track.gates)
-            gates[3] = PolytopeGate.from_vertices(gates[3].vertices + [1e7, 0.0, 0.0])
+            gates[3] = PolytopeGate.from_vertices(gates[3].vertices + [1e7, 0.0, 0.0],
+                                                  planar=True)
             track = replace(track, gates=tuple(gates))
         path = tmp_path / "far.yaml"
         path.write_text(trackio.serialize(track))
@@ -554,3 +585,58 @@ class TestCheck:
     def test_missing_csv_is_io_error(self, planned, tmp_path):
         track, _ = planned
         assert main(["check", str(tmp_path / "none.csv"), str(track)]) == EXIT_IO
+
+    def test_far_gate_fails_without_warnings(self, planned_random103,
+                                             tmp_path, capsys):
+        """random_track(103)'s plan against its track with the ball gate
+        moved to x = 1e300: the gate's residual overflows, so check exits 1
+        on gate containment with nothing on stderr."""
+        track, csv = planned_random103
+        gates = list(track.gates)
+        gates[2] = BallGate(center=[1e300, *gates[2].center[1:]],
+                            radius=gates[2].radius)
+        path = tmp_path / "far.yaml"
+        path.write_text(trackio.serialize(replace(track, gates=tuple(gates))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check", str(csv), str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "FAIL: gate containment" in captured.out.splitlines()
+        assert captured.err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @given(path=st.sampled_from(list(_nodes(RANDOM103))),
+           value=st.sampled_from(FUZZ_VALUES))
+    @example(path=("gates", 2, "center", 0), value=1e300)  # the far ball
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mutated_track_document(self, planned_random103, path, value):
+        """One node of random_track(103)'s track document, the whole
+        document included, set to an extreme number, another type or
+        nothing: check prints its verdicts with nothing on stderr, or
+        exactly one error line, and ends in a documented exit code."""
+        _, csv = planned_random103
+        doc = copy.deepcopy(RANDOM103)
+        if path:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            doc = value
+        track = csv.parent / "mutated.yaml"
+        track.write_text(yaml.safe_dump(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["check", str(csv), str(track)])
+        # Outside a test run, each warning would print to stderr.
+        err = err.getvalue() + "".join(
+            f"{w.category.__name__}: {w.message}\n" for w in caught)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO)
+        if out.getvalue():
+            assert err == ""
+        else:
+            assert err.count("\n") == 1, err
+            assert err.startswith(("error:", "i/o error:")), err

@@ -323,7 +323,7 @@ class TestObjective:
     def test_working_set_per_sample(self):
         """One evaluation of the 8-lap, 56-gate loop at its initial point
         (1,722 samples) peaks at no more than 925 traced bytes per sample
-        (871 measured with numpy 2.4): each large per-sample array lives
+        (835 measured with numpy 2.4): each large per-sample array lives
         only until its last use, and the gradient holds the active samples
         alone."""
         track = loop_track()

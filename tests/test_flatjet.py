@@ -9,7 +9,7 @@ import pytest
 
 from raceplan._flatjet import EPS_SING, GRAVITY, flat_outputs, mixer_matrix, vjp
 
-VALUE_FIELDS = ("rotor", "omega", "omega_dot", "rotation", "singular")
+VALUE_FIELDS = ("rotor", "omega", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
 INPUT_ENTRIES = [(2 + k // 3, k % 3) for k in range(9)]
 

@@ -15,9 +15,8 @@ from raceplan.errors import (
     DimensionMismatch, EmptyAfterShrink, ValidationError,
 )
 from raceplan.gates import (
-    BallGate, DecisionVector, GateSequence, PolytopeGate, ball_surject,
-    contains, decode, gate_center, polytope_surject, shrink_margin, time_map,
-    time_map_inverse,
+    BallGate, DecisionVector, GateSequence, PolytopeGate, contains, decode,
+    gate_center, shrink_margin, surject, time_map, time_map_inverse,
 )
 from raceplan.spline import construct, propagate_gradients
 from raceplan.tracks import square_gate
@@ -31,7 +30,7 @@ class TestGateConstruction:
     def test_coincident_vertices_rejected(self):
         verts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         with pytest.raises(ValidationError):
-            PolytopeGate.from_vertices(verts)
+            PolytopeGate.from_vertices(verts, planar=True)
 
     def test_non_convex_position_rejected(self):
         # Fourth point inside the triangle of the others (coplanar).
@@ -39,7 +38,7 @@ class TestGateConstruction:
             [[0, 0, 0], [4, 0, 0], [0, 4, 0], [1, 1, 0]], dtype=float
         )
         with pytest.raises(ValidationError):
-            PolytopeGate.from_vertices(verts)
+            PolytopeGate.from_vertices(verts, planar=True)
 
     def test_planar_flag_mismatch_rejected(self):
         square = np.array(
@@ -93,24 +92,24 @@ class TestContainment:
 class TestBallSurjection:
     def test_zero_maps_to_center(self):
         gate = BallGate(center=[1, 2, 3], radius=0.5)
-        p, _ = ball_surject(gate, np.zeros(4))
+        p = surject(gate, np.zeros((1, 4)))[0][0]
         assert np.allclose(p, [1, 2, 3])
 
     def test_unit_parameter_reaches_boundary(self):
         gate = BallGate(center=[0, 0, 0], radius=1.0)
-        p, _ = ball_surject(gate, [1, 0, 0, 0])
+        p = surject(gate, [[1, 0, 0, 0]])[0][0]
         assert np.allclose(p, [1, 0, 0])
 
     def test_large_parameter_stays_inside(self):
         gate = BallGate(center=[0, 0, 0], radius=1.0)
-        p, _ = ball_surject(gate, [2, 0, 0, 0])
+        p = surject(gate, [[2, 0, 0, 0]])[0][0]
         assert np.allclose(p, [0.8, 0, 0])
 
     @given(d=arrays(np.float64, 4, elements=st.floats(-50, 50)))
     @settings(max_examples=200, deadline=None)
     def test_always_contained(self, d):
         gate = BallGate(center=[0.5, -1.0, 2.0], radius=0.75)
-        p, _ = ball_surject(gate, d)
+        p = surject(gate, d[None])[0][0]
         assert contains(gate, p) <= 1e-9
 
     def test_interior_targets_recovered(self):
@@ -123,52 +122,78 @@ class TestBallSurjection:
             target = gate.center + rng.uniform(0, 0.95) * gate.radius * direction
 
             def residual(d):
-                p, _ = ball_surject(gate, d)
+                p = surject(gate, d[None])[0][0]
                 return np.append(p - target, d[3])
 
             sol = root(residual, np.full(4, 0.2), tol=1e-12)
             assert sol.success
-            p, _ = ball_surject(gate, sol.x)
+            p = surject(gate, sol.x[None])[0][0]
             assert np.linalg.norm(p - target) < 1e-6
 
 
 class TestPolytopeSurjection:
     def test_basis_vector_reaches_vertex(self):
         gate = unit_square_gate()
-        p, _ = polytope_surject(gate, [1, 0, 0, 0])
+        p = surject(gate, [[1, 0, 0, 0]])[0][0]
         assert np.allclose(p, gate.vertices[0])
 
     def test_uniform_parameter_reaches_centroid(self):
         gate = unit_square_gate()
-        p, _ = polytope_surject(gate, [1, 1, 1, 1])
+        p = surject(gate, [[1, 1, 1, 1]])[0][0]
         assert np.allclose(p, [0.5, 0.5, 0.0])
 
     def test_zero_convention_is_centroid(self):
         gate = tetra_gate(center=[2, 0, 1])
-        p, jac = polytope_surject(gate, np.zeros(4))
-        assert np.allclose(p, gate_center(gate))
-        assert np.allclose(jac, 0.0)
+        p, jac = surject(gate, np.zeros((1, 4)))
+        assert np.allclose(p[0], gate_center(gate))
+        assert np.allclose(jac[0], 0.0)
 
     def test_random_parameters_contained(self):
         rng = np.random.default_rng(1)
         for gate in (unit_square_gate(), tetra_gate()):
             d = rng.normal(scale=3.0, size=(10_000, gate.param_dim))
-            p, _ = polytope_surject(gate, d)
+            p, _ = surject(gate, d)
             residuals = [contains(gate, pt) for pt in p]
             assert max(residuals) <= 1e-9
 
 
+class TestSurject:
+    @pytest.mark.parametrize("gate", [
+        BallGate(center=[0.2, -0.1, 0.3], radius=0.8),
+        unit_square_gate(z=0.1),
+        tetra_gate(scale=0.9),
+    ], ids=["ball", "polygon", "polyhedron"])
+    def test_matches_decode_bitwise(self, gate):
+        """surject is decode's own map: each row of a batch maps to the
+        bytes that decode gives for that row on a one-gate sequence."""
+        rng = np.random.default_rng(6)
+        d = rng.normal(scale=2.0, size=(16, gate.param_dim))
+        d[0] = 0.0  # the polytope map's d = 0 convention
+        points, jacs = surject(gate, d)
+        seq = GateSequence(gates=(gate,))
+        for row, p, jac in zip(d, points, jacs):
+            waypoints, _, (want,), _ = decode(seq, DecisionVector(D=row, K=np.zeros(2)))
+            assert p.tobytes() == waypoints[0].tobytes()
+            assert jac.tobytes() == want[0].tobytes()
+
+    def test_rejects_other_shapes(self):
+        for d in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 1, 4))):
+            with pytest.raises(DimensionMismatch):
+                surject(unit_square_gate(), d)
+
+
 class TestJacobians:
     @staticmethod
-    def _check_fd(surject_fn, gate, d, step=1e-6, rtol=1e-6):
-        _, jac = surject_fn(gate, d)
+    def _check_fd(gate, d, step=1e-6, rtol=1e-6):
+        jac = surject(gate, d[None])[1][0]
         fd = np.empty_like(jac)
         for k in range(len(d)):
             dp = d.copy()
             dm = d.copy()
             dp[k] += step
             dm[k] -= step
-            fd[:, k] = (surject_fn(gate, dp)[0] - surject_fn(gate, dm)[0]) / (2 * step)
+            fd[:, k] = (surject(gate, dp[None])[0][0]
+                        - surject(gate, dm[None])[0][0]) / (2 * step)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(jac - fd)) / scale < rtol
 
@@ -176,7 +201,7 @@ class TestJacobians:
         gate = BallGate(center=[0, 1, 0], radius=0.9)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            self._check_fd(ball_surject, gate, rng.normal(size=4))
+            self._check_fd(gate, rng.normal(size=4))
 
     def test_polytope_jacobian(self):
         rng = np.random.default_rng(3)
@@ -185,7 +210,7 @@ class TestJacobians:
                 d = rng.normal(size=gate.param_dim)
                 if np.linalg.norm(d) < 0.3:  # stay away from the d=0 convention
                     d += 1.0
-                self._check_fd(polytope_surject, gate, d)
+                self._check_fd(gate, d)
 
     def test_time_map_derivative(self):
         ks = np.linspace(-6, 6, 41)
@@ -315,14 +340,16 @@ def interleaved_sequence(seed, n=12, spacing=4.0):
         elif kind in (1, 2, 3):  # planar polygons with 3, 4, 5 vertices
             ang = 2 * np.pi * np.arange(kind + 2) / (kind + 2)
             gates.append(PolytopeGate.from_vertices(
-                c + np.stack([0 * ang, np.cos(ang), np.sin(ang)], axis=1)))
+                c + np.stack([0 * ang, np.cos(ang), np.sin(ang)], axis=1),
+                planar=True))
         elif kind == 4:
             gates.append(tetra_gate(c, scale=0.9))
         else:
             ang = 2 * np.pi * np.arange(6) / 6
             ring = np.stack([0.7 * np.cos(ang), 0.7 * np.sin(ang), 0 * ang], axis=1)
             gates.append(PolytopeGate.from_vertices(
-                c + np.concatenate([ring - [0, 0, 0.4], ring + [0, 0, 0.4]])))
+                c + np.concatenate([ring - [0, 0, 0.4], ring + [0, 0, 0.4]]),
+                planar=False))
     return GateSequence(gates=tuple(gates))
 
 
@@ -392,11 +419,6 @@ class TestShrinkMargin:
         for gate in (unit_square_gate(), tetra_gate(),
                      BallGate(center=[1, 1, 1], radius=0.8)):
             small = shrink_margin(gate, 0.2)
-            if isinstance(small, BallGate):
-                d = rng.normal(size=(500, 4))
-                pts = [ball_surject(small, di)[0] for di in d]
-            else:
-                d = rng.normal(size=(500, small.param_dim))
-                pts, _ = polytope_surject(small, d)
+            pts, _ = surject(small, rng.normal(size=(500, small.param_dim)))
             for p in pts:
                 assert contains(gate, p) <= 1e-9
