@@ -7,7 +7,9 @@ that fails a check, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,10 +32,26 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 
+def _write_artifact(path: Path, text: str):
+    """Rewrite the file at path (or create it) in place, through a symlink,
+    to hold text alone.
+
+    Not opened with O_TRUNC, and not a temporary file renamed over it: ext4
+    (auto_da_alloc) forces writeback when a file truncated to zero length or
+    renamed over another is closed, and that close blocks for tens of ms.
+    Truncating at the written length leaves no tail of a longer old file.
+    A write that fails part way leaves the file unusable."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def _write_csv(path: Path, times, states, controls):
-    np.savetxt(path, np.hstack([times[:, None], states, controls]),
+    text = io.StringIO()
+    np.savetxt(text, np.hstack([times[:, None], states, controls]),
                fmt="%.12g", delimiter=",", comments="",
                header=f"{CSV_HEADER}\n{CSV_COLUMNS}")
+    _write_artifact(path, text.getvalue())
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -124,15 +142,16 @@ def cmd_plan(args) -> int:
                 "restore_scale": result.diagnostics.restore_scale,
             },
         }
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_artifact(out_dir / "summary.json",
+                        json.dumps(summary, indent=2))
         if args.plot_data:
             plot = {
                 "position": [list(map(float, p)) for p in positions],
                 "gates": [_gate_outline(g) for g in seq.gates],
             }
-            with open(out_dir / "plot.json", "w") as fh:
-                json.dump(plot, fh)
+            _write_artifact(out_dir / "plot.json", json.dumps(plot))
+        else:  # an earlier plan's plot.json would describe another path
+            (out_dir / "plot.json").unlink(missing_ok=True)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,10 +6,10 @@ unbounded.  Infinite objective values (flatness singularities, absurd
 durations) are passed to it as +inf, so the solver never crashes on them.
 
 A solve's starts are independent.  Where more than one CPU can take them,
-they run side by side in forked worker processes, each limited to one
-OpenBLAS thread so that no worker's BLAS waits on a thread without a core;
-elsewhere they run one after the other in the calling process.  Both ways
-give the same bits.
+they run side by side in forked worker processes; elsewhere they run one
+after the other in the calling process.  Either way they run at one OpenBLAS
+thread: no worker's BLAS waits on a thread without a core, and no idle BLAS
+thread spins beside L-BFGS-B.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -194,18 +194,21 @@ def _minimize(fg, x0):
 
 
 @functools.cache
-def _blas_thread_setter():
-    """``scipy_openblas_set_num_threads`` of the OpenBLAS that scipy's
-    wheel loads, or None where there is none (a build without it, or a
-    platform that cannot fork)."""
+def _blas_threads():
+    """``(scipy_openblas_get_num_threads, scipy_openblas_set_num_threads)``
+    of the OpenBLAS that scipy's wheel loads, or None where there is none (a
+    build without it, or a platform that cannot fork)."""
     libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
         try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads
+            lib = ctypes.CDLL(path)
+            getter = lib.scipy_openblas_get_num_threads
+            setter = lib.scipy_openblas_set_num_threads
         except (OSError, AttributeError):
             continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
         setter.argtypes, setter.restype = [ctypes.c_int], None
-        return setter
+        return getter, setter
     return None
 
 
@@ -241,15 +244,24 @@ def _run_starts(fg, starts):
     while this process waits; the pool is gone when this returns or raises.
     Fork, not spawn: the closure ``fg`` cannot be pickled, and a spawned
     worker would import numpy and scipy afresh.  The workers run only
-    ``_minimize``.  With one worker, where the BLAS thread count cannot be
-    set, or inside a daemonic process (which may not have children), the
-    starts run here one after the other.
+    ``_minimize``.  Where the BLAS thread count cannot be set, the starts
+    run here one after the other.  With one worker, or inside a daemonic
+    process (which may not have children), they run here at one BLAS
+    thread, and the caller's thread count is back when this returns or
+    raises.
     """
-    workers = _worker_count(len(starts))
-    set_blas_threads = _blas_thread_setter()
-    if (workers < 2 or set_blas_threads is None
-            or multiprocessing.current_process().daemon):
+    blas = _blas_threads()
+    if blas is None:
         return [_minimize(fg, x0) for x0 in starts]
+    get_blas_threads, set_blas_threads = blas
+    workers = _worker_count(len(starts))
+    if workers < 2 or multiprocessing.current_process().daemon:
+        previous = get_blas_threads()
+        set_blas_threads(1)
+        try:
+            return [_minimize(fg, x0) for x0 in starts]
+        finally:
+            set_blas_threads(previous)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, _start_worker, (fg, set_blas_threads)) as pool:
         return pool.map(_run_start, starts, chunksize=1)

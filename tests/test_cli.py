@@ -142,6 +142,65 @@ class TestPlan:
         assert {g["type"] for g in plot["gates"]} == {"ball", "polytope"}
         assert len(plot["position"]) > 10
 
+    def test_replan_over_larger_artifacts(self, tmp_path):
+        """A plan into a directory holding 1 MB artifacts of another plan
+        writes what a plan into a fresh directory writes, with no tail of
+        the old files, and without --plot-data removes the old plot.json."""
+        track = tmp_path / "loop.yaml"
+        track.write_text(trackio.serialize(tracks.loop_track()))
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.mkdir()
+        for name in ("trajectory.csv", "summary.json", "plot.json"):
+            (old / name).write_bytes(b"9" * 2**20)
+        for out in (fresh, old):
+            assert main(["plan", str(track), "--out-dir", str(out)]) == EXIT_OK
+        assert (old / "trajectory.csv").read_bytes() == \
+            (fresh / "trajectory.csv").read_bytes()
+        summaries = [json.loads((out / "summary.json").read_text())
+                     for out in (fresh, old)]
+        for summary in summaries:
+            del summary["solver"]["wall_time"]
+        assert summaries[0] == summaries[1]
+        assert sorted(p.name for p in old.iterdir()) == \
+            ["summary.json", "trajectory.csv"]
+
+    def test_replan_writes_in_place(self, planned, tmp_path):
+        """A re-plan rewrites trajectory.csv in its own inode and writes
+        through an artifact that is a symlink."""
+        track, out = planned
+        out_dir, target = tmp_path / "out", tmp_path / "elsewhere.json"
+        assert main(["plan", str(track), "--out-dir", str(out_dir)]) == EXIT_OK
+        inode = (out_dir / "trajectory.csv").stat().st_ino
+        target.write_text("stale " * 1000)
+        (out_dir / "summary.json").unlink()
+        (out_dir / "summary.json").symlink_to(target)
+        assert main(["plan", str(track), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "trajectory.csv").stat().st_ino == inode
+        assert (out_dir / "trajectory.csv").read_bytes() == \
+            (out / "trajectory.csv").read_bytes()
+        assert (out_dir / "summary.json").is_symlink()
+        written = json.loads(target.read_text())
+        assert written["total_time"] == \
+            json.loads((out / "summary.json").read_text())["total_time"]
+
+    @pytest.mark.parametrize("blocker", ["out-dir", "trajectory.csv"])
+    def test_unwritable_artifact_exits_io(self, blocker, planned, tmp_path,
+                                          capsys):
+        """An --out-dir that is a regular file, or a trajectory.csv that is
+        a directory, exits 3 with one i/o error line."""
+        track, _ = planned
+        out_dir = tmp_path / "out"
+        if blocker == "out-dir":
+            out_dir.write_text("not a directory")
+        else:
+            (out_dir / "trajectory.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["plan", str(track), "--out-dir", str(out_dir)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+
     def test_invalid_track_exits_validation(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(TRACK.replace("schema_version: 1", "schema_version: 9"))

@@ -230,9 +230,9 @@ class TestStarts:
 
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(optimizer, "_minimize", reporting)
-        set_threads = optimizer._blas_thread_setter()
-        if set_threads is None:
+        if optimizer._blas_threads() is None:
             return   # no OpenBLAS thread count to read or set here
+        set_threads = optimizer._blas_threads()[1]
         before = _blas_threads()
         set_threads(2)   # not the workers' 1, whatever an earlier test left
         try:
@@ -241,6 +241,38 @@ class TestStarts:
         finally:
             set_threads(before)
         assert result.diagnostics.blas_threads == 1
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_in_process_starts_use_one_blas_thread_and_restore_the_callers(
+            self, fails, single_ball_problem, monkeypatch):
+        """On one CPU the starts run here at one BLAS thread, and the
+        caller's count is back whether the solve returns or raises."""
+        if optimizer._blas_threads() is None:
+            return   # no OpenBLAS thread count to read or set here
+        minimize = optimizer._minimize
+        seen = []
+
+        def reporting(fg, x0):
+            seen.append(_blas_threads())
+            if fails:
+                raise RaceplanError("stopped in a start")
+            return minimize(fg, x0)
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(optimizer, "_minimize", reporting)
+        set_threads = optimizer._blas_threads()[1]
+        before = _blas_threads()
+        set_threads(2)
+        try:
+            if fails:
+                with pytest.raises(RaceplanError, match="stopped in a start"):
+                    solve(*single_ball_problem, opt_cfg=self.CFG)
+            else:
+                solve(*single_ball_problem, opt_cfg=self.CFG)
+            assert _blas_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1] if fails else seen == [1, 1, 1]
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_a_tie_goes_to_the_first_start(self, cpus, single_ball_problem,
