@@ -95,10 +95,11 @@ def cmd_plan(args) -> int:
         print(f"error: --dt must be a finite number above 0, got {args.dt}",
               file=sys.stderr)
         return EXIT_VALIDATION
-    for flag, value in (("--seed", args.seed), ("--restarts", args.restarts)):
-        if value < 0:
-            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
-            return EXIT_VALIDATION
+    try:  # each message opens with the field's name, which is its flag's
+        opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    except ValidationError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         track, seq = _load(args)
     except (ParseError, ValidationError) as exc:
@@ -107,7 +108,6 @@ def cmd_plan(args) -> int:
 
     bc0 = BoundaryCondition.hover(track.start)
     bcf = BoundaryCondition.hover(track.finish)
-    opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     try:
         result = solve(
             seq, track.quad, bc0, bcf, opt_cfg=opt_cfg, sample_dt=args.dt,

@@ -73,7 +73,6 @@ class PolytopeGate:
         centered = verts - verts.mean(axis=0)
         # Smallest singular direction decides coplanarity.
         _, svals, vt = np.linalg.svd(centered, full_matrices=True)
-        svals = np.concatenate([svals, np.zeros(3 - len(svals))])
         coplanar = svals[2] <= 1e-9 * max(1.0, svals[0])
         if planar and not coplanar:
             raise ValidationError("polygon gate vertices are not coplanar")
@@ -86,10 +85,6 @@ class PolytopeGate:
                 basis = vt[:2].T  # (3, 2)
                 pts2 = centered @ basis
                 hull = ConvexHull(pts2)
-                if len(hull.vertices) != len(verts):
-                    raise ValidationError(
-                        "polygon vertices are not in convex position"
-                    )
                 rows_a, rows_b = [], []
                 order = hull.vertices  # counterclockwise in the 2D frame
                 for i in range(len(order)):
@@ -106,10 +101,6 @@ class PolytopeGate:
                 plane = (normal, float(normal @ verts[0]))
             else:
                 hull = ConvexHull(verts)
-                if len(hull.vertices) != len(verts):
-                    raise ValidationError(
-                        "polyhedron vertices are not in convex position"
-                    )
                 a_mat = hull.equations[:, :3].copy()
                 b_vec = -hull.equations[:, 3].copy()
                 norms = np.linalg.norm(a_mat, axis=1)
@@ -119,6 +110,9 @@ class PolytopeGate:
         except QhullError as exc:  # its first line names the cause
             raise ValidationError("degenerate polytope vertex set: "
                                   + str(exc).partition("\n")[0]) from exc
+        if len(hull.vertices) != len(verts):
+            kind = "polygon" if planar else "polyhedron"
+            raise ValidationError(f"{kind} vertices are not in convex position")
 
         # Every vertex must satisfy its own halfspace description.
         if np.max(verts @ a_mat.T - b_vec) > _GEOM_TOL:
@@ -357,19 +351,15 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
     if gate.is_planar:
         basis = np.linalg.svd(gate.vertices - gate.vertices.mean(axis=0))[2][:2].T
         pts2 = (gate.vertices - gate.vertices.mean(axis=0)) @ basis
-        # Area centroid of the convex polygon via its hull triangulation.
-        hull = ConvexHull(pts2)
-        order = hull.vertices
-        p0 = pts2[order[0]]
-        area_total = 0.0
-        centroid2 = np.zeros(2)
-        for i in range(1, len(order) - 1):
-            p1, p2 = pts2[order[i]], pts2[order[i + 1]]
-            u, w = p1 - p0, p2 - p0
-            area = 0.5 * (u[0] * w[1] - u[1] * w[0])
-            area_total += area
-            centroid2 += area * (p0 + p1 + p2) / 3.0
-        center = gate.vertices.mean(axis=0) + basis @ (centroid2 / area_total)
+        # Area centroid of the convex polygon via the fan of triangles from
+        # its first hull vertex; an axis-0 sum adds the triangles in order.
+        ring = pts2[ConvexHull(pts2).vertices]
+        p0, p1, p2 = ring[0], ring[1:-1], ring[2:]
+        u, w = p1 - p0, p2 - p0
+        area = 0.5 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+        sums = np.column_stack([area, area[:, None] * (p0 + p1 + p2) / 3.0]
+                               ).sum(axis=0)
+        center = gate.vertices.mean(axis=0) + basis @ (sums[1:] / sums[0])
     else:
         center = _chebyshev_center(a_mat, b_vec)
 

@@ -10,6 +10,7 @@ from scipy.spatial.transform import Rotation
 
 from . import _flatjet
 from ._flatjet import GRAVITY
+from .errors import DimensionMismatch
 
 
 def _vec(x, n):
@@ -78,21 +79,25 @@ class QuadParams:
 
 
 def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
-    """Rigid-body dynamics: the derivative of the 13-vector state x =
-    (position, world<-body unit quaternion (w, x, y, z), velocity, body
-    rates) under the rotor thrusts f (4,)."""
-    wrench = _flatjet.mixer_matrix(params) @ f
-    thrust, torque = wrench[0], wrench[1:]
-    q, velocity, omega = x[3:7], x[7:10], x[10:13]
+    """Rigid-body dynamics, row by row: the derivatives (N, 13) of the states
+    x (N, 13) = (position, world<-body unit quaternion (w, x, y, z),
+    velocity, body rates) under the rotor thrusts f (N, 4)."""
+    x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 13 or f.shape != (len(x), 4):
+        raise DimensionMismatch("dynamics takes states (N, 13) and thrusts (N, 4)")
+    # Products summed per row, not matmul: a row rounds as it would alone.
+    wrench = (f[:, None, :] * _flatjet.mixer_matrix(params)).sum(axis=-1)
+    thrust, torque = wrench[:, :1], wrench[:, 1:]
+    q, velocity, omega = x[:, 3:7], x[:, 7:10], x[:, 10:13]
     # q_dot = q * (0, omega) / 2 = (-v . omega, w omega + v x omega) / 2.
-    w, v = q[0], q[1:]
-    q_dot = 0.5 * np.concatenate([[-v @ omega], w * omega + np.cross(v, omega)])
+    w, v = q[:, :1], q[:, 1:]
+    q_dot = 0.5 * np.column_stack([-(v * omega).sum(1), w * omega + np.cross(v, omega)])
     # Thrust acts along body z; scipy's quaternions are scalar-last.
-    body_z = Rotation.from_quat(q[[1, 2, 3, 0]]).as_matrix()[:, 2]
+    body_z = Rotation.from_quat(q[:, [1, 2, 3, 0]]).as_matrix()[:, :, 2]
     v_dot = GRAVITY + body_z * (thrust / params.mass)
     inertia = params.inertia_diag
     w_dot = (torque - np.cross(omega, inertia * omega)) / inertia
-    return np.concatenate([velocity, q_dot, v_dot, w_dot])
+    return np.hstack([velocity, q_dot, v_dot, w_dot])
 
 
 LIMIT_SIGN = np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3)  # sign of each column

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import glob
 import multiprocessing
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from scipy.spatial.transform import Rotation
 from . import cost as cost_mod
 from . import gates as gates_mod
 from .checks import Check, verify
-from .errors import RaceplanError
+from .errors import RaceplanError, ValidationError
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams
 from . import _flatjet
@@ -53,9 +54,23 @@ MAX_EXPORT_SAMPLES = 1_000_000
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The initial speed guess, m/s, sets the initial durations; each of the
+    ``restarts`` adds a start drawn from the ``seed``."""
+
     initial_speed_guess: float = 3.0
     restarts: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        speed = self.initial_speed_guess
+        if not (isinstance(speed, numbers.Real) and 0 < speed < np.inf):
+            raise ValidationError("initial_speed_guess must be a finite number "
+                                  f"above 0, got {speed!r}")
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= 0):
+                raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass

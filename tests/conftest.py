@@ -54,50 +54,54 @@ def mixed_sequence(n: int, spacing: float = 4.0) -> GateSequence:
     return GateSequence(gates=tuple(gates))
 
 
-def rk4_rollout(traj, params: QuadParams, t0: float, duration: float,
+def rk4_rollout(traj, params: QuadParams, starts, duration: float,
                 h: float = 1e-4):
     """Open-loop RK4 integration of the rigid-body dynamics driven by the
-    flatness-mapped rotor thrusts along ``traj``, starting from the
-    flatness-mapped state at ``t0``.
+    flatness-mapped rotor thrusts along ``traj``, one window of ``duration``
+    s from each time in ``starts`` (W,), each starting from the
+    flatness-mapped state there.  All windows step together, as rows of one
+    (W, 13) state.
 
-    Returns (times, integrated positions, reference positions).
+    Returns the integrated and the reference positions, each (W, n + 1, 3)
+    at the n + 1 step times of each window.
     """
     from scipy.spatial.transform import Rotation
 
     from raceplan import _flatjet
     from raceplan.model import dynamics
 
+    starts = np.asarray(starts, dtype=float)
     n_steps = int(round(duration / h))
     # Stage times on a half-step grid so every RK4 stage reuses a
     # precomputed control sample.
-    stage_times = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-    derivs = traj.eval_batch(stage_times, max_order=4)
+    stage_times = starts[:, None] + 0.5 * h * np.arange(2 * n_steps + 1)
+    derivs = traj.eval_batch(stage_times.ravel(), max_order=4)
     out = _flatjet.flat_outputs(derivs[:, 2:], params)
     assert not out.singular.any()
-    controls = out.rotor
+    derivs = derivs.reshape(*stage_times.shape, *derivs.shape[1:])
+    controls = out.rotor.reshape(*stage_times.shape, 4)
 
     def f(x, u):
-        q = x[3:7] / np.linalg.norm(x[3:7])
-        return dynamics(np.concatenate([x[0:3], q, x[7:13]]), u, params)
+        x = x.copy()
+        x[:, 3:7] /= np.linalg.norm(x[:, 3:7], axis=1, keepdims=True)
+        return dynamics(x, u, params)
 
-    xyzw = Rotation.from_matrix(out.rotation[0]).as_quat()
-    x = np.concatenate([derivs[0, 0], xyzw[[3, 0, 1, 2]], derivs[0, 1],
-                        out.omega[0]])
-    times = np.empty(n_steps + 1)
-    positions = np.empty((n_steps + 1, 3))
-    times[0], positions[0] = t0, x[:3]
+    first = stage_times.shape[1] * np.arange(len(starts))
+    xyzw = Rotation.from_matrix(out.rotation[first]).as_quat()
+    x = np.hstack([derivs[:, 0, 0], xyzw[:, [3, 0, 1, 2]], derivs[:, 0, 1],
+                   out.omega[first]])
+    positions = np.empty((len(starts), n_steps + 1, 3))
+    positions[:, 0] = x[:, :3]
     for i in range(n_steps):
-        u0, u_half, u1 = controls[2 * i], controls[2 * i + 1], controls[2 * i + 2]
+        u0, u_half, u1 = (controls[:, 2 * i + j] for j in range(3))
         k1 = f(x, u0)
         k2 = f(x + 0.5 * h * k1, u_half)
         k3 = f(x + 0.5 * h * k2, u_half)
         k4 = f(x + h * k3, u1)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x[3:7] /= np.linalg.norm(x[3:7])
-        times[i + 1] = t0 + (i + 1) * h
-        positions[i + 1] = x[:3]
-    reference = derivs[::2, 0, :3]
-    return times, positions, reference
+        x[:, 3:7] /= np.linalg.norm(x[:, 3:7], axis=1, keepdims=True)
+        positions[:, i + 1] = x[:, :3]
+    return positions, derivs[:, ::2, 0, :3]
 
 
 def hover_pair(n: int, spacing: float = 4.0):

@@ -37,8 +37,14 @@ class TestGateConstruction:
         verts = np.array(
             [[0, 0, 0], [4, 0, 0], [0, 4, 0], [1, 1, 0]], dtype=float
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^polygon vertices are not in convex position$"):
             PolytopeGate.from_vertices(verts, planar=True)
+        # Fifth point at the tetrahedron's center.
+        verts = np.vstack([tetra_gate().vertices, np.zeros(3)])
+        with pytest.raises(ValidationError,
+                           match="^polyhedron vertices are not in convex position$"):
+            PolytopeGate.from_vertices(verts, planar=False)
 
     def test_planar_flag_mismatch_rejected(self):
         square = np.array(
@@ -413,6 +419,47 @@ class TestShrinkMargin:
             shrink_margin(BallGate(center=[0, 0, 0], radius=0.5), 0.6)
         with pytest.raises(EmptyAfterShrink):
             shrink_margin(unit_square_gate(), 2.0)
+
+    def test_polygon_center_matches_per_triangle_sums(self):
+        """The polygon's area centroid, summed over its fan of triangles in
+        one array reduction, equals the per-triangle running sums byte for
+        byte, on ellipse polygons of 3 to 16 vertices in random planes."""
+        from scipy.spatial import ConvexHull
+        from scipy.spatial.transform import Rotation
+
+        rng = np.random.default_rng(8)
+        ran = 0
+        for k in range(280):
+            v = 3 + k % 14
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, v))
+            axes = rng.uniform(0.3, 3.0, 2)
+            ring = np.column_stack([axes[0] * np.cos(angles),
+                                    axes[1] * np.sin(angles), np.zeros(v)])
+            verts = Rotation.random(random_state=k).apply(ring) + rng.normal(scale=5.0, size=3)
+            try:
+                gate = PolytopeGate.from_vertices(verts, planar=True)
+                small = shrink_margin(gate, 0.05)
+            except ValidationError:   # vertices too close for Qhull or the margin
+                continue
+            mean = gate.vertices.mean(axis=0)
+            basis = np.linalg.svd(gate.vertices - mean)[2][:2].T
+            pts2 = (gate.vertices - mean) @ basis
+            order = ConvexHull(pts2).vertices
+            p0 = pts2[order[0]]
+            area_total, centroid2 = 0.0, np.zeros(2)
+            for i in range(1, len(order) - 1):
+                p1, p2 = pts2[order[i]], pts2[order[i + 1]]
+                u, w = p1 - p0, p2 - p0
+                area = 0.5 * (u[0] * w[1] - u[1] * w[0])
+                area_total += area
+                centroid2 += area * (p0 + p1 + p2) / 3.0
+            center = mean + basis @ (centroid2 / area_total)
+            a_mat, b_vec = gate.halfspaces
+            lam = 1.0 - 0.05 / (2.0 * float(np.min(b_vec - a_mat @ center)))
+            expect = center[None, :] + lam * (gate.vertices - center[None, :])
+            assert small.vertices.tobytes() == expect.tobytes()
+            ran += 1
+        assert ran >= 270
 
     def test_shrunken_gate_is_subset(self):
         rng = np.random.default_rng(5)

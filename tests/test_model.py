@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
-from raceplan.errors import RaceplanError
+from raceplan.errors import DimensionMismatch, RaceplanError
 from raceplan.model import QuadParams, dynamics, limit_residuals
 from raceplan.optimizer import _sample_trajectory, solve
 from raceplan.spline import BoundaryCondition, construct
@@ -83,21 +83,55 @@ class TestQuadParams:
 
 
 class TestDynamics:
-    def test_hover_equilibrium(self, quad_a):
+    """``dynamics`` on a batch of states (N, 13) and rotor thrusts (N, 4):
+    hover, equal thrusts of 0.5, 2 and 6 N, and free fall, as rows of one
+    call."""
+
+    @pytest.fixture
+    def batch(self, quad_a):
         f_hover = quad_a.mass * 9.81 / 4.0
-        xdot = dynamics(_state([0, 0, 1]), np.full(4, f_hover), quad_a)
-        assert np.allclose(xdot, 0.0, atol=1e-12)
+        x = np.array([_state([0, 0, 1]), _state([0, 0, 0]), _state([0, 0, 0]),
+                      _state([0, 0, 0]), _state([0, 0, 10], velocity=[1, 2, 3])])
+        f = np.repeat([[f_hover], [0.5], [2.0], [6.0], [0.0]], 4, axis=1)
+        return x, f, dynamics(x, f, quad_a)
 
-    def test_equal_thrusts_give_zero_torque(self, quad_a):
-        for f in (0.5, 2.0, 6.0):
-            xdot = dynamics(_state([0, 0, 0]), np.full(4, f), quad_a)
-            assert np.allclose(xdot[10:13], 0.0, atol=1e-12)
+    def test_hover_equilibrium(self, batch):
+        assert np.allclose(batch[2][0], 0.0, atol=1e-12)
 
-    def test_free_fall(self, quad_a):
-        xdot = dynamics(_state([0, 0, 10], velocity=[1, 2, 3]), np.zeros(4),
-                        quad_a)
+    def test_equal_thrusts_give_zero_torque(self, batch):
+        assert np.allclose(batch[2][1:4, 10:13], 0.0, atol=1e-12)
+
+    def test_free_fall(self, batch):
+        xdot = batch[2][4]
         assert np.allclose(xdot[7:10], [0, 0, -9.81])
         assert np.allclose(xdot[0:3], [1, 2, 3])
+
+    def test_rows_are_computed_alone(self, quad_a):
+        """Row i of a batch is the one-row call on row i, byte for byte,
+        whatever the rows around it."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(200, 13))
+        x[:, 3:7] /= np.linalg.norm(x[:, 3:7], axis=1, keepdims=True)
+        f = rng.uniform(0.0, quad_a.f_max, size=(200, 4))
+        xdot = dynamics(x, f, quad_a)
+        assert xdot.shape == (200, 13)
+        for i in range(len(x)):
+            assert dynamics(x[i:i + 1], f[i:i + 1], quad_a).tobytes() \
+                == xdot[i].tobytes()
+        assert dynamics(x[::-1], f[::-1], quad_a)[::-1].tobytes() == xdot.tobytes()
+
+    @pytest.mark.parametrize("x_shape, f_shape", [
+        ((13,), (4,)),           # one sample, unbatched
+        ((1, 13), (4,)),
+        ((13,), (1, 4)),
+        ((2, 13), (3, 4)),       # row counts differ
+        ((2, 12), (2, 4)),
+        ((2, 13), (2, 5)),
+        ((1, 2, 13), (1, 2, 4)),
+    ])
+    def test_other_shapes_are_refused(self, quad_a, x_shape, f_shape):
+        with pytest.raises(DimensionMismatch):
+            dynamics(np.zeros(x_shape), np.zeros(f_shape), quad_a)
 
 
 class TestMixer:
@@ -283,7 +317,7 @@ class TestFlatnessDynamicsConsistency:
         bcf = BoundaryCondition.hover([3.0, 1.0, 2.0])
         waypoints = np.array([[1.5, 1.2, 1.3]])
         traj = construct(waypoints, [1.3, 1.4], bc0, bcf)
-        _, positions, reference = rk4_rollout(traj, quad_a, t0=0.4,
-                                              duration=0.5)
-        err = np.linalg.norm(positions - reference, axis=1)
+        positions, reference = rk4_rollout(traj, quad_a, starts=[0.4],
+                                           duration=0.5)
+        err = np.linalg.norm(positions - reference, axis=-1)
         assert np.max(err) < 1e-3

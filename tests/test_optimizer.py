@@ -15,7 +15,7 @@ import scipy
 
 import raceplan.cost
 from raceplan import optimizer
-from raceplan.errors import RaceplanError
+from raceplan.errors import RaceplanError, ValidationError
 from raceplan.gates import (
     BallGate, DecisionVector, GateSequence, contains, decode, time_map,
     time_map_inverse,
@@ -73,6 +73,24 @@ class TestInitialize:
         dec = initialize(seq, bc0, bcf)
         durations, _ = time_map(dec.K)
         assert np.all(durations > 0)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", None),
+        ("restarts", -3), ("restarts", 1.5), ("restarts", "2"),
+        ("initial_speed_guess", -1.0), ("initial_speed_guess", 0.0),
+        ("initial_speed_guess", float("inf")), ("initial_speed_guess", float("nan")),
+        ("initial_speed_guess", "3"),
+    ])
+    def test_bad_field_is_refused(self, field, value):
+        with pytest.raises(ValidationError, match=rf"^{field} must be "):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        cfg = OptimizerConfig(initial_speed_guess=np.float64(2.0),
+                              restarts=np.int64(1), seed=np.uint32(5))
+        assert (cfg.initial_speed_guess, cfg.restarts, cfg.seed) == (2.0, 1, 5)
 
 
 class TestSolve:
@@ -274,6 +292,29 @@ class TestStarts:
             set_threads(before)
         assert seen == [1] if fails else seen == [1, 1, 1]
 
+    def test_without_openblas_the_starts_run_here(self, single_ball_problem,
+                                                   monkeypatch):
+        """Where scipy's OpenBLAS cannot be found, the starts run one after
+        the other in this process, even with CPUs to spare, with the bytes
+        of a forked run."""
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        forked = solve(*single_ball_problem, opt_cfg=self.CFG)
+        minimize = optimizer._minimize
+        pids = []
+
+        def recording(fg, x0):
+            pids.append(os.getpid())
+            return minimize(fg, x0)
+
+        monkeypatch.setattr(optimizer, "_blas_threads", lambda: None)
+        monkeypatch.setattr(optimizer, "_minimize", recording)
+        result = solve(*single_ball_problem, opt_cfg=self.CFG)
+        assert pids == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+        for name in ("states", "controls", "sample_times"):
+            assert getattr(result, name).tobytes() == getattr(forked, name).tobytes()
+        assert result.diagnostics.function_evals == forked.diagnostics.function_evals
+
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_a_tie_goes_to_the_first_start(self, cpus, single_ball_problem,
                                            monkeypatch):
@@ -372,6 +413,23 @@ class TestMinimize:
         x, f, diag = _minimize(fg, np.zeros(3))
         assert diag.termination == "converged"
         assert np.allclose(x, 1.0, atol=1e-6)
+        self.assert_bookkeeping(diag, calls)
+
+    def test_iteration_cap_ends_in_max_iter(self, monkeypatch):
+        """Rosenbrock's valley takes L-BFGS-B dozens of iterations; a cap
+        of 5 stops it after exactly 5."""
+        def rosenbrock(x):
+            f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+            g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                          200.0 * (x[1] - x[0] ** 2)])
+            return f, g
+
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 5)
+        fg, calls = self.counted(rosenbrock)
+        x, f, diag = _minimize(fg, np.array([-1.2, 1.0]))
+        assert diag.termination == "max_iter"
+        assert diag.iterations == 5
+        assert f == rosenbrock(x)[0] > 1e-3
         self.assert_bookkeeping(diag, calls)
 
 
