@@ -55,14 +55,17 @@ def _write_csv(path: Path, times, states, controls):
 
 
 def _read_csv(path: Path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValidationError(f"{path}: unrecognized trajectory header")
-        columns = fh.readline().strip()
-        if columns != CSV_COLUMNS:
-            raise ValidationError(f"{path}: unexpected column layout")
-        rows = [line for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ValidationError(f"{path}: unrecognized trajectory header")
+            columns = fh.readline().strip()
+            if columns != CSV_COLUMNS:
+                raise ValidationError(f"{path}: unexpected column layout")
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no trajectory rows")
     try:
@@ -92,69 +95,49 @@ def _load(args):
 
 def cmd_plan(args) -> int:
     if not (args.dt > 0 and np.isfinite(args.dt)):
-        print(f"error: --dt must be a finite number above 0, got {args.dt}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--dt must be a finite number above 0, got {args.dt}")
     try:  # each message opens with the field's name, which is its flag's
         opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     except ValidationError as exc:
-        print(f"error: --{exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        track, seq = _load(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+        raise ValidationError(f"--{exc}") from None
+    track, seq = _load(args)
     bc0 = BoundaryCondition.hover(track.start)
     bcf = BoundaryCondition.hover(track.finish)
-    try:
-        result = solve(
-            seq, track.quad, bc0, bcf, opt_cfg=opt_cfg, sample_dt=args.dt,
-        )
-    except RaceplanError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = solve(seq, track.quad, bc0, bcf, opt_cfg=opt_cfg,
+                   sample_dt=args.dt)
 
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "trajectory.csv", result.sample_times,
-                   result.states, result.controls)
-        positions = result.states[:, :3]
-        path_length = float(
-            np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1))
-        )
-        summary = {
-            "total_time": result.total_time,
-            "gate_times": [float(t) for t in result.gate_times],
-            "path_length": path_length,
-            "penalty": result.penalty,
-            "checks": {c.name: {"passed": c.passed, "worst": list(c.worst)}
-                       for c in result.checks},
-            "solver": {
-                "iterations": result.diagnostics.iterations,
-                "function_evals": result.diagnostics.function_evals,
-                "termination": result.diagnostics.termination,
-                "final_grad_norm": result.diagnostics.final_grad_norm,
-                "wall_time": result.diagnostics.wall_time,
-                "seed": args.seed,
-                "restore_scale": result.diagnostics.restore_scale,
-            },
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "trajectory.csv", result.sample_times,
+               result.states, result.controls)
+    positions = result.states[:, :3]
+    path_length = float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1)))
+    summary = {
+        "total_time": result.total_time,
+        "gate_times": [float(t) for t in result.gate_times],
+        "path_length": path_length,
+        "penalty": result.penalty,
+        "checks": {c.name: {"passed": c.passed, "worst": list(c.worst)}
+                   for c in result.checks},
+        "solver": {
+            "iterations": result.diagnostics.iterations,
+            "function_evals": result.diagnostics.function_evals,
+            "termination": result.diagnostics.termination,
+            "final_grad_norm": result.diagnostics.final_grad_norm,
+            "wall_time": result.diagnostics.wall_time,
+            "seed": args.seed,
+            "restore_scale": result.diagnostics.restore_scale,
+        },
+    }
+    _write_artifact(out_dir / "summary.json", json.dumps(summary, indent=2))
+    if args.plot_data:
+        plot = {
+            "position": [list(map(float, p)) for p in positions],
+            "gates": [_gate_outline(g) for g in seq.gates],
         }
-        _write_artifact(out_dir / "summary.json",
-                        json.dumps(summary, indent=2))
-        if args.plot_data:
-            plot = {
-                "position": [list(map(float, p)) for p in positions],
-                "gates": [_gate_outline(g) for g in seq.gates],
-            }
-            _write_artifact(out_dir / "plot.json", json.dumps(plot))
-        else:  # an earlier plan's plot.json would describe another path
-            (out_dir / "plot.json").unlink(missing_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _write_artifact(out_dir / "plot.json", json.dumps(plot))
+    else:  # an earlier plan's plot.json would describe another path
+        (out_dir / "plot.json").unlink(missing_ok=True)
 
     print(f"total time: {result.total_time:.4f} s "
           f"({result.diagnostics.termination}, "
@@ -167,23 +150,22 @@ def cmd_plan(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        track, seq = _load(args)
-        data = _read_csv(Path(args.trajectory))
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    track, seq = _load(args)
+    data = _read_csv(Path(args.trajectory))
     checks = verify(data[:, 0], data[:, 1:14], data[:, 14:18], seq, track.quad)
     print("\n".join(map(str, checks)))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ValidationError: exit 1, not 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raceplan",
         description="Plan and verify time-optimal trajectories through "
                     "spatial racing gates.",
@@ -219,8 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; the one place where an error becomes its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except RaceplanError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

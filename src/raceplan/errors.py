@@ -21,8 +21,8 @@ class ParseError(RaceplanError):
     """Track file could not be read or is not structurally valid."""
 
 
-class ValidationError(RaceplanError):
-    """Track file is structurally valid but violates a semantic invariant."""
+class ValidationError(RaceplanError, ValueError):
+    """An input, from a track file, a flag or a caller, violates an invariant."""
 
 
 class EmptyAfterShrink(ValidationError):

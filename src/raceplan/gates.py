@@ -292,7 +292,7 @@ def time_map_inverse(T):
     """Exact inverse of time_map's duration component."""
     t = np.asarray(T, dtype=float)
     if np.any(t <= 0):
-        raise ValueError("durations must be positive")
+        raise ValidationError("durations must be positive")
     return np.where(
         t >= 1.0,
         -1.0 + np.sqrt(np.maximum(2.0 * t - 1.0, 0.0)),
@@ -339,7 +339,7 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
     margin) and a ball loses the full margin from its radius.
     """
     if margin < 0:
-        raise ValueError("margin must be >= 0")
+        raise ValidationError("margin must be >= 0")
     if margin == 0:
         return gate
     if isinstance(gate, BallGate):

@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 
 from . import _flatjet
 from ._flatjet import GRAVITY
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 
 
 def _vec(x, n):
@@ -37,20 +37,26 @@ class QuadParams:
         if not np.all(np.isfinite([self.mass, self.arm_length, self.torque_const,
                                    self.f_min, self.f_max, *self.inertia_diag,
                                    *self.omega_max])):
-            raise ValueError("parameters must be finite")
+            raise ValidationError("parameters must be finite")
         if not (self.mass > 0 and self.arm_length > 0 and self.torque_const > 0):
-            raise ValueError("mass, arm length and torque constant must be positive")
+            raise ValidationError("mass, arm length and torque constant must be positive")
         if not np.all(self.inertia_diag > 0):
-            raise ValueError("inertia entries must be positive")
+            raise ValidationError("inertia entries must be positive")
         if not (0 <= self.f_min < self.f_max):
-            raise ValueError("need 0 <= f_min < f_max")
+            raise ValidationError("need 0 <= f_min < f_max")
         if not np.all(self.omega_max > 0):
-            raise ValueError("omega_max must be positive componentwise")
+            raise ValidationError("omega_max must be positive componentwise")
         if not 4.0 * self.f_max > self.mass * np.linalg.norm(GRAVITY):
-            raise ValueError("hover infeasible: 4*f_max <= m*g")
-        # Read-only, (collective thrust, body torque) -> rotor thrusts.
-        object.__setattr__(self, "mixer_inverse",
-                           _vec(np.linalg.inv(_flatjet.mixer_matrix(self)), (4, 4)))
+            raise ValidationError("hover infeasible: 4*f_max <= m*g")
+        # Read-only, (collective thrust, body torque) -> rotor thrusts.  Arm
+        # lengths or torque constants near 0 or 1e308 leave it non-finite.
+        try:
+            inverse = np.linalg.inv(_flatjet.mixer_matrix(self))
+        except np.linalg.LinAlgError:
+            inverse = np.full((4, 4), np.nan)
+        if not np.all(np.isfinite(inverse)):
+            raise ValidationError("arm length and torque constant give no finite mixer")
+        object.__setattr__(self, "mixer_inverse", _vec(inverse, (4, 4)))
 
     @classmethod
     def quad_a(cls) -> "QuadParams":

@@ -50,6 +50,8 @@ RESTORE_PENALTY_TOL = 1e-8
 RESTORE_MAX_SCALE = 1.5
 #: The most rows an export may have, so that a tiny sample_dt ends in an error.
 MAX_EXPORT_SAMPLES = 1_000_000
+#: The most restarts a solve may run: it draws every start before the first runs.
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,9 @@ class OptimizerConfig:
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
                                                and value >= 0):
                 raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+        if self.restarts > MAX_RESTARTS:
+            raise ValidationError(f"restarts must be at most {MAX_RESTARTS}, "
+                                  f"got {self.restarts}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, OutOfDomain, SingularSystem
+from .errors import DimensionMismatch, OutOfDomain, SingularSystem, ValidationError
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
 MAX_SEGMENT_DURATION = 60.0
@@ -37,7 +37,7 @@ class BoundaryCondition:
     def __post_init__(self):
         d = np.asarray(self.derivatives, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError("boundary condition must be (s, 3)")
+            raise ValidationError("boundary condition must be (s, 3)")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "derivatives", d)
@@ -145,9 +145,9 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     if num_seg != len(P) + 1:
         raise DimensionMismatch("need exactly len(P)+1 durations")
     if np.any(T <= 0):
-        raise ValueError("segment durations must be positive")
+        raise ValidationError("segment durations must be positive")
     if np.any(T > MAX_SEGMENT_DURATION):
-        raise ValueError("segment duration exceeds conditioning guard")
+        raise ValidationError("segment duration exceeds conditioning guard")
     s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
         raise DimensionMismatch("boundary conditions must provide s rows")

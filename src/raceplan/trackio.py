@@ -127,7 +127,7 @@ def _parse_quad(node, strict) -> QuadParams:
             f_min=_number(node.get("f_min", 0.0), "quad.f_min"),
             omega_max=_vec3(_require(node, "omega_max", "quad"), "quad.omega_max"),
         )
-    except ValueError as exc:
+    except ValidationError as exc:
         raise ValidationError(f"quad: {exc}") from exc
 
 
@@ -158,7 +158,7 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
     """Parse a track document from a string."""
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nested too deep to compose
         raise ParseError(f"{name}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: track document must be a mapping")
@@ -195,9 +195,9 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
 def parse(path, strict: bool = False) -> TrackFile:
     """Parse and validate a track file."""
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return loads(text, name=str(path), strict=strict)
 

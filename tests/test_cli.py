@@ -56,6 +56,49 @@ FUZZ_VALUES = (0, -1, 1e-300, 1e300, -1e300, float("inf"), float("nan"),
                "word", None, [], {}, True, [1.0, 2.0], [[1.0, 2.0, 3.0]])
 
 
+#: Flag values that plan refuses before it solves, each with exit code 1.
+BAD_FLAGS = (["--laps", "0"], ["--laps", "101"], ["--laps", "abc"],
+             ["--laps", "2.5"], ["--margin", "nan"], ["--margin", "-1"],
+             ["--margin", "1e300"], ["--margin", "wide"], ["--dt", "0"],
+             ["--dt", "nan"], ["--dt", "inf"], ["--seed", "-1"],
+             ["--seed", "1.5"], ["--restarts", "-1"],
+             ["--restarts", str(optimizer.MAX_RESTARTS + 1)],
+             ["--restarts", str(10**18)], ["--mode", "fastest"], ["--bogus"])
+
+
+class _Pairs(list):
+    """A mapping given as its (key, value) pairs, so that a key can repeat."""
+
+
+class _PairsDumper(yaml.SafeDumper):
+    """safe_dump's dumper, which also writes _Pairs as YAML mappings."""
+
+
+_PairsDumper.add_representer(_Pairs, lambda dumper, pairs: dumper.represent_mapping(
+    "tag:yaml.org,2002:map", pairs))
+
+
+def _outcome(argv):
+    """main(argv)'s exit code and stderr, each warning counted as the stderr
+    line it would print outside a test run.  Fails unless the code is
+    documented and stderr is empty or one error line, empty only on exit 0
+    or beside check's verdicts."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO)
+    if err:
+        assert code != EXIT_OK and err.count("\n") == 1, err
+        assert err.startswith(("error: ", "solver error: ", "i/o error: ")), err
+    else:
+        assert code == EXIT_OK or out.getvalue().startswith(("pass:", "FAIL:"))
+    return code, err
+
+
 def _nodes(node, path=()):
     """The path of every node of a YAML document, the root's () first."""
     yield path
@@ -446,6 +489,52 @@ class TestPlan:
         assert captured.err.count("\n") == 1, captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", BAD_FLAGS, ids=" ".join)
+    def test_bad_flag_value_exits_validation(self, flag, planned, tmp_path,
+                                             monkeypatch):
+        """A flag value out of range, not a number or of the wrong kind, or
+        an unknown flag, ends in one error line and exit 1, not argparse's
+        usage block and exit 2, before anything is solved.  solve is
+        replaced, so a restart count past the cap can never draw its starts."""
+        track, _ = planned
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        out = tmp_path / "out"
+        code, err = _outcome(["plan", str(track), "--out-dir", str(out), *flag])
+        assert code == EXIT_VALIDATION and err.startswith("error: "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["plan"], ["check", "t.csv"], [],
+                                      ["fly", "track.yaml"]], ids=" ".join)
+    def test_malformed_command_line_exits_validation(self, argv):
+        """A missing argument or an unknown command is exit 1 too."""
+        code, err = _outcome(argv)
+        assert code == EXIT_VALIDATION and err.startswith("error: "), err
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["plan", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: raceplan plan")
+
+    @given(path=st.sampled_from(list(_nodes(yaml.safe_load(TRACK)))[1:]),
+           value=st.sampled_from(FUZZ_VALUES))
+    @example(path=("finish", 2), value=-1)  # plans, exit 0
+    @example(path=("gates", 0, "radius"), value=1e300)  # overflows, exit 2
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_mutated_small_track_plans(self, path, value):
+        """One node of a 2-gate track document set to an extreme number,
+        another type or nothing: plan ends in a documented exit code with at
+        most one error line, exit 2 included."""
+        doc = yaml.safe_load(TRACK)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            track = Path(tmp) / "track.yaml"
+            track.write_text(yaml.safe_dump(doc))
+            _outcome(["plan", str(track), "--out-dir", tmp])
+
     def test_singular_export_sample_exits_solver(self, planned, tmp_path,
                                                  capsys, monkeypatch):
         """A plan whose export has a flatness-singular sample, here marked
@@ -699,3 +788,76 @@ class TestCheck:
         else:
             assert err.count("\n") == 1, err
             assert err.startswith(("error:", "i/o error:")), err
+
+    @given(path=st.sampled_from(list(_nodes(RANDOM103))[1:]),
+           repeat=st.booleans())
+    @example(path=("gates", 1), repeat=False)
+    @example(path=("gates", 2), repeat=True)
+    @example(path=("quad", "mass"), repeat=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_dropped_or_repeated_node(self, planned_random103, path, repeat):
+        """One key or list item of random_track(103)'s track document, a
+        gate or a vertex among them, dropped or written twice (a list item
+        beside its copy, a key twice in its mapping): check prints its
+        verdicts with nothing on stderr, or exactly one error line, and ends
+        in a documented exit code."""
+        _, csv = planned_random103
+        doc = copy.deepcopy(RANDOM103)
+        *above, last = path
+        parent = doc
+        for key in above:
+            grandparent, parent = parent, parent[key]
+        if not repeat:
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(parent[last]))
+        else:
+            pairs = _Pairs([*parent.items(), (last, parent[last])])
+            if above:
+                grandparent[above[-1]] = pairs
+            else:
+                doc = pairs
+        track = csv.parent / "edited.yaml"
+        track.write_text(yaml.dump(doc, Dumper=_PairsDumper))
+        _outcome(["check", str(csv), str(track)])
+
+    @pytest.mark.parametrize("command", ["plan", "check"])
+    @pytest.mark.parametrize("text, message", [
+        (TRACK.encode().replace(b"quad:", b"\xff\xfequad:"),
+         "'utf-8' codec can't decode byte 0xff"),
+        (b"a: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+         "maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "nested-5000"])
+    def test_unreadable_track_exits_validation(self, command, text, message,
+                                               planned, tmp_path):
+        """A track file that is no UTF-8 text, or whose lists nest too deep
+        for the YAML composer, ends in one error line naming it, exit 1."""
+        _, out = planned
+        track = tmp_path / "track.yaml"
+        track.write_bytes(text)
+        argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path / "out")],
+                "check": ["check", str(out / "trajectory.csv"), str(track)]}
+        code, err = _outcome(argv[command])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: {track}: {message}"), err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:2] + ["\udcff\udcfe"] + rows[2:],
+         "'utf-8' codec can't decode byte 0xff"),
+        (lambda rows: rows[:1] + [rows[1].replace("qw", "q0")] + rows[2:],
+         "unexpected column layout"),
+        (lambda rows: rows[:2] + [r.rpartition(",")[0] for r in rows[2:]],
+         "expected 18 columns"),
+    ], ids=["not-utf8", "columns-renamed", "17-columns"])
+    def test_malformed_csv_exits_validation(self, edit, message, planned,
+                                            tmp_path):
+        """A trajectory CSV that is no UTF-8 text past its header, names
+        other columns, or has 17 columns, ends in one error line naming it,
+        exit 1."""
+        track, out = planned
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        csv = tmp_path / "edited.csv"
+        csv.write_bytes("\n".join(edit(rows)).encode(errors="surrogateescape"))
+        code, err = _outcome(["check", str(csv), str(track)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: {csv}: {message}"), err

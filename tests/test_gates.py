@@ -27,6 +27,11 @@ class TestGateConstruction:
         with pytest.raises(ValidationError):
             BallGate(center=[0, 0, 0], radius=-0.1)
 
+    @pytest.mark.parametrize("center", [[np.nan, 0, 0], [0, -np.inf, 0]])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValidationError, match="^ball gate center must be finite$"):
+            BallGate(center=center, radius=1.0)
+
     def test_coincident_vertices_rejected(self):
         verts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         with pytest.raises(ValidationError):

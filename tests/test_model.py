@@ -70,6 +70,9 @@ class TestQuadParams:
         dict(arm_length=float("inf")),
         dict(inertia_diag=[1e-3, float("nan"), 1.7e-3]),
         dict(omega_max=[15.0, 15.0, float("inf")]),
+        # The mixer is singular in floating point, or its inverse overflows.
+        dict(arm_length=5e-324, torque_const=5e-324),
+        dict(arm_length=1e308, torque_const=1e308),
     ])
     def test_invalid_params_rejected(self, bad):
         base = dict(

@@ -21,7 +21,8 @@ from raceplan.gates import (
     time_map_inverse,
 )
 from raceplan.optimizer import (
-    OptimizerConfig, _minimize, _restore_feasibility, initialize, solve,
+    MAX_RESTARTS, OptimizerConfig, _minimize, _restore_feasibility, initialize,
+    solve,
 )
 from raceplan.spline import MAX_SEGMENT_DURATION, BoundaryCondition, construct
 from raceplan.trackio import build_sequence
@@ -82,6 +83,7 @@ class TestOptimizerConfig:
         ("initial_speed_guess", -1.0), ("initial_speed_guess", 0.0),
         ("initial_speed_guess", float("inf")), ("initial_speed_guess", float("nan")),
         ("initial_speed_guess", "3"),
+        ("restarts", MAX_RESTARTS + 1), ("restarts", 10**18),
     ])
     def test_bad_field_is_refused(self, field, value):
         with pytest.raises(ValidationError, match=rf"^{field} must be "):

@@ -155,6 +155,14 @@ class TestParse:
               lambda d: d.__setitem__("quad", {**QUAD, "mass": True})),
         _says("options.waypoint_tolerance: not a number",
               lambda d: d.__setitem__("options", {"waypoint_tolerance": [1]})),
+        _says("quad: expected a preset name or a mapping",
+              lambda d: d.__setitem__("quad", 5)),
+        _says("gates[0]: polytope gate needs at least 3 vertices",
+              lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
+                  [3, -1, 0.5], [3, 1, 0.5]]}])),
+        _says("quad: arm length and torque constant give no finite mixer",
+              lambda d: d.__setitem__("quad", {**QUAD, "arm_length": 5e-324,
+                                               "torque_const": 5e-324})),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
