@@ -38,11 +38,15 @@ from .spline import MAX_SEGMENT_DURATION, BoundaryCondition, TrajectorySpline
 
 
 # L-BFGS-B (scipy): history length, iteration cap, and the tolerances on
-# the relative decrease of f and on the largest gradient entry.
+# the relative decrease of f in one iteration and on the largest gradient
+# entry.  The window stop, liblbfgs's past/delta test, ends a run first: f
+# fell by at most DELTA relative over the last PAST iterations.
 MEMORY = 8
 MAX_ITERATIONS = 3000
 F_TOLERANCE = 1e-12
 GRAD_TOLERANCE = 1e-9
+PAST = 3
+DELTA = 3e-8
 # Post-optimization feasibility restoration: uniformly stretch segment
 # durations (waypoints fixed), by at most RESTORE_MAX_SCALE, until the
 # sampled penalty is at most RESTORE_PENALTY_TOL.
@@ -146,6 +150,11 @@ def _minimize(fg, x0):
     falls back to the current iterate and may then report convergence.  A
     run that ends so, with no decrease since the non-finite trial point, is
     a line-search failure.
+
+    A run has converged once ``f[k-PAST] - f[k] <= DELTA * |f[k]|`` with no
+    non-finite trial point pending: the callback then halts scipy, long
+    before its one-iteration F_TOLERANCE, whose tail only follows the last
+    bits of the objective.  Such a halt makes no frozen-grid retry.
     """
     evals = iterations = 0
     trace = []
@@ -155,7 +164,9 @@ def _minimize(fg, x0):
         iterate, the objective there, its termination and gradient."""
         nonlocal iterations
         wall = False   # a non-finite trial point since f last decreased
+        halted = False  # the window stop ended the run
         last = [x, f]
+        past = []      # f at the run's start and at each earlier iterate
 
         def fun(y):
             nonlocal evals, wall
@@ -172,12 +183,18 @@ def _minimize(fg, x0):
             return fy, gy
 
         def callback(intermediate_result):
-            nonlocal wall
-            if intermediate_result.fun < last[1]:
+            nonlocal wall, halted
+            fk = intermediate_result.fun
+            if fk < last[1]:
                 wall = False
-            last[:] = intermediate_result.x.copy(), intermediate_result.fun
+            past.append(last[1])
+            last[:] = intermediate_result.x.copy(), fk
             if grid is None:
-                trace.append(intermediate_result.fun)
+                trace.append(fk)
+            if (not wall and len(past) >= PAST
+                    and past[-PAST] - fk <= DELTA * abs(fk)):
+                halted = True
+                raise StopIteration
 
         res = scipy.optimize.minimize(
             fun, x, jac=True, method="L-BFGS-B", callback=callback,
@@ -186,7 +203,7 @@ def _minimize(fg, x0):
         )
         if grid is None:
             iterations += res.nit
-        if res.status == 0 and not wall:
+        if halted or (res.status == 0 and not wall):
             return last[0], last[1], "converged", res.jac
         if res.status == 1:
             return last[0], last[1], "max_iter", res.jac

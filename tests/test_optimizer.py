@@ -385,7 +385,7 @@ class TestMinimize:
         calls = []
 
         def fg(x, grid=None):
-            calls.append(x.copy())
+            calls.append((x.copy(), grid))
             return f_and_g(x)
         return fg, calls
 
@@ -417,6 +417,29 @@ class TestMinimize:
         assert np.allclose(x, 1.0, atol=1e-6)
         self.assert_bookkeeping(diag, calls)
 
+    def test_slow_tail_stops_converged_by_the_window(self, monkeypatch):
+        """An ill-conditioned bowl whose f barely moves in its last
+        iterations: the window stops it converged, with no frozen-grid
+        retry, where scipy's one-iteration test alone runs far longer."""
+        weights = 1e-4 * np.logspace(0, 4, 50)
+
+        def bowl(x):
+            return (1.0 + float(np.sum(weights * (x - 1.0) ** 2)),
+                    2.0 * weights * (x - 1.0))
+
+        fg, calls = self.counted(bowl)
+        x, f, diag = _minimize(fg, np.zeros(50))
+        assert diag.termination == "converged"
+        assert all(grid is None for _, grid in calls)
+        assert f - 1.0 < 1e-6
+        self.assert_bookkeeping(diag, calls)
+
+        monkeypatch.setattr(optimizer, "DELTA", 0.0)
+        fg, calls = self.counted(bowl)
+        _, f_tail, tail = _minimize(fg, np.zeros(50))
+        assert tail.termination == "converged" and f_tail < f
+        assert tail.iterations > 1.5 * diag.iterations
+
     def test_iteration_cap_ends_in_max_iter(self, monkeypatch):
         """Rosenbrock's valley takes L-BFGS-B dozens of iterations; a cap
         of 5 stops it after exactly 5."""
@@ -438,14 +461,16 @@ class TestMinimize:
 def test_waypoint_loop_robust_to_gradient_rounding(monkeypatch):
     """The 7-gate TOGT-WP solve must not hinge on the last bits of its
     gradient: with seeded relative noise of 1e-15 on every gradient entry it
-    still ends without a line-search failure, at the same lap time."""
+    still ends without a line-search failure, at the same lap time.  Under
+    the SkylakeX kernels, seeds 16 and 18 stop about 4e-4 s high, at a
+    sample-count jump."""
     track = loop_track()
     seq = build_sequence(track, mode="togt-wp")
     bc0 = BoundaryCondition.hover(track.start)
     bcf = BoundaryCondition.hover(track.finish)
     reference = solve(seq, track.quad, bc0, bcf).total_time
     exact = raceplan.cost.objective
-    for seed in (0, 1):
+    for seed in (0, 1, 16, 18):
         rng = np.random.default_rng(seed)
 
         def noisy(*args, **kwargs):
