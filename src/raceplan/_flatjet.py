@@ -23,8 +23,8 @@ EPS_SING = 1e-6
 #: Gravitational acceleration, m/s^2, world frame (z up).
 GRAVITY = np.array([0.0, 0.0, -9.81])
 GRAVITY.flags.writeable = False
-#: The heading x_c at zero yaw, (3, 1): it broadcasts against (3, N) in
-#: _cross, which keeps np.cross's arithmetic, signed zeros included.
+#: The heading x_c at zero yaw, (3, 1): it broadcasts against (..., 3, N)
+#: in _cross, which keeps np.cross's arithmetic, signed zeros included.
 HEADING = np.array([[1.0], [0.0], [0.0]])
 
 
@@ -35,9 +35,9 @@ KEPT_ROWS = 10 + 14 * 3
 
 def _views(kept):
     """The rows of ``kept`` (KEPT_ROWS, N) as views: the scalars (c2, inv_c,
-    cd, cdd, q, inv, invd, invdd, p, s1), each (N,), and the vectors (f,
-    jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega), each
-    (3, N)."""
+    cd, cdd, q, inv, invd, invdd, p, s1), (10, N), and the vectors (f, jrk,
+    snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega), (14, 3, N),
+    whose slices run a step on adjacent rows at once."""
     return kept[:10], kept[10:].reshape(14, 3, -1)
 
 
@@ -78,26 +78,35 @@ def mixer_matrix(params) -> np.ndarray:
     )
 
 
-def _dot(a, b):
-    """Per-sample dot products of (3, N) arrays, added as einsum("ni,ni->n")
-    adds an (N, 3) row, bit for bit: (p0 + p2) + p1, onto +0.0."""
-    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1] + 0.0
+#: Rows (1, 2, 0) and (2, 0, 1): component i of a x b is
+#: a[_J[i]] * b[_K[i]] - a[_K[i]] * b[_J[i]].
+_J = np.array([1, 2, 0])
+_K = np.array([2, 0, 1])
 
 
-def _cross(a, b):
-    """Per-sample cross products of (3, N) or (3, 1) arrays, with np.cross's
-    arithmetic."""
-    out = np.empty((3, b.shape[1] if a.shape[1] == 1 else a.shape[1]))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+def _dot(a, b, out=None):
+    """Per-sample dot products of (..., 3, N) arrays that broadcast against
+    each other, added as einsum("ni,ni->n") adds an (N, 3) row, bit for bit:
+    (p0 + p2) + p1, onto +0.0."""
+    p = a * b
+    out = np.add(p[..., 0, :], p[..., 2, :], out=out)
+    out += p[..., 1, :]
+    out += 0.0
     return out
 
 
-def _heading_crosses(z, zd, zdd):
-    """(nvec, nd, ndd): z, zd and zdd, each (3, N), crossed with the heading
-    x_c, in one _cross over the three side by side."""
-    return np.split(_cross(np.concatenate([z, zd, zdd], axis=1), HEADING), 3, axis=1)
+def _cross(a, b, out=None):
+    """Per-sample cross products of (..., 3, N) or (3, 1) arrays that
+    broadcast against each other, with np.cross's arithmetic."""
+    out = np.multiply(a.take(_J, axis=-2), b.take(_K, axis=-2), out=out)
+    # The second product is formed in place in whichever operand copy has
+    # the result's shape, so no third result-sized array is alive.
+    right, left = a.take(_K, axis=-2), b.take(_J, axis=-2)
+    if right.shape != out.shape:
+        right, left = left, right
+    right *= left
+    out -= right
+    return out
 
 
 def flat_outputs(inputs: np.ndarray, params) -> FlatOutputs:
@@ -107,63 +116,83 @@ def flat_outputs(inputs: np.ndarray, params) -> FlatOutputs:
     """
     # Every vector is component-major, (3, N), with contiguous rows: scalars
     # broadcast as they are, and each numpy loop runs over the N samples.
-    # The values the VJP reads are written into their rows of ``kept``.
-    kept = np.empty((KEPT_ROWS, len(inputs)))
-    ((c2, inv_c, cd, cdd, q, inv, invd, invdd, p, s1),
-     (f, jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega)) = _views(kept)
-    f[:], jrk[:], snp[:] = np.transpose(inputs, (1, 2, 0))
+    # The values the VJP reads are written into their rows of ``kept``;
+    # steps on adjacent rows run as one, through views.
+    n = len(inputs)
+    kept = np.empty((KEPT_ROWS, n))
+    scalars, vectors = _views(kept)
+    c2, inv_c, cd, cdd, q, inv, invd, invdd, p, s1 = scalars
+    f, jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega = vectors
+    vectors[:3] = np.transpose(inputs, (1, 2, 0))
 
     # Thrust direction z = f/|f| and its first two time derivatives.
     f -= GRAVITY[:, None]
-    c2[:] = _dot(f, f)
+    _dot(f, f, out=c2)
     singular = c2 < EPS_SING**2
     # Clamp singular entries so the remaining algebra stays finite.
     c2[singular] = 1.0
     c = np.sqrt(c2)
-    inv_c[:] = 1.0 / c
-    z[:] = inv_c * f
+    np.divide(1.0, c, out=inv_c)
+    np.multiply(inv_c, f, out=z)
     thrust = c * params.mass
+    del c
 
-    cd[:] = _dot(z, jrk)
-    u[:] = jrk - cd * z
-    zd[:] = inv_c * u
-    cdd[:] = _dot(zd, jrk) + _dot(z, snp)
-    ud[:] = snp - cdd * z - cd * zd
-    q[:] = cd * (1.0 / c2)
-    zdd[:] = inv_c * ud - q * u
+    _dot(z, jrk, out=cd)
+    np.subtract(jrk, cd * z, out=u)
+    np.multiply(inv_c, u, out=zd)
+    np.add(*_dot(vectors[4:2:-1], vectors[1:3]), out=cdd)  # zd.jrk + z.snp
+    np.subtract(snp, cdd * z, out=ud)
+    ud -= cd * zd
+    np.multiply(cd, 1.0 / c2, out=q)
+    np.multiply(inv_c, ud, out=zdd)
+    zdd -= q * u
 
-    # Body y axis y_b = n/|n| with n = z x x_c, and its derivatives.
-    nvec, nd, ndd = _heading_crosses(z, zd, zdd)
-
-    nn2 = _dot(nvec, nvec)
-    singular |= nn2 < EPS_SING**2
-    nn2 = np.where(nn2 < EPS_SING**2, 1.0, nn2)
-    inv[:] = 1.0 / np.sqrt(nn2)
+    # Body y axis y_b = n/|n| with n = z x x_c, and its derivatives: nx holds
+    # (n, nd, ndd), the crosses of z, zd and zdd with the heading x_c.
+    nx = _cross(vectors[3:6], HEADING)
+    nvec, nd, ndd = nx
+    nn2, p[:] = _dot(nx[:2], nvec)  # n.n, nd.n
+    flat = nn2 < EPS_SING**2
+    singular |= flat
+    nn2[flat] = 1.0
+    np.divide(1.0, np.sqrt(nn2), out=inv)
     inv3 = inv * inv * inv
-    p[:] = _dot(nvec, nd)
-    invd[:] = -p * inv3
-    s1[:] = _dot(nd, nd) + _dot(nvec, ndd)
-    invdd[:] = -(s1 * inv3) - p * (3.0 * (inv * inv) * invd)
+    np.multiply(-p, inv3, out=invd)
+    np.add(*_dot(nx[1::-1], nx[1:]), out=s1)  # nd.nd + n.ndd
+    np.subtract(-(s1 * inv3), p * (3.0 * (inv * inv) * invd), out=invdd)
 
-    y_b[:] = inv * nvec
-    y_bd[:] = inv * nd + invd * nvec
-    y_bdd[:] = inv * ndd + 2.0 * (invd * nd) + invdd * nvec
-    del nvec, nd, ndd, inv3
+    np.multiply(inv, nx, out=vectors[10:13])
+    y_bd += invd * nvec
+    y_bdd += 2.0 * (invd * nd)
+    y_bdd += invdd * nvec
+    del nx, nvec, nd, ndd, inv3
 
-    x_b[:] = _cross(y_b, z)
-    x_bd[:] = _cross(y_bd, z) + _cross(y_b, zd)
+    # x_b = y_b x z, x_bd = y_bd x z + y_b x zd.
+    _cross(vectors[10:12], z, out=vectors[8:10])
+    x_bd += _cross(y_b, zd)
 
-    omega[:] = (-_dot(y_b, zd), _dot(x_b, zd), -_dot(x_b, y_bd))
-    omega_dot = np.stack([
-        -(_dot(y_bd, zd) + _dot(y_b, zdd)),
-        _dot(x_bd, zd) + _dot(x_b, zdd),
-        -(_dot(x_bd, y_bd) + _dot(x_b, y_bdd)),
-    ])
+    # omega and omega_dot from nine dot products of the body axes, in pairs
+    # of rows that are views of kept.
+    xy_zd = _dot(vectors[8:11:2], zd)    # (x_b, y_b).zd
+    x_y = _dot(x_b, vectors[11:13])      # x_b.(y_bd, y_bdd)
+    omega[1] = xy_zd[0]
+    np.negative(xy_zd[1], out=omega[0])
+    np.negative(x_y[0], out=omega[2])
+    del xy_zd
+    omega_dot = np.empty((3, n))
+    np.add(_dot(vectors[9:12:2], zd), _dot(vectors[8:11:2], zdd),
+           out=omega_dot[1::-1])         # (x_bd, y_bd).zd + (x_b, y_b).zdd
+    np.add(_dot(x_bd, y_bd), x_y[1], out=omega_dot[2])
+    np.negative(omega_dot[::2], out=omega_dot[::2])
+    del x_y
 
-    inertia = np.asarray(params.inertia_diag)[:, None]
-    tau = omega_dot * inertia + _cross(omega, omega * inertia)
-
-    wrench = np.stack([thrust, *tau], axis=1)  # (N, 4)
+    # Collective thrust and body torques, (N, 4) C-contiguous for the mixer.
+    wrench = np.empty((n, 4))
+    wrench[:, 0] = thrust
+    inertia = params.inertia_column
+    torque = wrench[:, 1:].T
+    np.multiply(omega_dot, inertia, out=torque)
+    torque += _cross(omega, omega * inertia)
     rotor = wrench @ params.mixer_inverse.T
 
     return FlatOutputs(
@@ -183,51 +212,78 @@ def vjp(kept, params, rotor_bar, omega_bar):
     Every step is elementwise per sample, so any subset of the samples gives
     their rows of the full product, bit for bit.  Each block runs one
     forward step backwards; ``v_bar`` is the cotangent of forward variable
-    ``v``, deleted after its last use.
+    ``v``, deleted after its last use.  Cotangents that take the same steps
+    share one array, so one numpy call runs the step on all of them.
     """
-    ((c2, inv_c, cd, cdd, q, inv, invd, invdd, p, s1),
-     (f, jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega)) = _views(kept)
+    n = kept.shape[1]
+    scalars, vectors = _views(kept)
+    c2, inv_c, cd, cdd, q, inv, invd, invdd, p, s1 = scalars
+    f, jrk, snp, z, zd, zdd, u, ud, x_b, x_bd, y_b, y_bd, y_bdd, omega = vectors
     # One step from kept values each: rebuilt here as the forward pass
     # builds them, rather than kept.
-    nvec, nd, ndd = _heading_crosses(z, zd, zdd)
+    nx = _cross(vectors[3:6], HEADING)
+    nvec, nd, ndd = nx
     inv3 = inv * inv * inv
-    inertia = np.asarray(params.inertia_diag)[:, None]
-    j_w = omega * inertia
+    inertia = params.inertia_column
     # A one-row product would run BLAS's gemv, which rounds otherwise than
     # gemm: a zero row keeps every product on gemm.
     padded = np.concatenate([rotor_bar, np.zeros((1, 4))])
     wrench_bar = (padded @ params.mixer_inverse)[:-1].T
     c_bar = params.mass * wrench_bar[0]
     tau_bar = wrench_bar[1:]
-    wd_bar = tau_bar * inertia
-    w_bar = omega_bar.T + _cross(j_w, tau_bar) + inertia * _cross(tau_bar, omega)
+    # The cotangents of omega (w) and of omega_dot (e), one block.
+    we = np.empty((6, n))
+    np.add(omega_bar.T + _cross(omega * inertia, tau_bar),
+           inertia * _cross(tau_bar, omega), out=we[:3])
+    np.multiply(tau_bar, inertia, out=we[3:])
+    wx, wy, wz, ex, ey, ez = we
     del wrench_bar, tau_bar
 
-    # omega and omega_dot as dot products of the body axes.
-    wx, wy, wz = w_bar
-    ex, ey, ez = wd_bar
-    x_b_bar = wy * zd - wz * y_bd + ey * zdd - ez * y_bdd
-    x_bd_bar = ey * zd - ez * y_bd
-    y_bdd_bar = -ez * x_b
-    zdd_bar = ey * x_b - ex * y_b
-    zd_bar = wy * x_b - wx * y_b + ey * x_bd - ex * y_bd
+    # omega and omega_dot as dot products of the body axes.  xb holds
+    # (x_b_bar, x_bd_bar), zb (z_bar, zd_bar, zdd_bar).
+    xb = np.multiply(we[1::3, None], zd)  # (wy, ey) zd
+    xb -= we[2::3, None] * y_bd            # (wz, ez) y_bd
+    x_b_bar, x_bd_bar = xb
+    x_b_bar += ey * zdd
+    x_b_bar -= ez * y_bdd
+    zb = np.empty((3, 3, n))
+    z_bar, zd_bar, zdd_bar = zb
+    np.multiply(we[1::3, None], x_b, out=zb[1:])  # (wy, ey) x_b
+    zb[1:] -= we[::3, None] * y_b                   # (wx, ex) y_b
+    zd_bar += ey * x_bd
+    zd_bar -= ex * y_bd
 
-    # x_b = y_b x z, x_bd = y_bd x z + y_b x zd.
-    y_b_bar = -wx * zd - ex * zdd + _cross(z, x_b_bar) + _cross(zd, x_bd_bar)
-    y_bd_bar = -wz * x_b - ex * zd - ez * x_bd + _cross(z, x_bd_bar)
-    del w_bar, wd_bar, wx, wy, wz, ex, ey, ez
-    z_bar = _cross(x_b_bar, y_b) + _cross(x_bd_bar, y_bd)
-    zd_bar += _cross(x_bd_bar, y_b)
-    del x_b_bar, x_bd_bar
+    # x_b = y_b x z, x_bd = y_bd x z + y_b x zd.  yb holds (y_b_bar,
+    # y_bd_bar, y_bdd_bar).
+    yb = np.empty((3, 3, n))
+    y_b_bar, y_bd_bar, y_bdd_bar = yb
+    z_x = _cross(z, xb)  # z x (x_b_bar, x_bd_bar)
+    np.subtract(-wx * zd, ex * zdd, out=y_b_bar)
+    y_b_bar += z_x[0]
+    y_b_bar += _cross(zd, x_bd_bar)
+    np.subtract(-wz * x_b, ex * zd, out=y_bd_bar)
+    y_bd_bar -= ez * x_bd
+    y_bd_bar += z_x[1]
+    np.multiply(-ez, x_b, out=y_bdd_bar)
+    del we, wx, wy, wz, ex, ey, ez, z_x
+    x_y = _cross(xb, y_b)  # (x_b_bar, x_bd_bar) x y_b
+    np.add(x_y[0], _cross(x_bd_bar, y_bd), out=z_bar)
+    zd_bar += x_y[1]
+    del xb, x_b_bar, x_bd_bar, x_y
 
-    # y_b and its derivatives from n and the inverse norm.
-    nvec_bar = inv * y_b_bar + invd * y_bd_bar + invdd * y_bdd_bar
-    nd_bar = inv * y_bd_bar + 2.0 * invd * y_bdd_bar
-    ndd_bar = inv * y_bdd_bar
-    inv_bar = _dot(nvec, y_b_bar) + _dot(nd, y_bd_bar) + _dot(ndd, y_bdd_bar)
-    invd_bar = _dot(nvec, y_bd_bar) + 2.0 * _dot(nd, y_bdd_bar)
+    # y_b and its derivatives from n and the inverse norm.  nb holds
+    # (nvec_bar, nd_bar, ndd_bar).
+    nb = inv * yb
+    nvec_bar, nd_bar, ndd_bar = nb
+    nvec_bar += invd * y_bd_bar
+    nvec_bar += invdd * y_bdd_bar
+    nd_bar += 2.0 * invd * y_bdd_bar
+    n_y = _dot(nx, yb)       # n.y_b_bar, nd.y_bd_bar, ndd.y_bdd_bar
+    inv_bar = n_y[0] + n_y[1] + n_y[2]
+    n_y = _dot(nx[:2], yb[1:])  # n.y_bd_bar, nd.y_bdd_bar
+    invd_bar = n_y[0] + 2.0 * n_y[1]
     invdd_bar = _dot(nvec, y_bdd_bar)
-    del y_b_bar, y_bd_bar, y_bdd_bar
+    del yb, y_b_bar, y_bd_bar, y_bdd_bar, n_y
 
     s1_bar = -inv3 * invdd_bar
     inv3_bar = -s1 * invdd_bar
@@ -236,47 +292,46 @@ def vjp(kept, params, rotor_bar, omega_bar):
     invd_bar -= 3.0 * p * inv * inv * invdd_bar
     del invdd_bar
     nd_bar += 2.0 * s1_bar * nd
-    nvec_bar += s1_bar * ndd
-    ndd_bar += s1_bar * nvec
+    nb[::2] += s1_bar * nx[::-2]  # nvec_bar += s1_bar ndd, ndd_bar += s1_bar nvec
     del s1_bar
 
     p_bar -= inv3 * invd_bar
     inv3_bar -= p * invd_bar
     del invd_bar
-    nvec_bar += p_bar * nd
-    nd_bar += p_bar * nvec
+    nb[:2] += p_bar * nx[1::-1]  # nvec_bar += p_bar nd, nd_bar += p_bar nvec
     del p_bar
     inv_bar += 3.0 * inv * inv * inv3_bar
     nn2_bar = -0.5 * inv3 * inv_bar
     nvec_bar += 2.0 * nn2_bar * nvec
     del inv3_bar, inv_bar, nn2_bar
 
-    # n, nd, ndd as cross products of z's derivatives with x_c.
-    zdd_bar += _cross(HEADING, ndd_bar)
-    zd_bar += _cross(HEADING, nd_bar)
-    z_bar += _cross(HEADING, nvec_bar)
-    del ndd_bar, nd_bar, nvec_bar
+    # n, nd, ndd as cross products of z, zd, zdd with x_c.
+    zb += _cross(HEADING, nb)
+    del nb, nvec_bar, nd_bar, ndd_bar
 
-    # z, zd, zdd from f, jerk and snap.
+    # z, zd, zdd from f, jerk and snap, into the C-contiguous (n, 9) result
+    # (downstream einsums round by memory layout).
+    grad = np.empty((n, 9))
+    f_bar, jrk_bar, snp_bar = grad.reshape(n, 3, 3).transpose(1, 2, 0)
     ud_bar = inv_c * zdd_bar
-    inv_c_bar = _dot(ud, zdd_bar)
+    u_zdd = _dot(vectors[6:8], zdd_bar)  # (u, ud).zdd_bar
+    inv_c_bar = u_zdd[1]
     u_bar = -q * zdd_bar
-    q_bar = -_dot(u, zdd_bar)
-    del zdd_bar
+    q_bar = -u_zdd[0]
+    del zdd_bar, u_zdd
     cd_bar = q_bar / c2
     c2_bar = -q_bar * q / c2
     del q_bar
 
-    cdd_bar = -_dot(z, ud_bar)
-    z_bar -= cdd * ud_bar
-    cd_bar -= _dot(zd, ud_bar)
-    zd_bar -= cd * ud_bar
-    snp_bar = ud_bar + cdd_bar * z
-    del ud_bar
+    z_ud = _dot(vectors[3:5], ud_bar)  # (z, zd).ud_bar
+    cdd_bar = -z_ud[0]
+    zb[:2] -= scalars[3:1:-1, None] * ud_bar  # z_bar -= cdd ud_bar, zd_bar -= cd ud_bar
+    cd_bar -= z_ud[1]
+    np.add(ud_bar, cdd_bar * z, out=snp_bar)
+    del ud_bar, z_ud
 
-    zd_bar += cdd_bar * jrk
-    jrk_bar = cdd_bar * zd
-    z_bar += cdd_bar * snp
+    zb[1::-1] += cdd_bar * vectors[1:3]  # zd_bar += cdd_bar jrk, z_bar += cdd_bar snp
+    np.multiply(cdd_bar, zd, out=jrk_bar)
     del cdd_bar
 
     u_bar += inv_c * zd_bar
@@ -290,12 +345,10 @@ def vjp(kept, params, rotor_bar, omega_bar):
     z_bar += cd_bar * jrk
     jrk_bar += cd_bar * z
     del cd_bar
-    f_bar = inv_c * z_bar
+    np.multiply(inv_c, z_bar, out=f_bar)
     inv_c_bar += _dot(f, z_bar)
-    del z_bar
+    del z_bar, zb
     c_bar -= inv_c * inv_c * inv_c_bar
     c2_bar += 0.5 * inv_c * c_bar
     f_bar += 2.0 * c2_bar * f
-
-    # C-contiguous (n, 9): downstream einsums round by memory layout.
-    return np.stack([*f_bar, *jrk_bar, *snp_bar], axis=1)
+    return grad

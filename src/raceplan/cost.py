@@ -36,6 +36,8 @@ def samples(durations, refine: int = 1) -> np.ndarray:
 #: body rate alike.  They are large so the converged time/violation tradeoff
 #: sits at violations well under the 1% actuation headroom.
 PENALTY_WEIGHTS = np.full(14, 1e4)
+#: d/dh of the cubic hinge's w h^3 is (3 w) h^2.
+_CUBE_SLOPE = 3.0 * PENALTY_WEIGHTS
 
 
 @dataclass
@@ -112,7 +114,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     # d rho / d flat-outputs, with each residual pair summed onto its rotor
     # or rate.
     hinge = np.square(hinge[rows])
-    hinge *= 3.0 * PENALTY_WEIGHTS
+    hinge *= _CUBE_SLOPE
     hinge *= sign / scale
     cot = hinge[:, 0::2] + hinge[:, 1::2]
     del hinge

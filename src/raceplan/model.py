@@ -57,6 +57,13 @@ class QuadParams:
         if not np.all(np.isfinite(inverse)):
             raise ValidationError("arm length and torque constant give no finite mixer")
         object.__setattr__(self, "mixer_inverse", _vec(inverse, (4, 4)))
+        # Read-only constants of every flatness pass and limit_residuals call.
+        object.__setattr__(self, "inertia_column", _vec(self.inertia_diag, (3, 1)))
+        rate_max = np.repeat(self.omega_max, 2)
+        object.__setattr__(self, "limit_offset", _vec(
+            np.concatenate([[self.f_min, -self.f_max] * 4, -rate_max]), 14))
+        object.__setattr__(self, "limit_scale", _vec(
+            np.concatenate([[self.f_max - self.f_min] * 8, rate_max]), 14))
 
     @classmethod
     def quad_a(cls) -> "QuadParams":
@@ -121,11 +128,8 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     3 body rates by multiplying with sign and summing column pairs.  Returns
     (N, 14), (14,) and (14,); scale_c is that limit's range.
     """
-    rate_max = np.repeat(params.omega_max, 2)
-    offset = np.concatenate([[params.f_min, -params.f_max] * 4, -rate_max])
-    scale = np.concatenate([[params.f_max - params.f_min] * 8, rate_max])
     res = np.repeat(np.hstack([out.rotor, out.omega]), 2, axis=1)
     res *= LIMIT_SIGN
-    res += offset
-    return res, LIMIT_SIGN, scale
+    res += params.limit_offset
+    return res, LIMIT_SIGN, params.limit_scale
 

@@ -54,12 +54,24 @@ def _basis(t, max_order: int, min_order: int = 0) -> np.ndarray:
     a batch of times; (N, max_order+1-min_order, 2s), row i holding order
     min_order + i.  Entry (k, m) is m!/(m-k)! t^(m-k)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    powers = np.stack([t ** p for p in range(NCOEF - min_order)], axis=-1)
+    rows, n = max_order + 1 - min_order, len(t)
     # Stored order-major so that each order's (N, 2s) slice is contiguous.
-    table = np.zeros((max_order + 1 - min_order, len(t), NCOEF))
-    for k in range(min_order, min(max_order + 1, NCOEF)):
-        np.multiply(_FALLING[k, k:], powers[:, :NCOEF - k],
-                    out=table[k - min_order, :, k:])
+    # Entry (k, i, m), for order k = min_order + r, sits at flat index
+    # r (N 2s + 1) + i 2s + min_order + p with p = m - k.  So the entries of
+    # one power p, over all orders, are one strided view, which takes t^p in
+    # one write; the entries with m < k stay +0.0.  The padding keeps the
+    # last order's view in bounds.
+    size = rows * n * NCOEF
+    flat = np.zeros(size + rows + NCOEF)
+    for p in range(NCOEF - min_order):
+        orders = min(rows, NCOEF - min_order - p)
+        start = min_order + p
+        column = flat[start:start + orders * (n * NCOEF + 1)].reshape(orders, -1)
+        column[:, :n * NCOEF:NCOEF] = t ** p
+    table = flat[:size].reshape(rows, n, NCOEF)
+    # Orders of 2s and above stay zero.
+    top = min(max_order + 1, NCOEF)
+    table[:top - min_order] *= _FALLING[min_order:top, None]
     return table.swapaxes(0, 1)
 
 

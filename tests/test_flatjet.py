@@ -7,7 +7,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from raceplan._flatjet import EPS_SING, GRAVITY, flat_outputs, mixer_matrix, vjp
+from raceplan._flatjet import (
+    EPS_SING, GRAVITY, HEADING, _cross, _dot, flat_outputs, mixer_matrix, vjp,
+)
 
 VALUE_FIELDS = ("rotor", "omega", "rotation", "singular")
 # Flat-input column -> (derivative order, dim) in the (N, K, 3) input.
@@ -333,3 +335,37 @@ def test_vjp_on_gathered_columns_matches_full_rows_bitwise(quad_a, seed):
     for rows in subsets:
         got = vjp(out.kept[:, rows], quad_a, rotor_bar[rows], omega_bar[rows])
         assert_bitwise(got, full[rows], f"rows {rows[:3]}")
+
+
+def signed_zero_vectors(rng, n):
+    """(3, n) seeded vectors with about a fifth of the entries +0.0 and a
+    fifth -0.0."""
+    v = rng.normal(size=(3, n))
+    u = rng.random((3, n))
+    v[u < 0.2] = 0.0
+    v[u > 0.8] = -0.0
+    return v
+
+
+def test_dot_and_cross_match_einsum_and_np_cross_bitwise():
+    """_dot adds as einsum("ni,ni->n") adds each (N, 3) row, and _cross
+    computes as np.cross, byte for byte with signed zeros, the heading on
+    either side of a cross, and stacks of vectors on either side."""
+    rng = np.random.default_rng(400)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        a, b = signed_zero_vectors(rng, n), signed_zero_vectors(rng, n)
+        want_dot = np.einsum("ni,ni->n", a.T.copy(), b.T.copy())
+        assert_bitwise(_dot(a, b), want_dot, "dot")
+        cases = [(a, b), (a, HEADING), (HEADING, b)]
+        for x, y in cases:
+            assert_bitwise(_cross(x, y), np.cross(x.T, y.T).T, "cross")
+        # Stacks of vectors, as the kernel batches adjacent rows of kept.
+        stack = np.stack([a, b, a])
+        assert_bitwise(_dot(stack, b), np.stack([want_dot, _dot(b, b), want_dot]),
+                       "stacked dot")
+        for x, y in cases:
+            assert_bitwise(_cross(stack, y), np.stack([_cross(v, y) for v in stack]),
+                           "stacked cross, left")
+            assert_bitwise(_cross(x, stack), np.stack([_cross(x, v) for v in stack]),
+                           "stacked cross, right")

@@ -297,6 +297,22 @@ class TestExactReference:
         assert got.tobytes() == \
             np.ascontiguousarray(traj.eval_local(seg, local, 5)[:, 2:]).tobytes()
 
+    def test_basis_from_order_one_matches_full_table_contiguous_orders(self):
+        """The adjoint's table from order 1 on equals the full table's rows
+        1-5 byte for byte, and in every table each order's (N, 2s) slice is
+        C-contiguous, the layout that eval_local's einsums round by."""
+        t = np.random.default_rng(22).uniform(0.0, 60.0, 500)
+        t[:3] = 0.0
+        full = _basis(t, 5)
+        part = _basis(t, 5, min_order=1)
+        assert part.shape == (500, 5, 6)
+        assert np.ascontiguousarray(part).tobytes() == \
+            np.ascontiguousarray(full[:, 1:]).tobytes()
+        for table in (full, part, _basis(t, 4, min_order=2), _basis(t, 7),
+                      _basis(t[:1], 5, min_order=2)):
+            for order in range(table.shape[1]):
+                assert table[:, order].flags.c_contiguous, order
+
     def test_cached_layout_matches_broadcast_assembly(self):
         """Segment counts 1-9, then again in reverse and shuffled, so each
         count's cached layout is reused after others: the coefficients equal
