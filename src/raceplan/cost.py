@@ -191,3 +191,31 @@ def objective(dec: DecisionVector, seq: GateSequence, params: QuadParams,
         gradient=DecisionVector(D=grad_d, K=grad_k),
         spline=traj,
     )
+
+
+@dataclass(frozen=True)
+class Evaluator:
+    """One solve's problem, as plain data so that it pickles."""
+
+    dec0: DecisionVector
+    seq: GateSequence
+    params: QuadParams
+    bc0: BoundaryCondition
+    bcf: BoundaryCondition
+
+    def __call__(self, x, grid=None):
+        """(f, flat gradient) at the flat vector x, laid out as ``dec0``, or
+        (+inf, None); on the sample grid of the point ``grid`` if given."""
+        kappa = None if grid is None else samples(
+            gates.time_map(self.dec0.with_flat(grid).K)[0])
+        rep = objective(self.dec0.with_flat(x), self.seq, self.params,
+                        self.bc0, self.bcf, kappa)
+        g = rep.gradient   # None exactly where the objective is +inf
+        return rep.total, None if g is None else g.to_flat()
+
+    def fine_penalty(self, dec: DecisionVector) -> float:
+        """The penalty at ``dec`` on a grid 4 times finer than the
+        objective's, so that peaks between its samples show."""
+        waypoints, durations, _, _ = gates.decode(self.seq, dec)
+        traj = spline_mod.construct(waypoints, durations, self.bc0, self.bcf)
+        return penalty(traj, self.params, samples(durations, refine=4))[0]

@@ -6,10 +6,12 @@ unbounded.  Infinite objective values (flatness singularities, absurd
 durations) are passed to it as +inf, so the solver never crashes on them.
 
 A solve's starts are independent.  Where more than one CPU can take them,
-they run side by side in forked worker processes; elsewhere they run one
-after the other in the calling process.  Either way they run at one OpenBLAS
-thread: no worker's BLAS waits on a thread without a core, and no idle BLAS
-thread spins beside L-BFGS-B.  Both ways give the same bits.
+they run side by side in forked worker processes, each sent the solve's
+``cost.Evaluator`` pickled (fork only spares them importing numpy and scipy
+again); elsewhere they run one after the other in the calling process.
+Either way they run at one OpenBLAS thread: no worker's BLAS waits on a
+thread without a core, and no idle BLAS thread spins beside L-BFGS-B.  Both
+ways give the same bits.
 """
 
 from __future__ import annotations
@@ -256,36 +258,20 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(n_starts: int) -> int:
-    """Workers for n_starts starts: one per start, at most one per usable
-    CPU."""
+    """One worker per start, at most one per usable CPU."""
     return min(n_starts, _usable_cpus())
 
 
-_worker_fg = None   # in a forked worker, the objective of the parent's solve
-
-
-def _start_worker(fg, set_blas_threads):
-    global _worker_fg
-    _worker_fg = fg
-    set_blas_threads(1)
-
-
-def _run_start(x0):
-    return _minimize(_worker_fg, x0)
+def _run_start(fg, x0):
+    return _minimize(fg, x0)
 
 
 def _run_starts(fg, starts):
-    """``_minimize(fg, x0)`` for each start, in start order.
-
-    With more than one worker, the starts run in a pool of forked workers
-    while this process waits; the pool is gone when this returns or raises.
-    Fork, not spawn: the closure ``fg`` cannot be pickled, and a spawned
-    worker would import numpy and scipy afresh.  The workers run only
-    ``_minimize``.  Where the BLAS thread count cannot be set, the starts
-    run here one after the other.  With one worker, or inside a daemonic
-    process (which may not have children), they run here at one BLAS
-    thread, and the caller's thread count is back when this returns or
-    raises.
+    """``_minimize(fg, x0)`` for each start, in start order.  A pool of
+    forked workers is gone when this returns or raises.  Where the BLAS
+    thread count cannot be set, the starts run here; with one worker, or in
+    a daemonic process (which may not have children), they run here at one
+    BLAS thread, and the caller's count is back when this returns or raises.
     """
     blas = _blas_threads()
     if blas is None:
@@ -300,8 +286,8 @@ def _run_starts(fg, starts):
         finally:
             set_blas_threads(previous)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, _start_worker, (fg, set_blas_threads)) as pool:
-        return pool.map(_run_start, starts, chunksize=1)
+    with ctx.Pool(workers, set_blas_threads, (1,)) as pool:
+        return pool.map(functools.partial(_run_start, fg), starts, chunksize=1)
 
 
 def _restore_feasibility(dec: DecisionVector, penalty_of):
@@ -378,44 +364,30 @@ def solve(seq: GateSequence, params: QuadParams,
     sampled state/control trajectories, every ``sample_dt`` s (finite and
     above 0), and diagnostics.
     """
-    if not 0 < sample_dt < np.inf:
-        raise RaceplanError(
-            f"sample_dt must be a finite number above 0, got {sample_dt}")
+    if isinstance(sample_dt, bool) or not (isinstance(sample_dt, numbers.Real)
+                                           and 0 < sample_dt < np.inf):
+        raise ValidationError(
+            f"sample_dt must be a finite number above 0, got {sample_dt!r}")
     # Loaded by a solve only, before the clock and any fork: workers inherit it.
     import scipy.optimize  # noqa: F401
     t_start = time.perf_counter()
     dec0 = initialize(seq, bc0, bcf, opt_cfg)
 
-    def fg(x, grid=None):
-        kappa = None
-        if grid is not None:
-            kappa = cost_mod.samples(gates_mod.time_map(dec0.with_flat(grid).K)[0])
-        rep = cost_mod.objective(dec0.with_flat(x), seq, params, bc0, bcf, kappa)
-        if rep.gradient is None:
-            return np.inf, None
-        return rep.total, rep.gradient.to_flat()
-
+    evaluator = cost_mod.Evaluator(dec0, seq, params, bc0, bcf)
     starts = [dec0.to_flat()]
     rng = np.random.default_rng(opt_cfg.seed)
     for _ in range(opt_cfg.restarts):
         starts.append(starts[0] + rng.normal(scale=0.3, size=len(starts[0])))
 
     best = None
-    for x, f, diag in _run_starts(fg, starts):
+    for x, f, diag in _run_starts(evaluator, starts):
         if best is None or f < best[1]:
             best = (x, f, diag)
     x, f, diag = best
     diag.wall_time = time.perf_counter() - t_start
 
-    # Verify restoration on a grid finer than both the optimization
-    # sampling and the export rate, so peaks between penalty samples
-    # cannot slip past the downstream bound checks.
-    def penalty_of(d):
-        waypoints, durations, _, _ = gates_mod.decode(seq, d)
-        traj = cost_mod.spline_mod.construct(waypoints, durations, bc0, bcf)
-        return cost_mod.penalty(traj, params, cost_mod.samples(durations, refine=4))[0]
-
-    dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x), penalty_of)
+    dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x),
+                                                   evaluator.fine_penalty)
     report = cost_mod.objective(dec, seq, params, bc0, bcf)
     traj = report.spline
     times, states, controls = _sample_trajectory(traj, params, sample_dt)

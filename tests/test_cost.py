@@ -1,5 +1,6 @@
 """Tests for the time-plus-penalty objective and its analytic gradients."""
 
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,9 @@ import pytest
 
 from conftest import hover_pair, mixed_sequence
 from raceplan import _flatjet
-from raceplan.cost import PENALTY_WEIGHTS, _sample_grid, objective, penalty, samples
+from raceplan.cost import (
+    PENALTY_WEIGHTS, Evaluator, _sample_grid, objective, penalty, samples,
+)
 from raceplan.gates import DecisionVector, time_map
 from raceplan.model import limit_residuals
 from raceplan.optimizer import OptimizerConfig, initialize
@@ -377,3 +380,25 @@ class TestObjective:
             report = objective(dec, seq, track.quad, bc0, bcf)
         assert report.total == np.inf
         assert report.gradient is None
+
+
+class TestEvaluator:
+    def test_pickled_copy_gives_the_same_bytes(self, quad_a):
+        """Ball, polygon and polyhedron groups pickle, and the copy gives
+        the objective and gradient, on its own grid and on another point's,
+        and the fine penalty, bit for bit."""
+        seq = mixed_sequence(3)
+        bc0, bcf = hover_pair(3)
+        dec0 = DecisionVector.for_sequence(seq)
+        dec0.K -= 0.9   # short durations: the penalty is active
+        evaluator = Evaluator(dec0, seq, quad_a, bc0, bcf)
+        copy = pickle.loads(pickle.dumps(evaluator))
+        x = dec0.to_flat()
+        grid = x.copy()
+        grid[len(dec0.D):] += 0.3   # longer durations, more samples
+        assert evaluator(x)[0] != evaluator(x, grid)[0]
+        for args in ((x,), (x, grid)):
+            (f, g), (f_copy, g_copy) = evaluator(*args), copy(*args)
+            assert np.float64(f).tobytes() == np.float64(f_copy).tobytes()
+            assert g.tobytes() == g_copy.tobytes()
+        assert copy.fine_penalty(dec0) == evaluator.fine_penalty(dec0) > 0

@@ -150,13 +150,13 @@ class TestSolve:
         assert np.max(np.abs(norms - 1)) < 1e-9
         assert result.states.shape[0] == result.controls.shape[0]
 
-    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf, "a", None, True])
     def test_unusable_sample_dt_is_refused_before_the_starts(
             self, single_ball_problem, dt, monkeypatch):
         """An export period that is not a finite number above 0 raises
         before any start runs."""
         monkeypatch.setattr(optimizer, "_run_starts", None)
-        with pytest.raises(RaceplanError, match="sample_dt must be a finite"):
+        with pytest.raises(ValidationError, match="sample_dt must be a finite"):
             solve(*single_ball_problem, sample_dt=dt)
 
     def test_restarts_never_worse(self, single_ball_problem):
@@ -484,6 +484,27 @@ def test_waypoint_loop_robust_to_gradient_rounding(monkeypatch):
         result = solve(seq, track.quad, bc0, bcf)
         assert result.diagnostics.termination != "line_search_failure"
         assert abs(result.total_time - reference) <= 1e-3
+
+
+def test_each_objective_call_is_an_evaluation_or_the_export(monkeypatch):
+    """perfbench's tracer counts evaluations by wrapping
+    ``raceplan.cost.objective``.  In-process, every evaluation of the solve
+    and the export's one call reach the objective through that name."""
+    track = loop_track()
+    seq = build_sequence(track)
+    bc0 = BoundaryCondition.hover(track.start)
+    bcf = BoundaryCondition.hover(track.finish)
+    exact = raceplan.cost.objective
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(raceplan.cost, "objective", counting)
+    result = solve(seq, track.quad, bc0, bcf)
+    assert len(calls) == result.diagnostics.function_evals + 1
 
 
 def test_scipy_optimize_loads_only_when_a_solve_starts():
