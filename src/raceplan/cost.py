@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _flatjet, gates, spline as spline_mod
 from .gates import DecisionVector, GateSequence
-from .model import QuadParams, limit_residuals
+from .model import QuadParams, limit_residuals, limit_screen
 from .spline import BoundaryCondition, TrajectorySpline
 
 
@@ -55,13 +55,13 @@ def _sample_grid(durations: np.ndarray, kappa=None):
     given)."""
     if kappa is None:
         kappa = samples(durations)
-    seg_ids = np.repeat(np.arange(len(durations)), kappa + 1)
-    j = np.arange(len(seg_ids)) - (np.cumsum(kappa + 1) - (kappa + 1))[seg_ids]
-    dt = (durations / kappa)[seg_ids]
-    local = j * dt
-    weights = dt.copy()
-    ends = (j == 0) | (j == kappa[seg_ids])
-    weights[ends] *= 0.5
+    counts = kappa + 1
+    seg_ids = np.repeat(np.arange(len(durations)), counts)
+    firsts = np.cumsum(counts) - counts
+    j = np.arange(len(seg_ids)) - np.repeat(firsts, counts)
+    weights = np.repeat(durations / kappa, counts)
+    local = j * weights
+    weights[np.concatenate([firsts, firsts + kappa])] *= 0.5  # segment ends
     return seg_ids, j, local, weights, kappa
 
 
@@ -82,47 +82,47 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     ncoef = spline_mod.NCOEF
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
 
-    # The flatness map reads orders 2-4, rho_dot 3-5.  Every large array
-    # here is dropped after its last use, so that one evaluation's working
-    # set stays small.
-    derivs = traj.eval_local(seg_ids, local, max_order=5, min_order=2)
-    out = _flatjet.flat_outputs(derivs[:, :3], params)
+    # The flatness map reads orders 2-4.  Every large array here is dropped
+    # after its last use, so that one evaluation's working set stays small.
+    out = _flatjet.flat_outputs(
+        traj.eval_local(seg_ids, local, max_order=4, min_order=2), params)
     if out.singular.any():
         return math.inf, None
 
-    # Residual -> hinge, in place on one (N, 14) array.
-    hinge, sign, scale = limit_residuals(out, params)
+    # The rest runs on the active samples alone, those with a limit past its
+    # bound: any other sample has a zero hinge, rho and cotangent.  Every
+    # gradient step is elementwise per sample, and a zero-cotangent sample
+    # adds exactly +0.0 to each sum, so the result is bit for bit that of
+    # all samples.  The gather runs once, here, so that the flatness map's
+    # kept values of the other samples are freed now and grad() never holds
+    # them.
+    rows = limit_screen(out, params)
+    hinge, sign, scale = limit_residuals(out, params, rows)
+    kept = out.kept[:, rows]
+    del out
     hinge /= scale
     np.maximum(hinge, 0.0, out=hinge)
 
-    # The gradient runs on the active samples alone, those with a limit past
-    # its bound: any other sample has a zero cotangent.  Every gradient step
-    # is elementwise per sample, and a zero-cotangent sample adds exactly
-    # +0.0 to each sum, so the result is bit for bit that of all samples.
-    # The gather runs once, here, so that the flatness map's kept values of
-    # the other samples are freed now and grad() never holds them.
-    rows = np.flatnonzero(hinge.any(axis=1))
-    kept = out.kept[:, rows]
-    del out
-
     # pow only on the few residuals past their limit; the rest cube to +0.0.
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
-    rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
+    rho = np.zeros(len(local))
+    rho[rows] = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
     del cube
     value = float(weights @ rho)
 
     # d rho / d flat-outputs, with each residual pair summed onto its rotor
     # or rate.
-    hinge = np.square(hinge[rows])
+    hinge = np.square(hinge)
     hinge *= _CUBE_SLOPE
     hinge *= sign / scale
     cot = hinge[:, 0::2] + hinge[:, 1::2]
     del hinge
-    # rho_dot's inputs, the flat inputs one derivative order up (a
-    # C-contiguous copy, as einsum rounds by memory layout).
-    inputs_dot = derivs[rows, 1:].reshape(-1, 9)
-    del derivs
-    basis = spline_mod._basis(local[rows], 4, min_order=2)  # orders 2-4
+    # rho_dot's inputs, the flat inputs one derivative order up: the kept
+    # jerk and snap, and the crackle, summed as eval_local sums it, in one
+    # C-contiguous (n, 9), as einsum rounds by memory layout.
+    basis = spline_mod._basis(local[rows], 5, min_order=2)  # orders 2-5
+    crackle = np.einsum("nm,nmd->nd", basis[:, 3], traj.coefficients[seg_ids[rows]])
+    inputs_dot = np.hstack([_flatjet._views(kept)[1][1:3].reshape(6, -1).T, crackle])
     seg_ids, j, weights, rho = seg_ids[rows], j[rows], weights[rows], rho[rows]
 
     def grad():

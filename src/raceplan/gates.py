@@ -15,6 +15,7 @@ from functools import partial
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from ._frozen import Frozen, freeze
 from .errors import DimensionMismatch, EmptyAfterShrink, ValidationError
 
 #: Tolerance for the off-plane residual of planar (polygon) gates, meters.
@@ -24,13 +25,12 @@ _GEOM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BallGate:
+class BallGate(Frozen):
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3)
-        c.flags.writeable = False
+        c = freeze(np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "center", c)
         if not np.all(np.isfinite(c)):
             raise ValidationError("ball gate center must be finite")
@@ -43,7 +43,7 @@ class BallGate:
 
 
 @dataclass(frozen=True)
-class PolytopeGate:
+class PolytopeGate(Frozen):
     """Convex polygon (planar) or polyhedron gate, stored in vertex form.
 
     Halfspaces are derived at construction; for planar gates they live in the
@@ -118,15 +118,11 @@ class PolytopeGate:
         if np.max(verts @ a_mat.T - b_vec) > _GEOM_TOL:
             raise ValidationError("derived halfspaces do not contain all vertices")
 
-        a_mat.flags.writeable = False
-        b_vec.flags.writeable = False
-        verts = verts.copy()
-        verts.flags.writeable = False
         return cls(
-            vertices=verts,
-            halfspaces=(a_mat, b_vec),
+            vertices=freeze(verts.copy()),
+            halfspaces=freeze((a_mat, b_vec)),
             is_planar=bool(planar),
-            plane=plane,
+            plane=freeze(plane),
         )
 
 
@@ -134,7 +130,7 @@ Gate = BallGate | PolytopeGate
 
 
 @dataclass(frozen=True)
-class GateSequence:
+class GateSequence(Frozen):
     """Ordered gates, traversed in index order.
 
     ``offsets`` gives each gate's (start, stop) in the stacked parameters D.
@@ -167,7 +163,7 @@ class GateSequence:
                 surject = partial(_polytope_map, np.array([g.vertices for g in gates]))
             columns = np.array([np.arange(*self.offsets[i]) for i in index])
             groups.append((np.array(index), columns, surject))
-        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "groups", freeze(tuple(groups)))
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -10,17 +10,16 @@ from scipy.spatial.transform import Rotation
 
 from . import _flatjet
 from ._flatjet import GRAVITY
+from ._frozen import Frozen, freeze
 from .errors import DimensionMismatch, ValidationError
 
 
 def _vec(x, n):
-    a = np.asarray(x, dtype=float).reshape(n)
-    a.flags.writeable = False
-    return a
+    return freeze(np.asarray(x, dtype=float).reshape(n))
 
 
 @dataclass(frozen=True)
-class QuadParams:
+class QuadParams(Frozen):
     """Physical quadrotor parameters.  Inertia is in kg*m^2."""
 
     mass: float
@@ -117,9 +116,10 @@ LIMIT_SIGN = np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3)  # sign of each column
 LIMIT_SIGN.flags.writeable = False
 
 
-def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
+def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams, rows=slice(None)):
     """The 14 raw limit residuals per sample, all <= 0 iff thrust and
-    body-rate limits are met, with the per-column sign and scale.
+    body-rate limits are met, with the per-column sign and scale; of the
+    samples ``rows``, every sample by default.
 
     Layout: [f_min - f_i, f_i - f_max] for each rotor, then
     [w_j - w_max_j, -w_j - w_max_j] per axis.  Column c is
@@ -128,8 +128,19 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams):
     3 body rates by multiplying with sign and summing column pairs.  Returns
     (N, 14), (14,) and (14,); scale_c is that limit's range.
     """
-    res = np.repeat(np.hstack([out.rotor, out.omega]), 2, axis=1)
+    res = np.repeat(np.hstack([out.rotor[rows], out.omega[rows]]), 2, axis=1)
     res *= LIMIT_SIGN
     res += params.limit_offset
     return res, LIMIT_SIGN, params.limit_scale
 
+
+def limit_screen(out: _flatjet.FlatOutputs, params: QuadParams):
+    """Indices of the rows of limit_residuals(out, params) with a residual
+    over its scale not <= 0, NaN included, from the 7 outputs: the larger of
+    each one's two residuals, over their common scale, rounds as each does."""
+    x = np.hstack([out.rotor, out.omega])
+    res = params.limit_offset[LIMIT_SIGN < 0] - x
+    x += params.limit_offset[LIMIT_SIGN > 0]
+    np.maximum(res, x, out=res)
+    res /= params.limit_scale[::2]
+    return np.flatnonzero(~(res <= 0.0).all(axis=1))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
+from ._frozen import Frozen, freeze
 from .errors import DimensionMismatch, OutOfDomain, SingularSystem, ValidationError
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
@@ -29,7 +30,7 @@ _FALLING = np.array([[math.perm(m, k) for m in range(NCOEF)] for k in range(NCOE
 
 
 @dataclass(frozen=True)
-class BoundaryCondition:
+class BoundaryCondition(Frozen):
     """Position and its derivatives 1..s-1 at an endpoint, (s, 3)."""
 
     derivatives: np.ndarray
@@ -38,9 +39,7 @@ class BoundaryCondition:
         d = np.asarray(self.derivatives, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise ValidationError("boundary condition must be (s, 3)")
-        d = d.copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "derivatives", d)
+        object.__setattr__(self, "derivatives", freeze(d.copy()))
 
     @classmethod
     def hover(cls, position) -> "BoundaryCondition":
@@ -83,6 +82,7 @@ class TrajectorySpline:
     coefficients: np.ndarray    # (L+1, 2s, 3)
     waypoints: np.ndarray       # (L, 3) interpolated positions at junctions
     _factor: tuple = field(repr=False)  # (lu, ipiv, kl, ku)
+    _at_end: np.ndarray = field(repr=False)  # _basis(durations, 2s-1)
 
     @property
     def total_time(self) -> float:
@@ -172,7 +172,8 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     rhs[n - s:] = bcf.derivatives
     positions, sources = _band_layout(num_seg)
     factorials = np.diagonal(_FALLING)[:-1]
-    values = np.concatenate([_basis(T, ncoef - 2).ravel(), factorials, -factorials])
+    at_end = _basis(T, ncoef - 1)  # the adjoint reads orders 1..2s-1
+    values = np.concatenate([at_end[:, :-1].ravel(), factorials, -factorials])
     ab = np.zeros((2 * kl + ku + 1, n))
     np.put(ab, positions, values[sources])
 
@@ -188,7 +189,7 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
         durations=T.copy(),
         coefficients=coeffs,
         waypoints=P.copy(),
-        _factor=(lu, ipiv, kl, ku),
+        _factor=(lu, ipiv, kl, ku), _at_end=at_end,
     )
 
 
@@ -212,7 +213,7 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity
     # orders 0..2s-2) take orders 1, 1, 2, .., 2s-1; end rows take 1..s.
-    at_end = _basis(spline.durations, ncoef - 1, min_order=1)  # orders 1..2s-1
+    at_end = spline._at_end[:, 1:]  # orders 1..2s-1
     junction = _row_sums(lam[s:n - s].reshape(num_seg - 1, ncoef, 3),
                          at_end[:-1, np.r_[0, :ncoef - 1]], spline.coefficients[:-1])
     end = _row_sums(lam[None, n - s:], at_end[-1:, :s], spline.coefficients[-1:])

@@ -3,7 +3,8 @@
 import pickle
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -87,6 +88,24 @@ class TestConfigs:
         want = np.concatenate([np.arange(k + 1) for k in kappa])
         assert j.dtype == want.dtype and np.array_equal(j, want)
         assert np.array_equal(seg_ids, np.repeat(np.arange(5), kappa + 1))
+
+    def test_local_times_and_weights_match_per_segment_loops(self):
+        """Each segment's local times are its ranks times T / kappa, and its
+        trapezoid weights are that step, halved at both ends, bit for bit,
+        on a pinned grid too."""
+        durations = np.array([0.05, 0.5, 0.01, 1.01, 0.16])
+        for kappa in (None, samples(durations, refine=4)):
+            _, _, local, weights, kappa = _sample_grid(durations, kappa)
+            want_local, want_weights = [], []
+            for T, k in zip(durations, kappa):
+                dt = T / k
+                want_local.append(np.arange(k + 1) * dt)
+                w = np.full(k + 1, dt)
+                w[0] *= 0.5
+                w[-1] *= 0.5
+                want_weights.append(w)
+            assert local.tobytes() == np.concatenate(want_local).tobytes()
+            assert weights.tobytes() == np.concatenate(want_weights).tobytes()
 
 
 class TestPenalty:
@@ -325,10 +344,10 @@ class TestObjective:
 
     def test_working_set_per_sample(self):
         """One evaluation of the 8-lap, 56-gate loop at its initial point
-        (1,722 samples) peaks at no more than 925 traced bytes per sample
-        (835 measured with numpy 2.4): each large per-sample array lives
-        only until its last use, and the gradient holds the active samples
-        alone."""
+        (1,722 samples) peaks at no more than 850 traced bytes per sample
+        (772 measured with numpy 2.4, in the flatness map): each large
+        per-sample array lives only until its last use, and the penalty's
+        tail and the gradient hold the active samples alone."""
         track = loop_track()
         seq = build_sequence(track, laps=8)
         bc0 = BoundaryCondition.hover(track.start)
@@ -344,7 +363,7 @@ class TestObjective:
         finally:
             tracemalloc.stop()
         assert report.gradient is not None
-        assert peak <= 925 * n, f"{peak / n:.0f} bytes per sample"
+        assert peak <= 850 * n, f"{peak / n:.0f} bytes per sample"
 
     def test_sampling_refinement_consistency(self, quad_a):
         """Doubling the sample resolution barely moves a feasible penalty."""
@@ -402,3 +421,34 @@ class TestEvaluator:
             assert np.float64(f).tobytes() == np.float64(f_copy).tobytes()
             assert g.tobytes() == g_copy.tobytes()
         assert copy.fine_penalty(dec0) == evaluator.fine_penalty(dec0) > 0
+
+    def test_pickled_copy_keeps_every_array_read_only(self, quad_a):
+        """Every array of the problem, in the fields of the frozen
+        dataclasses and in the tuples and partials there, is read-only in
+        the evaluator and in its pickled copy, which forked starts compute
+        on.  ``dec0``, a DecisionVector that only lays out flat vectors, is
+        the caller's and stays writeable."""
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, partial):
+                yield from arrays(value.args)
+            elif is_dataclass(value) and not isinstance(value, DecisionVector):
+                yield from arrays(tuple(vars(value).values()))
+
+        seq = mixed_sequence(3)
+        bc0, bcf = hover_pair(3)
+        evaluator = Evaluator(DecisionVector.for_sequence(seq), seq, quad_a,
+                              bc0, bcf)
+        copy = pickle.loads(pickle.dumps(evaluator))
+        for ev in (evaluator, copy):
+            found = list(arrays(ev))
+            # QuadParams' 6, 2 boundary conditions, a ball center, 2 polytopes'
+            # vertices and halfspaces, the polygon's plane normal, and the 3
+            # groups' indices, columns and surjection geometry.
+            assert len(found) == 23
+            assert not any(a.flags.writeable for a in found)
+            assert ev.dec0.D.flags.writeable and ev.dec0.K.flags.writeable

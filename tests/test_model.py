@@ -1,5 +1,8 @@
 """Tests for quadrotor dynamics, the mixer and the flatness maps."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from scipy.spatial.transform import Rotation
 
 from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
 from raceplan.errors import DimensionMismatch, RaceplanError
-from raceplan.model import QuadParams, dynamics, limit_residuals
+from raceplan.model import QuadParams, dynamics, limit_residuals, limit_screen
 from raceplan.optimizer import _sample_trajectory, solve
 from raceplan.spline import BoundaryCondition, construct
 from raceplan.trackio import build_sequence
@@ -310,6 +313,38 @@ class TestConstraintResiduals:
                                   quad_a)
         steps = np.abs(np.diff(values, axis=0))
         assert np.max(steps) < 1e-2  # no jumps at this probe resolution
+
+
+    @pytest.mark.parametrize("f_min", [0.0, 0.5])
+    def test_screen_picks_the_rows_of_the_nonzero_hinge(self, quad_a, f_min):
+        """limit_screen picks exactly the rows where the hinge of the 14
+        residuals, max(residual / scale, 0), has a nonzero entry, for each
+        rotor and each rate axis at each bound: exactly at it, one ulp inside
+        and past it, subnormal steps past it, where the residual divides to
+        0 or not, and at +-inf and NaN.  limit_residuals of those rows gives
+        its rows of every sample's residuals."""
+        params = replace(quad_a, f_min=f_min)
+        low = np.r_[[params.f_min] * 4, -params.omega_max]
+        high = np.r_[[params.f_max] * 4, params.omega_max]
+        values = []
+        for k in range(7):
+            for bound, out in ((low[k], -np.inf), (high[k], np.inf)):
+                values += [(k, bound), (k, np.nextafter(bound, out)),
+                           (k, np.nextafter(bound, -out))]
+                values += [(k, bound + np.sign(out) * 5e-324 * m)
+                           for m in (1, 2, 8, 9, 30)]
+            values += [(k, np.inf), (k, -np.inf), (k, np.nan)]
+        x = np.tile(0.5 * (low + high), (len(values), 1))
+        for row, (k, v) in enumerate(values):
+            x[row, k] = v
+        out = SimpleNamespace(rotor=x[:, :4], omega=x[:, 4:])
+        res, _, scale = limit_residuals(out, params)
+        want = np.flatnonzero(np.maximum(res / scale, 0.0).any(axis=1))
+        rows = limit_screen(out, params)
+        assert 0 < len(want) < len(values)
+        assert rows.tobytes() == want.tobytes()
+        active = limit_residuals(out, params, rows)[0]
+        assert active.tobytes() == res[rows].tobytes()
 
 
 class TestFlatnessDynamicsConsistency:
