@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze
+
 #: Below this thrust magnitude / axis-cross magnitude the map is singular.
 EPS_SING = 1e-6
 #: Gravitational acceleration, m/s^2, world frame (z up).
-GRAVITY = np.array([0.0, 0.0, -9.81])
-GRAVITY.flags.writeable = False
+GRAVITY = freeze(np.array([0.0, 0.0, -9.81]))
 #: The heading x_c at zero yaw, (3, 1): it broadcasts against (..., 3, N)
 #: in _cross, which keeps np.cross's arithmetic, signed zeros included.
-HEADING = np.array([[1.0], [0.0], [0.0]])
+HEADING = freeze(np.array([[1.0], [0.0], [0.0]]))
 
 
 #: Rows of FlatOutputs.kept, the forward values the VJP reads per sample:
@@ -80,8 +81,8 @@ def mixer_matrix(params) -> np.ndarray:
 
 #: Rows (1, 2, 0) and (2, 0, 1): component i of a x b is
 #: a[_J[i]] * b[_K[i]] - a[_K[i]] * b[_J[i]].
-_J = np.array([1, 2, 0])
-_K = np.array([2, 0, 1])
+_J = freeze(np.array([1, 2, 0]))
+_K = freeze(np.array([2, 0, 1]))
 
 
 def _dot(a, b, out=None):

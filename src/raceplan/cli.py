@@ -88,7 +88,7 @@ def _gate_outline(gate) -> dict:
 
 def _load(args):
     """The track file and its gate sequence under the command's flags."""
-    track = trackio.parse(args.track, strict=args.strict)
+    track = trackio.parse(args.track)
     return track, trackio.build_sequence(
         track, mode=args.mode, margin=args.margin, laps=args.laps)
 
@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gate-region or waypoint-ball planning mode")
         p.add_argument("--laps", type=int, default=None)
         p.add_argument("--margin", type=float, default=None)
-        p.add_argument("--strict", action="store_true",
-                       help="reject unknown keys in the track file")
 
     plan = sub.add_parser("plan", help="optimize a trajectory for a track")
     plan.add_argument("track")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _flatjet, gates, spline as spline_mod
+from ._frozen import freeze
 from .gates import DecisionVector, GateSequence
 from .model import QuadParams, limit_residuals, limit_screen
 from .spline import BoundaryCondition, TrajectorySpline
@@ -35,9 +36,9 @@ def samples(durations, refine: int = 1) -> np.ndarray:
 #: Dimensionless weights on the 14 normalized limit residuals, thrust and
 #: body rate alike.  They are large so the converged time/violation tradeoff
 #: sits at violations well under the 1% actuation headroom.
-PENALTY_WEIGHTS = np.full(14, 1e4)
+PENALTY_WEIGHTS = freeze(np.full(14, 1e4))
 #: d/dh of the cubic hinge's w h^3 is (3 w) h^2.
-_CUBE_SLOPE = 3.0 * PENALTY_WEIGHTS
+_CUBE_SLOPE = freeze(3.0 * PENALTY_WEIGHTS)
 
 
 @dataclass

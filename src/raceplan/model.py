@@ -112,8 +112,7 @@ def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     return np.hstack([velocity, q_dot, v_dot, w_dot])
 
 
-LIMIT_SIGN = np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3)  # sign of each column
-LIMIT_SIGN.flags.writeable = False
+LIMIT_SIGN = freeze(np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3))  # sign of each column
 
 
 def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams, rows=slice(None)):

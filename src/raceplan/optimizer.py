@@ -148,10 +148,10 @@ def _minimize(fg, x0):
     lowers the objective, the solve resumes from there and the retry counts
     as one iteration.
 
-    A non-finite objective goes to scipy as +inf, on which its line search
-    falls back to the current iterate and may then report convergence.  A
-    run that ends so, with no decrease since the non-finite trial point, is
-    a line-search failure.
+    A non-finite objective or gradient goes to scipy as +inf, on which its
+    line search falls back to the current iterate and may then report
+    convergence.  A run that ends so, with no decrease since the non-finite
+    trial point, is a line-search failure.
 
     A run has converged once ``f[k-PAST] - f[k] <= DELTA * |f[k]|`` with no
     non-finite trial point pending: the callback then halts scipy, long
@@ -174,7 +174,7 @@ def _minimize(fg, x0):
             nonlocal evals, wall
             evals += 1
             fy, gy = fg(y) if grid is None else fg(y, grid)
-            if not np.isfinite(fy):
+            if not (np.isfinite(fy) and np.isfinite(gy).all()):
                 if evals == 1:
                     raise RaceplanError("objective is not finite at the initial point")
                 wall = True
@@ -379,11 +379,9 @@ def solve(seq: GateSequence, params: QuadParams,
     for _ in range(opt_cfg.restarts):
         starts.append(starts[0] + rng.normal(scale=0.3, size=len(starts[0])))
 
-    best = None
-    for x, f, diag in _run_starts(evaluator, starts):
-        if best is None or f < best[1]:
-            best = (x, f, diag)
-    x, f, diag = best
+    x, f, diag = min(_run_starts(evaluator, starts), key=lambda run: run[1])
+    if not np.isfinite(f):
+        raise RaceplanError("no start reached a finite objective")
     diag.wall_time = time.perf_counter() - t_start
 
     dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x),

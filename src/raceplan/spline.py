@@ -26,7 +26,8 @@ MAX_SEGMENT_DURATION = 60.0
 S = 3
 NCOEF = 2 * S
 #: Falling factorials m!/(m-k)!: row k, column m, zero where m < k.
-_FALLING = np.array([[math.perm(m, k) for m in range(NCOEF)] for k in range(NCOEF)], float)
+_FALLING = freeze(np.array([[math.perm(m, k) for m in range(NCOEF)]
+                            for k in range(NCOEF)], float))
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,8 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     num_seg = len(T)
     if num_seg != len(P) + 1:
         raise DimensionMismatch("need exactly len(P)+1 durations")
-    if np.any(T <= 0):
-        raise ValidationError("segment durations must be positive")
-    if np.any(T > MAX_SEGMENT_DURATION):
-        raise ValidationError("segment duration exceeds conditioning guard")
+    if not np.all((T > 0) & (T <= MAX_SEGMENT_DURATION)):  # NaN fails too
+        raise ValidationError(f"durations must be in (0, {MAX_SEGMENT_DURATION:g}] s")
     s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
         raise DimensionMismatch("boundary conditions must provide s rows")

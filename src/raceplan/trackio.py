@@ -69,13 +69,11 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
-def _check_keys(mapping, allowed, context, strict):
-    if strict:
-        unknown = set(mapping) - allowed
-        if unknown:
-            raise ValidationError(
-                f"{context}: unknown keys {sorted(unknown)} (strict mode)"
-            )
+def _check_keys(mapping, allowed, context):
+    unknown = set(mapping) - allowed
+    if unknown:
+        # key=str: YAML keys may be numbers, None or dates beside strings.
+        raise ValidationError(f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _number(value, context):
@@ -103,7 +101,7 @@ def _vec3(value, context):
     return v
 
 
-def _parse_quad(node, strict) -> QuadParams:
+def _parse_quad(node) -> QuadParams:
     if isinstance(node, str):
         presets = {"quad_a": QuadParams.quad_a, "quad_b": QuadParams.quad_b}
         if node not in presets:
@@ -111,7 +109,7 @@ def _parse_quad(node, strict) -> QuadParams:
         return presets[node]()
     if not isinstance(node, dict):
         raise ValidationError("quad: expected a preset name or a mapping")
-    _check_keys(node, _QUAD_KEYS, "quad", strict)
+    _check_keys(node, _QUAD_KEYS, "quad")
     units = node.get("inertia_units", "g_m2")
     if units not in ("g_m2", "kg_m2"):
         raise ValidationError(f"quad.inertia_units: unknown unit {units!r}")
@@ -131,11 +129,11 @@ def _parse_quad(node, strict) -> QuadParams:
         raise ValidationError(f"quad: {exc}") from exc
 
 
-def _parse_gate(node, index, strict) -> Gate:
+def _parse_gate(node, index) -> Gate:
     ctx = f"gates[{index}]"
     if not isinstance(node, dict):
         raise ValidationError(f"{ctx}: expected a mapping")
-    _check_keys(node, _GATE_KEYS, ctx, strict)
+    _check_keys(node, _GATE_KEYS, ctx)
     gtype = _require(node, "type", ctx)
     try:
         if gtype == "ball":
@@ -154,31 +152,31 @@ def _parse_gate(node, index, strict) -> Gate:
     return gate
 
 
-def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
-    """Parse a track document from a string."""
+def loads(text: str, name: str = "<string>") -> TrackFile:
+    """Parse a track document from a string; unknown keys are errors."""
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:  # nested too deep to compose
         raise ParseError(f"{name}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: track document must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "track", strict)
+    _check_keys(doc, _TOP_KEYS, "track")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    quad = _parse_quad(_require(doc, "quad", "track"), strict)
+    quad = _parse_quad(_require(doc, "quad", "track"))
     start = _vec3(_require(doc, "start", "track"), "start")
     finish = _vec3(_require(doc, "finish", "track"), "finish")
     gate_nodes = _require(doc, "gates", "track")
     if not isinstance(gate_nodes, list) or not gate_nodes:
         raise ValidationError("gates: must be a nonempty list")
-    gates = tuple(_parse_gate(g, i, strict) for i, g in enumerate(gate_nodes))
+    gates = tuple(_parse_gate(g, i) for i, g in enumerate(gate_nodes))
     opt_node = doc.get("options", {}) or {}
     if not isinstance(opt_node, dict):
         raise ValidationError("options: expected a mapping")
-    _check_keys(opt_node, _OPTION_KEYS, "options", strict)
+    _check_keys(opt_node, _OPTION_KEYS, "options")
     given = {k: opt_node[k] for k in _OPTION_KEYS if k in opt_node}
     for key in ("margin", "waypoint_tolerance"):
         if key in given:
@@ -192,14 +190,14 @@ def loads(text: str, name: str = "<string>", strict: bool = False) -> TrackFile:
     )
 
 
-def parse(path, strict: bool = False) -> TrackFile:
+def parse(path) -> TrackFile:
     """Parse and validate a track file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return loads(text, name=str(path), strict=strict)
+    return loads(text, name=str(path))
 
 
 def _gate_node(gate: Gate) -> dict:

@@ -63,7 +63,8 @@ BAD_FLAGS = (["--laps", "0"], ["--laps", "101"], ["--laps", "abc"],
              ["--dt", "nan"], ["--dt", "inf"], ["--seed", "-1"],
              ["--seed", "1.5"], ["--restarts", "-1"],
              ["--restarts", str(optimizer.MAX_RESTARTS + 1)],
-             ["--restarts", str(10**18)], ["--mode", "fastest"], ["--bogus"])
+             ["--restarts", str(10**18)], ["--mode", "fastest"], ["--bogus"],
+             ["--strict"])
 
 
 class _Pairs(list):
@@ -318,6 +319,23 @@ class TestPlan:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("radius, message", [
+        (1e40, "no start reached a finite objective"),
+        (1e52, "objective is not finite at the initial point"),
+    ])
+    def test_huge_ball_gate_exits_solver(self, radius, message, tmp_path):
+        """The loop with gate 3 a ball of radius 1e40 m, whose first step
+        overflows, or 1e52 m, whose initial gradient is NaN: plan exits 2
+        with one solver error line, not a traceback."""
+        track = tracks.loop_track()
+        gates = list(track.gates)
+        gates[3] = BallGate(center=[1.0, 2.0, 1.0], radius=radius)
+        path = tmp_path / "huge.yaml"
+        path.write_text(trackio.serialize(replace(track, gates=tuple(gates))))
+        code, err = _outcome(["plan", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_SOLVER
+        assert err == f"solver error: {message}\n"
+
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):
         """A plan whose export fails a check still writes every artifact,
@@ -509,6 +527,18 @@ class TestPlan:
         """A missing argument or an unknown command is exit 1 too."""
         code, err = _outcome(argv)
         assert code == EXIT_VALIDATION and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("command", ["plan", "check"])
+    def test_misspelled_option_exits_validation(self, command, planned, tmp_path):
+        """`margin` misspelled `marign` is refused in one error line naming
+        its node, exit 1, not planned as a margin of 0."""
+        _, out = planned
+        track = tmp_path / "track.yaml"
+        track.write_text(TRACK.replace("margin:", "marign:"))
+        argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path / "out")],
+                "check": ["check", str(out / "trajectory.csv"), str(track)]}
+        assert _outcome(argv[command]) == (
+            EXIT_VALIDATION, "error: options: unknown keys ['marign']\n")
 
     def test_help_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,6 +1,8 @@
 """Tests for the time-plus-penalty objective and its analytic gradients."""
 
+import importlib
 import pickle
+import pkgutil
 import tracemalloc
 import warnings
 from dataclasses import is_dataclass, replace
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import hover_pair, mixed_sequence
+import raceplan
 from raceplan import _flatjet
 from raceplan.cost import (
     PENALTY_WEIGHTS, Evaluator, _sample_grid, objective, penalty, samples,
@@ -452,3 +455,17 @@ class TestEvaluator:
             assert len(found) == 23
             assert not any(a.flags.writeable for a in found)
             assert ev.dec0.D.flags.writeable and ev.dec0.K.flags.writeable
+
+
+def test_module_level_arrays_are_read_only():
+    """Every ndarray bound at module level in raceplan, the penalty weights
+    among them, is read-only: a stray in-place write would change every
+    objective without an error."""
+    found = {}
+    for info in pkgutil.iter_modules(raceplan.__path__):
+        module = importlib.import_module(f"raceplan.{info.name}")
+        found.update({f"{info.name}.{name}": value
+                      for name, value in vars(module).items()
+                      if isinstance(value, np.ndarray)})
+    assert "cost.PENALTY_WEIGHTS" in found and "spline._FALLING" in found
+    assert [name for name, a in found.items() if a.flags.writeable] == []

@@ -408,6 +408,15 @@ class TestMinimize:
         assert x[0] < 1.0 and f == (x[0] - 3.0) ** 2
         self.assert_bookkeeping(diag, calls)
 
+    def test_nan_gradient_at_the_start_is_an_error(self):
+        """A finite objective with a NaN gradient entry at the initial
+        point, as an overflowing penalty gives, is no finite start: an
+        error, and scipy never sees the gradient."""
+        fg, calls = self.counted(lambda x: (1.0, np.array([0.0, np.nan])))
+        with pytest.raises(RaceplanError, match="not finite at the initial point"):
+            _minimize(fg, np.zeros(2))
+        assert len(calls) == 1
+
     def test_smooth_bowl_converges(self):
         scale = np.array([1.0, 10.0, 100.0])
         fg, calls = self.counted(

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lapack, null_space
 
 from raceplan import spline
-from raceplan.errors import DimensionMismatch, OutOfDomain
+from raceplan.errors import DimensionMismatch, OutOfDomain, ValidationError
 from raceplan.spline import (
     BoundaryCondition, _basis, construct, propagate_gradients,
 )
@@ -233,6 +233,14 @@ class TestConstruct:
             construct(np.zeros((0, 3)), [-1.0], bc, bc)
         with pytest.raises(ValueError):
             construct(np.zeros((0, 3)), [100.0], bc, bc)
+
+    @pytest.mark.parametrize("duration", [np.nan, 0.0, -1.0, 61.0])
+    def test_duration_outside_the_guard_refused(self, duration):
+        """A duration that is NaN, at most 0, or past the 60 s guard is
+        refused before the solve, not turned into NaN coefficients."""
+        hover = BoundaryCondition.hover([0, 0, 0])
+        with pytest.raises(ValidationError, match="durations"):
+            construct(np.zeros((1, 3)), [duration, 1.0], hover, hover)
 
     def test_four_wide_inputs_refused(self):
         """The flat output is the position alone: a yaw column is refused."""

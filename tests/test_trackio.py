@@ -74,9 +74,9 @@ class TestParse:
 
     def test_strict_mode_rejects_unknown_keys(self):
         doc = MINIMAL + "\nmystery_key: 1\n"
-        loads(doc)  # lax mode tolerates it
-        with pytest.raises(ValidationError, match="unknown keys"):
-            loads(doc, strict=True)
+        with pytest.raises(ValidationError) as info:
+            loads(doc)
+        assert str(info.value) == "track: unknown keys ['mystery_key']"
 
     def test_quad_mapping_with_units(self):
         doc = yaml.safe_load(MINIMAL)
@@ -163,6 +163,16 @@ class TestParse:
         _says("quad: arm length and torque constant give no finite mixer",
               lambda d: d.__setitem__("quad", {**QUAD, "arm_length": 5e-324,
                                                "torque_const": 5e-324})),
+        # A key outside the format is refused at every level, named with
+        # its node; YAML keys need not be strings.
+        _says("quad: unknown keys ['mas']",
+              lambda d: d.__setitem__("quad", {**QUAD, "mas": 0.85})),
+        _says("gates[0]: unknown keys ['tunnel']",
+              lambda d: d["gates"][0].__setitem__("tunnel", True)),
+        _says("options: unknown keys ['marign']",
+              lambda d: d.__setitem__("options", {"marign": 0.2})),
+        _says("track: unknown keys [1, None, 'z']",
+              lambda d: d.update({1: "a", None: "b", "z": "c"})),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
