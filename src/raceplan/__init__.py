@@ -3,10 +3,7 @@
 from ._flatjet import FlatOutputs, flat_outputs, mixer_matrix
 from .checks import Check, verify
 from .cost import CostReport, objective, penalty, samples
-from .errors import (
-    DimensionMismatch, EmptyAfterShrink, OutOfDomain, ParseError,
-    RaceplanError, SingularSystem, ValidationError,
-)
+from .errors import RaceplanError, ValidationError
 from .gates import (
     BallGate, DecisionVector, GateSequence, PolytopeGate, contains, decode,
     shrink_margin, surject, time_map, time_map_inverse,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import trackio
 from .checks import verify
-from .errors import ParseError, RaceplanError, ValidationError
+from .errors import RaceplanError, ValidationError
 from .optimizer import OptimizerConfig, solve
 from .spline import BoundaryCondition
 
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RaceplanError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ._frozen import Frozen, freeze
-from .errors import DimensionMismatch, EmptyAfterShrink, ValidationError
+from .errors import ValidationError
 
 #: Tolerance for the off-plane residual of planar (polygon) gates, meters.
 EPS_PLANE = 1e-6
@@ -189,7 +189,7 @@ class DecisionVector:
     def with_flat(self, x: np.ndarray) -> "DecisionVector":
         nd = len(self.D)
         if len(x) != nd + len(self.K):
-            raise DimensionMismatch("flat vector length does not match")
+            raise ValidationError("flat vector length does not match")
         return DecisionVector(D=x[:nd].copy(), K=x[nd:].copy())
 
 
@@ -264,7 +264,7 @@ def surject(gate: Gate, d):
     Jacobians dp/dd, (N, 3, param_dim)."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[1] != gate.param_dim:
-        raise DimensionMismatch(f"gate parameters must be (N, {gate.param_dim})")
+        raise ValidationError(f"gate parameters must be (N, {gate.param_dim})")
     (_, _, group_map), = GateSequence((gate,)).groups
     return group_map(d)
 
@@ -303,7 +303,7 @@ def decode(seq: GateSequence, dec: DecisionVector):
     (G, 3, dim) Jacobians of the gates in ``seq.groups[k]``.
     """
     if dec.D.shape != (seq.offsets[-1][1],) or len(dec.K) != len(seq) + 1:
-        raise DimensionMismatch("decision vector does not match gate sequence")
+        raise ValidationError("decision vector does not match gate sequence")
     waypoints = np.empty((len(seq), 3))
     jacs = []
     for index, columns, surject in seq.groups:
@@ -340,7 +340,7 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
         return gate
     if isinstance(gate, BallGate):
         if margin > gate.radius:
-            raise EmptyAfterShrink("margin exceeds ball radius")
+            raise ValidationError("margin exceeds ball radius")
         return BallGate(center=gate.center, radius=gate.radius - margin)
 
     a_mat, b_vec = gate.halfspaces
@@ -363,6 +363,6 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
     r_min = float(np.min(r_faces))
     lam = 1.0 - margin / (2.0 * r_min)
     if lam <= 0:
-        raise EmptyAfterShrink("margin consumes the polytope gate")
+        raise ValidationError("margin consumes the polytope gate")
     new_vertices = center[None, :] + lam * (gate.vertices - center[None, :])
     return PolytopeGate.from_vertices(new_vertices, planar=gate.is_planar)

@@ -11,7 +11,7 @@ from scipy.spatial.transform import Rotation
 from . import _flatjet
 from ._flatjet import GRAVITY
 from ._frozen import Frozen, freeze
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 
 
 def _vec(x, n):
@@ -96,7 +96,7 @@ def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     velocity, body rates) under the rotor thrusts f (N, 4)."""
     x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
     if x.ndim != 2 or x.shape[1] != 13 or f.shape != (len(x), 4):
-        raise DimensionMismatch("dynamics takes states (N, 13) and thrusts (N, 4)")
+        raise ValidationError("dynamics takes states (N, 13) and thrusts (N, 4)")
     # Products summed per row, not matmul: a row rounds as it would alone.
     wrench = (f[:, None, :] * _flatjet.mixer_matrix(params)).sum(axis=-1)
     thrust, torque = wrench[:, :1], wrench[:, 1:]

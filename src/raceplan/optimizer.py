@@ -151,7 +151,8 @@ def _minimize(fg, x0):
     A non-finite objective or gradient goes to scipy as +inf, on which its
     line search falls back to the current iterate and may then report
     convergence.  A run that ends so, with no decrease since the non-finite
-    trial point, is a line-search failure.
+    trial point, is a line-search failure.  An iterate that scipy reports
+    above the last one, as after a step that overflowed, is not kept.
 
     A run has converged once ``f[k-PAST] - f[k] <= DELTA * |f[k]|`` with no
     non-finite trial point pending: the callback then halts scipy, long
@@ -164,7 +165,6 @@ def _minimize(fg, x0):
     def run(x, f, grid=None):
         """One L-BFGS-B run from x (f there, if known); returns its last
         iterate, the objective there, its termination and gradient."""
-        nonlocal iterations
         wall = False   # a non-finite trial point since f last decreased
         halted = False  # the window stop ended the run
         last = [x, f]
@@ -185,13 +185,16 @@ def _minimize(fg, x0):
             return fy, gy
 
         def callback(intermediate_result):
-            nonlocal wall, halted
+            nonlocal iterations, wall, halted
             fk = intermediate_result.fun
+            if not fk <= last[1]:  # past an overflowing step: keep the last iterate
+                return
             if fk < last[1]:
                 wall = False
             past.append(last[1])
             last[:] = intermediate_result.x.copy(), fk
             if grid is None:
+                iterations += 1
                 trace.append(fk)
             if (not wall and len(past) >= PAST
                     and past[-PAST] - fk <= DELTA * abs(fk)):
@@ -203,8 +206,6 @@ def _minimize(fg, x0):
             options={"maxcor": MEMORY, "maxiter": MAX_ITERATIONS - iterations,
                      "ftol": F_TOLERANCE, "gtol": GRAD_TOLERANCE},
         )
-        if grid is None:
-            iterations += res.nit
         if halted or (res.status == 0 and not wall):
             return last[0], last[1], "converged", res.jac
         if res.status == 1:
@@ -380,8 +381,6 @@ def solve(seq: GateSequence, params: QuadParams,
         starts.append(starts[0] + rng.normal(scale=0.3, size=len(starts[0])))
 
     x, f, diag = min(_run_starts(evaluator, starts), key=lambda run: run[1])
-    if not np.isfinite(f):
-        raise RaceplanError("no start reached a finite objective")
     diag.wall_time = time.perf_counter() - t_start
 
     dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x),

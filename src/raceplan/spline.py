@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._frozen import Frozen, freeze
-from .errors import DimensionMismatch, OutOfDomain, SingularSystem, ValidationError
+from .errors import RaceplanError, ValidationError
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
 MAX_SEGMENT_DURATION = 60.0
@@ -100,7 +100,7 @@ class TrajectorySpline:
         ts = np.asarray(ts, dtype=float)
         cum = np.concatenate([[0.0], np.cumsum(self.durations)])
         if np.any(ts < -1e-9) or np.any(ts > cum[-1] + 1e-9):
-            raise OutOfDomain("evaluation time outside [0, total_time]")
+            raise ValidationError("evaluation time outside [0, total_time]")
         idx = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0,
                       len(self.durations) - 1)
         return idx, np.clip(ts - cum[idx], 0.0, None)
@@ -145,7 +145,9 @@ def _band_layout(num_seg: int):
     )
     rows, cols, sources = (np.concatenate(parts) for parts in zip(*(
         [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
-    return (2 * (3 * s - 1) + rows - cols) * n + cols, sources  # row kl + ku + i - j
+    # Read-only: every later construct with this segment count shares them.
+    return freeze(((2 * (3 * s - 1) + rows - cols) * n + cols,  # row kl + ku + i - j
+                   sources))
 
 
 def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> TrajectorySpline:
@@ -153,15 +155,15 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     T = np.asarray(T, dtype=float)
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] != 3:
-        raise DimensionMismatch("waypoints must be (L, 3)")
+        raise ValidationError("waypoints must be (L, 3)")
     num_seg = len(T)
     if num_seg != len(P) + 1:
-        raise DimensionMismatch("need exactly len(P)+1 durations")
+        raise ValidationError("need exactly len(P)+1 durations")
     if not np.all((T > 0) & (T <= MAX_SEGMENT_DURATION)):  # NaN fails too
         raise ValidationError(f"durations must be in (0, {MAX_SEGMENT_DURATION:g}] s")
     s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
-        raise DimensionMismatch("boundary conditions must provide s rows")
+        raise ValidationError("boundary conditions must provide s rows")
 
     n = ncoef * num_seg
     kl = ku = 3 * s - 1
@@ -178,10 +180,10 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
 
     lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
     if info != 0:
-        raise SingularSystem(f"banded factorization failed (info={info})")
+        raise RaceplanError(f"banded factorization failed (info={info})")
     sol, info = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)
     if info != 0:
-        raise SingularSystem("banded solve failed")
+        raise RaceplanError("banded solve failed")
 
     coeffs = sol.reshape(num_seg, ncoef, 3)
     return TrajectorySpline(
@@ -203,11 +205,11 @@ def propagate_gradients(spline: TrajectorySpline, dJ_dC, dJ_dT_direct):
     dJ_dC = np.asarray(dJ_dC, dtype=float).reshape(n, 3)
     dJ_dT_direct = np.asarray(dJ_dT_direct, dtype=float)
     if len(dJ_dT_direct) != num_seg:
-        raise DimensionMismatch("dJ_dT_direct must have one entry per segment")
+        raise ValidationError("dJ_dT_direct must have one entry per segment")
 
     lam, info = lapack.dgbtrs(lu, kl, ku, dJ_dC, ipiv, trans=1)
     if info != 0:
-        raise SingularSystem("adjoint banded solve failed")
+        raise RaceplanError("adjoint banded solve failed")
 
     # d/dT of every T-dependent row bumps its derivative order by one on the
     # segment that ends there: junction rows (position, then continuity

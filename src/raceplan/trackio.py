@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .gates import (
     BallGate, Gate, GateSequence, PolytopeGate, gate_center, shrink_margin,
 )
@@ -25,7 +25,8 @@ _QUAD_KEYS = {
     "mass", "arm_length", "inertia", "inertia_units", "torque_const",
     "f_min", "f_max", "omega_max",
 }
-_GATE_KEYS = {"type", "center", "radius", "vertices"}
+_GATE_KEYS = {"ball": {"type", "center", "radius"},
+              "polygon": {"type", "vertices"}, "polyhedron": {"type", "vertices"}}
 _OPTION_KEYS = {"margin", "laps", "mode", "waypoint_tolerance"}
 _TOP_KEYS = {"schema_version", "quad", "start", "finish", "gates", "options"}
 #: The most laps a track may ask for.  build_sequence repeats the gate list
@@ -133,7 +134,10 @@ def _parse_gate(node, index) -> Gate:
     ctx = f"gates[{index}]"
     if not isinstance(node, dict):
         raise ValidationError(f"{ctx}: expected a mapping")
-    _check_keys(node, _GATE_KEYS, ctx)
+    gtype = node.get("type")
+    # A missing, unknown or unhashable type meets every type's keys; refused below.
+    allowed = _GATE_KEYS.get(gtype) if isinstance(gtype, str) else None
+    _check_keys(node, allowed or set().union(*_GATE_KEYS.values()), ctx)
     gtype = _require(node, "type", ctx)
     try:
         if gtype == "ball":
@@ -157,9 +161,9 @@ def loads(text: str, name: str = "<string>") -> TrackFile:
     try:
         doc = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:  # nested too deep to compose
-        raise ParseError(f"{name}: {exc}") from exc
+        raise ValidationError(f"{name}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{name}: track document must be a mapping")
+        raise ValidationError(f"{name}: track document must be a mapping")
     _check_keys(doc, _TOP_KEYS, "track")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -195,8 +199,8 @@ def parse(path) -> TrackFile:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return loads(text, name=str(path))
 
 
@@ -259,7 +263,7 @@ def build_sequence(track: TrackFile, mode: str | None = None,
     as they are but named by their flag (``--margin``).  Waypoint mode
     replaces gates by tolerance balls at the original centers (margins do
     not apply); gate mode shrinks each gate by the margin, and a margin
-    that consumes a gate raises ``EmptyAfterShrink``, a ``ValidationError``.
+    that consumes a gate raises ``ValidationError``.
     """
     options = track.options
     for key, value in {"mode": mode, "margin": margin, "laps": laps}.items():

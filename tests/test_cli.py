@@ -251,8 +251,9 @@ class TestPlan:
         assert main(["plan", str(bad)]) == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
-    def test_missing_track_exits_validation(self, tmp_path):
-        assert main(["plan", str(tmp_path / "absent.yaml")]) == EXIT_VALIDATION
+    def test_missing_track_exits_io(self, tmp_path):
+        code, err = _outcome(["plan", str(tmp_path / "absent.yaml")])
+        assert code == EXIT_IO and err.startswith("i/o error: "), err
 
     def test_far_track_round_trip(self, tmp_path, capsys):
         """A 200 m straight, whose 3 m/s initial guess exceeds the spline's
@@ -320,13 +321,15 @@ class TestPlan:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("radius, message", [
-        (1e40, "no start reached a finite objective"),
+        pytest.param(1e40, "the plan fails gate containment, rotor thrust bounds, "
+                     "body rate bounds", id="1e+40-the plan fails its checks"),
         (1e52, "objective is not finite at the initial point"),
     ])
     def test_huge_ball_gate_exits_solver(self, radius, message, tmp_path):
         """The loop with gate 3 a ball of radius 1e40 m, whose first step
-        overflows, or 1e52 m, whose initial gradient is NaN: plan exits 2
-        with one solver error line, not a traceback."""
+        overflows, so that the solve keeps its finite start, whose plan fails
+        its checks; or 1e52 m, whose initial gradient is NaN: plan exits 2
+        with one error line, not a traceback."""
         track = tracks.loop_track()
         gates = list(track.gates)
         gates[3] = BallGate(center=[1.0, 2.0, 1.0], radius=radius)
@@ -334,7 +337,9 @@ class TestPlan:
         path.write_text(trackio.serialize(replace(track, gates=tuple(gates))))
         code, err = _outcome(["plan", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_SOLVER
-        assert err == f"solver error: {message}\n"
+        # A plan that fails a check is no solver error: its artifacts exist.
+        prefix = "error" if radius == 1e40 else "solver error"
+        assert err == f"{prefix}: {message}\n"
 
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):

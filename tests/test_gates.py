@@ -11,9 +11,7 @@ from scipy.optimize import root
 
 from conftest import hover_pair, mixed_sequence, tetra_gate, unit_square_gate
 from raceplan.cost import objective, penalty
-from raceplan.errors import (
-    DimensionMismatch, EmptyAfterShrink, ValidationError,
-)
+from raceplan.errors import ValidationError
 from raceplan.gates import (
     BallGate, DecisionVector, GateSequence, PolytopeGate, contains, decode,
     gate_center, shrink_margin, surject, time_map, time_map_inverse,
@@ -189,7 +187,7 @@ class TestSurject:
 
     def test_rejects_other_shapes(self):
         for d in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 1, 4))):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(ValidationError, match=r"gate parameters must be \(N, 4\)"):
                 surject(unit_square_gate(), d)
 
 
@@ -299,7 +297,7 @@ class TestDecode:
     def test_dimension_mismatch(self):
         seq = mixed_sequence(2)
         dec = DecisionVector.for_sequence(mixed_sequence(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="decision vector does not match"):
             decode(seq, dec)
 
 
@@ -420,9 +418,9 @@ class TestShrinkMargin:
         assert shrink_margin(gate, 0.0) is gate
 
     def test_overlarge_margin_raises(self):
-        with pytest.raises(EmptyAfterShrink):
+        with pytest.raises(ValidationError, match="margin exceeds ball radius"):
             shrink_margin(BallGate(center=[0, 0, 0], radius=0.5), 0.6)
-        with pytest.raises(EmptyAfterShrink):
+        with pytest.raises(ValidationError, match="margin consumes the polytope gate"):
             shrink_margin(unit_square_gate(), 2.0)
 
     def test_polygon_center_matches_per_triangle_sums(self):

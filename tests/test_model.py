@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
-from raceplan.errors import DimensionMismatch, RaceplanError
+from raceplan.errors import RaceplanError, ValidationError
 from raceplan.model import QuadParams, dynamics, limit_residuals, limit_screen
 from raceplan.optimizer import _sample_trajectory, solve
 from raceplan.spline import BoundaryCondition, construct
@@ -136,7 +136,7 @@ class TestDynamics:
         ((1, 2, 13), (1, 2, 4)),
     ])
     def test_other_shapes_are_refused(self, quad_a, x_shape, f_shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"dynamics takes states \(N, 13\)"):
             dynamics(np.zeros(x_shape), np.zeros(f_shape), quad_a)
 
 

@@ -417,6 +417,24 @@ class TestMinimize:
             _minimize(fg, np.zeros(2))
         assert len(calls) == 1
 
+    def test_overflowing_first_step_keeps_the_finite_start(self):
+        """A huge but finite start whose every other point is +inf, as a
+        gate of radius 1e40 m gives: scipy's first step overflows, and its
+        non-finite iterate is not kept in place of the start."""
+        x0 = np.array([1.0, -2.0])
+
+        def cliff(x):
+            if np.array_equal(x, x0):
+                return 1e202, np.array([4e203, -1e203])
+            return np.inf, np.zeros(2)
+
+        fg, calls = self.counted(cliff)
+        x, f, diag = _minimize(fg, x0.copy())
+        assert x.tolist() == x0.tolist() and f == 1e202
+        assert diag.objective_trace == [1e202]
+        assert diag.termination == "line_search_failure"
+        self.assert_bookkeeping(diag, calls)
+
     def test_smooth_bowl_converges(self):
         scale = np.array([1.0, 10.0, 100.0])
         fg, calls = self.counted(

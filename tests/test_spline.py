@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lapack, null_space
 
 from raceplan import spline
-from raceplan.errors import DimensionMismatch, OutOfDomain, ValidationError
+from raceplan.errors import ValidationError
 from raceplan.spline import (
     BoundaryCondition, _basis, construct, propagate_gradients,
 )
@@ -227,7 +227,7 @@ class TestConstruct:
 
     def test_input_validation(self):
         bc = BoundaryCondition.hover([0, 0, 0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"need exactly len\(P\)\+1 durations"):
             construct(np.zeros((2, 3)), [1.0], bc, bc)
         with pytest.raises(ValueError):
             construct(np.zeros((0, 3)), [-1.0], bc, bc)
@@ -247,7 +247,7 @@ class TestConstruct:
         with pytest.raises(ValueError):
             BoundaryCondition(np.zeros((3, 4)))
         bc = BoundaryCondition.hover([0, 0, 0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"waypoints must be \(L, 3\)"):
             construct(np.zeros((2, 4)), [1.0, 1.0, 1.0], bc, bc)
 
     def test_bandwidth_bounded(self):
@@ -260,6 +260,15 @@ class TestConstruct:
             mat, _, _ = dense_oracle(P, T, bc0, bcf, s=s)
             rows, cols = np.nonzero(mat)
             assert np.max(np.abs(rows - cols)) <= 4 * s
+
+    def test_cached_band_layout_is_read_only(self):
+        """Every construct with a segment count shares that count's cached
+        index arrays: a stray write to one must raise, not corrupt them."""
+        hover = BoundaryCondition.hover([0, 0, 0])
+        construct(np.zeros((2, 3)), [1.0, 1.0, 1.0], hover, hover)
+        for array in spline._band_layout(3):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_construct_scales_linearly(self):
         rng = np.random.default_rng(3)
@@ -383,9 +392,9 @@ class TestEval:
     def test_out_of_domain(self):
         bc = BoundaryCondition.hover([0, 0, 1])
         traj = construct(np.zeros((0, 3)), [1.0], bc, bc)
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(ValidationError, match="evaluation time outside"):
             traj.eval_batch([1.5], 4)
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(ValidationError, match="evaluation time outside"):
             traj.eval_batch([-0.5], 4)
 
 

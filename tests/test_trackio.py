@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from raceplan.errors import ParseError, RaceplanError, ValidationError
+from raceplan.errors import RaceplanError, ValidationError
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.trackio import (
     MAX_LAPS, build_sequence, loads, parse, serialize, to_waypoint_mode,
@@ -91,7 +91,7 @@ class TestParse:
         assert np.allclose(track.quad.inertia_diag, [1.0, 1.0, 1.7])
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(FileNotFoundError):
             parse(tmp_path / "nope.yaml")
 
     def test_parse_file_round_trip(self, tmp_path):
@@ -173,6 +173,19 @@ class TestParse:
               lambda d: d.__setitem__("options", {"marign": 0.2})),
         _says("track: unknown keys [1, None, 'z']",
               lambda d: d.update({1: "a", None: "b", "z": "c"})),
+        # Each gate type has its own keys; a type that is no string is
+        # still refused as a type.
+        _says("gates[0]: unknown keys ['center', 'radius']",
+              lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
+                  [3, -1, 0.5], [3, 1, 0.5], [3, 1, 2.5]],
+                  "center": [3, 0, 1.5], "radius": 0.5}])),
+        _says("gates[0]: unknown keys ['vertices']",
+              lambda d: d["gates"][0].__setitem__("vertices", [[3, 0, 1.5]])),
+        _says("gates[0]: unknown keys ['radius']",
+              lambda d: d.__setitem__("gates", [{"type": "polyhedron", "vertices": [
+                  [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "radius": 0.5}])),
+        _says("gates[0].type: unknown gate type [1, 2]",
+              lambda d: d["gates"][0].__setitem__("type", [1, 2])),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
@@ -183,7 +196,7 @@ class TestParse:
             assert str(info.value) == mutate.message
 
     def test_invalid_yaml_is_parse_error(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="<string>: "):
             loads("gates: [unclosed")
 
 
