@@ -99,7 +99,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     # them.
     rows = limit_screen(out, params)
     hinge, sign, scale = limit_residuals(out, params, rows)
-    kept = out.kept[:, rows]
+    kept = np.take(out.kept, rows, axis=1)  # C order: the VJP reads rows
     del out
     hinge /= scale
     np.maximum(hinge, 0.0, out=hinge)
@@ -119,11 +119,15 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     cot = hinge[:, 0::2] + hinge[:, 1::2]
     del hinge
     # rho_dot's inputs, the flat inputs one derivative order up: the kept
-    # jerk and snap, and the crackle, summed as eval_local sums it, in one
-    # C-contiguous (n, 9), as einsum rounds by memory layout.
+    # jerk and snap, and the crackle, summed as eval_local sums it.  They
+    # fill one (n, 9) allocated C-contiguous, as einsum rounds by memory
+    # layout: np.hstack would take its order from its inputs, F here.
     basis = spline_mod._basis(local[rows], 5, min_order=2)  # orders 2-5
-    crackle = np.einsum("nm,nmd->nd", basis[:, 3], traj.coefficients[seg_ids[rows]])
-    inputs_dot = np.hstack([_flatjet._views(kept)[1][1:3].reshape(6, -1).T, crackle])
+    crackle = np.einsum("nm,nmd->nd", basis[:, 3],
+                        traj.segment_coefficients(seg_ids[rows]))
+    inputs_dot = np.empty((len(rows), 9))
+    inputs_dot[:, :6] = _flatjet._views(kept)[1][1:3].reshape(6, -1).T
+    inputs_dot[:, 6:] = crackle
     seg_ids, j, weights, rho = seg_ids[rows], j[rows], weights[rows], rho[rows]
 
     def grad():

@@ -134,12 +134,10 @@ def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams, rows=slice(No
 
 
 def limit_screen(out: _flatjet.FlatOutputs, params: QuadParams):
-    """Indices of the rows of limit_residuals(out, params) with a residual
-    over its scale not <= 0, NaN included, from the 7 outputs: the larger of
-    each one's two residuals, over their common scale, rounds as each does."""
-    x = np.hstack([out.rotor, out.omega])
-    res = params.limit_offset[LIMIT_SIGN < 0] - x
-    x += params.limit_offset[LIMIT_SIGN > 0]
-    np.maximum(res, x, out=res)
-    res /= params.limit_scale[::2]
-    return np.flatnonzero(~(res <= 0.0).all(axis=1))
+    """Indices of the samples with one of the 7 outputs outside its bounds,
+    NaN included.  These hold every row of limit_residuals(out, params) with
+    a residual over its scale not <= 0, and any whose positive residual
+    underflows to 0 over its scale, whose hinge is an exact zero."""
+    inside = (params.f_min <= out.rotor) & (out.rotor <= params.f_max)
+    rates = (-params.omega_max <= out.omega) & (out.omega <= params.omega_max)
+    return np.flatnonzero(~(inside.all(axis=1) & rates.all(axis=1)))

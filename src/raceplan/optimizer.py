@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import multiprocessing
 import numbers
 import os
@@ -162,16 +163,18 @@ def _minimize(fg, x0):
     evals = iterations = 0
     trace = []
 
-    def run(x, f, grid=None):
-        """One L-BFGS-B run from x (f there, if known); returns its last
-        iterate, the objective there, its termination and gradient."""
+    def run(x, f, g, grid=None):
+        """One L-BFGS-B run from x (f and gradient g there, if known);
+        returns its last iterate, the objective and gradient there, and its
+        termination."""
         wall = False   # a non-finite trial point since f last decreased
         halted = False  # the window stop ended the run
-        last = [x, f]
+        last = [x, f, g]
         past = []      # f at the run's start and at each earlier iterate
+        g_eval = None  # the gradient at the last point evaluated
 
         def fun(y):
-            nonlocal evals, wall
+            nonlocal evals, wall, g_eval
             evals += 1
             fy, gy = fg(y) if grid is None else fg(y, grid)
             if not (np.isfinite(fy) and np.isfinite(gy).all()):
@@ -180,8 +183,9 @@ def _minimize(fg, x0):
                 wall = True
                 return np.inf, np.zeros_like(y)
             if last[1] is None:
-                last[1] = fy
+                last[1:] = fy, gy
                 trace.append(fy)
+            g_eval = gy
             return fy, gy
 
         def callback(intermediate_result):
@@ -192,7 +196,8 @@ def _minimize(fg, x0):
             if fk < last[1]:
                 wall = False
             past.append(last[1])
-            last[:] = intermediate_result.x.copy(), fk
+            # scipy reports an iterate right after evaluating it.
+            last[:] = intermediate_result.x.copy(), fk, g_eval
             if grid is None:
                 iterations += 1
                 trace.append(fk)
@@ -207,25 +212,25 @@ def _minimize(fg, x0):
                      "ftol": F_TOLERANCE, "gtol": GRAD_TOLERANCE},
         )
         if halted or (res.status == 0 and not wall):
-            return last[0], last[1], "converged", res.jac
+            return *last, "converged"
         if res.status == 1:
-            return last[0], last[1], "max_iter", res.jac
-        return last[0], last[1], "line_search_failure", res.jac
+            return *last, "max_iter"
+        return *last, "line_search_failure"
 
-    x, f, termination, g = run(x0, None)
+    x, f, g, termination = run(x0, None, None)
     while termination == "line_search_failure" and iterations < MAX_ITERATIONS:
-        x_grid = run(x, f, grid=x)[0]
-        f_new, _ = fg(x_grid)
+        x_grid = run(x, f, None, grid=x)[0]
+        f_new, g_new = fg(x_grid)
         evals += 1
         if not f_new < f:
             break
         iterations += 1
         trace.append(f_new)
-        x, f, termination, g = run(x_grid, f_new)
+        x, f, g, termination = run(x_grid, f_new, g_new)
     diag = SolveDiagnostics(
         iterations=iterations,
         objective_trace=trace,
-        final_grad_norm=float(np.linalg.norm(g)),
+        final_grad_norm=math.hypot(*g),  # finite wherever the norm is
         wall_time=0.0,
         termination=termination,
         function_evals=evals,

@@ -109,12 +109,20 @@ class TrajectorySpline:
                    min_order: int = 0) -> np.ndarray:
         """Evaluate orders min_order..max_order on given segments at local
         times; (N, max_order+1-min_order, 3)."""
-        coeffs = self.coefficients[np.asarray(seg_idx)]  # (N, 2s, 3)
+        coeffs = self.segment_coefficients(seg_idx)
         basis = _basis(local, max_order, min_order)
         out = np.empty((len(basis), max_order + 1 - min_order, 3))
         for row in range(out.shape[1]):
             out[:, row] = np.einsum("nm,nmd->nd", basis[:, row], coeffs)
         return out
+
+    def segment_coefficients(self, seg_idx) -> np.ndarray:
+        """The values of ``coefficients[seg_idx]``, (N, 2s, 3), with the
+        coefficient axis at an 8-byte stride, as in LAPACK's F-ordered
+        solution: einsums over that axis round by their operands' strides,
+        and a C-contiguous gather changes their last bits."""
+        return np.take(self.coefficients.transpose(2, 0, 1), np.asarray(seg_idx),
+                       axis=1).transpose(1, 2, 0)
 
     def eval_batch(self, ts, max_order: int) -> np.ndarray:
         """Position derivatives, shape (N, max_order+1, 3)."""
@@ -125,7 +133,8 @@ class TrajectorySpline:
 @functools.lru_cache(maxsize=None)
 def _band_layout(num_seg: int):
     """For num_seg segments, the flat position of each entry of construct's
-    band matrix, and its flat index into [_basis(T, 2s-2), k!, -k!]."""
+    band matrix in Fortran order, and its flat index into
+    [_basis(T, 2s-2), k!, -k!]."""
     s, ncoef, n = S, NCOEF, NCOEF * num_seg
     # Rows: the start boundary (orders 0..s-1 of segment 0 at t = 0); per
     # junction j between segments j and j+1, position interpolation then
@@ -146,7 +155,8 @@ def _band_layout(num_seg: int):
     rows, cols, sources = (np.concatenate(parts) for parts in zip(*(
         [a.ravel() for a in np.broadcast_arrays(*block)] for block in blocks)))
     # Read-only: every later construct with this segment count shares them.
-    return freeze(((2 * (3 * s - 1) + rows - cols) * n + cols,  # row kl + ku + i - j
+    band_rows = 3 * (3 * s - 1) + 1  # 2 kl + ku + 1
+    return freeze((cols * band_rows + 2 * (3 * s - 1) + rows - cols,  # row kl + ku + i - j
                    sources))
 
 
@@ -175,10 +185,12 @@ def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> Trajector
     factorials = np.diagonal(_FALLING)[:-1]
     at_end = _basis(T, ncoef - 1)  # the adjoint reads orders 1..2s-1
     values = np.concatenate([at_end[:, :-1].ravel(), factorials, -factorials])
-    ab = np.zeros((2 * kl + ku + 1, n))
-    np.put(ab, positions, values[sources])
+    # In Fortran order, as dgbtrf takes it, so that it factors ab in place
+    # rather than a copy; ab.T is C-contiguous, as np.put needs.
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    np.put(ab.T, positions, values[sources])
 
-    lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
+    lu, ipiv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=True)
     if info != 0:
         raise RaceplanError(f"banded factorization failed (info={info})")
     sol, info = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)

@@ -328,7 +328,7 @@ class TestPlan:
     def test_huge_ball_gate_exits_solver(self, radius, message, tmp_path):
         """The loop with gate 3 a ball of radius 1e40 m, whose first step
         overflows, so that the solve keeps its finite start, whose plan fails
-        its checks; or 1e52 m, whose initial gradient is NaN: plan exits 2
+        its checks, and reports the gradient norm there; or 1e52 m, whose initial gradient is NaN: plan exits 2
         with one error line, not a traceback."""
         track = tracks.loop_track()
         gates = list(track.gates)
@@ -340,6 +340,9 @@ class TestPlan:
         # A plan that fails a check is no solver error: its artifacts exist.
         prefix = "error" if radius == 1e40 else "solver error"
         assert err == f"{prefix}: {message}\n"
+        if radius == 1e40:  # the gradient norm at the kept start
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["solver"]["final_grad_norm"] > 1e203
 
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):

@@ -323,7 +323,9 @@ def test_component_major_kernel_matches_reference_bitwise(quad_a, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_vjp_on_gathered_columns_matches_full_rows_bitwise(quad_a, seed):
     """The VJP of any subset of the samples, one sample included, gives
-    their rows of the VJP of all samples, bit for bit."""
+    their rows of the VJP of all samples, bit for bit, on the columns
+    gathered by fancy index (F order) and by np.take (C order, as
+    cost.penalty gathers them)."""
     derivs = random_batch(seed, n=300)
     out = flat_outputs(derivs[:, 2:5], quad_a)
     rng = np.random.default_rng(300 + seed)
@@ -333,8 +335,9 @@ def test_vjp_on_gathered_columns_matches_full_rows_bitwise(quad_a, seed):
     subsets = [np.array([k]) for k in (0, 137, n - 1)]
     subsets += [np.array([5, 6]), np.sort(rng.choice(n, 40, replace=False))]
     for rows in subsets:
-        got = vjp(out.kept[:, rows], quad_a, rotor_bar[rows], omega_bar[rows])
-        assert_bitwise(got, full[rows], f"rows {rows[:3]}")
+        for kept in (out.kept[:, rows], np.take(out.kept, rows, axis=1)):
+            got = vjp(kept, quad_a, rotor_bar[rows], omega_bar[rows])
+            assert_bitwise(got, full[rows], f"rows {rows[:3]}")
 
 
 def signed_zero_vectors(rng, n):

@@ -317,12 +317,14 @@ class TestConstraintResiduals:
 
     @pytest.mark.parametrize("f_min", [0.0, 0.5])
     def test_screen_picks_the_rows_of_the_nonzero_hinge(self, quad_a, f_min):
-        """limit_screen picks exactly the rows where the hinge of the 14
-        residuals, max(residual / scale, 0), has a nonzero entry, for each
-        rotor and each rate axis at each bound: exactly at it, one ulp inside
-        and past it, subnormal steps past it, where the residual divides to
-        0 or not, and at +-inf and NaN.  limit_residuals of those rows gives
-        its rows of every sample's residuals."""
+        """limit_screen picks exactly the rows where one of the 14 residuals
+        is above 0 or NaN, for each rotor and each rate axis at each bound:
+        exactly at it, one ulp inside and past it, subnormal steps past it,
+        where the residual divides to 0 or not, and at +-inf and NaN.  These
+        are the rows where the hinge, max(residual / scale, 0), has a nonzero
+        entry, and the rows whose positive residual divides to 0, whose hinge
+        is all zeros.  limit_residuals of those rows gives its rows of every
+        sample's residuals."""
         params = replace(quad_a, f_min=f_min)
         low = np.r_[[params.f_min] * 4, -params.omega_max]
         high = np.r_[[params.f_max] * 4, params.omega_max]
@@ -339,10 +341,17 @@ class TestConstraintResiduals:
             x[row, k] = v
         out = SimpleNamespace(rotor=x[:, :4], omega=x[:, 4:])
         res, _, scale = limit_residuals(out, params)
-        want = np.flatnonzero(np.maximum(res / scale, 0.0).any(axis=1))
+        hinge = np.maximum(res / scale, 0.0)
+        want = np.flatnonzero(~(res <= 0.0).all(axis=1))
         rows = limit_screen(out, params)
         assert 0 < len(want) < len(values)
         assert rows.tobytes() == want.tobytes()
+        nonzero = np.flatnonzero(hinge.any(axis=1))
+        underflow = np.setdiff1d(rows, nonzero)
+        assert np.isin(nonzero, rows).all()
+        assert not hinge[underflow].any()
+        # Only a bound of 0 has subnormal steps past it that divide to 0.
+        assert (len(underflow) > 0) == (f_min == 0.0)
         active = limit_residuals(out, params, rows)[0]
         assert active.tobytes() == res[rows].tobytes()
 

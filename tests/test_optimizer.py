@@ -2,6 +2,7 @@
 
 import ctypes
 import glob
+import math
 import multiprocessing
 import os
 import subprocess
@@ -420,7 +421,9 @@ class TestMinimize:
     def test_overflowing_first_step_keeps_the_finite_start(self):
         """A huge but finite start whose every other point is +inf, as a
         gate of radius 1e40 m gives: scipy's first step overflows, and its
-        non-finite iterate is not kept in place of the start."""
+        non-finite iterate is not kept in place of the start.  The gradient
+        norm reported is the start's, finite although the squares of its
+        entries overflow, not that of the zeros scipy was handed."""
         x0 = np.array([1.0, -2.0])
 
         def cliff(x):
@@ -433,7 +436,26 @@ class TestMinimize:
         assert x.tolist() == x0.tolist() and f == 1e202
         assert diag.objective_trace == [1e202]
         assert diag.termination == "line_search_failure"
+        assert diag.final_grad_norm == math.hypot(4e203, -1e203) > 1e203
         self.assert_bookkeeping(diag, calls)
+
+    def test_final_gradient_norm_is_that_of_the_returned_iterate(self):
+        """On a bowl that converges and on one behind an infinite wall,
+        which ends in a line-search failure, the reported gradient norm is
+        that of fg's gradient at the returned x."""
+        def bowl(x):
+            return float(np.sum((x - 1.0) ** 2 * [1.0, 30.0])), 2.0 * (x - 1.0) * [1.0, 30.0]
+
+        def wall(x):
+            if x[0] >= 1.0:
+                return np.inf, np.zeros(2)
+            return bowl(x - 2.0)
+
+        for f_and_g, termination in ((bowl, "converged"), (wall, "line_search_failure")):
+            fg, _ = self.counted(f_and_g)
+            x, _, diag = _minimize(fg, np.zeros(2))
+            assert diag.termination == termination
+            assert diag.final_grad_norm == math.hypot(*f_and_g(x)[1])
 
     def test_smooth_bowl_converges(self):
         scale = np.array([1.0, 10.0, 100.0])

@@ -330,6 +330,21 @@ class TestExactReference:
             for order in range(table.shape[1]):
                 assert table[:, order].flags.c_contiguous, order
 
+    def test_segment_gather_keeps_the_lapack_layout(self):
+        """segment_coefficients returns the values of coefficients[idx],
+        segments repeated and out of order included, gathered from the
+        F-ordered view of LAPACK's solution, with the 8-byte stride along
+        the coefficient axis that eval_local's einsums reduce over."""
+        rng = np.random.default_rng(41)
+        P, T, bc0, bcf = random_problem(rng, 6)
+        traj = construct(P, T, bc0, bcf)
+        assert not traj.coefficients.flags.c_contiguous
+        idx = rng.integers(0, len(T), 50)
+        got = traj.segment_coefficients(idx)
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(traj.coefficients[idx]).tobytes()
+        assert got.strides[1] == 8
+
     def test_cached_layout_matches_broadcast_assembly(self):
         """Segment counts 1-9, then again in reverse and shuffled, so each
         count's cached layout is reused after others: the coefficients equal
