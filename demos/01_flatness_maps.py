@@ -40,8 +40,9 @@ def main():
     print(f"  body rates        = {np.round(out.omega[1], 4)} rad/s")
     print(f"  rotor thrusts     = {np.round(out.rotor[1], 4)} N")
 
-    # Limit residuals: negative means within limits.
-    res = limit_residuals(out, quad)[0][1]
+    # Limit residuals, one per rotor and body rate: the distance past the
+    # nearer bound, negative within limits.
+    res = limit_residuals(out.rotor, out.omega, quad)[0][1]
     print(f"  constraint residuals (<=0 is feasible): {np.round(res, 3)}")
 
     # Mixer round trip: thrusts -> (collective, torque) -> thrusts.

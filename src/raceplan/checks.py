@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import GateSequence, contains
-from .model import QuadParams
+from .model import QuadParams, limit_residuals
 
 #: Fraction of a thrust or body-rate limit's range that samples may exceed.
 HEADROOM = 0.01
@@ -93,20 +93,17 @@ def verify(times, states, controls, seq: GateSequence,
         contained &= len(passes) > 0
         ordered &= len(later) > 0 or len(passes) == 0
         idx = later[0] if len(later) else idx
-    slack = HEADROOM * (params.f_max - params.f_min)
-    rates = np.abs(rates)
+    res, _, scale = limit_residuals(controls, rates, params)
+    within = res <= HEADROOM * scale
     norms = np.linalg.norm(quats, axis=1)
     return [
         Check("gate containment", contained),
         Check("traversal order", ordered),
-        Check("rotor thrust bounds",
-              bool(np.all(controls >= params.f_min - slack)
-                   and np.all(controls <= params.f_max + slack)),
+        Check("rotor thrust bounds", bool(within[:, :4].all()),
               (float(controls.min()), float(controls.max())),
               "range [{:.3f}, {:.3f}] N"),
-        Check("body rate bounds",
-              bool(np.all(rates <= params.omega_max * (1 + HEADROOM))),
-              (float(rates.max()),), "max {:.3f} rad/s"),
+        Check("body rate bounds", bool(within[:, 4:].all()),
+              (float(np.abs(rates).max()),), "max {:.3f} rad/s"),
         Check("quaternion norms", bool(np.all(np.abs(norms - 1) < 1e-6))),
         Check("monotone timestamps", bool(np.all(np.diff(times) > 0))),
     ]

@@ -33,10 +33,10 @@ def samples(durations, refine: int = 1) -> np.ndarray:
     return np.maximum(refine * MIN_SAMPLES, counts)
 
 
-#: Dimensionless weights on the 14 normalized limit residuals, thrust and
-#: body rate alike.  They are large so the converged time/violation tradeoff
-#: sits at violations well under the 1% actuation headroom.
-PENALTY_WEIGHTS = freeze(np.full(14, 1e4))
+#: Dimensionless weights on the 7 normalized two-sided limit residuals, 4
+#: rotor thrusts then 3 body rates.  They are large so the converged time/
+#: violation tradeoff sits at violations well under the 1% actuation headroom.
+PENALTY_WEIGHTS = freeze(np.full(7, 1e4))
 #: d/dh of the cubic hinge's w h^3 is (3 w) h^2.
 _CUBE_SLOPE = freeze(3.0 * PENALTY_WEIGHTS)
 
@@ -98,7 +98,7 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     # kept values of the other samples are freed now and grad() never holds
     # them.
     rows = limit_screen(out, params)
-    hinge, sign, scale = limit_residuals(out, params, rows)
+    hinge, sign, scale = limit_residuals(out.rotor[rows], out.omega[rows], params)
     kept = np.take(out.kept, rows, axis=1)  # C order: the VJP reads rows
     del out
     hinge /= scale
@@ -111,13 +111,11 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     del cube
     value = float(weights @ rho)
 
-    # d rho / d flat-outputs, with each residual pair summed onto its rotor
-    # or rate.
-    hinge = np.square(hinge)
-    hinge *= _CUBE_SLOPE
-    hinge *= sign / scale
-    cot = hinge[:, 0::2] + hinge[:, 1::2]
+    # d rho / d flat-outputs, the 4 rotor thrusts then the 3 body rates.
+    cot = np.square(hinge)
     del hinge
+    cot *= _CUBE_SLOPE
+    cot *= sign / scale
     # rho_dot's inputs, the flat inputs one derivative order up: the kept
     # jerk and snap, and the crackle, summed as eval_local sums it.  They
     # fill one (n, 9) allocated C-contiguous, as einsum rounds by memory

@@ -58,11 +58,10 @@ class QuadParams(Frozen):
         object.__setattr__(self, "mixer_inverse", _vec(inverse, (4, 4)))
         # Read-only constants of every flatness pass and limit_residuals call.
         object.__setattr__(self, "inertia_column", _vec(self.inertia_diag, (3, 1)))
-        rate_max = np.repeat(self.omega_max, 2)
-        object.__setattr__(self, "limit_offset", _vec(
-            np.concatenate([[self.f_min, -self.f_max] * 4, -rate_max]), 14))
-        object.__setattr__(self, "limit_scale", _vec(
-            np.concatenate([[self.f_max - self.f_min] * 8, rate_max]), 14))
+        for name, rotor, rate in (("lower", self.f_min, -self.omega_max),
+                                  ("upper", self.f_max, self.omega_max),
+                                  ("scale", self.f_max - self.f_min, self.omega_max)):
+            object.__setattr__(self, name, _vec(np.r_[[rotor] * 4, rate], 7))
 
     @classmethod
     def quad_a(cls) -> "QuadParams":
@@ -112,32 +111,27 @@ def dynamics(x: np.ndarray, f: np.ndarray, params: QuadParams) -> np.ndarray:
     return np.hstack([velocity, q_dot, v_dot, w_dot])
 
 
-LIMIT_SIGN = freeze(np.array([-1.0, 1.0] * 4 + [1.0, -1.0] * 3))  # sign of each column
+def limit_residuals(rotor, omega, params: QuadParams):
+    """The 7 limit residuals per sample, all <= 0 iff thrust and body-rate
+    limits are met, with their signs and scales.
 
-
-def limit_residuals(out: _flatjet.FlatOutputs, params: QuadParams, rows=slice(None)):
-    """The 14 raw limit residuals per sample, all <= 0 iff thrust and
-    body-rate limits are met, with the per-column sign and scale; of the
-    samples ``rows``, every sample by default.
-
-    Layout: [f_min - f_i, f_i - f_max] for each rotor, then
-    [w_j - w_max_j, -w_j - w_max_j] per axis.  Column c is
-    sign_c * x_c + offset_c, where x lists each rotor thrust and each body
-    rate twice, so the residuals' cotangent maps back onto the 4 rotors and
-    3 body rates by multiplying with sign and summing column pairs.  Returns
-    (N, 14), (14,) and (14,); scale_c is that limit's range.
+    Of rotor thrusts (N, 4) and body rates (N, 3), in that column order,
+    each residual is max(lower - x, x - upper): |w| - w_max bit for bit on
+    a rate.  Its derivative in x is the sign, -1.0 where x < lower and +1.0
+    elsewhere, NaN included, so an inactive column's cotangent is +0.0.
+    Returns (N, 7), (N, 7) and the (7,) scales, each limit's range.
     """
-    res = np.repeat(np.hstack([out.rotor[rows], out.omega[rows]]), 2, axis=1)
-    res *= LIMIT_SIGN
-    res += params.limit_offset
-    return res, LIMIT_SIGN, params.limit_scale
+    x = np.hstack([rotor, omega])
+    res = params.lower - x
+    np.maximum(res, x - params.upper, out=res)
+    return res, np.where(x < params.lower, -1.0, 1.0), params.scale
 
 
 def limit_screen(out: _flatjet.FlatOutputs, params: QuadParams):
     """Indices of the samples with one of the 7 outputs outside its bounds,
-    NaN included.  These hold every row of limit_residuals(out, params) with
-    a residual over its scale not <= 0, and any whose positive residual
-    underflows to 0 over its scale, whose hinge is an exact zero."""
+    NaN included.  These hold every row of limit_residuals with a residual
+    over its scale not <= 0, and any whose positive residual underflows to
+    0 over its scale, whose hinge is an exact zero."""
     inside = (params.f_min <= out.rotor) & (out.rotor <= params.f_max)
     rates = (-params.omega_max <= out.omega) & (out.omega <= params.omega_max)
     return np.flatnonzero(~(inside.all(axis=1) & rates.all(axis=1)))

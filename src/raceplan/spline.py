@@ -40,6 +40,8 @@ class BoundaryCondition(Frozen):
         d = np.asarray(self.derivatives, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise ValidationError("boundary condition must be (s, 3)")
+        if not np.all(np.isfinite(d)):
+            raise ValidationError("boundary condition must be finite")
         object.__setattr__(self, "derivatives", freeze(d.copy()))
 
     @classmethod

@@ -8,6 +8,7 @@ unit) with an explicit ``inertia_units`` key to override.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,10 +46,15 @@ class TrackOptions:
         if self.mode not in ("togt", "togt-wp"):
             raise ValidationError(f"options.mode: unknown mode {self.mode!r}")
         # bool is an int, but YAML's true is no lap count.
-        if isinstance(self.laps, bool) or not isinstance(self.laps, int) or self.laps < 1:
+        if isinstance(self.laps, bool) or not (isinstance(self.laps, numbers.Integral)
+                                               and self.laps >= 1):
             raise ValidationError("options.laps must be an integer >= 1")
         if self.laps > MAX_LAPS:
             raise ValidationError(f"options.laps must be at most {MAX_LAPS}")
+        for name in ("margin", "waypoint_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"options.{name} must be a number, got {value!r}")
         if not self.margin >= 0:
             raise ValidationError("options.margin must be >= 0")
         if not 0 < self.waypoint_tolerance < np.inf:
@@ -236,10 +242,10 @@ def serialize(track: TrackFile) -> str:
         "finish": [float(x) for x in track.finish],
         "gates": [_gate_node(g) for g in track.gates],
         "options": {
-            "margin": track.options.margin,
-            "laps": track.options.laps,
+            "margin": float(track.options.margin),
+            "laps": int(track.options.laps),
             "mode": track.options.mode,
-            "waypoint_tolerance": track.options.waypoint_tolerance,
+            "waypoint_tolerance": float(track.options.waypoint_tolerance),
         },
     }
     return yaml.safe_dump(doc, sort_keys=False)

@@ -16,13 +16,13 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raceplan.checks import _residuals, verify
+from raceplan.checks import HEADROOM, _residuals, verify
 from raceplan.cli import (
     CSV_COLUMNS, CSV_HEADER, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
     _write_csv, main,
 )
 from raceplan import _flatjet, cli, optimizer, tracks, trackio
-from raceplan.gates import BallGate, PolytopeGate
+from raceplan.gates import BallGate, GateSequence, PolytopeGate
 from raceplan.model import QuadParams
 
 TRACK = """
@@ -707,6 +707,32 @@ class TestCheck:
         bad_csv.write_text("\n".join(corrupted) + "\n")
         assert main(["check", str(bad_csv), str(track)]) == EXIT_VALIDATION
         assert "FAIL: gate containment" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column", range(7))
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_limits_allow_headroom_and_no_more(self, column, upper, quad_a):
+        """verify passes a rotor thrust or body rate past its bound by just
+        under HEADROOM of the limit's range, and fails one just past that, or
+        NaN, at either bound; every other check passes, and the worst values
+        are the raw extremes."""
+        params = replace(quad_a, f_min=0.5)
+        times = np.array([0.0, 0.01, 0.02])
+        states = np.zeros((3, 13))
+        states[:, 2], states[:, 3] = 1.0, 1.0  # at the gate, identity attitude
+        seq = GateSequence(gates=(BallGate(center=[0.0, 0.0, 1.0], radius=0.5),))
+        bound = (params.upper if upper else params.lower)[column]
+        step = (1.0 if upper else -1.0) * HEADROOM * params.scale[column]
+        limit = "rotor thrust bounds" if column < 4 else "body rate bounds"
+        for factor, passes in ((1 - 1e-9, True), (1 + 1e-9, False), (np.nan, False)):
+            x = np.tile(0.5 * (params.lower + params.upper), (3, 1))
+            x[1, column] = bound + factor * step
+            controls, states[:, 10:] = x[:, :4], x[:, 4:]
+            checks = verify(times, states, controls, seq, params)
+            assert [c.passed for c in checks if c.name != limit] == [True] * 5
+            assert [c.passed for c in checks if c.name == limit] == [passes]
+            if passes:
+                assert checks[2].worst == (controls.min(), controls.max())
+                assert checks[3].worst == (np.abs(x[:, 4:]).max(),)
 
     def test_scaled_thrusts_fail(self, planned, tmp_path, capsys):
         track, out = planned

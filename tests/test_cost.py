@@ -53,12 +53,11 @@ def reference_penalty_gradient(traj, params, kappa=None):
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
     derivs = traj.eval_local(seg_ids, local, 5)
     out = _flatjet.flat_outputs(derivs[:, 2:5], params)
-    hinge, sign, scale = limit_residuals(out, params)
+    hinge, sign, scale = limit_residuals(out.rotor, out.omega, params)
     hinge = np.maximum(hinge / scale, 0.0)
     cube = np.power(hinge, 3, out=np.zeros_like(hinge), where=hinge > 0.0)
     rho = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
-    bar = np.square(hinge) * (3.0 * PENALTY_WEIGHTS) * (sign / scale)
-    cot = bar[:, 0::2] + bar[:, 1::2]
+    cot = np.square(hinge) * (3.0 * PENALTY_WEIGHTS) * (sign / scale)
     g_inputs = _flatjet.vjp(out.kept, params, cot[:, :4], cot[:, 4:])
     inputs_dot = np.ascontiguousarray(derivs[:, 3:6]).reshape(-1, 9)
     rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)
@@ -128,7 +127,8 @@ class TestPenalty:
             value = penalty(traj, quad_a)[0]
             seg_ids, _, local, _, _ = _sample_grid(traj.durations)
             out = _flatjet.flat_outputs(traj.eval_local(seg_ids, local, 4, 2), quad_a)
-            feasible = bool(np.all(limit_residuals(out, quad_a)[0] <= 0))
+            res = limit_residuals(out.rotor, out.omega, quad_a)[0]
+            feasible = bool(np.all(res <= 0))
             assert (value == 0.0) == feasible
             assert value >= 0.0
 
@@ -449,10 +449,10 @@ class TestEvaluator:
         copy = pickle.loads(pickle.dumps(evaluator))
         for ev in (evaluator, copy):
             found = list(arrays(ev))
-            # QuadParams' 6, 2 boundary conditions, a ball center, 2 polytopes'
+            # QuadParams' 7, 2 boundary conditions, a ball center, 2 polytopes'
             # vertices and halfspaces, the polygon's plane normal, and the 3
             # groups' indices, columns and surjection geometry.
-            assert len(found) == 23
+            assert len(found) == 24
             assert not any(a.flags.writeable for a in found)
             assert ev.dec0.D.flags.writeable and ev.dec0.K.flags.writeable
 

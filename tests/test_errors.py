@@ -10,6 +10,7 @@ from raceplan.errors import RaceplanError, ValidationError
 from raceplan.gates import BallGate, DecisionVector, decode, shrink_margin, surject
 from raceplan.model import QuadParams, dynamics
 from raceplan.spline import BoundaryCondition, construct, propagate_gradients
+from raceplan.trackio import TrackOptions
 
 HOVER = BoundaryCondition.hover([0.0, 0.0, 1.0])
 
@@ -42,9 +43,23 @@ def _one_segment():
      "margin exceeds ball radius"),
     (lambda: shrink_margin(unit_square_gate(), 2.0),
      "margin consumes the polytope gate"),
+    (lambda: BoundaryCondition.hover([np.nan, 0.0, 1.0]),
+     "boundary condition must be finite"),
+    (lambda: BoundaryCondition.hover([np.inf, 0.0, 1.0]),
+     "boundary condition must be finite"),
+    (lambda: BoundaryCondition(np.r_[[[0.0, 0.0, 1.0]], np.full((2, 3), -np.inf)]),
+     "boundary condition must be finite"),
+    (lambda: TrackOptions(margin="0.3"), "options.margin must be a number"),
+    (lambda: TrackOptions(margin=None), "options.margin must be a number"),
+    (lambda: TrackOptions(waypoint_tolerance="0.3"),
+     "options.waypoint_tolerance must be a number"),
+    (lambda: TrackOptions(waypoint_tolerance=None),
+     "options.waypoint_tolerance must be a number"),
 ], ids=["with_flat", "decode", "surject", "construct-width", "construct-durations",
         "construct-boundary", "propagate_gradients", "dynamics", "eval_batch",
-        "shrink-ball", "shrink-polytope"])
+        "shrink-ball", "shrink-polytope", "boundary-nan", "boundary-inf",
+        "boundary-derivative-inf", "margin-str",
+        "margin-none", "tolerance-str", "tolerance-none"])
 def test_input_checks_raise_value_errors(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()

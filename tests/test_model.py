@@ -46,8 +46,9 @@ def _state(position, velocity=(0.0, 0.0, 0.0), attitude=IDENTITY_Q,
 
 
 def _limit_residuals(derivs, params):
-    """(N, 14) limit residuals of (N, 5, 3) derivatives."""
-    return limit_residuals(flat_outputs(derivs[:, 2:], params), params)[0]
+    """(N, 7) limit residuals of (N, 5, 3) derivatives."""
+    out = flat_outputs(derivs[:, 2:], params)
+    return limit_residuals(out.rotor, out.omega, params)[0]
 
 
 class TestQuadParams:
@@ -282,18 +283,18 @@ class TestExportAttitude:
 
 
 class TestConstraintResiduals:
-    """The 14 limit residuals of ``limit_residuals(flat_outputs(...))``."""
+    """The 7 two-sided limit residuals of ``limit_residuals``."""
 
     def test_hover_strictly_feasible(self, quad_a):
         res = _limit_residuals(_rest([0, 0, 1]), quad_a)
-        assert res.shape == (1, 14)
+        assert res.shape == (1, 7)
         assert np.all(res < 0)
 
     def test_excess_collective_thrust_violates(self, quad_a):
         d = np.zeros((1, 5, 3))
         d[0, 2, 2] = 4 * quad_a.f_max / quad_a.mass  # F = m*(a+g) > 4 f_max
         res = _limit_residuals(d, quad_a)[0]
-        assert np.max(res[:8]) > 0
+        assert np.max(res[:4]) > 0
 
     def test_boundary_thrust_residual_is_zero(self, quad_a):
         # Vertical acceleration chosen so each rotor sits exactly at f_max.
@@ -301,7 +302,7 @@ class TestConstraintResiduals:
         d = np.zeros((1, 5, 3))
         d[0, 2, 2] = a_z
         res = _limit_residuals(d, quad_a)[0]
-        assert np.max(np.abs(res[1:8:2])) < 1e-10
+        assert np.max(np.abs(res[:4])) < 1e-10
 
     def test_continuity_probe(self, quad_a):
         """Residuals change smoothly along a line in sample space."""
@@ -314,10 +315,37 @@ class TestConstraintResiduals:
         steps = np.abs(np.diff(values, axis=0))
         assert np.max(steps) < 1e-2  # no jumps at this probe resolution
 
+    @pytest.mark.parametrize("f_min", [0.0, 0.5])
+    def test_columns_match_the_one_sided_rules(self, quad_a, f_min):
+        """Each rotor's residual is max(f_min - f, f - f_max) and each rate's
+        |w| - w_max, bit for bit, at each bound, one ulp either side of it,
+        at +-0, +-inf and NaN.  The sign is -1.0 exactly where the output is
+        below its lower bound, so every inactive column has sign +1.0 and its
+        cotangent, 0 times the sign, is +0.0; the scale is each range."""
+        params = replace(quad_a, f_min=f_min)
+        special = np.array([[0.0], [-0.0], [np.inf], [-np.inf], [np.nan]])
+        f = np.array([params.f_min, params.f_max])
+        f = np.r_[f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf)]
+        rotor = np.tile(np.r_[f[:, None], special], 4)
+        w = params.omega_max
+        w = np.array([w, np.nextafter(w, 0.0), np.nextafter(w, np.inf)])
+        omega = np.vstack([w, -w, np.tile(special, 3)])
+        res, sign, scale = limit_residuals(rotor, omega, params)
+        assert res.shape == sign.shape == (11, 7)
+        want = np.hstack([np.maximum(params.f_min - rotor, rotor - params.f_max),
+                          np.abs(omega) - params.omega_max])
+        assert res.tobytes() == want.tobytes()
+        below = np.hstack([rotor < params.f_min, omega < -params.omega_max])
+        assert np.array_equal(sign, np.where(below, -1.0, 1.0))
+        assert np.isnan(res[-1]).all() and (sign[-1] == 1.0).all()
+        inactive = np.square(np.maximum(res / scale, 0.0)) * sign
+        assert not np.signbit(inactive[res <= 0.0]).any()
+        assert np.array_equal(scale, np.r_[[params.f_max - params.f_min] * 4,
+                                           params.omega_max])
 
     @pytest.mark.parametrize("f_min", [0.0, 0.5])
     def test_screen_picks_the_rows_of_the_nonzero_hinge(self, quad_a, f_min):
-        """limit_screen picks exactly the rows where one of the 14 residuals
+        """limit_screen picks exactly the rows where one of the 7 residuals
         is above 0 or NaN, for each rotor and each rate axis at each bound:
         exactly at it, one ulp inside and past it, subnormal steps past it,
         where the residual divides to 0 or not, and at +-inf and NaN.  These
@@ -340,7 +368,7 @@ class TestConstraintResiduals:
         for row, (k, v) in enumerate(values):
             x[row, k] = v
         out = SimpleNamespace(rotor=x[:, :4], omega=x[:, 4:])
-        res, _, scale = limit_residuals(out, params)
+        res, _, scale = limit_residuals(out.rotor, out.omega, params)
         hinge = np.maximum(res / scale, 0.0)
         want = np.flatnonzero(~(res <= 0.0).all(axis=1))
         rows = limit_screen(out, params)
@@ -352,7 +380,7 @@ class TestConstraintResiduals:
         assert not hinge[underflow].any()
         # Only a bound of 0 has subnormal steps past it that divide to 0.
         assert (len(underflow) > 0) == (f_min == 0.0)
-        active = limit_residuals(out, params, rows)[0]
+        active = limit_residuals(out.rotor[rows], out.omega[rows], params)[0]
         assert active.tobytes() == res[rows].tobytes()
 
 

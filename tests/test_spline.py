@@ -75,29 +75,22 @@ def reference_eval_local(traj, seg_idx, local, max_order):
     return out
 
 
-def pad4(x):
-    """A zero fourth column on the last axis, where a zero yaw sat."""
-    x = np.asarray(x)
-    return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-
-
 def reference_construct(P, T, bc0, bcf, s=3):
     """Banded assembly one entry at a time, junction by junction, then the
-    same banded LU solve as the library, on 4 columns padded with zeros."""
-    P = pad4(P)
+    same banded LU solve as the library, on the same 3 columns."""
     ncoef = 2 * s
     num_seg = len(T)
     n = ncoef * num_seg
     kl = ku = 3 * s - 1
     ab = np.zeros((2 * kl + ku + 1, n))
-    rhs = np.zeros((n, 4))
+    rhs = np.zeros((n, 3))
 
     def put(row, col, val):
         ab[kl + ku + row - col, col] = val
 
     for k in range(s):
         put(k, k, math.factorial(k))
-        rhs[k] = pad4(bc0.derivatives[k])
+        rhs[k] = bc0.derivatives[k]
     for i in range(1, num_seg):
         r0, c_a, c_b = s + (i - 1) * ncoef, (i - 1) * ncoef, i * ncoef
         beta0 = per_order_basis([T[i - 1]], 0, ncoef)[0]
@@ -115,22 +108,27 @@ def reference_construct(P, T, bc0, bcf, s=3):
         for m in range(ncoef):
             if beta[m] != 0.0:
                 put(n - s + k, (num_seg - 1) * ncoef + m, beta[m])
-        rhs[n - s + k] = pad4(bcf.derivatives[k])
+        rhs[n - s + k] = bcf.derivatives[k]
     lu, ipiv, _ = lapack.dgbtrf(ab, kl, ku)
     sol, _ = lapack.dgbtrs(lu, kl, ku, rhs, ipiv)
-    return sol.reshape(num_seg, ncoef, 4)[:, :, :3]
+    return sol.reshape(num_seg, ncoef, 3)
 
 
 def reference_propagate(traj, dJ_dC, dJ_dT_direct):
-    """Adjoint with the duration terms summed junction by junction, on
-    coefficients and dJ_dC padded to 4 columns with zeros."""
+    """Adjoint with the duration terms summed junction by junction, row by
+    row.  Each row's values are beta @ coefficients, as a (1, 2s) matmul,
+    and each dot with lam adds its products as (p0 + p2) + p1."""
     lu, ipiv, kl, ku = traj._factor
     s, ncoef = spline.S, spline.NCOEF
     num_seg = len(traj.durations)
     n = ncoef * num_seg
-    coefficients = pad4(traj.coefficients)
-    lam, _ = lapack.dgbtrs(lu, kl, ku, pad4(dJ_dC).reshape(n, 4), ipiv, trans=1)
-    dJ_dP = np.empty((num_seg - 1, 4))
+    lam, _ = lapack.dgbtrs(lu, kl, ku, dJ_dC.reshape(n, 3), ipiv, trans=1)
+
+    def dot(lam_row, beta, coefficients):
+        p = lam_row * (beta[None, :] @ coefficients)[0]
+        return (p[0] + p[2]) + p[1]
+
+    dJ_dP = np.empty((num_seg - 1, 3))
     dJ_dT = dJ_dT_direct.copy()
     for i in range(1, num_seg):
         r0 = s + (i - 1) * ncoef
@@ -138,14 +136,14 @@ def reference_propagate(traj, dJ_dC, dJ_dT_direct):
         contrib = 0.0
         for k in range(ncoef):
             beta = per_order_basis([traj.durations[i - 1]], max(k, 1), ncoef)[0]
-            contrib += float(lam[r0 + k] @ (beta @ coefficients[i - 1]))
+            contrib += dot(lam[r0 + k], beta, traj.coefficients[i - 1])
         dJ_dT[i - 1] -= contrib
     contrib = 0.0
     for k in range(s):
         beta = per_order_basis([traj.durations[-1]], k + 1, ncoef)[0]
-        contrib += float(lam[n - s + k] @ (beta @ coefficients[-1]))
+        contrib += dot(lam[n - s + k], beta, traj.coefficients[-1])
     dJ_dT[-1] -= contrib
-    return dJ_dP[:, :3], dJ_dT
+    return dJ_dP, dJ_dT
 
 
 def broadcast_construct(P, T, bc0, bcf):

@@ -1,5 +1,7 @@
 """Tests for track-file parsing, validation and sequence building."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -7,7 +9,8 @@ import yaml
 from raceplan.errors import RaceplanError, ValidationError
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.trackio import (
-    MAX_LAPS, build_sequence, loads, parse, serialize, to_waypoint_mode,
+    MAX_LAPS, TrackOptions, build_sequence, loads, parse, serialize,
+    to_waypoint_mode,
 )
 from raceplan.tracks import loop_track, random_track
 
@@ -251,6 +254,14 @@ class TestLaps:
             assert len(seq) == 7 * laps
             for lap in range(laps):
                 assert type(seq.gates[7 * lap]) is type(track.gates[0])
+
+    def test_integral_lap_count(self):
+        """A lap count of any integer type but bool builds, as a restart
+        count does, and options of numpy types serialize as plain YAML."""
+        assert len(build_sequence(loop_track(), laps=np.int64(2))) == 14
+        options = TrackOptions(margin=np.float64(0.1), laps=np.int64(2))
+        text = serialize(replace(loop_track(), options=options))
+        assert loads(text).options == TrackOptions(margin=0.1, laps=2)
 
     def test_bad_lap_count(self):
         with pytest.raises(ValidationError):
