@@ -17,11 +17,14 @@ GOLDEN_STEPS = 48
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Largest containment residual, m, that counts as passing a gate.
 PASS_TOL = 1e-6
+#: The body axes of the three body rates, in their column order.
+RATE_AXES = ("roll", "pitch", "yaw")
 
 
 class Check(NamedTuple):
     """One check's verdict and worst values, printed by ``fmt``: the thrust
-    range (min, max) in N or the peak body rate (max,) in rad/s, else ()."""
+    range (min, max) in N, or the peak |rate| (max,) in rad/s of the body
+    axis with the largest |rate| / omega_max, which ``fmt`` names; else ()."""
 
     name: str
     passed: bool
@@ -95,6 +98,8 @@ def verify(times, states, controls, seq: GateSequence,
         idx = later[0] if len(later) else idx
     res, _, scale = limit_residuals(controls, rates, params)
     within = res <= HEADROOM * scale
+    peaks = np.abs(rates).max(axis=0)
+    axis = int(np.argmax(peaks / params.omega_max))  # a NaN peak is the worst
     norms = np.linalg.norm(quats, axis=1)
     return [
         Check("gate containment", contained),
@@ -103,7 +108,7 @@ def verify(times, states, controls, seq: GateSequence,
               (float(controls.min()), float(controls.max())),
               "range [{:.3f}, {:.3f}] N"),
         Check("body rate bounds", bool(within[:, 4:].all()),
-              (float(np.abs(rates).max()),), "max {:.3f} rad/s"),
+              (float(peaks[axis]),), f"max {RATE_AXES[axis]} rate {{:.3f}} rad/s"),
         Check("quaternion norms", bool(np.all(np.abs(norms - 1) < 1e-6))),
         Check("monotone timestamps", bool(np.all(np.diff(times) > 0))),
     ]

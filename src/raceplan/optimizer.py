@@ -6,9 +6,11 @@ unbounded.  Infinite objective values (flatness singularities, absurd
 durations) are passed to it as +inf, so the solver never crashes on them.
 
 A solve's starts are independent.  Where more than one CPU can take them,
-they run side by side in forked worker processes, each sent the solve's
-``cost.Evaluator`` pickled (fork only spares them importing numpy and scipy
-again); elsewhere they run one after the other in the calling process.
+the calling process runs starts itself and forks one worker fewer than the
+CPUs it uses; each process takes the next unclaimed start until none is
+left.  The workers inherit the solve's ``cost.Evaluator`` and the starts at
+the fork, so nothing is pickled but each start's result on its way back.
+Elsewhere the starts run one after the other in the calling process.
 Either way they run at one OpenBLAS thread: no worker's BLAS waits on a
 thread without a core, and no idle BLAS thread spins beside L-BFGS-B.  Both
 ways give the same bits.
@@ -264,7 +266,8 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(n_starts: int) -> int:
-    """One worker per start, at most one per usable CPU."""
+    """The processes that run a solve's starts, the caller among them: one
+    per start, at most one per usable CPU."""
     return min(n_starts, _usable_cpus())
 
 
@@ -273,27 +276,118 @@ def _run_start(fg, x0):
 
 
 def _run_starts(fg, starts):
-    """``_minimize(fg, x0)`` for each start, in start order.  A pool of
-    forked workers is gone when this returns or raises.  Where the BLAS
-    thread count cannot be set, the starts run here; with one worker, or in
-    a daemonic process (which may not have children), they run here at one
-    BLAS thread, and the caller's count is back when this returns or raises.
-    """
+    """``_minimize(fg, x0)`` for each start, in start order, at one
+    scipy-OpenBLAS thread; the caller's thread count is back when this
+    returns or raises.  Where that count cannot be set, the starts run here
+    at the caller's count.  With one worker, or in a daemonic process (which
+    may not have children), they run here one after the other; otherwise
+    ``_share_starts`` runs them here and in forked workers."""
     blas = _blas_threads()
     if blas is None:
         return [_minimize(fg, x0) for x0 in starts]
     get_blas_threads, set_blas_threads = blas
     workers = _worker_count(len(starts))
-    if workers < 2 or multiprocessing.current_process().daemon:
-        previous = get_blas_threads()
-        set_blas_threads(1)
-        try:
+    previous = get_blas_threads()
+    set_blas_threads(1)  # before the fork: the workers inherit it
+    try:
+        if workers < 2 or multiprocessing.current_process().daemon:
             return [_minimize(fg, x0) for x0 in starts]
-        finally:
-            set_blas_threads(previous)
+        return _share_starts(fg, starts, workers)
+    finally:
+        set_blas_threads(previous)
+
+
+def _share_starts(fg, starts, workers):
+    """``_run_start(fg, x0)`` for each start, in start order, run by this
+    process and ``workers - 1`` forked ones.  This process runs start 0
+    before it waits on anything; then each process takes the next unclaimed
+    start until none is left.  A worker sends each start's result, or the
+    exception the start raised, back through its own pipe.
+
+    The exception of the lowest start that raised is raised once every
+    start before it is in; later starts are not waited for.  A worker that
+    exits while it holds a start it has not reported fails that start with
+    a RaceplanError naming its exit code.  No worker is left when this
+    returns or raises."""
+    import multiprocessing.connection  # loaded only by a solve that forks
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, set_blas_threads, (1,)) as pool:
-        return pool.map(functools.partial(_run_start, fg), starts, chunksize=1)
+    n = len(starts)
+    next_start = ctx.Value("i", 1)  # start 0 is the caller's
+    # held[k]: the start process k took last (the caller is process 0).
+    held = ctx.Array("i", workers, lock=False)
+    results = [None] * n  # (x, f, diagnostics), or the exception raised
+
+    def claim(k):
+        with next_start.get_lock():
+            held[k] = i = next_start.value
+            next_start.value = i + 1
+        return i
+
+    def run(i):
+        try:
+            return _run_start(fg, starts[i])
+        except Exception as error:  # raised below unless an earlier start raised
+            with next_start.get_lock():
+                next_start.value = n  # no later start can change the answer
+            return error
+
+    def work(k, conn):
+        while (i := claim(k)) < n:
+            conn.send((i, run(i)))
+
+    def decided():
+        """Whether every start before the first that raised is in."""
+        for result in results:
+            if result is None:
+                return False
+            if isinstance(result, Exception):
+                return True
+        return True
+
+    live = []  # (k, process, reader) of each worker not yet reaped
+    try:
+        for k in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=work, args=(k, writer), daemon=True)
+            worker.start()
+            live.append((k, worker, reader))
+            writer.close()
+        i = 0
+        while i < n:
+            results[i] = run(i)
+            i = claim(0)
+        while not decided():
+            ready = multiprocessing.connection.wait(
+                [w.sentinel for _, w, _ in live] + [r for _, _, r in live])
+            for entry in [e for e in live if e[1].sentinel in ready or e[2] in ready]:
+                k, worker, reader = entry
+                exited = worker.sentinel in ready
+                try:
+                    while reader.poll():
+                        i, result = reader.recv()
+                        results[i] = result
+                except EOFError:  # the worker has closed its pipe by exiting
+                    exited = True
+                if not exited:
+                    continue
+                worker.join()
+                reader.close()
+                live.remove(entry)
+                i = held[k]
+                if i < n and results[i] is None:
+                    results[i] = RaceplanError(
+                        f"the worker running start {i} exited with code "
+                        f"{worker.exitcode} before reporting it")
+    finally:
+        for _, worker, _ in live:
+            worker.terminate()
+        for _, worker, reader in live:
+            worker.join()
+            reader.close()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def _restore_feasibility(dec: DecisionVector, penalty_of):

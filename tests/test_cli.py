@@ -747,6 +747,33 @@ class TestCheck:
         assert main(["check", str(bad_csv), str(track)]) == EXIT_VALIDATION
         assert "FAIL: rotor thrust bounds" in capsys.readouterr().out
 
+    def test_scaled_rates_name_the_failing_axis(self, tmp_path, capsys):
+        """The 7-gate loop's export with every body rate x1.01: yaw fails
+        its 3 rad/s bound while roll, at a larger |rate|, keeps within its
+        15 rad/s, so the line and summary.json give yaw's peak."""
+        track = tmp_path / "loop.yaml"
+        track.write_text(trackio.serialize(tracks.loop_track()))
+        assert main(["plan", str(track), "--out-dir", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        scaled = rows[:2]
+        for line in rows[2:]:
+            cols = line.split(",")
+            cols[11:14] = [repr(1.01 * float(c)) for c in cols[11:14]]
+            scaled.append(",".join(cols))
+        csv = tmp_path / "scaled.csv"
+        csv.write_text("\n".join(scaled) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(csv), str(track)]) == EXIT_VALIDATION
+        roll, _, yaw = np.abs(
+            np.loadtxt(csv, delimiter=",", skiprows=2)[:, 11:14]).max(axis=0)
+        bound = (1 + HEADROOM) * tracks.loop_track().quad.omega_max
+        assert yaw < roll < bound[0] and yaw > bound[2]
+        assert f"FAIL: body rate bounds (max yaw rate {yaw:.3f} rad/s)" \
+            in capsys.readouterr().out.splitlines()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"]["body rate bounds"]["worst"] == \
+            [pytest.approx(yaw / 1.01, rel=1e-9)]
+
     def test_swapped_gate_order_fails_traversal(self, planned, tmp_path,
                                                 capsys):
         import yaml

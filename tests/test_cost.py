@@ -428,8 +428,7 @@ class TestEvaluator:
     def test_pickled_copy_keeps_every_array_read_only(self, quad_a):
         """Every array of the problem, in the fields of the frozen
         dataclasses and in the tuples and partials there, is read-only in
-        the evaluator and in its pickled copy, which forked starts compute
-        on.  ``dec0``, a DecisionVector that only lays out flat vectors, is
+        the evaluator and in its pickled copy.  ``dec0``, a DecisionVector that only lays out flat vectors, is
         the caller's and stays writeable."""
         def arrays(value):
             if isinstance(value, np.ndarray):

@@ -5,9 +5,12 @@ import glob
 import math
 import multiprocessing
 import os
+import select
+import struct
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,15 @@ class TestSolve:
         assert multi.objective <= plain.objective + 1e-3
 
 
+def _python(script, timeout):
+    """``script`` run by a fresh interpreter that imports this raceplan."""
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def _blas_threads():
     """The thread count of scipy's OpenBLAS, or None where it cannot be
     read."""
@@ -203,24 +215,142 @@ class TestStarts:
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_a_failing_start_reaches_the_caller(self, cpus, single_ball_problem,
                                                 monkeypatch):
-        """The restarts raise; the solve raises their error unchanged, and
-        no worker is left behind."""
+        """The restarts raise, start 1 after start 2; the solve raises start
+        1's error unchanged, and no worker is left behind.  Then start 0
+        alone raises, in the caller: the solve raises its error at once,
+        without waiting for the restarts' minute."""
         seq, _, bc0, bcf = single_ball_problem
         first = initialize(seq, bc0, bcf).to_flat()
+        # solve's draw of the restarts from OptimizerConfig's seed.
+        starts = [first, *(first + np.random.default_rng(self.CFG.seed).normal(
+            scale=0.3, size=(self.CFG.restarts, len(first))))]
         minimize = optimizer._minimize
 
         def failing(fg, x0):
-            if not np.array_equal(x0, first):
-                raise RaceplanError("this start failed")
+            index = next(i for i, x in enumerate(starts) if np.array_equal(x, x0))
+            if index == 0:
+                return minimize(fg, x0)
+            time.sleep(0.5 if index == 1 else 0.0)
+            raise RaceplanError(f"start {index} failed")
+
+        def first_failing(fg, x0):
+            if np.array_equal(x0, first):
+                raise RaceplanError("start 0 failed")
+            time.sleep(60)
             return minimize(fg, x0)
 
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(optimizer, "_minimize", failing)
-        with pytest.raises(RaceplanError) as info:
-            solve(*single_ball_problem, opt_cfg=self.CFG)
-        assert type(info.value) is RaceplanError
-        assert str(info.value) == "this start failed"
+        for patch, message in ((failing, "start 1 failed"),
+                               (first_failing, "start 0 failed")):
+            monkeypatch.setattr(optimizer, "_minimize", patch)
+            began = time.perf_counter()
+            with pytest.raises(RaceplanError) as info:
+                solve(*single_ball_problem, opt_cfg=self.CFG)
+            assert type(info.value) is RaceplanError
+            assert str(info.value) == message
+            assert multiprocessing.active_children() == []
+        assert time.perf_counter() - began < 30
+
+    def test_the_caller_runs_start_0_beside_one_worker(self, monkeypatch):
+        """With 2 CPUs the caller runs start 0, held here until the one
+        forked worker has taken a start, and the worker runs the starts it
+        claims: two processes in all."""
+        if optimizer._blas_threads() is None:
+            return   # the starts run in-process here
+        caller = os.getpid()
+        taken, take = os.pipe()
+
+        def recording(fg, x0):
+            if os.getpid() != caller:
+                os.write(take, b"x")
+            elif x0[0] == 0.0:
+                assert select.select([taken], [], [], 60)[0], "no worker took a start"
+            return x0, 0.0, os.getpid()
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer, "_minimize", recording)
+        try:
+            results = optimizer._run_starts(
+                None, [np.full(2, i) for i in (0.0, 1.0, 2.0)])
+        finally:
+            os.close(taken)
+            os.close(take)
+        assert [x[0] for x, _, _ in results] == [0.0, 1.0, 2.0]
+        pids = [pid for _, _, pid in results]
+        assert pids[0] == caller
+        assert len(set(pids) - {caller}) == 1
         assert multiprocessing.active_children() == []
+
+    def test_every_start_runs_once_on_more_workers_than_cores(self, monkeypatch):
+        """8 processes, more than most hosts have cores, share 200 starts
+        through one counter: a lost update on it would run a start twice."""
+        if optimizer._blas_threads() is None:
+            return   # the starts run in-process here
+        ran, report = os.pipe()
+
+        def recording(fg, x0):
+            os.write(report, struct.pack("i", int(x0[0])))  # atomic: 4 bytes
+            return x0, 0.0, None
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(optimizer, "_minimize", recording)
+        try:
+            results = optimizer._run_starts(
+                None, [np.full(1, float(i)) for i in range(200)])
+        finally:
+            os.close(report)
+        with os.fdopen(ran, "rb") as reports:
+            indices = [i for (i,) in struct.iter_unpack("i", reports.read())]
+        assert sorted(indices) == list(range(200))
+        assert [x[0] for x, _, _ in results] == list(range(200))
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_fails_the_solve(self):
+        """A worker that exits in the middle of its start fails the solve
+        with a RaceplanError that names its exit code, in place of a solve
+        that waits forever; the subprocess's timeout turns a hang into a
+        failure."""
+        if optimizer._blas_threads() is None:
+            return   # the starts run in-process here
+        script = textwrap.dedent("""
+            import multiprocessing, os
+            from raceplan import optimizer
+            from raceplan.errors import RaceplanError
+            from raceplan.optimizer import OptimizerConfig, solve
+            from raceplan.spline import BoundaryCondition
+            from raceplan.trackio import build_sequence
+            from raceplan.tracks import random_track
+
+            caller = os.getpid()
+            taken, take = os.pipe()
+            seen = []
+            minimize = optimizer._minimize
+
+            def dying(fg, x0):
+                if os.getpid() != caller:
+                    os.write(take, b"x")
+                    os._exit(1)
+                if not seen:  # start 0 waits until the worker has a start
+                    seen.append(os.read(taken, 1))
+                return minimize(fg, x0)
+
+            optimizer._usable_cpus = lambda: 2
+            optimizer._minimize = dying
+            track = random_track(100)
+            try:
+                solve(build_sequence(track), track.quad,
+                      BoundaryCondition.hover(track.start),
+                      BoundaryCondition.hover(track.finish),
+                      opt_cfg=OptimizerConfig(restarts=2))
+            except RaceplanError as error:
+                print(error)
+            print(multiprocessing.active_children())
+        """)
+        proc = _python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "the worker running start 1 exited with code 1 before reporting it",
+            "[]"]
 
     def test_solve_in_a_daemonic_worker_runs_in_process(self, single_ball_problem,
                                                         monkeypatch):
@@ -581,10 +711,6 @@ def test_scipy_optimize_loads_only_when_a_solve_starts():
         optimizer.initialize = recording
         optimizer.solve(seq, quad, bc0, bcf)
     """)
-    src = str(Path(optimizer.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
