@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .gates import GateSequence, contains
+from .gates import GateSequence, containment, contains_floor
 from .model import QuadParams, limit_residuals
 
 #: Fraction of a thrust or body-rate limit's range that samples may exceed.
@@ -17,6 +18,9 @@ GOLDEN_STEPS = 48
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Largest containment residual, m, that counts as passing a gate.
 PASS_TOL = 1e-6
+#: How far from the origin along an axis, m, the distance screen reaches;
+#: coordinate differences within it cannot overflow.
+SCREEN_SPAN = 1e300
 #: The body axes of the three body rates, in their column order.
 RATE_AXES = ("roll", "pitch", "yaw")
 
@@ -36,16 +40,19 @@ class Check(NamedTuple):
         return f"{'pass' if self.passed else 'FAIL'}: {self.name}{detail}"
 
 
-def _residuals(gate, times, positions, velocities):
-    """Containment residual of each sample: the lowest ``contains`` value
-    found at sample k or on the path from it to sample k + 1.
+def _residuals(gates, times, positions, velocities):
+    """Containment residuals of the (gate, sample) pairs that may pass: the
+    gates' indices, the samples' rows and the residuals, ordered by gate,
+    then row.  Every pair left out has a residual above PASS_TOL.
 
-    The optimum often grazes the gate boundary or passes a polyhedron vertex
-    between samples, so the path between adjacent samples is reconstructed
-    by cubic Hermite interpolation and searched by golden section for the
-    minimum of ``contains``.  NaN samples give NaN residuals.
+    A pair's residual is the lowest ``contains`` value found at sample k or
+    on the path from it to sample k + 1.  The optimum often grazes the gate
+    boundary or passes a polyhedron vertex between samples, so the path
+    between adjacent samples is reconstructed by cubic Hermite
+    interpolation and searched by golden section for the minimum of
+    ``contains``, for every pair at once.
     """
-    res = contains(gate, positions)
+    n = len(times)
     # The piece after sample k is p_k + lam d0 + lam^2 (3 gap - 2 d0 - d1)
     # + lam^3 (d0 + d1 - 2 gap) for lam in [0, 1].  It is no longer than its
     # Bezier control polygon and ``contains`` is 1-Lipschitz, so a piece
@@ -55,26 +62,59 @@ def _residuals(gate, times, positions, velocities):
     gap = np.diff(positions, axis=0)
     length = (np.linalg.norm(d0, axis=1) + np.linalg.norm(d1, axis=1)
               + np.linalg.norm(3 * gap - d0 - d1, axis=1)) / 3
-    k = np.flatnonzero(np.maximum(res[:-1], res[1:]) - length <= PASS_TOL)
+
+    # Screen by distance.  contains >= mu |p - c| - beta, so a sample that
+    # passes or ends a piece that may pass lies within reach = (PASS_TOL +
+    # the longest piece + beta) / mu of c, with room for rounding.  The tree
+    # measures the largest coordinate difference, never below the distance.
+    # A gate whose reach extends beyond SCREEN_SPAN, where that difference
+    # could overflow, keeps every sample.  Samples with a NaN or infinite
+    # coordinate never pass nor end a piece that may, and are left out; the
+    # finite ends of an infinite piece are kept for every gate.
+    infinite = length == np.inf
+    ends = np.append(infinite, False) | np.insert(infinite, 0, False)
+    always = np.flatnonzero(np.isfinite(positions).all(axis=1) & ends)
+    center, mu, beta = map(np.array, zip(*map(contains_floor, gates)))
+    offset = np.abs(center).max(axis=1)
+    reach = (PASS_TOL + length[np.isfinite(length)].max(initial=0.0)
+             + beta) / mu
+    reach += 1e-9 * (reach + offset)
+    far = ~(offset + reach <= SCREEN_SPAN)
+    tree_rows = np.flatnonzero(np.all(np.abs(positions) <= SCREEN_SPAN, axis=1))
+    hits = cKDTree(positions[tree_rows]).query_ball_point(
+        np.where(far[:, None], 0.0, center), np.where(far, 0.0, reach),
+        p=np.inf)
+    rows = [np.arange(n) if everywhere else np.union1d(tree_rows[hit], always)
+            for everywhere, hit in zip(far, hits)]
+    gate = np.repeat(np.arange(len(gates)), list(map(len, rows)))
+    row = np.concatenate(rows)
+    res = containment(gates, gate)(positions[row])
+
+    # The pieces whose both ends were kept, screened as above.
+    i = np.flatnonzero((gate[1:] == gate[:-1]) & (row[1:] == row[:-1] + 1))
+    i = i[np.maximum(res[i], res[i + 1]) - length[row[i]] <= PASS_TOL]
+    k = row[i]
     p0, d0, d1, gap = positions[k], d0[k], d1[k], gap[k]
     c2, c3 = 3 * gap - 2 * d0 - d1, d0 + d1 - 2 * gap
+    contains_at = containment(gates, gate[i])
 
     def measure(lam):
         lam = lam[:, None]
-        return contains(gate, p0 + lam * (d0 + lam * (c2 + lam * c3)))
+        return contains_at(p0 + lam * (d0 + lam * (c2 + lam * c3)))
 
-    x = np.full(len(k), GOLDEN)
-    lo, hi, fx = np.zeros(len(k)), np.ones(len(k)), measure(x)
+    x = np.full(len(i), GOLDEN)
+    lo, hi, fx = np.zeros(len(i)), np.ones(len(i)), measure(x)
     for _ in range(GOLDEN_STEPS):
         # The other inner point mirrors x in the bracket: keep the better
         # of the two and cut the bracket at the worse.
         y = lo + hi - x
         fy = measure(y)
-        x, worse = np.where(fy < fx, y, x), np.where(fy < fx, x, y)
+        better = fy < fx
+        x, worse = np.where(better, y, x), np.where(better, x, y)
         fx = np.minimum(fx, fy)
         lo, hi = np.where(worse < x, worse, lo), np.where(worse > x, worse, hi)
-    res[k] = np.minimum(res[k], fx)
-    return res
+    res[i] = np.minimum(res[i], fx)
+    return gate, row, res
 
 
 # A far gate or sample overflows its residual to +inf, which fails the check
@@ -86,12 +126,18 @@ def verify(times, states, controls, seq: GateSequence,
     v, omega, and rotor thrusts controls (N, 4).  Thrusts and body rates may
     exceed their limits by HEADROOM of the limit's range."""
     positions, quats, velocities, rates = np.split(states, [3, 7, 10], axis=1)
+    # The laps of a lap track repeat their gate objects, whose passes are
+    # the same: each distinct gate is searched once.
+    distinct = {id(gate): gate for gate in seq.gates}
+    gate, row, res = _residuals(tuple(distinct.values()), times, positions,
+                                velocities)
+    passing = res <= PASS_TOL
+    passes_of = dict(zip(distinct, np.split(row[passing], np.searchsorted(
+        gate[passing], np.arange(1, len(distinct))))))
     # Gate containment and traversal order in one ordered sweep: each gate
     # is passed at its first passing sample at or after the previous gate's.
     idx, contained, ordered = 0, True, True
-    for gate in seq.gates:
-        passes = np.flatnonzero(
-            _residuals(gate, times, positions, velocities) <= PASS_TOL)
+    for passes in map(passes_of.get, map(id, seq.gates)):
         later = passes[passes >= idx]
         contained &= len(passes) > 0
         ordered &= len(later) > 0 or len(passes) == 0

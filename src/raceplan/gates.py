@@ -196,22 +196,98 @@ class DecisionVector:
 # ---------------------------------------------------------------------------
 # containment
 
+# np.add.reduce and np.maximum.reduce are what .sum() and np.max run, less
+# their argument handling, which on a few hundred points costs as much as
+# the arithmetic.
+
+def _ball_residual(center, radius, p):
+    return np.linalg.norm(p - center, axis=-1) - radius
+
+
+def _polyhedron_residual(a_mat, b_vec, p):
+    # Products summed per point, not matmul: a batch rounds as its points
+    # do one at a time.
+    return np.maximum.reduce(
+        np.add.reduce(p[..., None, :] * a_mat, axis=-1) - b_vec, axis=-1)
+
+
+def _polygon_residual(a_mat, b_vec, normal, off, p):
+    return np.maximum(_polyhedron_residual(a_mat, b_vec, p),
+                      np.abs(np.add.reduce(p * normal, axis=-1) - off) - EPS_PLANE)
+
+
+def _geometry(gate: Gate):
+    """The residual function of the gate's kind and the gate's arguments to
+    it ahead of the points."""
+    if isinstance(gate, BallGate):
+        return _ball_residual, (gate.center, gate.radius)
+    if gate.is_planar:
+        return _polygon_residual, (*gate.halfspaces, *gate.plane)
+    return _polyhedron_residual, gate.halfspaces
+
+
 def contains(gate: Gate, p):
     """Containment residual, <= 0 iff p is inside the gate (and on-plane for
     polygons): float for a (3,) point, (N,) for (N, 3) points.  1-Lipschitz
     in the point."""
-    p = np.asarray(p, dtype=float)
-    if isinstance(gate, BallGate):
-        res = np.linalg.norm(p - gate.center, axis=-1) - gate.radius
-    else:
-        # Products summed per point, not matmul: a batch rounds as its
-        # points do one at a time.
-        a_mat, b_vec = gate.halfspaces
-        res = np.max((p[..., None, :] * a_mat).sum(axis=-1) - b_vec, axis=-1)
-        if gate.is_planar:
-            normal, off = gate.plane
-            res = np.maximum(res, np.abs((p * normal).sum(axis=-1) - off) - EPS_PLANE)
+    residual, geometry = _geometry(gate)
+    res = residual(*geometry, np.asarray(p, dtype=float))
     return res if np.ndim(res) else float(res)
+
+
+def containment(gates, which):
+    """The function of points p, (n, 3), whose value i is
+    ``contains(gates[which[i]], p[i])``, bit for bit.
+
+    Each kind of gate runs its arithmetic once, on the geometry of the
+    gates in ``which`` stacked and gathered per point.  Polytopes of one
+    kind are padded to its largest halfspace count by repeating their own
+    rows, which leaves each max as it is.
+    """
+    kinds = {}
+    for g in np.unique(which):
+        residual, geometry = _geometry(gates[g])
+        kinds.setdefault(residual, []).append((g, geometry))
+    parts = []
+    for residual, members in kinds.items():
+        index = np.array([g for g, _ in members])
+        rows = np.flatnonzero(np.isin(which, index))
+        at = np.searchsorted(index, which[rows])
+        stacked = []
+        for column in zip(*(geometry for _, geometry in members)):
+            shape = max(map(np.shape, column))
+            stacked.append(np.array([np.resize(a, shape) for a in column])[at])
+        parts.append((rows, residual, stacked))
+
+    def measure(p):
+        res = np.empty(len(which))
+        for rows, residual, stacked in parts:
+            res[rows] = residual(*stacked, p[rows])
+        return res
+    return measure
+
+
+def contains_floor(gate: Gate):
+    """A centre c and numbers mu > 0 and beta with
+    ``contains(gate, p) >= mu |p - c| - beta`` for every p.
+
+    A ball gives (centre, 1, radius).  A polytope's residual is the largest
+    of a_i . p - b_i over unit normals a_i (a polygon's plane adds the rows
+    +-normal, offsets +-off + EPS_PLANE), so with c its vertex centroid it
+    is at least max_i a_i . (p - c) - beta, beta = max_i (b_i - a_i . c).
+    And max_i a_i . u >= mu |u| for mu the least distance from the origin to
+    a facet of the normals' convex hull.
+    """
+    if isinstance(gate, BallGate):
+        return gate.center, 1.0, gate.radius
+    a_mat, b_vec = gate.halfspaces
+    if gate.is_planar:
+        normal, off = gate.plane
+        a_mat = np.vstack([a_mat, normal, -normal])
+        b_vec = np.append(b_vec, [off + EPS_PLANE, EPS_PLANE - off])
+    mu = -ConvexHull(a_mat).equations[:, 3].max()
+    center = gate_center(gate)
+    return center, float(mu), float(np.max(b_vec - a_mat @ center))
 
 
 def gate_center(gate: Gate) -> np.ndarray:

@@ -30,6 +30,11 @@ _GATE_KEYS = {"ball": {"type", "center", "radius"},
               "polygon": {"type", "vertices"}, "polyhedron": {"type", "vertices"}}
 _OPTION_KEYS = {"margin", "laps", "mode", "waypoint_tolerance"}
 _TOP_KEYS = {"schema_version", "quad", "start", "finish", "gates", "options"}
+#: libyaml's loader where PyYAML was built with it, else the pure-Python one.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: The deepest nesting of lists and mappings a track file may have; a track
+#: needs 5, down to a polytope vertex.
+MAX_DEPTH = 16
 #: The most laps a track may ask for.  build_sequence repeats the gate list
 #: that many times, so a huge count would only exhaust memory.
 MAX_LAPS = 100
@@ -165,9 +170,20 @@ def _parse_gate(node, index) -> Gate:
 def loads(text: str, name: str = "<string>") -> TrackFile:
     """Parse a track document from a string; unknown keys are errors."""
     try:
-        # Not CSafeLoader: 8x faster, but it segfaults on deep nesting.
-        doc = yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:  # nested too deep to compose
+        # libyaml composes nested collections by recursion in C, which a
+        # deep enough document overflows: count the depth in its events,
+        # which it reads without recursion, before it composes them.
+        depth = 0
+        for event in yaml.parse(text, Loader=_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ValidationError(
+                        f"{name}: lists and mappings nest deeper than {MAX_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        doc = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeError) as exc:  # libyaml: a lone surrogate
         raise ValidationError(f"{name}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{name}: track document must be a mapping")

@@ -4,6 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -611,9 +614,9 @@ class TestCheck:
         velocities = speed * np.stack(
             [-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=1)
         ball = BallGate(center=[radius + 0.3 - inside, 0.0, 0.0], radius=0.3)
-        r = _residuals(ball, times, positions, velocities)
+        _, rows, r = _residuals((ball,), times, positions, velocities)
         assert r.min() == pytest.approx(-inside, abs=1e-8)
-        assert r.argmin() == 10
+        assert rows[r.argmin()] == 10
 
     @pytest.mark.parametrize("shift", [0.0, 1e-4])
     def test_polyhedron_vertex_passed_between_samples(self, shift):
@@ -628,10 +631,10 @@ class TestCheck:
         positions[:, 0] = 1.0 + shift
         positions[:, 1] = 10.0 * (times - 0.105)
         velocities = np.tile([0.0, 10.0, 0.0], (21, 1))
-        r = _residuals(octahedron, times, positions, velocities)
+        _, rows, r = _residuals((octahedron,), times, positions, velocities)
         assert r.min() == pytest.approx(shift / np.sqrt(3), abs=1e-9)
         assert (r.min() <= 1e-6) == (shift == 0.0)
-        assert r.argmin() == 10
+        assert rows[r.argmin()] == 10
 
     @pytest.mark.parametrize("seed", [103, 107, 110])
     def test_random_track_round_trip(self, seed, tmp_path, capsys):
@@ -917,12 +920,12 @@ class TestCheck:
         (TRACK.encode().replace(b"quad:", b"\xff\xfequad:"),
          "'utf-8' codec can't decode byte 0xff"),
         (b"a: " + b"[" * 5000 + b"]" * 5000 + b"\n",
-         "maximum recursion depth exceeded"),
+         f"lists and mappings nest deeper than {trackio.MAX_DEPTH}"),
     ], ids=["not-utf8", "nested-5000"])
     def test_unreadable_track_exits_validation(self, command, text, message,
                                                planned, tmp_path):
-        """A track file that is no UTF-8 text, or whose lists nest too deep
-        for the YAML composer, ends in one error line naming it, exit 1."""
+        """A track file that is no UTF-8 text, or whose lists nest deeper
+        than MAX_DEPTH, ends in one error line naming it, exit 1."""
         _, out = planned
         track = tmp_path / "track.yaml"
         track.write_bytes(text)
@@ -931,6 +934,27 @@ class TestCheck:
         code, err = _outcome(argv[command])
         assert code == EXIT_VALIDATION
         assert err.startswith(f"error: {track}: {message}"), err
+
+    @pytest.mark.parametrize("command", ["plan", "check"])
+    def test_deeply_nested_track_exits_validation(self, command, planned,
+                                                  tmp_path):
+        """A track file of 100,000 nested lists, which libyaml's composer
+        would recurse through until the C stack overflows: the command, in
+        a fresh interpreter, ends in one error line and exit 1."""
+        _, out = planned
+        track = tmp_path / "deep.yaml"
+        track.write_text("a: " + "[" * 100_000 + "]" * 100_000 + "\n")
+        argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path / "out")],
+                "check": ["check", str(out / "trajectory.csv"), str(track)]}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "raceplan.cli",
+                               *argv[command]], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert proc.stderr == (f"error: {track}: lists and mappings nest "
+                               f"deeper than {trackio.MAX_DEPTH}\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[:2] + ["\udcff\udcfe"] + rows[2:],

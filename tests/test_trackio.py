@@ -202,6 +202,10 @@ class TestParse:
         with pytest.raises(ValidationError, match="<string>: "):
             loads("gates: [unclosed")
 
+    def test_lone_surrogate_is_parse_error(self):
+        with pytest.raises(ValidationError, match="<string>: "):
+            loads(MINIMAL.replace("quad_a", "quad_\udcff"))
+
 
 class TestSerialize:
     def test_round_trip_identity(self):
