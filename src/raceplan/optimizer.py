@@ -10,10 +10,11 @@ the calling process runs starts itself and forks one worker fewer than the
 CPUs it uses; each process takes the next unclaimed start until none is
 left.  The workers inherit the solve's ``cost.Evaluator`` and the starts at
 the fork, so nothing is pickled but each start's result on its way back.
-Elsewhere the starts run one after the other in the calling process.
-Either way they run at one OpenBLAS thread: no worker's BLAS waits on a
-thread without a core, and no idle BLAS thread spins beside L-BFGS-B.  Both
-ways give the same bits.
+The caller takes the results in start order from the workers' pipes alone;
+a pipe's end of file is its worker's exit.  Elsewhere the starts run one
+after the other in the calling process.  Either way they run at one
+OpenBLAS thread: no worker's BLAS waits on a thread without a core, and no
+idle BLAS thread spins beside L-BFGS-B.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -271,10 +272,6 @@ def _worker_count(n_starts: int) -> int:
     return min(n_starts, _usable_cpus())
 
 
-def _run_start(fg, x0):
-    return _minimize(fg, x0)
-
-
 def _run_starts(fg, starts):
     """``_minimize(fg, x0)`` for each start, in start order, at one
     scipy-OpenBLAS thread; the caller's thread count is back when this
@@ -298,17 +295,20 @@ def _run_starts(fg, starts):
 
 
 def _share_starts(fg, starts, workers):
-    """``_run_start(fg, x0)`` for each start, in start order, run by this
+    """``_minimize(fg, x0)`` for each start, in start order, run by this
     process and ``workers - 1`` forked ones.  This process runs start 0
     before it waits on anything; then each process takes the next unclaimed
     start until none is left.  A worker sends each start's result, or the
-    exception the start raised, back through its own pipe.
+    exception the start raised, through its own pipe, whose end of file is
+    the worker's exit: this process closes the write end before the next
+    fork, and no start forks.
 
-    The exception of the lowest start that raised is raised once every
-    start before it is in; later starts are not waited for.  A worker that
-    exits while it holds a start it has not reported fails that start with
-    a RaceplanError naming its exit code.  No worker is left when this
-    returns or raises."""
+    The results are taken in start order from the pipes alone.  The
+    exception of the lowest start that raised is raised once every start
+    before it is in; later starts are not waited for.  A worker that exits
+    holding a start it has not reported fails that start with a
+    RaceplanError naming its exit code.  No worker is left when this returns
+    or raises."""
     import multiprocessing.connection  # loaded only by a solve that forks
     ctx = multiprocessing.get_context("fork")
     n = len(starts)
@@ -325,7 +325,7 @@ def _share_starts(fg, starts, workers):
 
     def run(i):
         try:
-            return _run_start(fg, starts[i])
+            return _minimize(fg, starts[i])
         except Exception as error:  # raised below unless an earlier start raised
             with next_start.get_lock():
                 next_start.value = n  # no later start can change the answer
@@ -335,59 +335,43 @@ def _share_starts(fg, starts, workers):
         while (i := claim(k)) < n:
             conn.send((i, run(i)))
 
-    def decided():
-        """Whether every start before the first that raised is in."""
-        for result in results:
-            if result is None:
-                return False
-            if isinstance(result, Exception):
-                return True
-        return True
-
-    live = []  # (k, process, reader) of each worker not yet reaped
+    readers = {}  # reader -> (k, process) of each worker not yet reaped
     try:
         for k in range(1, workers):
             reader, writer = ctx.Pipe(duplex=False)
             worker = ctx.Process(target=work, args=(k, writer), daemon=True)
             worker.start()
-            live.append((k, worker, reader))
+            readers[reader] = k, worker
             writer.close()
         i = 0
         while i < n:
             results[i] = run(i)
             i = claim(0)
-        while not decided():
-            ready = multiprocessing.connection.wait(
-                [w.sentinel for _, w, _ in live] + [r for _, _, r in live])
-            for entry in [e for e in live if e[1].sentinel in ready or e[2] in ready]:
-                k, worker, reader = entry
-                exited = worker.sentinel in ready
-                try:
-                    while reader.poll():
-                        i, result = reader.recv()
-                        results[i] = result
-                except EOFError:  # the worker has closed its pipe by exiting
-                    exited = True
-                if not exited:
-                    continue
-                worker.join()
-                reader.close()
-                live.remove(entry)
-                i = held[k]
-                if i < n and results[i] is None:
-                    results[i] = RaceplanError(
-                        f"the worker running start {i} exited with code "
-                        f"{worker.exitcode} before reporting it")
+        for i in range(n):
+            while results[i] is None:
+                for reader in multiprocessing.connection.wait(list(readers)):
+                    try:
+                        j, result = reader.recv()
+                    except EOFError:  # the worker has exited
+                        k, worker = readers.pop(reader)
+                        worker.join()
+                        reader.close()
+                        j = held[k]
+                        if j < n and results[j] is None:
+                            results[j] = RaceplanError(
+                                f"the worker running start {j} exited with code "
+                                f"{worker.exitcode} before reporting it")
+                    else:
+                        results[j] = result
+            if isinstance(results[i], Exception):
+                raise results[i]
+        return results
     finally:
-        for _, worker, _ in live:
+        for _, worker in readers.values():
             worker.terminate()
-        for _, worker, reader in live:
+        for reader, (_, worker) in readers.items():
             worker.join()
             reader.close()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
 
 
 def _restore_feasibility(dec: DecisionVector, penalty_of):

@@ -88,19 +88,30 @@ def _check_keys(mapping, allowed, context):
         raise ValidationError(f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
+def _is_number(value):
+    """Whether value is a YAML number: no string, which float() would parse,
+    and no true/false, which it takes as 1/0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(value, context):
-    if isinstance(value, bool):  # YAML's true/false, which float() takes as 1/0
+    if not _is_number(value):
         raise ValidationError(f"{context}: not a number")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer past the float range
         raise ValidationError(f"{context}: not a number") from exc
 
 
 def _array(value, context):
+    def numeric(node):
+        return all(map(numeric, node)) if isinstance(node, list) else _is_number(node)
+
+    if not numeric(value):
+        raise ValidationError(f"{context}: not a numeric array")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # ragged lists, or a huge integer
         raise ValidationError(f"{context}: not a numeric array") from exc
 
 
@@ -130,13 +141,11 @@ def _parse_quad(node) -> QuadParams:
         inertia = inertia * 1e-3
     scalars = {key: _number(_require(node, key, "quad"), f"quad.{key}")
                for key in ("mass", "arm_length", "torque_const", "f_max")}
+    f_min = _number(node.get("f_min", 0.0), "quad.f_min")
+    omega_max = _vec3(_require(node, "omega_max", "quad"), "quad.omega_max")
     try:
-        return QuadParams(
-            **scalars,
-            inertia_diag=inertia,
-            f_min=_number(node.get("f_min", 0.0), "quad.f_min"),
-            omega_max=_vec3(_require(node, "omega_max", "quad"), "quad.omega_max"),
-        )
+        return QuadParams(**scalars, inertia_diag=inertia, f_min=f_min,
+                          omega_max=omega_max)
     except ValidationError as exc:
         raise ValidationError(f"quad: {exc}") from exc
 
@@ -200,7 +209,8 @@ def loads(text: str, name: str = "<string>") -> TrackFile:
     if not isinstance(gate_nodes, list) or not gate_nodes:
         raise ValidationError("gates: must be a nonempty list")
     gates = tuple(_parse_gate(g, i) for i, g in enumerate(gate_nodes))
-    opt_node = doc.get("options", {}) or {}
+    # Only a missing key or YAML's null means the default options.
+    opt_node = {} if doc.get("options") is None else doc["options"]
     if not isinstance(opt_node, dict):
         raise ValidationError("options: expected a mapping")
     _check_keys(opt_node, _OPTION_KEYS, "options")

@@ -1,15 +1,16 @@
 """Tests for track-file parsing, validation and sequence building."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 import yaml
 
+from raceplan import trackio
 from raceplan.errors import RaceplanError, ValidationError
 from raceplan.gates import BallGate, PolytopeGate
 from raceplan.trackio import (
-    MAX_LAPS, TrackOptions, build_sequence, loads, parse, serialize,
+    MAX_DEPTH, MAX_LAPS, TrackOptions, build_sequence, loads, parse, serialize,
     to_waypoint_mode,
 )
 from raceplan.tracks import loop_track, random_track
@@ -189,6 +190,35 @@ class TestParse:
                   [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "radius": 0.5}])),
         _says("gates[0].type: unknown gate type [1, 2]",
               lambda d: d["gates"][0].__setitem__("type", [1, 2])),
+        # Only a missing key or null means the default options.
+        *(_says("options: expected a mapping",
+                lambda d, v=v: d.__setitem__("options", v))
+          for v in ([], 0, False, "")),
+        # f_min and omega_max are named once, as the other quad keys are.
+        _says("quad.f_min: not a number",
+              lambda d: d.__setitem__("quad", {**QUAD, "f_min": "low"})),
+        _says("quad.omega_max: expected a 3-vector",
+              lambda d: d.__setitem__("quad", {**QUAD, "omega_max": [15, 15]})),
+        # A track file's numbers are YAML numbers: a string that float()
+        # would parse is none, nor is true in an array.
+        _says("quad.mass: not a number",
+              lambda d: d.__setitem__("quad", {**QUAD, "mass": "0.85"})),
+        _says("options.margin: not a number",
+              lambda d: d.__setitem__("options", {"margin": "0.3"})),
+        _says("gates[0].radius: not a number",
+              lambda d: d["gates"][0].__setitem__("radius", "1.0")),
+        _says("start: not a numeric array",
+              lambda d: d.__setitem__("start", ["0", "0", "1.5"])),
+        _says("gates[0].center: not a numeric array",
+              lambda d: d["gates"][0].__setitem__("center", [True, 0, 1.5])),
+        _says("gates[0].vertices: not a numeric array",
+              lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
+                  [3, -1, 0.5], [3, 1, 0.5], [3, 1, "2.5"]]}])),
+        # An integer past the float range is refused, not an OverflowError.
+        _says("quad.mass: not a number",
+              lambda d: d.__setitem__("quad", {**QUAD, "mass": 10**400})),
+        _says("start: not a numeric array",
+              lambda d: d.__setitem__("start", [10**400, 0, 1.5])),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
@@ -205,6 +235,10 @@ class TestParse:
     def test_lone_surrogate_is_parse_error(self):
         with pytest.raises(ValidationError, match="<string>: "):
             loads(MINIMAL.replace("quad_a", "quad_\udcff"))
+
+    @pytest.mark.parametrize("options", ["", "options:\n", "options: null\n"])
+    def test_missing_or_null_options_are_the_defaults(self, options):
+        assert loads(MINIMAL + options).options == TrackOptions()
 
 
 class TestSerialize:
@@ -224,6 +258,51 @@ class TestSerialize:
                     assert a.radius == b.radius
                 else:
                     assert np.allclose(a.vertices, b.vertices)
+
+
+def _same(a, b):
+    """Whether a and b hold the same types and bits, arrays and dataclass
+    fields included."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return type(a) is type(b) and a == b
+
+
+class TestLoaders:
+    """loads gives the same tracks and errors with libyaml's loader and
+    with the pure-Python one it falls back to."""
+
+    @pytest.fixture(autouse=True, params=[yaml.SafeLoader, *(
+        [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])],
+        ids=lambda loader: loader.__name__)
+    def loader(self, request, monkeypatch):
+        monkeypatch.setattr(trackio, "_LOADER", request.param)
+
+    def test_serialized_track_loads_to_the_same_track(self):
+        track = loop_track()
+        assert _same(loads(serialize(track)), track)
+
+    def test_nesting_past_the_depth_limit_is_refused(self):
+        def nested(depth):  # the top mapping and depth - 1 lists in it
+            return "a: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
+
+        with pytest.raises(ValidationError, match="unknown keys"):
+            loads(nested(MAX_DEPTH))
+        with pytest.raises(ValidationError) as info:
+            loads(nested(MAX_DEPTH + 1))
+        assert str(info.value) == (
+            f"<string>: lists and mappings nest deeper than {MAX_DEPTH}")
+
+    def test_lone_surrogate_is_parse_error(self):
+        with pytest.raises(ValidationError, match="<string>: "):
+            loads(MINIMAL.replace("quad_a", "quad_\udcff"))
 
 
 class TestWaypointMode:
