@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .gates import GateSequence, containment, contains_floor
+from .gates import GateSequence, containment, contains_floor, require_workspace
 from .model import QuadParams, limit_residuals
 
 #: Fraction of a thrust or body-rate limit's range that samples may exceed.
@@ -18,9 +18,6 @@ GOLDEN_STEPS = 48
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Largest containment residual, m, that counts as passing a gate.
 PASS_TOL = 1e-6
-#: How far from the origin along an axis, m, the distance screen reaches;
-#: coordinate differences within it cannot overflow.
-SCREEN_SPAN = 1e300
 #: The body axes of the three body rates, in their column order.
 RATE_AXES = ("roll", "pitch", "yaw")
 
@@ -52,7 +49,6 @@ def _residuals(gates, times, positions, velocities):
     interpolation and searched by golden section for the minimum of
     ``contains``, for every pair at once.
     """
-    n = len(times)
     # The piece after sample k is p_k + lam d0 + lam^2 (3 gap - 2 d0 - d1)
     # + lam^3 (d0 + d1 - 2 gap) for lam in [0, 1].  It is no longer than its
     # Bezier control polygon and ``contains`` is 1-Lipschitz, so a piece
@@ -67,27 +63,13 @@ def _residuals(gates, times, positions, velocities):
     # passes or ends a piece that may pass lies within reach = (PASS_TOL +
     # the longest piece + beta) / mu of c, with room for rounding.  The tree
     # measures the largest coordinate difference, never below the distance.
-    # A gate whose reach extends beyond SCREEN_SPAN, where that difference
-    # could overflow, keeps every sample.  Samples with a NaN or infinite
-    # coordinate never pass nor end a piece that may, and are left out; the
-    # finite ends of an infinite piece are kept for every gate.
-    infinite = length == np.inf
-    ends = np.append(infinite, False) | np.insert(infinite, 0, False)
-    always = np.flatnonzero(np.isfinite(positions).all(axis=1) & ends)
     center, mu, beta = map(np.array, zip(*map(contains_floor, gates)))
-    offset = np.abs(center).max(axis=1)
-    reach = (PASS_TOL + length[np.isfinite(length)].max(initial=0.0)
-             + beta) / mu
-    reach += 1e-9 * (reach + offset)
-    far = ~(offset + reach <= SCREEN_SPAN)
-    tree_rows = np.flatnonzero(np.all(np.abs(positions) <= SCREEN_SPAN, axis=1))
-    hits = cKDTree(positions[tree_rows]).query_ball_point(
-        np.where(far[:, None], 0.0, center), np.where(far, 0.0, reach),
-        p=np.inf)
-    rows = [np.arange(n) if everywhere else np.union1d(tree_rows[hit], always)
-            for everywhere, hit in zip(far, hits)]
+    reach = (PASS_TOL + length.max(initial=0.0) + beta) / mu
+    reach += 1e-9 * (reach + np.abs(center).max(axis=1))
+    rows = cKDTree(positions).query_ball_point(center, reach, p=np.inf,
+                                               return_sorted=True)
     gate = np.repeat(np.arange(len(gates)), list(map(len, rows)))
-    row = np.concatenate(rows)
+    row = np.concatenate(rows).astype(np.intp, copy=False)  # float if all empty
     res = containment(gates, gate)(positions[row])
 
     # The pieces whose both ends were kept, screened as above.
@@ -117,14 +99,15 @@ def _residuals(gates, times, positions, velocities):
     return gate, row, res
 
 
-# A far gate or sample overflows its residual to +inf, which fails the check
-# as it should, so numpy's warnings are off here as in solve.
-@np.errstate(over="ignore", invalid="ignore")
 def verify(times, states, controls, seq: GateSequence,
            params: QuadParams) -> list[Check]:
     """Check a sampled trajectory: times (N,), states (N, 13) as p, q(wxyz),
     v, omega, and rotor thrusts controls (N, 4).  Thrusts and body rates may
-    exceed their limits by HEADROOM of the limit's range."""
+    exceed their limits by HEADROOM of the limit's range.  Raises
+    ValidationError unless every value is within WORKSPACE."""
+    require_workspace(times, "trajectory times")
+    require_workspace(states, "trajectory states")
+    require_workspace(controls, "trajectory controls")
     positions, quats, velocities, rates = np.split(states, [3, 7, 10], axis=1)
     # The laps of a lap track repeat their gate objects, whose passes are
     # the same: each distinct gate is searched once.
@@ -145,7 +128,7 @@ def verify(times, states, controls, seq: GateSequence,
     res, _, scale = limit_residuals(controls, rates, params)
     within = res <= HEADROOM * scale
     peaks = np.abs(rates).max(axis=0)
-    axis = int(np.argmax(peaks / params.omega_max))  # a NaN peak is the worst
+    axis = int(np.argmax(peaks / params.omega_max))
     norms = np.linalg.norm(quats, axis=1)
     return [
         Check("gate containment", contained),

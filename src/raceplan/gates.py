@@ -20,8 +20,21 @@ from .errors import ValidationError
 
 #: Tolerance for the off-plane residual of planar (polygon) gates, meters.
 EPS_PLANE = 1e-6
+#: The largest magnitude of any coordinate, length, time or sampled value
+#: that the planner and the checks accept, checked where each value enters.
+#: A race track spans tens of metres; within this bound no difference or
+#: square of such values overflows.
+WORKSPACE = 1e6
 
 _GEOM_TOL = 1e-9
+
+
+def require_workspace(values, name):
+    """Raise ValidationError unless every entry x of values has
+    |x| <= WORKSPACE, which NaN fails."""
+    if not np.all(np.abs(values) <= WORKSPACE):
+        raise ValidationError(
+            f"{name} must be finite and of magnitude at most {WORKSPACE:g}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +45,10 @@ class BallGate(Frozen):
     def __post_init__(self):
         c = freeze(np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "center", c)
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("ball gate center must be finite")
-        if not 0 <= self.radius < np.inf:
-            raise ValidationError("ball gate radius must be finite and >= 0")
+        require_workspace(c, "ball gate center")
+        require_workspace(self.radius, "ball gate radius")
+        if self.radius < 0:
+            raise ValidationError("ball gate radius must be >= 0")
 
     @property
     def param_dim(self) -> int:
@@ -65,8 +78,7 @@ class PolytopeGate(Frozen):
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValidationError("polytope vertices must be an (v, 3) array")
-        if not np.all(np.isfinite(verts)):
-            raise ValidationError("polytope vertices must be finite")
+        require_workspace(verts, "polytope vertices")
         if len(verts) < 3:
             raise ValidationError("polytope gate needs at least 3 vertices")
 

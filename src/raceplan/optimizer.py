@@ -135,11 +135,6 @@ def initialize(seq: GateSequence, bc0: BoundaryCondition, bcf: BoundaryCondition
     return dec
 
 
-# Extreme inputs (far coordinates, huge tolerances) overflow to +inf and NaN,
-# which a solve already turns into +inf objectives or one error, so numpy's
-# floating-point warnings are off in it and in each start, forked or not.
-# One errstate per function: on numpy 1.x an instance is not reentrant.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _minimize(fg, x0):
     """L-BFGS-B from x0; returns (x_best, f_best, diagnostics).
 
@@ -436,7 +431,6 @@ def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
     return times, states, out.rotor.copy()
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(seq: GateSequence, params: QuadParams,
           bc0: BoundaryCondition, bcf: BoundaryCondition,
           opt_cfg: OptimizerConfig = OptimizerConfig(),

@@ -19,6 +19,7 @@ from scipy.linalg import lapack
 
 from ._frozen import Frozen, freeze
 from .errors import RaceplanError, ValidationError
+from .gates import require_workspace
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
 MAX_SEGMENT_DURATION = 60.0
@@ -40,8 +41,7 @@ class BoundaryCondition(Frozen):
         d = np.asarray(self.derivatives, dtype=float)
         if d.ndim != 2 or d.shape[1] != 3:
             raise ValidationError("boundary condition must be (s, 3)")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("boundary condition must be finite")
+        require_workspace(d, "boundary condition")
         object.__setattr__(self, "derivatives", freeze(d.copy()))
 
     @classmethod

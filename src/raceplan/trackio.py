@@ -16,7 +16,8 @@ import yaml
 
 from .errors import ValidationError
 from .gates import (
-    BallGate, Gate, GateSequence, PolytopeGate, gate_center, shrink_margin,
+    BallGate, Gate, GateSequence, PolytopeGate, gate_center, require_workspace,
+    shrink_margin,
 )
 from .model import QuadParams
 
@@ -60,10 +61,11 @@ class TrackOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"options.{name} must be a number, got {value!r}")
-        if not self.margin >= 0:
+            require_workspace(value, f"options.{name}")
+        if self.margin < 0:
             raise ValidationError("options.margin must be >= 0")
-        if not 0 < self.waypoint_tolerance < np.inf:
-            raise ValidationError("options.waypoint_tolerance must be finite and > 0")
+        if self.waypoint_tolerance <= 0:
+            raise ValidationError("options.waypoint_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ def _vec3(value, context):
     v = _array(value, context)
     if v.shape != (3,):
         raise ValidationError(f"{context}: expected a 3-vector")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{context}: entries must be finite")
+    require_workspace(v, context)
     return v
 
 
@@ -198,7 +199,8 @@ def loads(text: str, name: str = "<string>") -> TrackFile:
         raise ValidationError(f"{name}: track document must be a mapping")
     _check_keys(doc, _TOP_KEYS, "track")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # Exactly the integer: true and 1.0 compare equal to 1 too.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )

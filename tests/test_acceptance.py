@@ -87,10 +87,10 @@ def three_gate_solve():
 # the solves take, under each OpenBLAS kernel (OPENBLAS_CORETYPE):
 #
 #   kernel        TOGT   TOGT-WP
-#   SkylakeX       301       628
+#   SkylakeX       301       527
 #   Haswell        312       553
-#   Sandybridge    298       573
-#   Prescott       296       579
+#   Sandybridge    306       524
+#   Prescott       287       523
 TOGT_EVAL_BUDGET = 1170
 WP_EVAL_BUDGET = 1250
 

@@ -1,18 +1,20 @@
 """verify's gate screen: pinned against a frozen copy of the per-gate search
-it replaced, its distance bound, and the work it does as tracks grow."""
+it replaced, its distance bound, and the work it does as tracks grow; and
+the refusal of tracks and samples past the workspace before it runs."""
 
 import contextlib
 import io
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import mixed_sequence, tetra_gate, unit_square_gate
 from raceplan import checks, trackio, tracks
 from raceplan.checks import GOLDEN, GOLDEN_STEPS, PASS_TOL, _residuals, verify
-from raceplan.cli import _read_csv, _write_csv, main
+from raceplan.cli import EXIT_VALIDATION, _read_csv, _write_csv, main
+from raceplan.errors import ValidationError
 from raceplan.gates import (
     EPS_PLANE, BallGate, GateSequence, PolytopeGate, contains, contains_floor,
 )
@@ -68,7 +70,6 @@ def _oracle_residuals(gate, times, positions, velocities):
     return res
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _oracle_verdicts(times, states, seq):
     """Each gate's residuals, and the gate containment and traversal order
     verdicts of the per-gate sweep."""
@@ -89,24 +90,6 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def _loop_with_huge_ball():
-    track = tracks.loop_track()
-    gates = list(track.gates)
-    gates[3] = BallGate(center=[1.0, 2.0, 1.0], radius=1e40)
-    return replace(track, gates=tuple(gates))
-
-
-def _ball(x=None, radius=None):
-    """random_track(103)'s ball gate moved to x or resized."""
-    def edit(track):
-        gates = list(track.gates)
-        center, r = gates[2].center, gates[2].radius
-        gates[2] = BallGate(center=[center[0] if x is None else x, *center[1:]],
-                            radius=r if radius is None else radius)
-        return replace(track, gates=tuple(gates))
-    return edit
-
-
 def _edit(rows, columns, value):
     """Set the columns of those state rows to value."""
     def edit(states):
@@ -116,45 +99,65 @@ def _edit(rows, columns, value):
     return edit
 
 
-#: Case -> the track planned, its mode, the track checked (None: the same)
-#: and an edit of the exported states (None: as exported).
+def _set(path, value):
+    """Set the node at path of a track document to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+#: Case -> the track planned and its mode; its export is checked as
+#: exported against the same track.
 CASES = {
-    "loop7": ("loop", "togt", None, None),
-    "loop7-wp": ("loop", "togt-wp", None, None),
-    "random100": (100, "togt", None, None),
-    "random101": (101, "togt", None, None),
-    "random103": (103, "togt", None, None),
-    "random107": (107, "togt", None, None),
-    "nan-positions": ("loop", "togt", None,
-                      _edit(slice(None), slice(0, 3), np.nan)),
-    "nan-every-7th": ("loop", "togt", None,
-                      _edit(slice(None, None, 7), slice(0, 3), np.nan)),
-    "inf-every-9th": ("loop", "togt", None,
-                      _edit(slice(None, None, 9), 0, np.inf)),
-    # Infinite pieces whose ends are finite, and samples beyond SCREEN_SPAN.
-    "inf-velocity": ("loop", "togt", None,
-                     _edit(slice(None, None, 5), 7, -np.inf)),
-    "far-samples": ("loop", "togt", None,
-                    _edit(slice(None, None, 11), 1, 1.5e308)),
-    "far-ball": (103, "togt", _ball(x=1e300), None),
-    "farthest-ball": (103, "togt", _ball(x=1.7e308), None),
-    # A ball whose reach extends beyond SCREEN_SPAN, and a run of samples
-    # beyond it, all but its ends between finite pieces.
-    "ball-1e305": (103, "togt", _ball(radius=1e305),
-                   _edit(slice(100, 130), 1, 1e302)),
-    "ball-1e40": ("huge", "togt", None, None),
+    "loop7": ("loop", "togt"),
+    "loop7-wp": ("loop", "togt-wp"),
+    "random100": (100, "togt"),
+    "random101": (101, "togt"),
+    "random103": (103, "togt"),
+    "random107": (107, "togt"),
 }
 
-_TRACKS = {"loop": tracks.loop_track, "huge": _loop_with_huge_ball}
+_SAMPLES = "trajectory states must be finite and of magnitude at most 1e+06"
+_CENTER = "gates[2].center must be finite and of magnitude at most 1e+06"
+_RADIUS = ("gates[{}]: ball gate radius must be finite and of magnitude at "
+           "most 1e+06")
+#: Case past the workspace -> the track planned, its mode, an edit of the
+#: checked track's document and one of the exported states (None: as
+#: planned), and the error that refuses it: the track where it is read, or
+#: the samples where verify receives them.
+REFUSED = {
+    "nan-positions": ("loop", "togt", None,
+                      _edit(slice(None), slice(0, 3), np.nan), _SAMPLES),
+    "nan-every-7th": ("loop", "togt", None,
+                      _edit(slice(None, None, 7), slice(0, 3), np.nan), _SAMPLES),
+    "inf-every-9th": ("loop", "togt", None,
+                      _edit(slice(None, None, 9), 0, np.inf), _SAMPLES),
+    "inf-velocity": ("loop", "togt", None,
+                     _edit(slice(None, None, 5), 7, -np.inf), _SAMPLES),
+    "far-samples": ("loop", "togt", None,
+                    _edit(slice(None, None, 11), 1, 1.5e308), _SAMPLES),
+    "far-ball": (103, "togt", _set(("gates", 2, "center", 0), 1e300), None,
+                 _CENTER),
+    "farthest-ball": (103, "togt", _set(("gates", 2, "center", 0), 1.7e308),
+                      None, _CENTER),
+    "ball-1e305": (103, "togt", _set(("gates", 2, "radius"), 1e305),
+                   _edit(slice(100, 130), 1, 1e302), _RADIUS.format(2)),
+    "ball-1e40": ("loop", "togt", _set(("gates", 3), {
+        "type": "ball", "center": [1.0, 2.0, 1.0], "radius": 1e40}), None,
+                  _RADIUS.format(3)),
+}
 
 
 @pytest.fixture(scope="module")
 def plans():
     """Each planned track and mode's export: times, states, controls."""
     out = {}
-    for source, mode, _, _ in CASES.values():
+    for source, mode, *_ in (*CASES.values(), *REFUSED.values()):
         if (source, mode) not in out:
-            track = (_TRACKS[source]() if source in _TRACKS
+            track = (tracks.loop_track() if source == "loop"
                      else tracks.random_track(source))
             seq = trackio.build_sequence(track, mode=mode)
             result = solve(seq, track.quad, BoundaryCondition.hover(track.start),
@@ -164,37 +167,58 @@ def plans():
     return out
 
 
-@pytest.fixture(scope="module", params=list(CASES))
+@pytest.fixture(scope="module", params=[*CASES, *REFUSED])
 def case(request, plans, tmp_path_factory):
-    """A case's checked track, mode and trajectory, as plan verifies it
-    (in memory) and as check reads it back from its CSV."""
-    source, mode, retrack, edit = CASES[request.param]
+    """A case's planned track, the track file checked, the mode and the
+    trajectory, as plan verifies it (in memory) and as check reads it back
+    from its CSV.  A refused case's ``refused`` is its error."""
+    if request.param in REFUSED:
+        source, mode, redoc, edit, refused = REFUSED[request.param]
+    else:
+        (source, mode), redoc, edit, refused = CASES[request.param], None, None, None
     track, (times, states, controls) = plans[source, mode]
-    track = retrack(track) if retrack else track
     states = edit(states) if edit else states
     root = tmp_path_factory.mktemp(request.param)
     csv, path = root / "trajectory.csv", root / "track.yaml"
     _write_csv(csv, times, states, controls)
-    path.write_text(trackio.serialize(track))
+    text = trackio.serialize(track)
+    if redoc:
+        doc = yaml.safe_load(text)
+        redoc(doc)
+        text = yaml.safe_dump(doc)
+    path.write_text(text)
     data = _read_csv(csv)
     return SimpleNamespace(track=track, mode=mode, path=path, csv=csv,
-                           trajectories={
+                           refused=refused, trajectories={
                                "memory": (times, states, controls),
                                "csv": (data[:, 0], data[:, 1:14], data[:, 14:18])})
 
 
+def _verify_as_read(case, source):
+    """verify of the case's trajectory against its track file as read."""
+    track = trackio.parse(case.path)
+    seq = trackio.build_sequence(track, mode=case.mode)
+    return verify(*case.trajectories[source], seq, track.quad)
+
+
 class TestAgainstPerGateSearch:
     @pytest.mark.parametrize("source", ["memory", "csv"])
-    def test_pass_sets_and_kept_residuals(self, case, source):
+    def test_pass_sets_and_kept_residuals(self, case, source, monkeypatch):
         """Each gate passes at the same samples as under the per-gate
         search, and every (gate, sample) pair that the screen keeps has the
-        residual that search found there, bit for bit."""
+        residual that search found there, bit for bit.  A case past the
+        workspace is refused before the screen sees it."""
+        if case.refused:
+            monkeypatch.setattr(checks, "_residuals",
+                                lambda *args: pytest.fail("screened"))
+            with pytest.raises(ValidationError):
+                _verify_as_read(case, source)
+            return
         times, states, _ = case.trajectories[source]
         seq = trackio.build_sequence(case.track, mode=case.mode)
         expected, _ = _oracle_verdicts(times, states, seq)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gate, row, res = _residuals(seq.gates, times, states[:, :3],
-                                        states[:, 7:10])
+        gate, row, res = _residuals(seq.gates, times, states[:, :3],
+                                    states[:, 7:10])
         assert np.all(np.diff(gate * (len(times) + 1) + row) > 0)
         for g, oracle in enumerate(expected):
             mine = gate == g
@@ -204,6 +228,13 @@ class TestAgainstPerGateSearch:
 
     @pytest.mark.parametrize("source", ["memory", "csv"])
     def test_verdicts(self, case, source):
+        """verify's containment and order verdicts are the per-gate ones;
+        a case past the workspace ends in its one error."""
+        if case.refused:
+            with pytest.raises(ValidationError) as info:
+                _verify_as_read(case, source)
+            assert str(info.value) == case.refused
+            return
         times, states, controls = case.trajectories[source]
         seq = trackio.build_sequence(case.track, mode=case.mode)
         _, expected = _oracle_verdicts(times, states, seq)
@@ -212,16 +243,22 @@ class TestAgainstPerGateSearch:
 
     def test_check_stdout(self, case):
         """check prints what the per-gate verdicts and the other checks of
-        the CSV give."""
+        the CSV give; for a case past the workspace, nothing, and its error
+        as one stderr line with exit 1."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(case.csv), str(case.path),
+                         "--mode", case.mode])
+        if case.refused:
+            assert (code, out.getvalue(), err.getvalue()) == (
+                EXIT_VALIDATION, "", f"error: {case.refused}\n")
+            return
         times, states, controls = case.trajectories["csv"]
         seq = trackio.build_sequence(case.track, mode=case.mode)
         _, expected = _oracle_verdicts(times, states, seq)
         others = verify(times, states, controls, seq, case.track.quad)[2:]
         lines = [checks.Check("gate containment", expected[0]),
                  checks.Check("traversal order", expected[1]), *others]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            main(["check", str(case.csv), str(case.path), "--mode", case.mode])
         assert out.getvalue() == "".join(f"{c}\n" for c in lines)
 
 
@@ -320,6 +357,16 @@ def _laps(n_laps, radius=6.0, speed=8.0, dt=0.01):
     states[:, 7], states[:, 8] = -speed * np.sin(theta), speed * np.cos(theta)
     return GateSequence(balls * n_laps), (times, states,
                                           np.full((len(times), 4), 3.0))
+
+
+def test_flight_near_no_gate_fails_containment():
+    """A flight 100 m above every gate leaves the screen no (gate, sample)
+    pair at all: gate containment fails, and the empty order passes."""
+    times, states, controls = _straight_line(7)
+    states[:, 2] += 100.0
+    result = verify(times, states, controls, mixed_sequence(7),
+                    QuadParams.quad_a())
+    assert [c.passed for c in result[:2]] == [False, True]
 
 
 def test_containment_work_per_gate_is_bounded_on_a_line(counted):

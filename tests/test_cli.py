@@ -25,7 +25,8 @@ from raceplan.cli import (
     _write_csv, main,
 )
 from raceplan import _flatjet, cli, optimizer, tracks, trackio
-from raceplan.gates import BallGate, GateSequence, PolytopeGate
+from raceplan.errors import ValidationError
+from raceplan.gates import WORKSPACE, BallGate, GateSequence, PolytopeGate
 from raceplan.model import QuadParams
 
 TRACK = """
@@ -274,16 +275,16 @@ class TestPlan:
 
     @pytest.mark.parametrize("move", ["start", "gate"])
     def test_far_start_or_gate_exits_solver(self, move, tmp_path, capsys):
-        """The loop track with its start 1e6 m away, or a gate moved by
-        1e7 m.  Restoration would stretch durations past the spline's 60 s
-        guard, so it is out of reach: plan exits 2 with one error line, not
-        a traceback."""
+        """The loop track with its start 1e6 m away, on the workspace bound,
+        or a gate moved by 9e5 m.  Restoration would stretch durations past
+        the spline's 60 s guard, so it is out of reach: plan exits 2 with one
+        error line, not a traceback."""
         track = tracks.loop_track()
         if move == "start":
             track = replace(track, start=np.array([1e6, 0.0, 1.0]))
         else:
             gates = list(track.gates)
-            gates[3] = PolytopeGate.from_vertices(gates[3].vertices + [1e7, 0.0, 0.0],
+            gates[3] = PolytopeGate.from_vertices(gates[3].vertices + [9e5, 0.0, 0.0],
                                                   planar=True)
             track = replace(track, gates=tuple(gates))
         path = tmp_path / "far.yaml"
@@ -296,56 +297,35 @@ class TestPlan:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["solver"]["restore_scale"] is None
 
-    @pytest.mark.parametrize("extreme", ["ball-at-1e200", "tolerance-1e300"])
-    def test_overflowing_track_exits_solver_without_warnings(self, extreme,
-                                                             tmp_path, capsys):
-        """random_track(103) with its ball gate's centre at 1e200 m, or in
-        togt-wp mode with a waypoint tolerance of 1e300, overflows the
-        objective at the initial point: plan exits 2 with one solver error
-        line and no numpy RuntimeWarning."""
-        track = tracks.random_track(103)
-        if extreme == "ball-at-1e200":
-            gates = list(track.gates)
-            gates[2] = BallGate(center=[1e200, *gates[2].center[1:]],
-                                radius=gates[2].radius)
-            track = replace(track, gates=tuple(gates))
-        else:
-            track = replace(track, options=replace(
-                track.options, mode="togt-wp", waypoint_tolerance=1e300))
-        path = tmp_path / "extreme.yaml"
-        path.write_text(trackio.serialize(track))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["plan", str(path), "--out-dir", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == EXIT_SOLVER
-        assert err.startswith("solver error: ") and err.count("\n") == 1, err
-        assert "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize("radius, message", [
-        pytest.param(1e40, "the plan fails gate containment, rotor thrust bounds, "
-                     "body rate bounds", id="1e+40-the plan fails its checks"),
-        (1e52, "objective is not finite at the initial point"),
-    ])
-    def test_huge_ball_gate_exits_solver(self, radius, message, tmp_path):
-        """The loop with gate 3 a ball of radius 1e40 m, whose first step
-        overflows, so that the solve keeps its finite start, whose plan fails
-        its checks, and reports the gradient norm there; or 1e52 m, whose initial gradient is NaN: plan exits 2
-        with one error line, not a traceback."""
-        track = tracks.loop_track()
-        gates = list(track.gates)
-        gates[3] = BallGate(center=[1.0, 2.0, 1.0], radius=radius)
-        path = tmp_path / "huge.yaml"
-        path.write_text(trackio.serialize(replace(track, gates=tuple(gates))))
-        code, err = _outcome(["plan", str(path), "--out-dir", str(tmp_path / "out")])
-        assert code == EXIT_SOLVER
-        # A plan that fails a check is no solver error: its artifacts exist.
-        prefix = "error" if radius == 1e40 else "solver error"
-        assert err == f"{prefix}: {message}\n"
-        if radius == 1e40:  # the gradient norm at the kept start
-            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-            assert summary["solver"]["final_grad_norm"] > 1e203
+    @pytest.mark.parametrize("path, value, message", [
+        (("gates", 2, "center", 0), 1e200,
+         "gates[2].center must be finite and of magnitude at most 1e+06"),
+        (("start", 0), 1e7, "start must be finite and of magnitude at most 1e+06"),
+        (("options", "waypoint_tolerance"), 1e300,
+         "options.waypoint_tolerance must be finite and of magnitude at most 1e+06"),
+        (("gates", 2, "radius"), 1e40,
+         "gates[2]: ball gate radius must be finite and of magnitude at most 1e+06"),
+        (("gates", 2, "radius"), 1e52,
+         "gates[2]: ball gate radius must be finite and of magnitude at most 1e+06"),
+    ], ids=["ball-at-1e200", "start-at-1e7", "tolerance-1e300",
+            "ball-radius-1e40", "ball-radius-1e52"])
+    def test_far_track_exits_validation(self, path, value, message, tmp_path):
+        """random_track(103) with its ball gate's centre at 1e200 m or its
+        radius 1e40 or 1e52 m, its start at 1e7 m, or a waypoint tolerance
+        of 1e300, lies past the workspace: plan refuses the track file with
+        one error line naming the field and exit 1, without a numpy warning
+        and before it solves."""
+        doc = copy.deepcopy(RANDOM103)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        track = tmp_path / "far.yaml"
+        track.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert _outcome(["plan", str(track), "--out-dir", str(out)]) == (
+            EXIT_VALIDATION, f"error: {message}\n")
+        assert not out.exists()
 
     def test_failed_check_exits_solver(self, planned, tmp_path, capsys,
                                        monkeypatch):
@@ -495,9 +475,10 @@ class TestPlan:
     def test_degenerate_polygon_exits_validation_in_one_line(
             self, command, vertices, planned, tmp_path, capsys):
         """random_track(103) with its first gate, a polygon, given four
-        collinear vertices or its own scaled by 1e306 or 1e-300: Qhull
-        rejects it with a report of over 50 lines, of which both commands
-        print the first line only, and exit 1."""
+        collinear vertices or its own scaled by 1e-300: Qhull rejects it
+        with a report of over 50 lines, of which both commands print the
+        first line only, and exit 1.  Scaled by 1e306, it lies past the
+        workspace and is refused before Qhull sees it."""
         doc = yaml.safe_load(trackio.serialize(tracks.random_track(103)))
         gate = doc["gates"][0]
         assert gate["type"] == "polygon"
@@ -513,9 +494,13 @@ class TestPlan:
                 "check": ["check", str(out / "trajectory.csv"), str(track)]}
         assert main(argv[command]) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "error: gates[0]: degenerate polytope vertex set: QH")
-        assert captured.err.count("\n") == 1, captured.err
+        if vertices == "1e306":
+            assert captured.err == ("error: gates[0]: polytope vertices must be "
+                                    "finite and of magnitude at most 1e+06\n")
+        else:
+            assert captured.err.startswith(
+                "error: gates[0]: degenerate polytope vertex set: QH")
+            assert captured.err.count("\n") == 1, captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag", BAD_FLAGS, ids=" ".join)
@@ -560,7 +545,7 @@ class TestPlan:
     @given(path=st.sampled_from(list(_nodes(yaml.safe_load(TRACK)))[1:]),
            value=st.sampled_from(FUZZ_VALUES))
     @example(path=("finish", 2), value=-1)  # plans, exit 0
-    @example(path=("gates", 0, "radius"), value=1e300)  # overflows, exit 2
+    @example(path=("gates", 0, "radius"), value=1e300)  # past the workspace, exit 1
     @settings(max_examples=4, deadline=None, derandomize=True)
     def test_mutated_small_track_plans(self, path, value):
         """One node of a 2-gate track document set to an extreme number,
@@ -698,26 +683,34 @@ class TestCheck:
         assert code == EXIT_OK, report
         assert "pass: traversal order" in report
 
-    def test_nan_positions_fail_containment(self, planned, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [np.nextafter(WORKSPACE, np.inf), np.nan,
+                                       WORKSPACE], ids=["past", "nan", "on"])
+    def test_positions_past_the_workspace_exit_validation(self, value, planned,
+                                                          tmp_path):
+        """A CSV whose every position is just past 1e6 or NaN is refused
+        before any check: one error line, exit 1.  At exactly 1e6 it is
+        checked, and fails gate containment."""
         track, out = planned
         rows = (out / "trajectory.csv").read_text().splitlines()
         corrupted = rows[:2]
         for line in rows[2:]:
             cols = line.split(",")
-            cols[1:4] = ["nan"] * 3
+            cols[1:4] = [repr(float(value))] * 3
             corrupted.append(",".join(cols))
-        bad_csv = tmp_path / "nan.csv"
+        bad_csv = tmp_path / "far.csv"
         bad_csv.write_text("\n".join(corrupted) + "\n")
-        assert main(["check", str(bad_csv), str(track)]) == EXIT_VALIDATION
-        assert "FAIL: gate containment" in capsys.readouterr().out
+        refusal = ("" if value == WORKSPACE else "error: trajectory states must "
+                   "be finite and of magnitude at most 1e+06\n")
+        assert _outcome(["check", str(bad_csv), str(track)]) == (
+            EXIT_VALIDATION, refusal)
 
     @pytest.mark.parametrize("column", range(7))
     @pytest.mark.parametrize("upper", [False, True])
     def test_limits_allow_headroom_and_no_more(self, column, upper, quad_a):
         """verify passes a rotor thrust or body rate past its bound by just
-        under HEADROOM of the limit's range, and fails one just past that, or
-        NaN, at either bound; every other check passes, and the worst values
-        are the raw extremes."""
+        under HEADROOM of the limit's range, and fails one just past that, at
+        either bound, and refuses NaN there; every other check passes, and
+        the worst values are the raw extremes."""
         params = replace(quad_a, f_min=0.5)
         times = np.array([0.0, 0.01, 0.02])
         states = np.zeros((3, 13))
@@ -726,10 +719,14 @@ class TestCheck:
         bound = (params.upper if upper else params.lower)[column]
         step = (1.0 if upper else -1.0) * HEADROOM * params.scale[column]
         limit = "rotor thrust bounds" if column < 4 else "body rate bounds"
-        for factor, passes in ((1 - 1e-9, True), (1 + 1e-9, False), (np.nan, False)):
+        for factor, passes in ((1 - 1e-9, True), (1 + 1e-9, False), (np.nan, None)):
             x = np.tile(0.5 * (params.lower + params.upper), (3, 1))
             x[1, column] = bound + factor * step
             controls, states[:, 10:] = x[:, :4], x[:, 4:]
+            if passes is None:
+                with pytest.raises(ValidationError, match="must be finite"):
+                    verify(times, states, controls, seq, params)
+                continue
             checks = verify(times, states, controls, seq, params)
             assert [c.passed for c in checks if c.name != limit] == [True] * 5
             assert [c.passed for c in checks if c.name == limit] == [passes]
@@ -829,24 +826,18 @@ class TestCheck:
         assert main(["check", str(tmp_path / "none.csv"), str(track)]) == EXIT_IO
 
     def test_far_gate_fails_without_warnings(self, planned_random103,
-                                             tmp_path, capsys):
+                                             tmp_path):
         """random_track(103)'s plan against its track with the ball gate
-        moved to x = 1e300: the gate's residual overflows, so check exits 1
-        on gate containment with nothing on stderr."""
-        track, csv = planned_random103
-        gates = list(track.gates)
-        gates[2] = BallGate(center=[1e300, *gates[2].center[1:]],
-                            radius=gates[2].radius)
+        moved to x = 1e300, past the workspace: check refuses the track in
+        one error line, exit 1, with nothing on stdout and no warning."""
+        _, csv = planned_random103
+        doc = copy.deepcopy(RANDOM103)
+        doc["gates"][2]["center"][0] = 1e300
         path = tmp_path / "far.yaml"
-        path.write_text(trackio.serialize(replace(track, gates=tuple(gates))))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["check", str(csv), str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_VALIDATION
-        assert "FAIL: gate containment" in captured.out.splitlines()
-        assert captured.err == ""
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        path.write_text(yaml.safe_dump(doc))
+        assert _outcome(["check", str(csv), str(path)]) == (
+            EXIT_VALIDATION, "error: gates[2].center must be finite and of "
+            "magnitude at most 1e+06\n")
 
     @given(path=st.sampled_from(list(_nodes(RANDOM103))),
            value=st.sampled_from(FUZZ_VALUES))

@@ -7,7 +7,11 @@ import pytest
 from conftest import mixed_sequence, unit_square_gate
 from raceplan import errors
 from raceplan.errors import RaceplanError, ValidationError
-from raceplan.gates import BallGate, DecisionVector, decode, shrink_margin, surject
+from raceplan.checks import verify
+from raceplan.gates import (
+    WORKSPACE, BallGate, DecisionVector, GateSequence, PolytopeGate, decode,
+    shrink_margin, surject,
+)
 from raceplan.model import QuadParams, dynamics
 from raceplan.spline import BoundaryCondition, construct, propagate_gradients
 from raceplan.trackio import TrackOptions
@@ -71,3 +75,42 @@ def test_two_exception_types():
                if isinstance(value, type) and issubclass(value, Exception)}
     assert defined == {"RaceplanError", "ValidationError"}
     assert issubclass(ValidationError, RaceplanError)
+
+
+def _verify_with(where, value):
+    """verify of a three-sample hover at a ball, with the first entry of the
+    times, positions or thrusts set to value."""
+    times = np.array([0.0, 0.01, 0.02])
+    states = np.zeros((3, 13))
+    states[:, 2], states[:, 3] = 1.0, 1.0
+    controls = np.full((3, 4), 2.0)
+    {"times": times, "states": states, "controls": controls}[where].flat[0] = value
+    seq = GateSequence((BallGate(center=[0.0, 0.0, 1.0], radius=0.5),))
+    return verify(times, states, controls, seq, QuadParams.quad_a())
+
+
+#: Each place a length, coordinate or sample enters, as a function of the
+#: value it is given.
+ENTRIES = {
+    "ball-center": lambda x: BallGate(center=[x, 0.0, 0.0], radius=1.0),
+    "ball-radius": lambda x: BallGate(center=[0.0, 0.0, 0.0], radius=x),
+    "polytope-vertex": lambda x: PolytopeGate.from_vertices(
+        [[x, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        planar=False),
+    "boundary-condition": lambda x: BoundaryCondition.hover([0.0, x, 1.0]),
+    "margin": lambda x: TrackOptions(margin=x),
+    "waypoint-tolerance": lambda x: TrackOptions(waypoint_tolerance=x),
+    **{f"verify-{where}": lambda x, where=where: _verify_with(where, x)
+       for where in ("times", "states", "controls")},
+}
+
+
+@pytest.mark.parametrize("enter", ENTRIES.values(), ids=list(ENTRIES))
+def test_workspace_bound_is_checked_where_values_enter(enter):
+    """Exactly WORKSPACE is accepted; the next float above it, and NaN, are
+    refused with a ValidationError."""
+    enter(WORKSPACE)
+    for value in (np.nextafter(WORKSPACE, np.inf), np.nan):
+        with pytest.raises(ValidationError, match=r"must be finite and of "
+                           r"magnitude at most 1e\+06$"):
+            enter(value)

@@ -27,7 +27,8 @@ class TestGateConstruction:
 
     @pytest.mark.parametrize("center", [[np.nan, 0, 0], [0, -np.inf, 0]])
     def test_non_finite_center_rejected(self, center):
-        with pytest.raises(ValidationError, match="^ball gate center must be finite$"):
+        with pytest.raises(ValidationError, match=r"^ball gate center must be "
+                           r"finite and of magnitude at most 1e\+06$"):
             BallGate(center=center, radius=1.0)
 
     def test_coincident_vertices_rejected(self):

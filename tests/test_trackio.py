@@ -122,10 +122,11 @@ class TestParse:
         _says("options.margin: not a number",
               lambda d: d.__setitem__("options", {"margin": "wide"})),
         lambda d: d.__setitem__("options", 5),
-        _says("gates[0]: ball gate radius must be finite and >= 0",
+        _says("gates[0]: ball gate radius must be finite and of magnitude at "
+              "most 1e+06",
               lambda d: d["gates"][0].__setitem__("radius", float("nan"))),
         lambda d: d["gates"][0].__setitem__("radius", float("inf")),
-        _says("gates[0].center: entries must be finite",
+        _says("gates[0].center must be finite and of magnitude at most 1e+06",
               lambda d: d["gates"][0].__setitem__("center", [3, float("nan"), 1.5])),
         lambda d: d["gates"][0].__setitem__("center", [float("inf"), 0, 1.5]),
         lambda d: d.__setitem__("start", [0, 0, float("nan")]),
@@ -219,6 +220,11 @@ class TestParse:
               lambda d: d.__setitem__("quad", {**QUAD, "mass": 10**400})),
         _says("start: not a numeric array",
               lambda d: d.__setitem__("start", [10**400, 0, 1.5])),
+        # The version is the integer 1, though true and 1.0 compare equal to it.
+        _says("schema_version: expected 1, got True",
+              lambda d: d.__setitem__("schema_version", True)),
+        _says("schema_version: expected 1, got 1.0",
+              lambda d: d.__setitem__("schema_version", 1.0)),
     ])
     def test_mutated_documents_raise_structured_errors(self, mutate):
         doc = yaml.safe_load(MINIMAL)
