@@ -122,6 +122,7 @@ def cmd_plan(args) -> int:
         "solver": {
             "iterations": result.diagnostics.iterations,
             "function_evals": result.diagnostics.function_evals,
+            "function_evals_all_starts": result.diagnostics.function_evals_all_starts,
             "termination": result.diagnostics.termination,
             "final_grad_norm": result.diagnostics.final_grad_norm,
             "wall_time": result.diagnostics.wall_time,

@@ -46,8 +46,10 @@ from .spline import MAX_SEGMENT_DURATION, BoundaryCondition, TrajectorySpline
 # L-BFGS-B (scipy): history length, iteration cap, and the tolerances on
 # the relative decrease of f in one iteration and on the largest gradient
 # entry.  The window stop, liblbfgs's past/delta test, ends a run first: f
-# fell by at most DELTA relative over the last PAST iterations.
-MEMORY = 8
+# fell by at most DELTA relative over the last PAST iterations.  A history
+# of 24 pairs took fewer evaluations than 8 on each of loop7 (both modes),
+# the 28- and 56-gate laps and 8 random tracks under four OpenBLAS kernels.
+MEMORY = 24
 MAX_ITERATIONS = 3000
 F_TOLERANCE = 1e-12
 GRAD_TOLERANCE = 1e-9
@@ -96,6 +98,8 @@ class SolveDiagnostics:
     wall_time: float
     termination: str  # converged | max_iter | line_search_failure
     function_evals: int = 0
+    # The evaluations of every start, the winner's among them (set by solve).
+    function_evals_all_starts: int = 0
     # The uniform duration stretch restoration applied: 1.0 where none was
     # needed, None where feasibility was out of reach (set by solve).
     restore_scale: float | None = 1.0
@@ -457,7 +461,9 @@ def solve(seq: GateSequence, params: QuadParams,
     for _ in range(opt_cfg.restarts):
         starts.append(starts[0] + rng.normal(scale=0.3, size=len(starts[0])))
 
-    x, f, diag = min(_run_starts(evaluator, starts), key=lambda run: run[1])
+    runs = _run_starts(evaluator, starts)
+    x, f, diag = min(runs, key=lambda run: run[1])
+    diag.function_evals_all_starts = sum(run[2].function_evals for run in runs)
     diag.wall_time = time.perf_counter() - t_start
 
     dec, diag.restore_scale = _restore_feasibility(dec0.with_flat(x),

@@ -84,13 +84,14 @@ def three_gate_solve():
 # speed or load.  Wall times are printed only; the seconds are measured by
 # `python3 perfbench/run.py --workload loop7`.  The budgets were once 10 s
 # per solve on a slower host; they stay as ceilings.  With the window stop
-# the solves take, under each OpenBLAS kernel (OPENBLAS_CORETYPE):
+# and 24 L-BFGS-B pairs the solves take, under each OpenBLAS kernel
+# (OPENBLAS_CORETYPE):
 #
 #   kernel        TOGT   TOGT-WP
-#   SkylakeX       301       527
-#   Haswell        312       553
-#   Sandybridge    306       524
-#   Prescott       287       523
+#   SkylakeX       251       276
+#   Haswell        278       307
+#   Sandybridge    248       264
+#   Prescott       257       284
 TOGT_EVAL_BUDGET = 1170
 WP_EVAL_BUDGET = 1250
 

@@ -159,6 +159,8 @@ class TestPlan:
         assert summary["path_length"] >= 7.0  # at least the crow-flies span
         assert summary["penalty"] < 1e-4
         assert summary["solver"]["iterations"] >= 1
+        assert summary["solver"]["function_evals_all_starts"] \
+            == summary["solver"]["function_evals"]
         assert summary["solver"]["restore_scale"] >= 1.0
 
     def test_summary_checks_match_check(self, planned, capsys):

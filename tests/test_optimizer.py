@@ -30,7 +30,7 @@ from raceplan.optimizer import (
 )
 from raceplan.spline import MAX_SEGMENT_DURATION, BoundaryCondition, construct
 from raceplan.trackio import build_sequence
-from raceplan.tracks import loop_track
+from raceplan.tracks import loop_track, random_track
 
 
 @pytest.fixture(scope="module")
@@ -428,10 +428,13 @@ class TestStarts:
     def test_without_openblas_the_starts_run_here(self, single_ball_problem,
                                                    monkeypatch):
         """Where scipy's OpenBLAS cannot be found, the starts run one after
-        the other in this process, even with CPUs to spare, with the bytes
-        of a forked run."""
+        the other in this process, even with CPUs to spare, at the caller's
+        thread count.  At one thread, a forked run's count, they give the
+        forked run's bytes: L-BFGS-B's BLAS rounds by thread count under
+        some kernels."""
         monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
         forked = solve(*single_ball_problem, opt_cfg=self.CFG)
+        blas = optimizer._blas_threads()
         minimize = optimizer._minimize
         pids = []
 
@@ -441,12 +444,63 @@ class TestStarts:
 
         monkeypatch.setattr(optimizer, "_blas_threads", lambda: None)
         monkeypatch.setattr(optimizer, "_minimize", recording)
-        result = solve(*single_ball_problem, opt_cfg=self.CFG)
+        if blas is None:  # the forked run ran here at the caller's count
+            result = solve(*single_ball_problem, opt_cfg=self.CFG)
+        else:
+            get_threads, set_threads = blas
+            before = get_threads()
+            set_threads(1)
+            try:
+                result = solve(*single_ball_problem, opt_cfg=self.CFG)
+            finally:
+                set_threads(before)
         assert pids == [os.getpid()] * 3
         assert multiprocessing.active_children() == []
         for name in ("states", "controls", "sample_times"):
             assert getattr(result, name).tobytes() == getattr(forked, name).tobytes()
         assert result.diagnostics.function_evals == forked.diagnostics.function_evals
+
+    def test_without_openblas_the_bytes_repeat_at_the_callers_count(
+            self, single_ball_problem, monkeypatch):
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizer, "_blas_threads", lambda: None)
+        first, second = (solve(*single_ball_problem, opt_cfg=self.CFG)
+                         for _ in range(2))
+        for name in ("states", "controls", "sample_times"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.diagnostics.function_evals_all_starts \
+            == second.diagnostics.function_evals_all_starts
+
+    def test_function_evals_all_starts_without_restarts_is_the_winners(
+            self, single_ball_problem):
+        diag = solve(*single_ball_problem).diagnostics
+        assert diag.function_evals_all_starts == diag.function_evals > 0
+
+    def test_function_evals_all_starts_sums_every_start(self, monkeypatch):
+        """The sum is the same whether the starts ran forked or here, and
+        here it is the sum of each start's count."""
+        track = random_track(100)
+        problem = (build_sequence(track), track.quad,
+                   BoundaryCondition.hover(track.start),
+                   BoundaryCondition.hover(track.finish))
+        cfg = OptimizerConfig(restarts=2)
+        minimize = optimizer._minimize
+        counts = []
+
+        def counting(fg, x0):
+            x, f, diag = minimize(fg, x0)
+            counts.append(diag.function_evals)
+            return x, f, diag
+
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 2)
+        forked = solve(*problem, opt_cfg=cfg).diagnostics
+        monkeypatch.setattr(optimizer, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(optimizer, "_minimize", counting)
+        in_process = solve(*problem, opt_cfg=cfg).diagnostics
+        assert len(counts) == 3 and in_process.function_evals in counts
+        assert forked.function_evals_all_starts \
+            == in_process.function_evals_all_starts == sum(counts)
+        assert forked.function_evals == in_process.function_evals
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_a_tie_goes_to_the_first_start(self, cpus, single_ball_problem,
