@@ -16,7 +16,7 @@ import numpy as np
 from . import _flatjet, gates, spline as spline_mod
 from ._frozen import freeze
 from .gates import DecisionVector, GateSequence
-from .model import QuadParams, limit_residuals, limit_screen
+from .model import QuadParams, limit_residuals
 from .spline import BoundaryCondition, TrajectorySpline
 
 
@@ -72,11 +72,11 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     segment durations.
 
     Returns (value, grad); (+inf, None) when a sample hits the flatness
-    singularity.  ``grad()`` runs the flatness VJP and the coefficient
-    scatter on the samples where a limit is active and returns
-    (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a caller that reads only
-    the value never pays for them.  ``kappa`` pins the per-segment sample
-    counts; by default they follow the durations through :func:`samples`.
+    singularity.  On the samples where a limit is active, ``grad()`` builds
+    the cotangent and the crackle, runs the flatness VJP and the coefficient
+    scatter and returns (dJ_dC (L+1, 2s, 3), dJ_dT_direct (L+1,)), so a
+    caller that reads only the value never pays for any of it.  ``kappa``
+    pins the per-segment sample counts, by default ``samples(durations)``.
     """
     durations = traj.durations
     num_seg = len(durations)
@@ -90,15 +90,16 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     if out.singular.any():
         return math.inf, None
 
-    # The rest runs on the active samples alone, those with a limit past its
-    # bound: any other sample has a zero hinge, rho and cotangent.  Every
-    # gradient step is elementwise per sample, and a zero-cotangent sample
-    # adds exactly +0.0 to each sum, so the result is bit for bit that of
-    # all samples.  The gather runs once, here, so that the flatness map's
-    # kept values of the other samples are freed now and grad() never holds
-    # them.
-    rows = limit_screen(out, params)
-    hinge, sign, scale = limit_residuals(out.rotor[rows], out.omega[rows], params)
+    # The rest runs on the active samples alone, the rows where one of the 7
+    # limit residuals is not <= 0, NaN included: any other sample has a zero
+    # hinge, rho and cotangent.  Every gradient step is elementwise per
+    # sample, and a zero-cotangent sample adds exactly +0.0 to each sum, so
+    # the result is bit for bit that of all samples.  The gather runs once,
+    # here, so that the flatness map's kept values of the other samples are
+    # freed now and grad() never holds them.
+    hinge, sign, scale = limit_residuals(out.rotor, out.omega, params)
+    rows = np.flatnonzero(~(hinge <= 0.0).all(axis=1))
+    hinge, sign = hinge[rows], sign[rows]
     kept = np.take(out.kept, rows, axis=1)  # C order: the VJP reads rows
     del out
     hinge /= scale
@@ -110,28 +111,28 @@ def penalty(traj: TrajectorySpline, params: QuadParams, kappa=None):
     rho[rows] = np.einsum("k,nk->n", PENALTY_WEIGHTS, cube)
     del cube
     value = float(weights @ rho)
-
-    # d rho / d flat-outputs, the 4 rotor thrusts then the 3 body rates.
-    cot = np.square(hinge)
-    del hinge
-    cot *= _CUBE_SLOPE
-    cot *= sign / scale
-    # rho_dot's inputs, the flat inputs one derivative order up: the kept
-    # jerk and snap, and the crackle, summed as eval_local sums it.  They
-    # fill one (n, 9) allocated C-contiguous, as einsum rounds by memory
-    # layout: np.hstack would take its order from its inputs, F here.
-    basis = spline_mod._basis(local[rows], 5, min_order=2)  # orders 2-5
-    crackle = np.einsum("nm,nmd->nd", basis[:, 3],
-                        traj.segment_coefficients(seg_ids[rows]))
-    inputs_dot = np.empty((len(rows), 9))
-    inputs_dot[:, :6] = _flatjet._views(kept)[1][1:3].reshape(6, -1).T
-    inputs_dot[:, 6:] = crackle
-    seg_ids, j, weights, rho = seg_ids[rows], j[rows], weights[rows], rho[rows]
+    seg_ids, j, local, weights, rho = (
+        seg_ids[rows], j[rows], local[rows], weights[rows], rho[rows])
 
     def grad():
+        # d rho / d flat-outputs, the 4 rotor thrusts then the 3 body rates.
+        cot = np.square(hinge)
+        cot *= _CUBE_SLOPE
+        cot *= sign / scale
         # d rho / d flat-inputs, (n, 9): one vector-Jacobian product of the
         # flatness map.
         g_inputs = _flatjet.vjp(kept, params, cot[:, :4], cot[:, 4:])
+        del cot
+
+        # rho_dot's inputs, the flat inputs one derivative order up: the kept
+        # jerk and snap, and the crackle, summed as eval_local sums it.  They
+        # fill one (n, 9) allocated C-contiguous, as einsum rounds by memory
+        # layout: np.hstack would take its order from its inputs, F here.
+        basis = spline_mod._basis(local, 5, min_order=2)  # orders 2-5
+        inputs_dot = np.empty((len(rows), 9))
+        inputs_dot[:, :6] = _flatjet._views(kept)[1][1:3].reshape(6, -1).T
+        inputs_dot[:, 6:] = np.einsum("nm,nmd->nd", basis[:, 3],
+                                      traj.segment_coefficients(seg_ids))
 
         # Time derivative of rho along the trajectory.
         rho_dot = np.einsum("np,np->n", g_inputs, inputs_dot)

@@ -321,7 +321,7 @@ def _ball_map(center, radius, d):
     p = center + scale[:, None] * d[:, :3]
     jac = np.zeros((len(d), 3, 4))
     jac[:, :, :3] = scale[:, None, None] * np.eye(3)[None]
-    jac -= (2.0 * scale / q)[:, None, None] * np.einsum("ni,nj->nij", d[:, :3], d)
+    jac -= (2.0 * scale / q)[:, None, None] * (d[:, :3, None] * d[:, None, :])
     return p, jac
 
 
@@ -339,8 +339,8 @@ def _polytope_map(vertices, d):
     w[zero] = 1.0 / v
     p = np.matmul(w[:, None], vertices)[:, 0]
     # dw_i/dd_k = 2 d_i delta_ik / s - 2 d_k w_i / s
-    dw = 2.0 * np.einsum("ni,ik->nik", d, np.eye(v)) / s_safe[:, None, None]
-    dw -= 2.0 * np.einsum("nk,ni->nik", d, w) / s_safe[:, None, None]
+    dw = 2.0 * (d[:, :, None] * np.eye(v)) / s_safe[:, None, None]
+    dw -= 2.0 * (w[:, :, None] * d[:, None, :]) / s_safe[:, None, None]
     dw[zero] = 0.0
     jac = np.einsum("...ic,...ik->...ck", vertices, dw)
     return p, jac

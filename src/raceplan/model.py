@@ -126,12 +126,3 @@ def limit_residuals(rotor, omega, params: QuadParams):
     np.maximum(res, x - params.upper, out=res)
     return res, np.where(x < params.lower, -1.0, 1.0), params.scale
 
-
-def limit_screen(out: _flatjet.FlatOutputs, params: QuadParams):
-    """Indices of the samples with one of the 7 outputs outside its bounds,
-    NaN included.  These hold every row of limit_residuals with a residual
-    over its scale not <= 0, and any whose positive residual underflows to
-    0 over its scale, whose hinge is an exact zero."""
-    inside = (params.f_min <= out.rotor) & (out.rotor <= params.f_max)
-    rates = (-params.omega_max <= out.omega) & (out.omega <= params.omega_max)
-    return np.flatnonzero(~(inside.all(axis=1) & rates.all(axis=1)))

@@ -13,14 +13,17 @@ import pytest
 
 from conftest import hover_pair, mixed_sequence
 import raceplan
-from raceplan import _flatjet
+from raceplan import _flatjet, spline as spline_mod
 from raceplan.cost import (
     PENALTY_WEIGHTS, Evaluator, _sample_grid, objective, penalty, samples,
 )
-from raceplan.gates import DecisionVector, time_map
+from raceplan.gates import DecisionVector, decode, time_map
 from raceplan.model import limit_residuals
-from raceplan.optimizer import OptimizerConfig, initialize
-from raceplan.spline import NCOEF, BoundaryCondition, _basis, construct
+from raceplan.optimizer import OptimizerConfig, _minimize, initialize
+from raceplan.spline import (
+    NCOEF, BoundaryCondition, TrajectorySpline, _basis, construct,
+    propagate_gradients,
+)
 from raceplan.trackio import build_sequence
 from raceplan.tracks import loop_track
 
@@ -49,6 +52,12 @@ def reference_penalty_gradient(traj, params, kappa=None):
     the flatness VJP of all samples, the per-order coefficient scatter and
     np.add.at, as the penalty computed them before it ran its gradient on
     the active samples alone."""
+    return reference_penalty(traj, params, kappa)[1:]
+
+
+def reference_penalty(traj, params, kappa=None):
+    """The penalty's value over every sample, then the values of
+    :func:`reference_penalty_gradient`."""
     durations = traj.durations
     seg_ids, j, local, weights, kappa = _sample_grid(durations, kappa)
     derivs = traj.eval_local(seg_ids, local, 5)
@@ -72,7 +81,24 @@ def reference_penalty_gradient(traj, params, kappa=None):
     t_contrib += weights * rho_dot * j / kappa[seg_ids]
     dJ_dT = np.zeros(len(durations))
     np.add.at(dJ_dT, seg_ids, t_contrib)
-    return dJ_dC, dJ_dT, cot
+    return float(weights @ rho), dJ_dC, dJ_dT, cot
+
+
+def reference_objective(dec, seq, params, bc0, bcf):
+    """(total, flat gradient, active sample count) of the objective with
+    the penalty over every sample: sum(T) + weights @ rho, and the gradient
+    of :func:`reference_penalty_gradient` through the spline adjoint and
+    each group's decode Jacobians."""
+    waypoints, durations, jacs, dt_dk = decode(seq, dec)
+    traj = construct(waypoints, durations, bc0, bcf)
+    pen, dJ_dC, dJ_dT, cot = reference_penalty(traj, params)
+    dJ_dP, dJ_dT = propagate_gradients(traj, dJ_dC, dJ_dT)
+    grad = DecisionVector(D=np.empty_like(dec.D), K=(dJ_dT + 1.0) * dt_dk)
+    for (index, columns, _), jac in zip(seq.groups, jacs):
+        grad.D[columns] = np.matmul(jac.transpose(0, 2, 1),
+                                    dJ_dP[index, :, None])[..., 0]
+    return (float(np.sum(durations)) + pen, grad.to_flat(),
+            int(cot.any(axis=1).sum()))
 
 
 class TestConfigs:
@@ -239,25 +265,61 @@ class TestPenalty:
         assert penalty(traj, quad_a) == (np.inf, None)
 
     def test_value_only_call_never_runs_the_vjp(self, quad_a, monkeypatch):
-        """Reading only the value, as restoration does, runs no flatness VJP;
-        the gradient runs it once per call."""
-        calls = []
-        vjp = _flatjet.vjp
+        """Reading only the value, as restoration does, does no gradient
+        work: no flatness VJP, and no basis or coefficient gather for the
+        active rows, whose crackle only the gradient reads.  Each gradient
+        call runs the VJP once and gathers once for the active rows, and a
+        second call gives the bytes of the first."""
+        calls, bases, gathers = [], [], []
+        vjp, basis = _flatjet.vjp, spline_mod._basis
+        gather = TrajectorySpline.segment_coefficients
 
         def counting(kept, params, rotor_bar, omega_bar):
             calls.append(len(rotor_bar))
             return vjp(kept, params, rotor_bar, omega_bar)
 
-        monkeypatch.setattr(_flatjet, "vjp", counting)
+        def counting_basis(t, max_order, min_order=0):
+            bases.append((len(t), max_order, min_order))
+            return basis(t, max_order, min_order)
+
+        def counting_gather(self, seg_idx):
+            gathers.append(len(seg_idx))
+            return gather(self, seg_idx)
+
         traj = aggressive_spline()
-        value, grad = penalty(traj, quad_a, samples(traj.durations, refine=4))
+        kappa = samples(traj.durations, refine=4)
+        monkeypatch.setattr(_flatjet, "vjp", counting)
+        monkeypatch.setattr(spline_mod, "_basis", counting_basis)
+        monkeypatch.setattr(TrajectorySpline, "segment_coefficients",
+                            counting_gather)
+        value, grad = penalty(traj, quad_a, kappa)
+        n = int(np.sum(kappa + 1))
+        # The value pass: orders 2-4 of every sample, for the flatness map.
         assert value > 0 and calls == []
+        assert bases == [(n, 4, 2)] and gathers == [n]
         first = grad()
-        assert len(calls) == 1
+        (active,) = calls
+        assert active > 0
+        assert bases == [(n, 4, 2), (active, 5, 2)]
+        assert gathers == [n, active]
         second = grad()
-        assert len(calls) == 2
+        assert calls == [active] * 2 and gathers == [n] + [active] * 2
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+        # Restoration's fine penalty: the construction's basis at the
+        # durations and the value pass alone.
+        seq = mixed_sequence(3)
+        bc0, bcf = hover_pair(3)
+        dec = DecisionVector.for_sequence(seq)
+        dec.K -= 0.9   # short durations: the penalty is active
+        evaluator = Evaluator(dec, seq, quad_a, bc0, bcf)
+        calls.clear(), bases.clear(), gathers.clear()
+        assert evaluator.fine_penalty(dec) > 0
+        durations = time_map(dec.K)[0]
+        n = int(np.sum(samples(durations, refine=4) + 1))
+        assert calls == [] and gathers == [n]
+        assert bases == [(len(durations), NCOEF - 1, 0), (n, 4, 2)]
 
     def test_c2_across_activation(self, quad_a):
         """Second differences of the penalty stay continuous where the cubic
@@ -345,10 +407,42 @@ class TestObjective:
                      ) / (2 * step)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
+    @pytest.mark.parametrize("case", ["none", "some", "all", "eval56"])
+    def test_total_and_gradient_match_every_sample_bitwise(self, case):
+        """The objective's total and assembled gradient are those of the
+        penalty over every sample, bit for bit: on the 7-gate loop at its
+        initial point, with no sample active, and with f_min above every
+        rotor thrust there, with all active; at the solver's answer before
+        restoration, with some active; and at the 8-lap, 56-gate loop's
+        initial point, 1,722 samples with some active."""
+        track = loop_track()
+        bc0 = BoundaryCondition.hover(track.start)
+        bcf = BoundaryCondition.hover(track.finish)
+        params = track.quad
+        seq = build_sequence(track, laps=8 if case == "eval56" else 1)
+        if case == "eval56":
+            dec = initialize(seq, bc0, bcf, OptimizerConfig(initial_speed_guess=12.0))
+        elif case in ("none", "all"):
+            dec = initialize(seq, bc0, bcf)
+        else:   # the solver's answer, before restoration stretches it
+            dec0 = initialize(seq, bc0, bcf)
+            x = _minimize(Evaluator(dec0, seq, params, bc0, bcf), dec0.to_flat())[0]
+            dec = dec0.with_flat(x)
+        if case == "all":
+            params = replace(params, f_min=0.99 * params.f_max)
+        total, grad, active = reference_objective(dec, seq, params, bc0, bcf)
+        n = int(np.sum(samples(time_map(dec.K)[0]) + 1))
+        assert {"none": active == 0, "some": 0 < active < n,
+                "all": active == n, "eval56": 0 < active < n == 1722}[case]
+        report = objective(dec, seq, params, bc0, bcf)
+        assert np.float64(report.total).tobytes() == np.float64(total).tobytes()
+        assert report.gradient.to_flat().tobytes() == grad.tobytes()
+
     def test_working_set_per_sample(self):
         """One evaluation of the 8-lap, 56-gate loop at its initial point
         (1,722 samples) peaks at no more than 850 traced bytes per sample
-        (772 measured with numpy 2.4, in the flatness map): each large
+        (775 measured with numpy 2.4, in the limit residuals of every
+        sample, 772 in the flatness map before them): each large
         per-sample array lives only until its last use, and the penalty's
         tail and the gradient hold the active samples alone."""
         track = loop_track()

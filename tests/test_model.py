@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
-from raceplan._flatjet import GRAVITY, flat_outputs, mixer_matrix
+from raceplan import _flatjet, cost
+from raceplan._flatjet import GRAVITY, KEPT_ROWS, flat_outputs, mixer_matrix
 from raceplan.errors import RaceplanError, ValidationError
-from raceplan.model import QuadParams, dynamics, limit_residuals, limit_screen
+from raceplan.model import QuadParams, dynamics, limit_residuals
 from raceplan.optimizer import _sample_trajectory, solve
 from raceplan.spline import BoundaryCondition, construct
 from raceplan.trackio import build_sequence
@@ -343,16 +344,42 @@ class TestConstraintResiduals:
         assert np.array_equal(scale, np.r_[[params.f_max - params.f_min] * 4,
                                            params.omega_max])
 
+    @staticmethod
+    def _penalty_rows(monkeypatch, rotor, omega, params):
+        """The rows that ``cost.penalty`` takes as its working set from the
+        flatness outputs rotor (N, 4) and omega (N, 3): the samples whose
+        kept columns its gradient's VJP receives."""
+        n = len(rotor)
+        out = SimpleNamespace(rotor=rotor, omega=omega, singular=np.zeros(n, bool),
+                              kept=np.tile(np.arange(n, dtype=float), (KEPT_ROWS, 1)))
+        got = []
+
+        def vjp(kept, params, rotor_bar, omega_bar):
+            got.append(kept[0].astype(np.intp))
+            return np.zeros((len(rotor_bar), 9))
+
+        monkeypatch.setattr(_flatjet, "flat_outputs", lambda inputs, params: out)
+        monkeypatch.setattr(_flatjet, "vjp", vjp)
+        traj = construct(np.array([[0.5, 0.0, 1.0]]), [1.0, 1.0],
+                         BoundaryCondition.hover([0.0, 0.0, 1.0]),
+                         BoundaryCondition.hover([1.0, 0.0, 1.0]))
+        cost.penalty(traj, params, np.array([n // 2 - 1, n - n // 2 - 1]))[1]()
+        (rows,) = got
+        return rows
+
     @pytest.mark.parametrize("f_min", [0.0, 0.5])
-    def test_screen_picks_the_rows_of_the_nonzero_hinge(self, quad_a, f_min):
-        """limit_screen picks exactly the rows where one of the 7 residuals
-        is above 0 or NaN, for each rotor and each rate axis at each bound:
-        exactly at it, one ulp inside and past it, subnormal steps past it,
-        where the residual divides to 0 or not, and at +-inf and NaN.  These
-        are the rows where the hinge, max(residual / scale, 0), has a nonzero
-        entry, and the rows whose positive residual divides to 0, whose hinge
-        is all zeros.  limit_residuals of those rows gives its rows of every
-        sample's residuals."""
+    def test_residual_rule_picks_the_rows_of_the_nonzero_hinge(
+            self, quad_a, f_min, monkeypatch):
+        """The penalty's working set, the rows where one of the 7 residuals
+        is not <= 0, is the rows with an output outside its bounds, NaN
+        included, for each rotor and each rate axis at each bound: exactly
+        at it, one ulp inside and past it, subnormal steps past it, where the
+        residual divides to 0 or not, and at +-inf and NaN.  It holds every
+        row where the hinge, max(residual / scale, 0), has a nonzero entry;
+        the rest are exactly the rows whose positive residual divides to 0,
+        whose hinge is all zeros, and these occur only at a bound of 0.
+        limit_residuals of the rows gives their rows of every sample's
+        residuals."""
         params = replace(quad_a, f_min=f_min)
         low = np.r_[[params.f_min] * 4, -params.omega_max]
         high = np.r_[[params.f_max] * 4, params.omega_max]
@@ -367,20 +394,21 @@ class TestConstraintResiduals:
         x = np.tile(0.5 * (low + high), (len(values), 1))
         for row, (k, v) in enumerate(values):
             x[row, k] = v
-        out = SimpleNamespace(rotor=x[:, :4], omega=x[:, 4:])
-        res, _, scale = limit_residuals(out.rotor, out.omega, params)
+        rotor, omega = x[:, :4], x[:, 4:]
+        res, _, scale = limit_residuals(rotor, omega, params)
         hinge = np.maximum(res / scale, 0.0)
-        want = np.flatnonzero(~(res <= 0.0).all(axis=1))
-        rows = limit_screen(out, params)
-        assert 0 < len(want) < len(values)
-        assert rows.tobytes() == want.tobytes()
+        rows = self._penalty_rows(monkeypatch, rotor, omega, params)
+        outside = np.flatnonzero(~((low <= x) & (x <= high)).all(axis=1))
+        assert 0 < len(rows) < len(values)
+        assert rows.tobytes() == outside.tobytes()
         nonzero = np.flatnonzero(hinge.any(axis=1))
-        underflow = np.setdiff1d(rows, nonzero)
+        underflow = np.flatnonzero(((res > 0.0) & (res / scale == 0.0)).any(axis=1)
+                                   & ~hinge.any(axis=1))
         assert np.isin(nonzero, rows).all()
-        assert not hinge[underflow].any()
+        assert np.array_equal(np.setdiff1d(rows, nonzero), underflow)
         # Only a bound of 0 has subnormal steps past it that divide to 0.
         assert (len(underflow) > 0) == (f_min == 0.0)
-        active = limit_residuals(out.rotor[rows], out.omega[rows], params)[0]
+        active = limit_residuals(rotor[rows], omega[rows], params)[0]
         assert active.tobytes() == res[rows].tobytes()
 
 
