@@ -7,6 +7,7 @@ that fails a check, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -94,17 +95,15 @@ def _load(args):
 
 
 def cmd_plan(args) -> int:
-    if not (args.dt > 0 and np.isfinite(args.dt)):
-        raise ValidationError(f"--dt must be a finite number above 0, got {args.dt}")
     try:  # each message opens with the field's name, which is its flag's
-        opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+        opt_cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed,
+                                  dt=args.dt)
     except ValidationError as exc:
         raise ValidationError(f"--{exc}") from None
     track, seq = _load(args)
     bc0 = BoundaryCondition.hover(track.start)
     bcf = BoundaryCondition.hover(track.finish)
-    result = solve(seq, track.quad, bc0, bcf, opt_cfg=opt_cfg,
-                   sample_dt=args.dt)
+    result = solve(seq, track.quad, bc0, bcf, opt_cfg=opt_cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,15 +118,12 @@ def cmd_plan(args) -> int:
         "penalty": result.penalty,
         "checks": {c.name: {"passed": c.passed, "worst": list(c.worst)}
                    for c in result.checks},
+        # The solve's diagnostics but its per-iteration trace, then its settings.
         "solver": {
-            "iterations": result.diagnostics.iterations,
-            "function_evals": result.diagnostics.function_evals,
-            "function_evals_all_starts": result.diagnostics.function_evals_all_starts,
-            "termination": result.diagnostics.termination,
-            "final_grad_norm": result.diagnostics.final_grad_norm,
-            "wall_time": result.diagnostics.wall_time,
-            "seed": args.seed,
-            "restore_scale": result.diagnostics.restore_scale,
+            **{f.name: getattr(result.diagnostics, f.name)
+               for f in dataclasses.fields(result.diagnostics)
+               if f.name != "objective_trace"},
+            **dataclasses.asdict(opt_cfg),
         },
     }
     _write_artifact(out_dir / "summary.json", json.dumps(summary, indent=2))

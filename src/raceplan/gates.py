@@ -9,6 +9,7 @@ inequality constraints.  Segment durations get the same treatment through
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -46,6 +47,9 @@ class BallGate(Frozen):
         c = freeze(np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "center", c)
         require_workspace(c, "ball gate center")
+        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Real):
+            raise ValidationError(
+                f"ball gate radius must be a number, got {self.radius!r}")
         require_workspace(self.radius, "ball gate radius")
         if self.radius < 0:
             raise ValidationError("ball gate radius must be >= 0")

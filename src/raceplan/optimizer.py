@@ -60,7 +60,8 @@ DELTA = 3e-8
 # sampled penalty is at most RESTORE_PENALTY_TOL.
 RESTORE_PENALTY_TOL = 1e-8
 RESTORE_MAX_SCALE = 1.5
-#: The most rows an export may have, so that a tiny sample_dt ends in an error.
+#: The most rows an export may have, so that a tiny OptimizerConfig.dt ends
+#: in an error.
 MAX_EXPORT_SAMPLES = 1_000_000
 #: The most restarts a solve may run: it draws every start before the first runs.
 MAX_RESTARTS = 1000
@@ -69,17 +70,21 @@ MAX_RESTARTS = 1000
 @dataclass(frozen=True)
 class OptimizerConfig:
     """The initial speed guess, m/s, sets the initial durations; each of the
-    ``restarts`` adds a start drawn from the ``seed``."""
+    ``restarts`` adds a start drawn from the ``seed``; the plan is exported
+    every ``dt`` s."""
 
     initial_speed_guess: float = 3.0
     restarts: int = 0
     seed: int = 0
+    dt: float = 0.01
 
     def __post_init__(self):
-        speed = self.initial_speed_guess
-        if not (isinstance(speed, numbers.Real) and 0 < speed < np.inf):
-            raise ValidationError("initial_speed_guess must be a finite number "
-                                  f"above 0, got {speed!r}")
+        for name in ("initial_speed_guess", "dt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < np.inf):
+                raise ValidationError(
+                    f"{name} must be a finite number above 0, got {value!r}")
         for name in ("restarts", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
@@ -260,9 +265,7 @@ def _blas_threads():
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _worker_count(n_starts: int) -> int:
@@ -437,19 +440,14 @@ def _sample_trajectory(traj: TrajectorySpline, params: QuadParams, dt: float):
 
 def solve(seq: GateSequence, params: QuadParams,
           bc0: BoundaryCondition, bcf: BoundaryCondition,
-          opt_cfg: OptimizerConfig = OptimizerConfig(),
-          sample_dt: float = 0.01) -> PlanResult:
+          opt_cfg: OptimizerConfig = OptimizerConfig()) -> PlanResult:
     """Plan a trajectory through the gate sequence.
 
     Runs the quasi-Newton loop from the deterministic initialization (plus
     optional seeded random restarts) and returns the best iterate with
-    sampled state/control trajectories, every ``sample_dt`` s (finite and
-    above 0), and diagnostics.
+    sampled state/control trajectories, every ``opt_cfg.dt`` s, and
+    diagnostics.
     """
-    if isinstance(sample_dt, bool) or not (isinstance(sample_dt, numbers.Real)
-                                           and 0 < sample_dt < np.inf):
-        raise ValidationError(
-            f"sample_dt must be a finite number above 0, got {sample_dt!r}")
     # Loaded by a solve only, before the clock and any fork: workers inherit it.
     import scipy.optimize  # noqa: F401
     t_start = time.perf_counter()
@@ -470,7 +468,7 @@ def solve(seq: GateSequence, params: QuadParams,
                                                    evaluator.fine_penalty)
     report = cost_mod.objective(dec, seq, params, bc0, bcf)
     traj = report.spline
-    times, states, controls = _sample_trajectory(traj, params, sample_dt)
+    times, states, controls = _sample_trajectory(traj, params, opt_cfg.dt)
     return PlanResult(
         spline=traj,
         decision=dec,

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -162,6 +162,17 @@ class TestPlan:
         assert summary["solver"]["function_evals_all_starts"] \
             == summary["solver"]["function_evals"]
         assert summary["solver"]["restore_scale"] >= 1.0
+
+    def test_summary_solver_block_is_the_dataclasses(self, planned):
+        """The solver block holds each diagnostics field but the
+        per-iteration trace, then the plan's settings."""
+        _, out = planned
+        solver = json.loads((out / "summary.json").read_text())["solver"]
+        names = [f.name for f in fields(optimizer.SolveDiagnostics)
+                 if f.name != "objective_trace"]
+        config = asdict(optimizer.OptimizerConfig())
+        assert list(solver) == names + list(config)
+        assert {name: solver[name] for name in config} == config
 
     def test_summary_checks_match_check(self, planned, capsys):
         """The checks plan writes are the verdicts and worst values that

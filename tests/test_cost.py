@@ -17,7 +17,9 @@ from raceplan import _flatjet, spline as spline_mod
 from raceplan.cost import (
     PENALTY_WEIGHTS, Evaluator, _sample_grid, objective, penalty, samples,
 )
-from raceplan.gates import DecisionVector, decode, time_map
+from raceplan.gates import (
+    BallGate, DecisionVector, GateSequence, decode, time_map, time_map_inverse,
+)
 from raceplan.model import limit_residuals
 from raceplan.optimizer import OptimizerConfig, _minimize, initialize
 from raceplan.spline import (
@@ -496,6 +498,25 @@ class TestObjective:
             report = objective(dec, seq, track.quad, bc0, bcf)
         assert report.total == np.inf
         assert report.gradient is None
+
+    def test_singular_penalty_reports_infinite(self, quad_a):
+        """Through a ball gate's center, a spline that starts in free fall,
+        as in TestPenalty's singular spline, gives +inf and no gradient,
+        and the report keeps the spline; the evaluator gives (+inf, None)."""
+        seq = GateSequence((BallGate(center=[1.0, 0.0, 4.0], radius=0.5),))
+        bc0 = BoundaryCondition(np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0],
+                                          _flatjet.GRAVITY]))
+        bcf = BoundaryCondition.hover([2.0, 0.0, 4.0])
+        dec = DecisionVector(D=np.zeros(4), K=time_map_inverse([1.0, 1.0]))
+        report = objective(dec, seq, quad_a, bc0, bcf)
+        assert report.total == np.inf
+        assert report.gradient is None
+        waypoints, durations, _, _ = decode(seq, dec)
+        want = construct(waypoints, durations, bc0, bcf)
+        assert report.spline.coefficients.tobytes() == want.coefficients.tobytes()
+        assert penalty(report.spline, quad_a) == (np.inf, None)
+        evaluator = Evaluator(dec, seq, quad_a, bc0, bcf)
+        assert evaluator(dec.to_flat()) == (np.inf, None)
 
 
 class TestEvaluator:

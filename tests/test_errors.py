@@ -10,11 +10,12 @@ from raceplan.errors import RaceplanError, ValidationError
 from raceplan.checks import verify
 from raceplan.gates import (
     WORKSPACE, BallGate, DecisionVector, GateSequence, PolytopeGate, decode,
-    shrink_margin, surject,
+    shrink_margin, surject, time_map_inverse,
 )
 from raceplan.model import QuadParams, dynamics
 from raceplan.spline import BoundaryCondition, construct, propagate_gradients
 from raceplan.trackio import TrackOptions
+from raceplan.tracks import enlarge_gate
 
 HOVER = BoundaryCondition.hover([0.0, 0.0, 1.0])
 
@@ -59,11 +60,25 @@ def _one_segment():
      "options.waypoint_tolerance must be a number"),
     (lambda: TrackOptions(waypoint_tolerance=None),
      "options.waypoint_tolerance must be a number"),
+    (lambda: BallGate(center=[0, 0, 0], radius=True),
+     "ball gate radius must be a number, got True"),
+    (lambda: BallGate(center=[0, 0, 0], radius="1.0"),
+     "ball gate radius must be a number, got '1.0'"),
+    (lambda: TrackOptions(waypoint_tolerance=0.0),
+     "options.waypoint_tolerance must be > 0"),
+    (lambda: TrackOptions(waypoint_tolerance=-1.0),
+     "options.waypoint_tolerance must be > 0"),
+    (lambda: GateSequence(()), "gate sequence must be nonempty"),
+    (lambda: time_map_inverse([0.0]), "durations must be positive"),
+    (lambda: shrink_margin(unit_square_gate(), -0.1), "margin must be >= 0"),
+    (lambda: enlarge_gate(unit_square_gate(), 0.5), "factor must be >= 1"),
 ], ids=["with_flat", "decode", "surject", "construct-width", "construct-durations",
         "construct-boundary", "propagate_gradients", "dynamics", "eval_batch",
         "shrink-ball", "shrink-polytope", "boundary-nan", "boundary-inf",
         "boundary-derivative-inf", "margin-str",
-        "margin-none", "tolerance-str", "tolerance-none"])
+        "margin-none", "tolerance-str", "tolerance-none", "radius-bool", "radius-str",
+        "tolerance-zero", "tolerance-negative", "sequence-empty",
+        "time_map_inverse", "shrink-negative", "enlarge-below-one"])
 def test_input_checks_raise_value_errors(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()

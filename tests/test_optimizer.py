@@ -86,8 +86,10 @@ class TestOptimizerConfig:
         ("restarts", -3), ("restarts", 1.5), ("restarts", "2"),
         ("initial_speed_guess", -1.0), ("initial_speed_guess", 0.0),
         ("initial_speed_guess", float("inf")), ("initial_speed_guess", float("nan")),
-        ("initial_speed_guess", "3"),
+        ("initial_speed_guess", "3"), ("initial_speed_guess", True),
         ("restarts", MAX_RESTARTS + 1), ("restarts", 10**18),
+        ("dt", 0.0), ("dt", -0.01), ("dt", float("nan")), ("dt", float("inf")),
+        ("dt", "a"), ("dt", None), ("dt", True),
     ])
     def test_bad_field_is_refused(self, field, value):
         with pytest.raises(ValidationError, match=rf"^{field} must be "):
@@ -95,8 +97,10 @@ class TestOptimizerConfig:
 
     def test_numpy_scalars_are_accepted(self):
         cfg = OptimizerConfig(initial_speed_guess=np.float64(2.0),
-                              restarts=np.int64(1), seed=np.uint32(5))
-        assert (cfg.initial_speed_guess, cfg.restarts, cfg.seed) == (2.0, 1, 5)
+                              restarts=np.int64(1), seed=np.uint32(5),
+                              dt=np.float64(0.02))
+        assert (cfg.initial_speed_guess, cfg.restarts, cfg.seed,
+                cfg.dt) == (2.0, 1, 5, 0.02)
 
 
 class TestSolve:
@@ -153,15 +157,6 @@ class TestSolve:
         norms = np.linalg.norm(result.states[:, 3:7], axis=1)
         assert np.max(np.abs(norms - 1)) < 1e-9
         assert result.states.shape[0] == result.controls.shape[0]
-
-    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf, "a", None, True])
-    def test_unusable_sample_dt_is_refused_before_the_starts(
-            self, single_ball_problem, dt, monkeypatch):
-        """An export period that is not a finite number above 0 raises
-        before any start runs."""
-        monkeypatch.setattr(optimizer, "_run_starts", None)
-        with pytest.raises(ValidationError, match="sample_dt must be a finite"):
-            solve(*single_ball_problem, sample_dt=dt)
 
     def test_restarts_never_worse(self, single_ball_problem):
         seq, quad, bc0, bcf = single_ball_problem
