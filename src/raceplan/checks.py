@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .gates import GateSequence, containment, contains_floor, require_workspace
+from .errors import ValidationError
+from .gates import GateSequence, containment, contains_floor, require_number
 from .model import QuadParams, limit_residuals
 
 #: Fraction of a thrust or body-rate limit's range that samples may exceed.
@@ -104,10 +105,14 @@ def verify(times, states, controls, seq: GateSequence,
     """Check a sampled trajectory: times (N,), states (N, 13) as p, q(wxyz),
     v, omega, and rotor thrusts controls (N, 4).  Thrusts and body rates may
     exceed their limits by HEADROOM of the limit's range.  Raises
-    ValidationError unless every value is within WORKSPACE."""
-    require_workspace(times, "trajectory times")
-    require_workspace(states, "trajectory states")
-    require_workspace(controls, "trajectory controls")
+    ValidationError unless they are lists or arrays of those shapes, with
+    equal and nonzero N, whose every value is a number within WORKSPACE."""
+    times = require_number(times, "trajectory times", shape=(None,))
+    states = require_number(states, "trajectory states", shape=(None, 13))
+    controls = require_number(controls, "trajectory controls", shape=(None, 4))
+    if not len(times) == len(states) == len(controls) > 0:
+        raise ValidationError("trajectory times, states and controls must have "
+                              "the same number of rows, at least 1")
     positions, quats, velocities, rates = np.split(states, [3, 7, 10], axis=1)
     # The laps of a lap track repeat their gate objects, whose passes are
     # the same: each distinct gate is searched once.

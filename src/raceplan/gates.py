@@ -10,6 +10,7 @@ inequality constraints.  Segment durations get the same treatment through
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,12 +31,52 @@ WORKSPACE = 1e6
 _GEOM_TOL = 1e-9
 
 
-def require_workspace(values, name):
-    """Raise ValidationError unless every entry x of values has
-    |x| <= WORKSPACE, which NaN fails."""
-    if not np.all(np.abs(values) <= WORKSPACE):
+def _numeric(node):
+    """Whether node is a real number, or a list, tuple or array of them: no
+    None, and no bool or string, though float() parses both."""
+    if isinstance(node, np.ndarray):
+        return node.dtype.kind in "iuf"
+    if isinstance(node, (list, tuple)):
+        return all(map(_numeric, node))
+    return isinstance(node, numbers.Real) and not isinstance(node, bool)
+
+
+def require_number(value, name, low=-WORKSPACE, high=WORKSPACE, ends="[]", *,
+                   integer=False, shape=None):
+    """The one check of a number where it enters: return value, raising
+    ValidationError unless it is a real number (an integer if integer is
+    set) from low to high, each end closed by a bracket in ends or open by
+    a parenthesis.  Given a shape, whose None entries take any length,
+    value must be a list, tuple or array of that shape instead, and is
+    returned as floats, each entry checked.  Each message opens with name
+    and states the range."""
+    def inside(x):
+        return ((x > low) if ends[0] == "(" else (x >= low)) & (
+            (x < high) if ends[1] == ")" else (x <= high))
+
+    def refuse(what, got=""):
         raise ValidationError(
-            f"{name} must be finite and of magnitude at most {WORKSPACE:g}")
+            f"{name}{what} in {ends[0]}{low:g}, {high:g}{ends[1]}{got}")
+
+    if shape is None:
+        if not (isinstance(value, numbers.Integral if integer else numbers.Real)
+                and _numeric(value) and inside(value)):
+            shown = value.item() if isinstance(value, np.generic) else value
+            refuse(f" must be {'an integer' if integer else 'a number'}",
+                   f", got {reprlib.repr(shown)}")
+        return value
+    try:
+        array = np.asarray(value, dtype=float) if _numeric(value) else None
+    except (ValueError, OverflowError):  # a ragged list, or an integer past floats
+        array = None
+    if array is None or array.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, array.shape)):
+        refuse(f" must be a {str(shape).replace('None', 'n')} array of numbers")
+    ok = inside(array)
+    if not ok.all():
+        index = np.argwhere(~ok)[0].tolist()
+        refuse(f"{index} must be a number", f", got {array[tuple(index)].item()!r}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -44,15 +85,9 @@ class BallGate(Frozen):
     radius: float
 
     def __post_init__(self):
-        c = freeze(np.asarray(self.center, dtype=float).reshape(3))
-        object.__setattr__(self, "center", c)
-        require_workspace(c, "ball gate center")
-        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Real):
-            raise ValidationError(
-                f"ball gate radius must be a number, got {self.radius!r}")
-        require_workspace(self.radius, "ball gate radius")
-        if self.radius < 0:
-            raise ValidationError("ball gate radius must be >= 0")
+        object.__setattr__(self, "center", freeze(
+            require_number(self.center, "ball gate center", shape=(3,)).copy()))
+        require_number(self.radius, "ball gate radius", 0)
 
     @property
     def param_dim(self) -> int:
@@ -79,10 +114,7 @@ class PolytopeGate(Frozen):
 
     @classmethod
     def from_vertices(cls, vertices, planar: bool) -> "PolytopeGate":
-        verts = np.asarray(vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 3:
-            raise ValidationError("polytope vertices must be an (v, 3) array")
-        require_workspace(verts, "polytope vertices")
+        verts = require_number(vertices, "polytope vertices", shape=(None, 3))
         if len(verts) < 3:
             raise ValidationError("polytope gate needs at least 3 vertices")
 
@@ -426,8 +458,7 @@ def shrink_margin(gate: Gate, margin: float) -> Gate:
     each retreat by margin/2 (a 2.4 m square becomes 2.1 m under a 0.3 m
     margin) and a ball loses the full margin from its radius.
     """
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
+    require_number(margin, "margin", 0, np.inf)
     if margin == 0:
         return gate
     if isinstance(gate, BallGate):

@@ -12,6 +12,7 @@ from . import _flatjet
 from ._flatjet import GRAVITY
 from ._frozen import Frozen, freeze
 from .errors import ValidationError
+from .gates import WORKSPACE, require_number
 
 
 def _vec(x, n):
@@ -31,31 +32,20 @@ class QuadParams(Frozen):
     omega_max: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia_diag", _vec(self.inertia_diag, 3))
-        object.__setattr__(self, "omega_max", _vec(self.omega_max, 3))
-        if not np.all(np.isfinite([self.mass, self.arm_length, self.torque_const,
-                                   self.f_min, self.f_max, *self.inertia_diag,
-                                   *self.omega_max])):
-            raise ValidationError("parameters must be finite")
-        if not (self.mass > 0 and self.arm_length > 0 and self.torque_const > 0):
-            raise ValidationError("mass, arm length and torque constant must be positive")
-        if not np.all(self.inertia_diag > 0):
-            raise ValidationError("inertia entries must be positive")
-        if not (0 <= self.f_min < self.f_max):
-            raise ValidationError("need 0 <= f_min < f_max")
-        if not np.all(self.omega_max > 0):
-            raise ValidationError("omega_max must be positive componentwise")
+        low = 1 / WORKSPACE
+        for name in ("mass", "arm_length", "torque_const", "f_max"):
+            require_number(getattr(self, name), name, low)
+        for name in ("inertia_diag", "omega_max"):
+            object.__setattr__(self, name, _vec(require_number(
+                getattr(self, name), name, low, shape=(3,)), 3))
+        require_number(self.f_min, "f_min", 0, self.f_max, "[)")
         if not 4.0 * self.f_max > self.mass * np.linalg.norm(GRAVITY):
             raise ValidationError("hover infeasible: 4*f_max <= m*g")
-        # Read-only, (collective thrust, body torque) -> rotor thrusts.  Arm
-        # lengths or torque constants near 0 or 1e308 leave it non-finite.
-        try:
-            inverse = np.linalg.inv(_flatjet.mixer_matrix(self))
-        except np.linalg.LinAlgError:
-            inverse = np.full((4, 4), np.nan)
-        if not np.all(np.isfinite(inverse)):
-            raise ValidationError("arm length and torque constant give no finite mixer")
-        object.__setattr__(self, "mixer_inverse", _vec(inverse, (4, 4)))
+        # Read-only, (collective thrust, body torque) -> rotor thrusts.  The
+        # mixer's rows are orthogonal, of norms 2, 2l, 2l and 2c, so with l
+        # and c in range its inverse exists and is finite.
+        object.__setattr__(self, "mixer_inverse",
+                           _vec(np.linalg.inv(_flatjet.mixer_matrix(self)), (4, 4)))
         # Read-only constants of every flatness pass and limit_residuals call.
         object.__setattr__(self, "inertia_column", _vec(self.inertia_diag, (3, 1)))
         for name, rotor, rate in (("lower", self.f_min, -self.omega_max),

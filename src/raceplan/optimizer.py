@@ -24,7 +24,6 @@ import functools
 import glob
 import math
 import multiprocessing
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -36,8 +35,8 @@ from scipy.spatial.transform import Rotation
 from . import cost as cost_mod
 from . import gates as gates_mod
 from .checks import Check, verify
-from .errors import RaceplanError, ValidationError
-from .gates import DecisionVector, GateSequence
+from .errors import RaceplanError
+from .gates import DecisionVector, GateSequence, require_number
 from .model import QuadParams
 from . import _flatjet
 from .spline import MAX_SEGMENT_DURATION, BoundaryCondition, TrajectorySpline
@@ -79,20 +78,10 @@ class OptimizerConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("initial_speed_guess", "dt"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0 < value < np.inf):
-                raise ValidationError(
-                    f"{name} must be a finite number above 0, got {value!r}")
-        for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               and value >= 0):
-                raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
-        if self.restarts > MAX_RESTARTS:
-            raise ValidationError(f"restarts must be at most {MAX_RESTARTS}, "
-                                  f"got {self.restarts}")
+        require_number(self.initial_speed_guess, "initial_speed_guess", 0, ends="(]")
+        require_number(self.restarts, "restarts", 0, MAX_RESTARTS, integer=True)
+        require_number(self.seed, "seed", 0, math.inf, integer=True)
+        require_number(self.dt, "dt", 0, ends="(]")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from scipy.linalg import lapack
 
 from ._frozen import Frozen, freeze
 from .errors import RaceplanError, ValidationError
-from .gates import require_workspace
+from .gates import require_number
 
 #: Per-segment duration above which the power basis is too ill-conditioned.
 MAX_SEGMENT_DURATION = 60.0
@@ -38,10 +38,7 @@ class BoundaryCondition(Frozen):
     derivatives: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.derivatives, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValidationError("boundary condition must be (s, 3)")
-        require_workspace(d, "boundary condition")
+        d = require_number(self.derivatives, "boundary condition", shape=(None, 3))
         object.__setattr__(self, "derivatives", freeze(d.copy()))
 
     @classmethod
@@ -164,15 +161,13 @@ def _band_layout(num_seg: int):
 
 def construct(P, T, bc0: BoundaryCondition, bcf: BoundaryCondition) -> TrajectorySpline:
     """Build the minimum-control spline through waypoints P with durations T."""
-    T = np.asarray(T, dtype=float)
+    T = require_number(T, "durations", 0, MAX_SEGMENT_DURATION, "(]", shape=(None,))
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] != 3:
         raise ValidationError("waypoints must be (L, 3)")
     num_seg = len(T)
     if num_seg != len(P) + 1:
         raise ValidationError("need exactly len(P)+1 durations")
-    if not np.all((T > 0) & (T <= MAX_SEGMENT_DURATION)):  # NaN fails too
-        raise ValidationError(f"durations must be in (0, {MAX_SEGMENT_DURATION:g}] s")
     s, ncoef = S, NCOEF
     if bc0.derivatives.shape[0] != s or bcf.derivatives.shape[0] != s:
         raise ValidationError("boundary conditions must provide s rows")

@@ -8,7 +8,6 @@ unit) with an explicit ``inertia_units`` key to override.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import yaml
 
 from .errors import ValidationError
 from .gates import (
-    BallGate, Gate, GateSequence, PolytopeGate, gate_center, require_workspace,
+    BallGate, Gate, GateSequence, PolytopeGate, gate_center, require_number,
     shrink_margin,
 )
 from .model import QuadParams
@@ -51,21 +50,10 @@ class TrackOptions:
     def __post_init__(self):
         if self.mode not in ("togt", "togt-wp"):
             raise ValidationError(f"options.mode: unknown mode {self.mode!r}")
-        # bool is an int, but YAML's true is no lap count.
-        if isinstance(self.laps, bool) or not (isinstance(self.laps, numbers.Integral)
-                                               and self.laps >= 1):
-            raise ValidationError("options.laps must be an integer >= 1")
-        if self.laps > MAX_LAPS:
-            raise ValidationError(f"options.laps must be at most {MAX_LAPS}")
-        for name in ("margin", "waypoint_tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"options.{name} must be a number, got {value!r}")
-            require_workspace(value, f"options.{name}")
-        if self.margin < 0:
-            raise ValidationError("options.margin must be >= 0")
-        if self.waypoint_tolerance <= 0:
-            raise ValidationError("options.waypoint_tolerance must be > 0")
+        require_number(self.laps, "options.laps", 1, MAX_LAPS, integer=True)
+        require_number(self.margin, "options.margin", 0)
+        require_number(self.waypoint_tolerance, "options.waypoint_tolerance", 0,
+                       ends="(]")
 
 
 @dataclass(frozen=True)
@@ -90,41 +78,6 @@ def _check_keys(mapping, allowed, context):
         raise ValidationError(f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
-def _is_number(value):
-    """Whether value is a YAML number: no string, which float() would parse,
-    and no true/false, which it takes as 1/0."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number(value, context):
-    if not _is_number(value):
-        raise ValidationError(f"{context}: not a number")
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer past the float range
-        raise ValidationError(f"{context}: not a number") from exc
-
-
-def _array(value, context):
-    def numeric(node):
-        return all(map(numeric, node)) if isinstance(node, list) else _is_number(node)
-
-    if not numeric(value):
-        raise ValidationError(f"{context}: not a numeric array")
-    try:
-        return np.asarray(value, dtype=float)
-    except (ValueError, OverflowError) as exc:  # ragged lists, or a huge integer
-        raise ValidationError(f"{context}: not a numeric array") from exc
-
-
-def _vec3(value, context):
-    v = _array(value, context)
-    if v.shape != (3,):
-        raise ValidationError(f"{context}: expected a 3-vector")
-    require_workspace(v, context)
-    return v
-
-
 def _parse_quad(node) -> QuadParams:
     if isinstance(node, str):
         presets = {"quad_a": QuadParams.quad_a, "quad_b": QuadParams.quad_b}
@@ -137,16 +90,14 @@ def _parse_quad(node) -> QuadParams:
     units = node.get("inertia_units", "g_m2")
     if units not in ("g_m2", "kg_m2"):
         raise ValidationError(f"quad.inertia_units: unknown unit {units!r}")
-    inertia = _vec3(_require(node, "inertia", "quad"), "quad.inertia")
+    inertia = require_number(_require(node, "inertia", "quad"), "quad.inertia",
+                             shape=(3,))
     if units == "g_m2":
         inertia = inertia * 1e-3
-    scalars = {key: _number(_require(node, key, "quad"), f"quad.{key}")
-               for key in ("mass", "arm_length", "torque_const", "f_max")}
-    f_min = _number(node.get("f_min", 0.0), "quad.f_min")
-    omega_max = _vec3(_require(node, "omega_max", "quad"), "quad.omega_max")
+    given = {key: _require(node, key, "quad")
+             for key in ("mass", "arm_length", "torque_const", "f_max", "omega_max")}
     try:
-        return QuadParams(**scalars, inertia_diag=inertia, f_min=f_min,
-                          omega_max=omega_max)
+        return QuadParams(**given, inertia_diag=inertia, f_min=node.get("f_min", 0.0))
     except ValidationError as exc:
         raise ValidationError(f"quad: {exc}") from exc
 
@@ -162,13 +113,11 @@ def _parse_gate(node, index) -> Gate:
     gtype = _require(node, "type", ctx)
     try:
         if gtype == "ball":
-            gate = BallGate(
-                center=_vec3(_require(node, "center", ctx), f"{ctx}.center"),
-                radius=_number(_require(node, "radius", ctx), f"{ctx}.radius"),
-            )
+            gate = BallGate(center=_require(node, "center", ctx),
+                            radius=_require(node, "radius", ctx))
         elif gtype in ("polygon", "polyhedron"):
-            verts = _array(_require(node, "vertices", ctx), f"{ctx}.vertices")
-            gate = PolytopeGate.from_vertices(verts, planar=(gtype == "polygon"))
+            gate = PolytopeGate.from_vertices(_require(node, "vertices", ctx),
+                                              planar=(gtype == "polygon"))
         else:
             raise ValidationError(f"{ctx}.type: unknown gate type {gtype!r}")
     except ValidationError as exc:
@@ -205,8 +154,8 @@ def loads(text: str, name: str = "<string>") -> TrackFile:
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     quad = _parse_quad(_require(doc, "quad", "track"))
-    start = _vec3(_require(doc, "start", "track"), "start")
-    finish = _vec3(_require(doc, "finish", "track"), "finish")
+    start = require_number(_require(doc, "start", "track"), "start", shape=(3,))
+    finish = require_number(_require(doc, "finish", "track"), "finish", shape=(3,))
     gate_nodes = _require(doc, "gates", "track")
     if not isinstance(gate_nodes, list) or not gate_nodes:
         raise ValidationError("gates: must be a nonempty list")
@@ -217,9 +166,6 @@ def loads(text: str, name: str = "<string>") -> TrackFile:
         raise ValidationError("options: expected a mapping")
     _check_keys(opt_node, _OPTION_KEYS, "options")
     given = {k: opt_node[k] for k in _OPTION_KEYS if k in opt_node}
-    for key in ("margin", "waypoint_tolerance"):
-        if key in given:
-            given[key] = _number(given[key], f"options.{key}")
     return TrackFile(
         quad=quad,
         start=start,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .gates import BallGate, Gate, PolytopeGate
+from .gates import BallGate, Gate, PolytopeGate, require_number
 from .model import QuadParams
 from .trackio import TrackFile, TrackOptions
 
@@ -99,8 +98,7 @@ def random_track(seed: int, n_gates: int = 3) -> TrackFile:
 
 def enlarge_gate(gate: Gate, factor: float) -> Gate:
     """Scale a gate about its center; factor >= 1 gives a superset region."""
-    if factor < 1.0:
-        raise ValidationError("factor must be >= 1 to enlarge")
+    require_number(factor, "factor", 1, np.inf)
     if isinstance(gate, BallGate):
         return BallGate(center=gate.center, radius=gate.radius * factor)
     c = gate.vertices.mean(axis=0)

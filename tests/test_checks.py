@@ -120,34 +120,38 @@ CASES = {
     "random107": (107, "togt"),
 }
 
-_SAMPLES = "trajectory states must be finite and of magnitude at most 1e+06"
-_CENTER = "gates[2].center must be finite and of magnitude at most 1e+06"
-_RADIUS = ("gates[{}]: ball gate radius must be finite and of magnitude at "
-           "most 1e+06")
+_SAMPLES = "trajectory states[0, {}] must be a number in [-1e+06, 1e+06], got {}"
+_CENTER = "gates[2]: ball gate center[0] must be a number in [-1e+06, 1e+06], got {}"
+_RADIUS = "gates[{}]: ball gate radius must be a number in [0, 1e+06], got {}"
 #: Case past the workspace -> the track planned, its mode, an edit of the
 #: checked track's document and one of the exported states (None: as
 #: planned), and the error that refuses it: the track where it is read, or
 #: the samples where verify receives them.
 REFUSED = {
     "nan-positions": ("loop", "togt", None,
-                      _edit(slice(None), slice(0, 3), np.nan), _SAMPLES),
+                      _edit(slice(None), slice(0, 3), np.nan),
+                      _SAMPLES.format(0, "nan")),
     "nan-every-7th": ("loop", "togt", None,
-                      _edit(slice(None, None, 7), slice(0, 3), np.nan), _SAMPLES),
+                      _edit(slice(None, None, 7), slice(0, 3), np.nan),
+                      _SAMPLES.format(0, "nan")),
     "inf-every-9th": ("loop", "togt", None,
-                      _edit(slice(None, None, 9), 0, np.inf), _SAMPLES),
+                      _edit(slice(None, None, 9), 0, np.inf),
+                      _SAMPLES.format(0, "inf")),
     "inf-velocity": ("loop", "togt", None,
-                     _edit(slice(None, None, 5), 7, -np.inf), _SAMPLES),
+                     _edit(slice(None, None, 5), 7, -np.inf),
+                     _SAMPLES.format(7, "-inf")),
     "far-samples": ("loop", "togt", None,
-                    _edit(slice(None, None, 11), 1, 1.5e308), _SAMPLES),
+                    _edit(slice(None, None, 11), 1, 1.5e308),
+                    _SAMPLES.format(1, "1.5e+308")),
     "far-ball": (103, "togt", _set(("gates", 2, "center", 0), 1e300), None,
-                 _CENTER),
+                 _CENTER.format("1e+300")),
     "farthest-ball": (103, "togt", _set(("gates", 2, "center", 0), 1.7e308),
-                      None, _CENTER),
+                      None, _CENTER.format("1.7e+308")),
     "ball-1e305": (103, "togt", _set(("gates", 2, "radius"), 1e305),
-                   _edit(slice(100, 130), 1, 1e302), _RADIUS.format(2)),
+                   _edit(slice(100, 130), 1, 1e302), _RADIUS.format(2, "1e+305")),
     "ball-1e40": ("loop", "togt", _set(("gates", 3), {
         "type": "ball", "center": [1.0, 2.0, 1.0], "radius": 1e40}), None,
-                  _RADIUS.format(3)),
+                  _RADIUS.format(3, "1e+40")),
 }
 
 

@@ -53,6 +53,8 @@ QUAD = ("mass: 0.85, arm_length: 0.15, inertia: [1, 1, 1.7], "
         "torque_const: 0.05, f_max: 6.88, omega_max: [15, 15, 3]")
 
 
+#: TRACK with quad_a written out as QUAD, so that a fuzz test reaches its fields.
+FUZZ_TRACK = {**yaml.safe_load(TRACK), "quad": yaml.safe_load("{" + QUAD + "}")}
 #: random_track(103)'s track document: a polygon, a polyhedron and a ball.
 RANDOM103 = yaml.safe_load(trackio.serialize(tracks.random_track(103)))
 #: What the fuzz test puts at one node of a track document.
@@ -312,14 +314,15 @@ class TestPlan:
 
     @pytest.mark.parametrize("path, value, message", [
         (("gates", 2, "center", 0), 1e200,
-         "gates[2].center must be finite and of magnitude at most 1e+06"),
-        (("start", 0), 1e7, "start must be finite and of magnitude at most 1e+06"),
+         "gates[2]: ball gate center[0] must be a number in [-1e+06, 1e+06], got 1e+200"),
+        (("start", 0), 1e7,
+         "start[0] must be a number in [-1e+06, 1e+06], got 10000000.0"),
         (("options", "waypoint_tolerance"), 1e300,
-         "options.waypoint_tolerance must be finite and of magnitude at most 1e+06"),
+         "options.waypoint_tolerance must be a number in (0, 1e+06], got 1e+300"),
         (("gates", 2, "radius"), 1e40,
-         "gates[2]: ball gate radius must be finite and of magnitude at most 1e+06"),
+         "gates[2]: ball gate radius must be a number in [0, 1e+06], got 1e+40"),
         (("gates", 2, "radius"), 1e52,
-         "gates[2]: ball gate radius must be finite and of magnitude at most 1e+06"),
+         "gates[2]: ball gate radius must be a number in [0, 1e+06], got 1e+52"),
     ], ids=["ball-at-1e200", "start-at-1e7", "tolerance-1e300",
             "ball-radius-1e40", "ball-radius-1e52"])
     def test_far_track_exits_validation(self, path, value, message, tmp_path):
@@ -415,7 +418,8 @@ class TestPlan:
         argv = {"plan": ["plan", str(track), "--out-dir", str(tmp_path)],
                 "check": ["check", str(out / "trajectory.csv"), str(track)]}
         assert main(argv[command] + ["--margin", margin]) == EXIT_VALIDATION
-        want = {"-1": "--margin must be >= 0", "5": "margin exceeds ball radius"}
+        want = {"-1": "--margin must be a number in [0, 1e+06], got -1.0",
+                "5": "margin exceeds ball radius"}
         assert capsys.readouterr().err == f"error: {want[margin]}\n"
 
     @pytest.mark.parametrize("old, new", [
@@ -458,15 +462,18 @@ class TestPlan:
             == EXIT_VALIDATION
         name = {"file": "options.laps", "flag": "--laps"}[where]
         captured = capsys.readouterr()
-        assert captured.err == f"error: {name} must be at most {trackio.MAX_LAPS}\n"
+        assert captured.err == (f"error: {name} must be an integer in "
+                                f"[1, {trackio.MAX_LAPS}], got {huge}\n")
         assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [
-        ("radius: 0.8", "radius: wide", "gates[0].radius: not a number"),
+        ("radius: 0.8", "radius: wide",
+         "gates[0]: ball gate radius must be a number in [0, 1e+06], got 'wide'"),
         ("vertices:\n      - [5, -1.6, 0.5]\n      - [5, 0.4, 0.5]\n"
          "      - [5, 0.4, 2.5]\n      - [5, -1.6, 2.5]", "vertices: wide",
-         "gates[1].vertices: not a numeric array"),
+         "gates[1]: polytope vertices must be a (n, 3) array of numbers in "
+         "[-1e+06, 1e+06]"),
     ], ids=["radius-word", "vertices-word"])
     def test_non_numeric_gate_values_exit_validation(self, old, new, message,
                                                      tmp_path, capsys):
@@ -508,8 +515,9 @@ class TestPlan:
         assert main(argv[command]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         if vertices == "1e306":
-            assert captured.err == ("error: gates[0]: polytope vertices must be "
-                                    "finite and of magnitude at most 1e+06\n")
+            assert captured.err == (
+                "error: gates[0]: polytope vertices[0, 0] must be a number in "
+                "[-1e+06, 1e+06], got 1.4135707194264886e+306\n")
         else:
             assert captured.err.startswith(
                 "error: gates[0]: degenerate polytope vertex set: QH")
@@ -555,16 +563,21 @@ class TestPlan:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: raceplan plan")
 
-    @given(path=st.sampled_from(list(_nodes(yaml.safe_load(TRACK)))[1:]),
+    @given(path=st.sampled_from(list(_nodes(FUZZ_TRACK))[1:]),
            value=st.sampled_from(FUZZ_VALUES))
     @example(path=("finish", 2), value=-1)  # plans, exit 0
     @example(path=("gates", 0, "radius"), value=1e300)  # past the workspace, exit 1
+    @example(path=("quad", "arm_length"), value=1e-300)  # below the quad's range
+    @example(path=("quad", "torque_const"), value=1e-300)
+    @example(path=("quad", "omega_max", 2), value=1e-300)
     @settings(max_examples=4, deadline=None, derandomize=True)
     def test_mutated_small_track_plans(self, path, value):
-        """One node of a 2-gate track document set to an extreme number,
-        another type or nothing: plan ends in a documented exit code with at
-        most one error line, exit 2 included."""
-        doc = yaml.safe_load(TRACK)
+        """One node of a 2-gate track document, its quad's included, set to
+        an extreme number, another type or nothing: plan ends in a
+        documented exit code with at most one error line, exit 2 included.
+        Every quad number the document holds is at least 1e-6, so 1e-300 in
+        the quad is refused with exit 1."""
+        doc = copy.deepcopy(FUZZ_TRACK)
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -572,7 +585,9 @@ class TestPlan:
         with tempfile.TemporaryDirectory() as tmp:
             track = Path(tmp) / "track.yaml"
             track.write_text(yaml.safe_dump(doc))
-            _outcome(["plan", str(track), "--out-dir", tmp])
+            code, err = _outcome(["plan", str(track), "--out-dir", tmp])
+        if path[0] == "quad" and value == 1e-300:
+            assert code == EXIT_VALIDATION and err.startswith("error: quad: "), err
 
     def test_singular_export_sample_exits_solver(self, planned, tmp_path,
                                                  capsys, monkeypatch):
@@ -712,8 +727,8 @@ class TestCheck:
             corrupted.append(",".join(cols))
         bad_csv = tmp_path / "far.csv"
         bad_csv.write_text("\n".join(corrupted) + "\n")
-        refusal = ("" if value == WORKSPACE else "error: trajectory states must "
-                   "be finite and of magnitude at most 1e+06\n")
+        refusal = ("" if value == WORKSPACE else "error: trajectory states[0, 0] "
+                   f"must be a number in [-1e+06, 1e+06], got {float(value)!r}\n")
         assert _outcome(["check", str(bad_csv), str(track)]) == (
             EXIT_VALIDATION, refusal)
 
@@ -737,7 +752,8 @@ class TestCheck:
             x[1, column] = bound + factor * step
             controls, states[:, 10:] = x[:, :4], x[:, 4:]
             if passes is None:
-                with pytest.raises(ValidationError, match="must be finite"):
+                with pytest.raises(ValidationError, match=r"\[1, \d+\] must be a number "
+                                   r"in \[-1e\+06, 1e\+06\], got nan$"):
                     verify(times, states, controls, seq, params)
                 continue
             checks = verify(times, states, controls, seq, params)
@@ -849,8 +865,8 @@ class TestCheck:
         path = tmp_path / "far.yaml"
         path.write_text(yaml.safe_dump(doc))
         assert _outcome(["check", str(csv), str(path)]) == (
-            EXIT_VALIDATION, "error: gates[2].center must be finite and of "
-            "magnitude at most 1e+06\n")
+            EXIT_VALIDATION, "error: gates[2]: ball gate center[0] must be a number "
+            "in [-1e+06, 1e+06], got 1e+300\n")
 
     @given(path=st.sampled_from(list(_nodes(RANDOM103))),
            value=st.sampled_from(FUZZ_VALUES))

@@ -1,6 +1,8 @@
 """The error contract: every library input check raises ValidationError,
 which is a ValueError, and only two exception types exist."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from raceplan.gates import (
     shrink_margin, surject, time_map_inverse,
 )
 from raceplan.model import QuadParams, dynamics
+from raceplan.optimizer import OptimizerConfig
 from raceplan.spline import BoundaryCondition, construct, propagate_gradients
 from raceplan.trackio import TrackOptions
 from raceplan.tracks import enlarge_gate
@@ -22,6 +25,17 @@ HOVER = BoundaryCondition.hover([0.0, 0.0, 1.0])
 
 def _one_segment():
     return construct(np.zeros((0, 3)), [1.0], HOVER, HOVER)
+
+
+def _quad(**given):
+    """quad_a with the given fields replaced."""
+    return replace(QuadParams.quad_a(), **given)
+
+
+#: The one check's refusal of a whole vector and of one of its entries.
+_SHAPE = r" must be a \(3,\) array of numbers in "
+_BOUNDARY = (r"^boundary condition\[{}, 0\] must be a number in "
+             r"\[-1e\+06, 1e\+06\], got {}$")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -48,12 +62,10 @@ def _one_segment():
      "margin exceeds ball radius"),
     (lambda: shrink_margin(unit_square_gate(), 2.0),
      "margin consumes the polytope gate"),
-    (lambda: BoundaryCondition.hover([np.nan, 0.0, 1.0]),
-     "boundary condition must be finite"),
-    (lambda: BoundaryCondition.hover([np.inf, 0.0, 1.0]),
-     "boundary condition must be finite"),
+    (lambda: BoundaryCondition.hover([np.nan, 0.0, 1.0]), _BOUNDARY.format(0, "nan")),
+    (lambda: BoundaryCondition.hover([np.inf, 0.0, 1.0]), _BOUNDARY.format(0, "inf")),
     (lambda: BoundaryCondition(np.r_[[[0.0, 0.0, 1.0]], np.full((2, 3), -np.inf)]),
-     "boundary condition must be finite"),
+     _BOUNDARY.format(1, "-inf")),
     (lambda: TrackOptions(margin="0.3"), "options.margin must be a number"),
     (lambda: TrackOptions(margin=None), "options.margin must be a number"),
     (lambda: TrackOptions(waypoint_tolerance="0.3"),
@@ -61,24 +73,45 @@ def _one_segment():
     (lambda: TrackOptions(waypoint_tolerance=None),
      "options.waypoint_tolerance must be a number"),
     (lambda: BallGate(center=[0, 0, 0], radius=True),
-     "ball gate radius must be a number, got True"),
+     r"^ball gate radius must be a number in \[0, 1e\+06\], got True$"),
     (lambda: BallGate(center=[0, 0, 0], radius="1.0"),
-     "ball gate radius must be a number, got '1.0'"),
+     r"^ball gate radius must be a number in \[0, 1e\+06\], got '1.0'$"),
     (lambda: TrackOptions(waypoint_tolerance=0.0),
-     "options.waypoint_tolerance must be > 0"),
+     r"^options.waypoint_tolerance must be a number in \(0, 1e\+06\], got 0.0$"),
     (lambda: TrackOptions(waypoint_tolerance=-1.0),
-     "options.waypoint_tolerance must be > 0"),
+     r"^options.waypoint_tolerance must be a number in \(0, 1e\+06\], got -1.0$"),
     (lambda: GateSequence(()), "gate sequence must be nonempty"),
     (lambda: time_map_inverse([0.0]), "durations must be positive"),
-    (lambda: shrink_margin(unit_square_gate(), -0.1), "margin must be >= 0"),
-    (lambda: enlarge_gate(unit_square_gate(), 0.5), "factor must be >= 1"),
+    (lambda: shrink_margin(unit_square_gate(), -0.1),
+     r"^margin must be a number in \[0, inf\], got -0.1$"),
+    (lambda: enlarge_gate(unit_square_gate(), 0.5),
+     r"^factor must be a number in \[1, inf\], got 0.5$"),
+    (lambda: BallGate(center=[1, 2], radius=1.0), "^ball gate center" + _SHAPE),
+    (lambda: _quad(inertia_diag=[1, 2]), "^inertia_diag" + _SHAPE),
+    (lambda: _quad(f_max="6.88"),
+     r"^f_max must be a number in \[1e-06, 1e\+06\], got '6.88'$"),
+    (lambda: shrink_margin(unit_square_gate(), "a"),
+     r"^margin must be a number in \[0, inf\], got 'a'$"),
+    (lambda: enlarge_gate(unit_square_gate(), "a"),
+     r"^factor must be a number in \[1, inf\], got 'a'$"),
+    (lambda: _quad(mass=np.nextafter(WORKSPACE, np.inf)),
+     r"^mass must be a number in \[1e-06, 1e\+06\], got 1000000.0000000001$"),
+    (lambda: _quad(f_max=np.nextafter(1 / WORKSPACE, 0)),
+     r"^f_max must be a number in \[1e-06, 1e\+06\], got 9.999999999999997e-07$"),
+    (lambda: verify(np.zeros(2), np.zeros((3, 13)), np.zeros((3, 4)),
+                    mixed_sequence(1), QuadParams.quad_a()),
+     "^trajectory times, states and controls must have the same number of rows"),
+    (lambda: verify(np.zeros(0), np.zeros((0, 13)), np.zeros((0, 4)),
+                    mixed_sequence(1), QuadParams.quad_a()), ", at least 1$"),
 ], ids=["with_flat", "decode", "surject", "construct-width", "construct-durations",
         "construct-boundary", "propagate_gradients", "dynamics", "eval_batch",
         "shrink-ball", "shrink-polytope", "boundary-nan", "boundary-inf",
         "boundary-derivative-inf", "margin-str",
         "margin-none", "tolerance-str", "tolerance-none", "radius-bool", "radius-str",
         "tolerance-zero", "tolerance-negative", "sequence-empty",
-        "time_map_inverse", "shrink-negative", "enlarge-below-one"])
+        "time_map_inverse", "shrink-negative", "enlarge-below-one", "center-shape",
+        "inertia-shape", "f_max-str", "shrink-str", "enlarge-str", "mass-above",
+        "f_max-below", "verify-rows", "verify-empty"])
 def test_input_checks_raise_value_errors(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
@@ -94,38 +127,65 @@ def test_two_exception_types():
 
 def _verify_with(where, value):
     """verify of a three-sample hover at a ball, with the first entry of the
-    times, positions or thrusts set to value."""
-    times = np.array([0.0, 0.01, 0.02])
-    states = np.zeros((3, 13))
-    states[:, 2], states[:, 3] = 1.0, 1.0
-    controls = np.full((3, 4), 2.0)
-    {"times": times, "states": states, "controls": controls}[where].flat[0] = value
+    times, positions or thrusts, given as lists, set to value."""
+    arrays = {"times": [0.0, 0.01, 0.02],
+              "states": np.tile([0.0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], (3, 1)),
+              "controls": np.full((3, 4), 2.0)}
+    rows = arrays[where] = np.asarray(arrays[where]).tolist()
+    (rows if where == "times" else rows[0])[0] = value
     seq = GateSequence((BallGate(center=[0.0, 0.0, 1.0], radius=0.5),))
-    return verify(times, states, controls, seq, QuadParams.quad_a())
+    return verify(*arrays.values(), seq, QuadParams.quad_a())
 
 
-#: Each place a length, coordinate or sample enters, as a function of the
-#: value it is given.
+#: The least float above 0, the least value that an end open at 0 accepts.
+_TINY = np.nextafter(0.0, 1.0)
+
+#: Each place a number enters, as a function of the value it is given,
+#: with the least and the greatest value it accepts.  None stands for an
+#: end that another rule reaches first: hovering bounds the mass above and
+#: the thrust below.
 ENTRIES = {
-    "ball-center": lambda x: BallGate(center=[x, 0.0, 0.0], radius=1.0),
-    "ball-radius": lambda x: BallGate(center=[0.0, 0.0, 0.0], radius=x),
-    "polytope-vertex": lambda x: PolytopeGate.from_vertices(
+    "ball-center": (lambda x: BallGate(center=[x, 0.0, 0.0], radius=1.0),
+                    -WORKSPACE, WORKSPACE),
+    "ball-radius": (lambda x: BallGate(center=[0.0, 0.0, 0.0], radius=x),
+                    0.0, WORKSPACE),
+    "polytope-vertex": (lambda x: PolytopeGate.from_vertices(
         [[x, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
-        planar=False),
-    "boundary-condition": lambda x: BoundaryCondition.hover([0.0, x, 1.0]),
-    "margin": lambda x: TrackOptions(margin=x),
-    "waypoint-tolerance": lambda x: TrackOptions(waypoint_tolerance=x),
-    **{f"verify-{where}": lambda x, where=where: _verify_with(where, x)
+        planar=False), -WORKSPACE, WORKSPACE),
+    "boundary-condition": (lambda x: BoundaryCondition(
+        [[0.0, x, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), -WORKSPACE, WORKSPACE),
+    "margin": (lambda x: TrackOptions(margin=x), 0.0, WORKSPACE),
+    "waypoint-tolerance": (lambda x: TrackOptions(waypoint_tolerance=x),
+                           _TINY, WORKSPACE),
+    **{f"verify-{where}": (lambda x, where=where: _verify_with(where, x),
+                           -WORKSPACE, WORKSPACE)
        for where in ("times", "states", "controls")},
+    "initial-speed-guess": (lambda x: OptimizerConfig(initial_speed_guess=x),
+                            _TINY, WORKSPACE),
+    "dt": (lambda x: OptimizerConfig(dt=x), _TINY, WORKSPACE),
+    "mass": (lambda x: _quad(mass=x), 1 / WORKSPACE, None),
+    "arm-length": (lambda x: _quad(arm_length=x), 1 / WORKSPACE, WORKSPACE),
+    "inertia-diag": (lambda x: _quad(inertia_diag=[1e-3, x, 1.7e-3]),
+                     1 / WORKSPACE, WORKSPACE),
+    "torque-const": (lambda x: _quad(torque_const=x), 1 / WORKSPACE, WORKSPACE),
+    "f-min": (lambda x: _quad(f_min=x), 0.0, np.nextafter(6.88, 0.0)),
+    "f-max": (lambda x: _quad(f_max=x), None, WORKSPACE),
+    "omega-max": (lambda x: _quad(omega_max=[15.0, 15.0, x]),
+                  1 / WORKSPACE, WORKSPACE),
 }
 
 
-@pytest.mark.parametrize("enter", ENTRIES.values(), ids=list(ENTRIES))
-def test_workspace_bound_is_checked_where_values_enter(enter):
-    """Exactly WORKSPACE is accepted; the next float above it, and NaN, are
-    refused with a ValidationError."""
-    enter(WORKSPACE)
-    for value in (np.nextafter(WORKSPACE, np.inf), np.nan):
-        with pytest.raises(ValidationError, match=r"must be finite and of "
-                           r"magnitude at most 1e\+06$"):
+@pytest.mark.parametrize("enter, least, greatest", ENTRIES.values(), ids=list(ENTRIES))
+def test_workspace_bound_is_checked_where_values_enter(enter, least, greatest):
+    """The least and the greatest value an entry accepts are accepted; the
+    next float beyond each, NaN, a bool and a string are refused by the one
+    number check, whose message states the range."""
+    refused = [np.nan, True, "1.0"]
+    for end, beyond in ((least, -np.inf), (greatest, np.inf)):
+        if end is not None:
+            enter(end)
+            refused.append(np.nextafter(end, beyond))
+    for value in refused:
+        with pytest.raises(ValidationError, match=r" must be (a number|a \(.*\) array "
+                           r"of numbers) in [\[(]"):
             enter(value)

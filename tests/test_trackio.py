@@ -111,7 +111,8 @@ class TestParse:
               lambda d: d["gates"][0].pop("radius")),
         _says("gates[0].type: unknown gate type 'pentagram'",
               lambda d: d["gates"][0].__setitem__("type", "pentagram")),
-        _says("gates[0].center: expected a 3-vector",
+        _says("gates[0]: ball gate center must be a (3,) array of numbers in "
+              "[-1e+06, 1e+06]",
               lambda d: d["gates"][0].__setitem__("center", [1, 2])),
         lambda d: d.__setitem__("options", {"laps": 0}),
         lambda d: d.__setitem__("options", {"mode": "fastest"}),
@@ -119,14 +120,14 @@ class TestParse:
         lambda d: d.__setitem__("quad", "quad_z"),
         lambda d: d.__setitem__("options", {"laps": 1.5}),
         lambda d: d.__setitem__("options", {"margin": float("nan")}),
-        _says("options.margin: not a number",
+        _says("options.margin must be a number in [0, 1e+06], got 'wide'",
               lambda d: d.__setitem__("options", {"margin": "wide"})),
         lambda d: d.__setitem__("options", 5),
-        _says("gates[0]: ball gate radius must be finite and of magnitude at "
-              "most 1e+06",
+        _says("gates[0]: ball gate radius must be a number in [0, 1e+06], got nan",
               lambda d: d["gates"][0].__setitem__("radius", float("nan"))),
         lambda d: d["gates"][0].__setitem__("radius", float("inf")),
-        _says("gates[0].center must be finite and of magnitude at most 1e+06",
+        _says("gates[0]: ball gate center[1] must be a number in [-1e+06, 1e+06], "
+              "got nan",
               lambda d: d["gates"][0].__setitem__("center", [3, float("nan"), 1.5])),
         lambda d: d["gates"][0].__setitem__("center", [float("inf"), 0, 1.5]),
         lambda d: d.__setitem__("start", [0, 0, float("nan")]),
@@ -139,33 +140,35 @@ class TestParse:
         lambda d: d.__setitem__("quad", {**QUAD, "omega_max": [15, 15, float("nan")]}),
         lambda d: d.__setitem__("options", {"waypoint_tolerance": float("nan")}),
         lambda d: d.__setitem__("options", {"waypoint_tolerance": float("inf")}),
-        _says("gates[0].radius: not a number",
+        _says("gates[0]: ball gate radius must be a number in [0, 1e+06], got 'wide'",
               lambda d: d["gates"][0].__setitem__("radius", "wide")),
-        _says("gates[0].vertices: not a numeric array",
+        _says("gates[0]: polytope vertices must be a (n, 3) array of numbers in "
+              "[-1e+06, 1e+06]",
               lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": "wide"}])),
-        _says("quad.mass: not a number",
+        _says("quad: mass must be a number in [1e-06, 1e+06], got [0.85]",
               lambda d: d.__setitem__("quad", {**QUAD, "mass": [0.85]})),
-        _says("quad.inertia: not a numeric array",
+        _says("quad.inertia must be a (3,) array of numbers in [-1e+06, 1e+06]",
               lambda d: d.__setitem__("quad", {**QUAD, "inertia": "wide"})),
-        _says("quad.inertia: expected a 3-vector",
+        _says("quad.inertia must be a (3,) array of numbers in [-1e+06, 1e+06]",
               lambda d: d.__setitem__("quad", {**QUAD, "inertia": [1, 2]})),
         # YAML booleans are no numbers, though float(True) is 1.0.
-        _says("options.margin: not a number",
+        _says("options.margin must be a number in [0, 1e+06], got True",
               lambda d: d.__setitem__("options", {"margin": True})),
-        _says("options.laps must be an integer >= 1",
+        _says("options.laps must be an integer in [1, 100], got True",
               lambda d: d.__setitem__("options", {"laps": True})),
-        _says("gates[0].radius: not a number",
+        _says("gates[0]: ball gate radius must be a number in [0, 1e+06], got True",
               lambda d: d["gates"][0].__setitem__("radius", True)),
-        _says("quad.mass: not a number",
+        _says("quad: mass must be a number in [1e-06, 1e+06], got True",
               lambda d: d.__setitem__("quad", {**QUAD, "mass": True})),
-        _says("options.waypoint_tolerance: not a number",
+        _says("options.waypoint_tolerance must be a number in (0, 1e+06], "
+              "got [1]",
               lambda d: d.__setitem__("options", {"waypoint_tolerance": [1]})),
         _says("quad: expected a preset name or a mapping",
               lambda d: d.__setitem__("quad", 5)),
         _says("gates[0]: polytope gate needs at least 3 vertices",
               lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
                   [3, -1, 0.5], [3, 1, 0.5]]}])),
-        _says("quad: arm length and torque constant give no finite mixer",
+        _says("quad: arm_length must be a number in [1e-06, 1e+06], got 5e-324",
               lambda d: d.__setitem__("quad", {**QUAD, "arm_length": 5e-324,
                                                "torque_const": 5e-324})),
         # A key outside the format is refused at every level, named with
@@ -196,29 +199,32 @@ class TestParse:
                 lambda d, v=v: d.__setitem__("options", v))
           for v in ([], 0, False, "")),
         # f_min and omega_max are named once, as the other quad keys are.
-        _says("quad.f_min: not a number",
+        _says("quad: f_min must be a number in [0, 6.88), got 'low'",
               lambda d: d.__setitem__("quad", {**QUAD, "f_min": "low"})),
-        _says("quad.omega_max: expected a 3-vector",
+        _says("quad: omega_max must be a (3,) array of numbers in [1e-06, 1e+06]",
               lambda d: d.__setitem__("quad", {**QUAD, "omega_max": [15, 15]})),
         # A track file's numbers are YAML numbers: a string that float()
         # would parse is none, nor is true in an array.
-        _says("quad.mass: not a number",
+        _says("quad: mass must be a number in [1e-06, 1e+06], got '0.85'",
               lambda d: d.__setitem__("quad", {**QUAD, "mass": "0.85"})),
-        _says("options.margin: not a number",
+        _says("options.margin must be a number in [0, 1e+06], got '0.3'",
               lambda d: d.__setitem__("options", {"margin": "0.3"})),
-        _says("gates[0].radius: not a number",
+        _says("gates[0]: ball gate radius must be a number in [0, 1e+06], got '1.0'",
               lambda d: d["gates"][0].__setitem__("radius", "1.0")),
-        _says("start: not a numeric array",
+        _says("start must be a (3,) array of numbers in [-1e+06, 1e+06]",
               lambda d: d.__setitem__("start", ["0", "0", "1.5"])),
-        _says("gates[0].center: not a numeric array",
+        _says("gates[0]: ball gate center must be a (3,) array of numbers in "
+              "[-1e+06, 1e+06]",
               lambda d: d["gates"][0].__setitem__("center", [True, 0, 1.5])),
-        _says("gates[0].vertices: not a numeric array",
+        _says("gates[0]: polytope vertices must be a (n, 3) array of numbers in "
+              "[-1e+06, 1e+06]",
               lambda d: d.__setitem__("gates", [{"type": "polygon", "vertices": [
                   [3, -1, 0.5], [3, 1, 0.5], [3, 1, "2.5"]]}])),
         # An integer past the float range is refused, not an OverflowError.
-        _says("quad.mass: not a number",
+        _says("quad: mass must be a number in [1e-06, 1e+06], got "
+              "100000000000000000...0000000000000000000",
               lambda d: d.__setitem__("quad", {**QUAD, "mass": 10**400})),
-        _says("start: not a numeric array",
+        _says("start must be a (3,) array of numbers in [-1e+06, 1e+06]",
               lambda d: d.__setitem__("start", [10**400, 0, 1.5])),
         # The version is the integer 1, though true and 1.0 compare equal to it.
         _says("schema_version: expected 1, got True",
@@ -360,7 +366,8 @@ class TestLaps:
         """MAX_LAPS laps build; one more is refused before the gate list is
         repeated."""
         assert len(build_sequence(loop_track(), laps=MAX_LAPS)) == 7 * MAX_LAPS
-        with pytest.raises(ValidationError, match=f"--laps must be at most {MAX_LAPS}"):
+        with pytest.raises(ValidationError, match=rf"^--laps must be an integer in "
+                           rf"\[1, {MAX_LAPS}\], got {MAX_LAPS + 1}$"):
             build_sequence(loop_track(), laps=MAX_LAPS + 1)
 
 
